@@ -42,7 +42,7 @@ struct Outcome {
 
 Outcome run_with(IPipeConfig cfg, bool traced,
                  bench::PointPerf* perf = nullptr) {
-  testbed::Cluster cluster;
+  testbed::ParallelCluster cluster(testbed::kTorLatency);
   testbed::ServerSpec spec;
   spec.ipipe = cfg;
   if (traced) g_trace.apply(spec.ipipe);

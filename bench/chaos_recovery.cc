@@ -127,7 +127,7 @@ int main(int argc, char** argv) {
   const Ns write_end = total - sec(duration_s > 160 ? 110 : 40);
   const Ns verify_at = total - sec(duration_s > 160 ? 100 : 30);
 
-  testbed::Cluster cluster;
+  testbed::ParallelCluster cluster(testbed::kTorLatency);
   for (int i = 0; i < kReplicas; ++i) {
     testbed::ServerSpec spec;
     spec.ipipe.mgmt_period = msec(5);  // idle heartbeat cost on long runs
@@ -182,7 +182,7 @@ int main(int argc, char** argv) {
         if (!wq.empty()) {
           key = wq.front();
           wq.pop_front();
-        } else if (cluster.sim().now() < write_end) {
+        } else if (cluster.client_sim().now() < write_end) {
           key = next_key++;
         } else {
           return netsim::PacketPtr{};
@@ -294,7 +294,7 @@ int main(int argc, char** argv) {
     }
     leader = (leader + 1) % kReplicas;
   });
-  cluster.sim().schedule_at(verify_at, [&] {
+  cluster.client_sim().schedule_at(verify_at, [&] {
     for (const std::uint64_t key : acked) vq.push_back(key);
     verifier.start_open_loop(200.0, total, /*poisson=*/false);
   });

@@ -92,7 +92,7 @@ const char* policy_name(SchedPolicy policy) {
 
 double p99_at_load(const Scenario& sc, SchedPolicy policy, double load,
                    bool capture = false, bench::PointPerf* perf = nullptr) {
-  testbed::Cluster cluster;
+  testbed::ParallelCluster cluster(testbed::kTorLatency);
   testbed::ServerSpec spec;
   spec.nic = sc.nic;
   spec.ipipe.policy = policy;

@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
   TablePrinter table({"actor", "state", "Phase1", "Phase2", "Phase3",
                       "Phase4", "total"});
   for (const auto& cand : candidates) {
-    testbed::Cluster cluster;
+    testbed::ParallelCluster cluster(testbed::kTorLatency);
     testbed::ServerSpec spec;
     spec.ipipe.enable_migration = false;  // only the forced migration
     if (!trace_written) trace.apply(spec.ipipe);
@@ -102,7 +102,7 @@ int main(int argc, char** argv) {
         cand.cost + nic::liquidio_cn2350().forwarding.cost(512));
     client.start_open_loop(rate, msec(120), true);
 
-    cluster.sim().schedule(msec(5), [&] {
+    server.sim().schedule(msec(5), [&] {
       server.runtime().start_migration(id, ActorLoc::kHost);
     });
     cluster.run_until(msec(120));

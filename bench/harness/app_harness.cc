@@ -65,7 +65,7 @@ testbed::ServerSpec make_spec(const RunConfig& cfg) {
 }  // namespace
 
 RunResult run_app(const RunConfig& cfg) {
-  testbed::Cluster cluster;
+  testbed::ParallelCluster cluster(testbed::kTorLatency);
   const double link = cfg.use_25g ? 25.0 : 10.0;
   for (int i = 0; i < 3; ++i) cluster.add_server(make_spec(cfg));
 
@@ -160,7 +160,7 @@ RunResult run_app(const RunConfig& cfg) {
     client->set_warmup(cfg.warmup);
     client->start_closed_loop(cfg.outstanding, stop);
   }
-  cluster.sim().schedule(cfg.warmup, [&] { cluster.snapshot_all(); });
+  cluster.snapshot_all_at(cfg.warmup);
   cluster.run_until(stop + msec(5));
 
   RunResult result;
@@ -171,8 +171,8 @@ RunResult run_app(const RunConfig& cfg) {
     result.completed += client->completed();
   }
   result.throughput_rps = completed / to_sec(cfg.duration);
-  result.sim_events = cluster.sim().executed();
-  result.sim_seconds = to_sec(cluster.sim().now());
+  result.sim_events = cluster.engine().executed();
+  result.sim_seconds = to_sec(cluster.client_sim().now());
   result.goodput_gbps =
       result.throughput_rps * cfg.frame_size * 8.0 / 1e9;
 

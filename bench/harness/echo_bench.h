@@ -6,6 +6,7 @@
 #include "netsim/network.h"
 #include "nic/nic_model.h"
 #include "sim/simulation.h"
+#include "testbed/cluster.h"
 #include "testbed/echo_firmware.h"
 #include "workloads/app_workloads.h"
 #include "workloads/client.h"
@@ -23,8 +24,9 @@ inline EchoResult run_echo(const nic::NicConfig& cfg, std::uint32_t frame,
                            unsigned cores, Ns extra_processing = 0,
                            double offered_scale = 1.05,
                            Ns duration = msec(10), bool poisson = false) {
-  sim::Simulation sim;
-  netsim::Network net(sim, 300);
+  testbed::BareFabric fabric;
+  sim::Simulation& sim = fabric.sim();
+  netsim::Network& net = fabric.net;
   nic::NicModel nic(sim, cfg, net, 0);
   nic.set_active_cores(cores);
   nic.set_steer_to_nic([](const netsim::Packet&) { return true; });
@@ -40,7 +42,7 @@ inline EchoResult run_echo(const nic::NicConfig& cfg, std::uint32_t frame,
   const Ns warmup = duration / 5;
   client.set_warmup(warmup);
   client.start_open_loop(rate, duration, poisson);
-  sim.run(duration + msec(1));
+  fabric.run(duration + msec(1));
 
   EchoResult result;
   const double window =

@@ -20,9 +20,9 @@ double seconds_since(WallClock::time_point start) {
 
 }  // namespace
 
-void fill_perf(PointPerf& perf, const testbed::Cluster& cluster) {
-  perf.events = cluster.sim().executed();
-  perf.sim_seconds = to_sec(cluster.sim().now());
+void fill_perf(PointPerf& perf, testbed::ParallelCluster& cluster) {
+  perf.events = cluster.engine().executed();
+  perf.sim_seconds = to_sec(cluster.client_sim().now());
 }
 
 SweepOpts parse_sweep_opts(int argc, char** argv) {
@@ -45,8 +45,7 @@ SweepOpts parse_sweep_opts(int argc, char** argv) {
           "                   stdout stays byte-identical to --jobs=1\n"
           "  --sim-threads=N  parallel event-engine workers per sim point\n"
           "                   (default 1); results are byte-identical for\n"
-          "                   any N on multi-domain (ParallelCluster)\n"
-          "                   benches\n"
+          "                   any N\n"
           "  --bench-json=P   write a machine-readable perf baseline to P\n"
           "  --help           this text\n"
           "when --sim-threads > 1, jobs x sim-threads is clamped to\n"

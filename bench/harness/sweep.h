@@ -1,7 +1,7 @@
 // Parallel deterministic sweep runner for the bench binaries.
 //
 // A bench "sweep" is a list of independent sim points (load levels, window
-// sizes, scheduler variants).  Each point builds its own Cluster /
+// sizes, scheduler variants).  Each point builds its own cluster /
 // Simulation / Rng from scratch, so points share no mutable state and can
 // run on a thread pool without changing any simulated result.  The runner
 // computes all points (in parallel under --jobs=N), collects results
@@ -35,7 +35,7 @@ struct PointPerf {
 
 /// Convenience: record a finished point's cluster into its perf slot
 /// (events + simulated seconds; the label is the caller's).
-void fill_perf(PointPerf& perf, const testbed::Cluster& cluster);
+void fill_perf(PointPerf& perf, testbed::ParallelCluster& cluster);
 
 struct SweepOpts {
   unsigned jobs = 1;          ///< --jobs=N worker threads (1 = sequential)
@@ -64,7 +64,7 @@ class SweepRunner {
   /// Run `fn(index, perf)` for every index in [0, n) and return the
   /// results ordered by index.  With jobs > 1 the points execute on a
   /// thread pool; determinism is the point function's contract: it must
-  /// build all of its own state (Cluster, Rng seeds) from `index` alone.
+  /// build all of its own state (cluster, Rng seeds) from `index` alone.
   template <typename Fn>
   auto map(std::size_t n, Fn&& fn)
       -> std::vector<decltype(fn(std::size_t{0},

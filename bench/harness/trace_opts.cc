@@ -19,7 +19,8 @@ TraceOpts parse_trace_opts(int argc, char** argv) {
   return opts;
 }
 
-bool write_cluster_trace(const TraceOpts& opts, testbed::Cluster& cluster,
+bool write_cluster_trace(const TraceOpts& opts,
+                         testbed::ParallelCluster& cluster,
                          const std::string& label) {
   if (!opts.enabled()) return true;
   bool ok = true;

@@ -31,7 +31,8 @@ struct TraceOpts {
 /// Write one multi-process trace document covering all servers of the
 /// cluster (pid = server index).  No-op for paths the opts leave empty.
 /// Returns false if an output file could not be opened.
-bool write_cluster_trace(const TraceOpts& opts, testbed::Cluster& cluster,
+bool write_cluster_trace(const TraceOpts& opts,
+                         testbed::ParallelCluster& cluster,
                          const std::string& label);
 
 }  // namespace ipipe::bench

@@ -184,7 +184,7 @@ BENCHMARK(BM_MultiDomainChurn)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 void BM_EchoNodeSimulatedMillisecond(benchmark::State& state) {
   std::uint64_t completed = 0;
   for (auto _ : state) {
-    testbed::Cluster cluster;
+    testbed::ParallelCluster cluster(testbed::kTorLatency);
     auto& server = cluster.add_server(testbed::ServerSpec{});
 
     class Echo final : public Actor {

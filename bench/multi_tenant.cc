@@ -101,7 +101,7 @@ constexpr std::size_t kPackedTenants = 4;  ///< background VFs on the card
 constexpr Ns kMeasureEnd = msec(30);
 
 MtPoint run_point(const PointCfg& cfg, bench::PointPerf& perf) {
-  testbed::Cluster cluster;
+  testbed::ParallelCluster cluster(testbed::kTorLatency);
   auto& server = cluster.add_server(testbed::ServerSpec{});
   Runtime& rt = server.runtime();
 

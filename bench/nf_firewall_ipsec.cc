@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
       loads.size(), [&](std::size_t i, bench::PointPerf& perf) {
         const double load = loads[i];
         perf.label = strf("firewall load=%.1f", load);
-        testbed::Cluster cluster;
+        testbed::ParallelCluster cluster(testbed::kTorLatency);
         testbed::ServerSpec spec;
         const bool traced = trace.enabled() && load >= 0.9;
         if (traced) trace.apply(spec.ipipe);
@@ -143,7 +143,7 @@ int main(int argc, char** argv) {
       std::size_t{2}, [&](std::size_t i, bench::PointPerf& perf) {
         const bool is_25g = i == 1;
         perf.label = strf("ipsec %s", is_25g ? "25g" : "10g");
-        testbed::Cluster cluster;
+        testbed::ParallelCluster cluster(testbed::kTorLatency);
         testbed::ServerSpec spec;
         spec.nic = is_25g ? nic::liquidio_cn2360() : nic::liquidio_cn2350();
         auto& server = cluster.add_server(spec);

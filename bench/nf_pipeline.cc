@@ -141,7 +141,7 @@ int main(int argc, char** argv) {
         const auto& card = *points[i].card;
         perf.label = strf("depth=%zu %s", chain.depth, card.label);
 
-        testbed::Cluster cluster;
+        testbed::ParallelCluster cluster(testbed::kTorLatency);
         testbed::ServerSpec sspec;
         sspec.nic = card.make();
         const bool traced =

@@ -260,7 +260,7 @@ int main(int argc, char** argv) {
                       total / 2, msec(500));
     Rng prng(0x9C1C0ULL + seed);
     Ns t = total / 2 + sec(1);
-    while (t < total - sec(2)) {
+    while (t + sec(2) < total) {  // no `total - sec(2)`: Ns is unsigned
       const int g = static_cast<int>(prng.uniform_u64(kGroups));
       const auto victim = static_cast<netsim::NodeId>(
           g * kReplicas + static_cast<int>(prng.uniform_u64(kReplicas)));

@@ -13,7 +13,7 @@
 using namespace ipipe;
 
 int main() {
-  testbed::Cluster cluster;
+  testbed::ParallelCluster cluster(testbed::kTorLatency);
   cluster.add_server(testbed::ServerSpec{});  // node 0: worker + aggregator
   cluster.add_server(testbed::ServerSpec{});  // node 1: worker
 

@@ -35,7 +35,7 @@ class HeavyActor final : public Actor {
 }  // namespace
 
 int main() {
-  testbed::Cluster cluster;
+  testbed::ParallelCluster cluster(testbed::kTorLatency);
   testbed::ServerSpec spec;
   spec.ipipe.mean_thresh = usec(25);
   auto& server = cluster.add_server(spec);

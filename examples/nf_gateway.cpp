@@ -71,7 +71,7 @@ class GatewayActor final : public Actor {
 }  // namespace
 
 int main() {
-  testbed::Cluster cluster;
+  testbed::ParallelCluster cluster(testbed::kTorLatency);
   auto& server = cluster.add_server(testbed::ServerSpec{});
   auto gw = std::make_unique<GatewayActor>();
   auto* gateway = gw.get();

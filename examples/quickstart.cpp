@@ -69,7 +69,7 @@ class MiniCacheActor final : public Actor {
 
 int main() {
   // 1. Build the testbed: one server (SmartNIC + host + iPipe runtime).
-  testbed::Cluster cluster;
+  testbed::ParallelCluster cluster(testbed::kTorLatency);
   auto& server = cluster.add_server(testbed::ServerSpec{});
 
   // 2. Register the actor.  The runtime places it on the NIC and will

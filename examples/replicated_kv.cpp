@@ -13,7 +13,7 @@
 using namespace ipipe;
 
 int main() {
-  testbed::Cluster cluster;
+  testbed::ParallelCluster cluster(testbed::kTorLatency);
   for (int i = 0; i < 3; ++i) cluster.add_server(testbed::ServerSpec{});
 
   // Deploy the four RKV actors on every replica (same order everywhere so
@@ -69,9 +69,9 @@ int main() {
   pkt->dst_actor = nodes[2].consensus;
   pkt->msg_type = rkv::ConsensusActor::kElectTrigger;
   pkt->frame_size = 64;
-  pkt->nic_arrival = cluster.sim().now();
+  pkt->nic_arrival = cluster.server(2).sim().now();
   cluster.server(2).nic().tm().push(std::move(pkt));
-  cluster.run_until(cluster.sim().now() + msec(10));
+  cluster.run_until(cluster.server(2).sim().now() + msec(10));
 
   for (std::size_t i = 0; i < 3; ++i) {
     auto* consensus = dynamic_cast<rkv::ConsensusActor*>(

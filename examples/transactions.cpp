@@ -11,7 +11,7 @@
 using namespace ipipe;
 
 int main() {
-  testbed::Cluster cluster;
+  testbed::ParallelCluster cluster(testbed::kTorLatency);
   for (int i = 0; i < 3; ++i) cluster.add_server(testbed::ServerSpec{});
 
   std::vector<dt::DtDeployment> nodes;

@@ -158,9 +158,8 @@ struct Snapshot {
   Ns resp_p50_ns = 0;
   Ns resp_p99_ns = 0;
   std::uint64_t resp_count = 0;
-  /// Parallel-engine counters for the node's domain (all zero when the
-  /// runtime executes on the single-queue engine).  `eng_windows` > 0
-  /// marks a snapshot as coming from a sharded run.
+  /// Parallel-engine counters for the node's domain (all zero for a
+  /// runtime built outside a cluster, with no engine registered).
   std::uint64_t eng_events = 0;           ///< events executed in the domain
   std::uint64_t eng_windows = 0;          ///< conservative rounds so far
   std::uint64_t eng_stalled_windows = 0;  ///< rounds with an empty window

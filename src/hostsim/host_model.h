@@ -17,7 +17,6 @@
 #include "netsim/packet.h"
 #include "nic/cache_model.h"
 #include "nic/nic_model.h"
-#include "sim/parallel.h"
 #include "sim/simulation.h"
 
 namespace ipipe::hostsim {
@@ -109,14 +108,6 @@ class HostModel {
   [[nodiscard]] Ns total_busy_ns() const noexcept;
   [[nodiscard]] std::uint64_t rx_frames() const noexcept { return rx_frames_; }
 
-  /// Engine domain this host's cores execute in (parallel-cluster
-  /// registration); kNoDomain on the single-queue engine.  All host
-  /// events must stay on this domain's queue.
-  void set_engine_domain(sim::DomainId d) noexcept { engine_domain_ = d; }
-  [[nodiscard]] sim::DomainId engine_domain() const noexcept {
-    return engine_domain_;
-  }
-
  private:
   struct CoreState {
     bool parked = true;
@@ -127,7 +118,6 @@ class HostModel {
   void run_core(unsigned core);
   void retire(unsigned core, std::unique_ptr<HostExecContext> ctx);
 
-  sim::DomainId engine_domain_ = sim::kNoDomain;
   sim::Simulation& sim_;
   HostConfig cfg_;
   nic::NicModel& nic_;

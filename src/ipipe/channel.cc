@@ -360,20 +360,6 @@ SendTicket MessageChannel::send_or_queue(Dir& dir, ChannelMsg msg) {
                     0};
 }
 
-std::optional<Ns> MessageChannel::send_legacy(Dir& dir, const ChannelMsg& msg) {
-  ChannelMsg stamped = msg;
-  stamped.seq = dir.next_seq;
-  const auto cost = try_push(dir, stamped);
-  if (!cost) {
-    ++send_failures_;
-    return std::nullopt;
-  }
-  ++dir.next_seq;
-  ++dir.stats.sent;
-  dir.retained.push_back(Retained{stamped.seq, std::move(stamped)});
-  return cost;
-}
-
 std::optional<ChannelMsg> MessageChannel::poll(Dir& dir) {
   // In-order redeliveries waiting in the reorder buffer go first.
   auto it = dir.reorder.begin();
@@ -460,14 +446,6 @@ SendTicket MessageChannel::send_or_queue_to_host(const ChannelMsg& msg) {
 
 SendTicket MessageChannel::send_or_queue_to_nic(const ChannelMsg& msg) {
   return send_or_queue(to_nic_, msg);
-}
-
-std::optional<Ns> MessageChannel::nic_send(const ChannelMsg& msg) {
-  return send_legacy(to_host_, msg);
-}
-
-std::optional<Ns> MessageChannel::host_send(const ChannelMsg& msg) {
-  return send_legacy(to_nic_, msg);
 }
 
 std::optional<ChannelMsg> MessageChannel::host_poll() { return poll(to_host_); }

@@ -185,18 +185,11 @@ class MessageChannel {
                  std::size_t ring_bytes = 1 << 20,
                  ChannelTuning tuning = {});
 
-  // ---- reliable path (the runtime's only send interface) ------------------
+  // ---- the only send interface ------------------------------------------
   /// NIC -> host / host -> NIC.  Never loses the message: a full ring
   /// parks it in the pending queue and a scheduled retry redelivers.
   SendTicket send_or_queue_to_host(const ChannelMsg& msg);
   SendTicket send_or_queue_to_nic(const ChannelMsg& msg);
-
-  // ---- legacy fire-and-forget path (kept for micro-tests) ------------------
-  /// NIC -> host.  Returns the core-side cost to charge (command post).
-  /// Fails with nullopt when the ring is full (caller retries later).
-  std::optional<Ns> nic_send(const ChannelMsg& msg);
-  /// Host -> NIC.
-  std::optional<Ns> host_send(const ChannelMsg& msg);
 
   /// Receive sides (nullopt when nothing is visible yet).  Sequence
   /// numbers are enforced: out-of-order redeliveries are buffered and
@@ -213,7 +206,6 @@ class MessageChannel {
   [[nodiscard]] const ChannelRing& to_nic_ring() const noexcept {
     return to_nic_.ring;
   }
-  [[nodiscard]] std::uint64_t send_failures() const noexcept { return send_failures_; }
 
   /// Reliability/backpressure counters, per direction.
   [[nodiscard]] const ChannelDirStats& to_host_stats() const noexcept {
@@ -316,7 +308,6 @@ class MessageChannel {
   /// the ring cannot take the frame.
   std::optional<Ns> try_push(Dir& dir, const ChannelMsg& msg);
   SendTicket send_or_queue(Dir& dir, ChannelMsg msg);
-  std::optional<Ns> send_legacy(Dir& dir, const ChannelMsg& msg);
   std::optional<ChannelMsg> poll(Dir& dir);
   [[nodiscard]] bool has_data(const Dir& dir) const noexcept;
 
@@ -339,7 +330,6 @@ class MessageChannel {
   Dir to_nic_;
   std::function<void()> host_notify_;
   std::function<void()> nic_notify_;
-  std::uint64_t send_failures_ = 0;
   double fault_rate_ = 0.0;
   Rng fault_rng_{0x5EEDULL};
   Rng retry_rng_{0xB0FF5EEDULL};  ///< re-seeded from tuning in the ctor

@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <sstream>
 
-#include "common/trace.h"
-
 namespace ipipe::netsim {
 
 // ------------------------------------------------------------- FaultPlan --
@@ -399,9 +397,6 @@ std::string FaultPlan::to_text() const {
 // ------------------------------------------------------- ChaosController --
 
 sim::Simulation& ChaosController::action_sim(const FaultAction& a) {
-  if (!net_.sharded()) return sim_;
-  // Node-scoped actions run where the node's state lives; fabric-scoped
-  // ones on the switch domain that owns partitions and the fault model.
   switch (a.kind) {
     case FaultAction::Kind::kCrash:
     case FaultAction::Kind::kPcieCorrupt:
@@ -410,14 +405,14 @@ sim::Simulation& ChaosController::action_sim(const FaultAction& a) {
     case FaultAction::Kind::kPcieFlap:
     case FaultAction::Kind::kAccelFail: {
       const sim::DomainId d = net_.node_domain(a.node);
-      if (d != sim::kNoDomain) return net_.engine()->domain(d);
-      return sim_;
+      if (d != sim::kNoDomain) return net_.engine().domain(d);
+      break;
     }
     case FaultAction::Kind::kPartition:
     case FaultAction::Kind::kLinkFault:
-      return net_.engine()->domain(net_.switch_domain());
+      break;
   }
-  return sim_;
+  return net_.sim();
 }
 
 void ChaosController::execute(const FaultPlan& plan) {
@@ -478,7 +473,6 @@ void ChaosController::fire_crash(sim::Simulation& s, const FaultAction& a,
                 static_cast<long long>(s.now()), a.node,
                 static_cast<long long>(a.duration));
   log_line(s.now(), seq, buf);
-  trace_event("node_crash", static_cast<double>(a.node));
 
   s.schedule(a.duration, [this, &s, node = a.node, seq] {
     down_[node].store(false, std::memory_order_relaxed);
@@ -489,7 +483,6 @@ void ChaosController::fire_crash(sim::Simulation& s, const FaultAction& a,
     std::snprintf(b, sizeof(b), "t=%lld restore node=%u",
                   static_cast<long long>(s.now()), node);
     log_line(s.now(), seq + 1, b);
-    trace_event("node_restore", static_cast<double>(node));
   });
 }
 
@@ -512,8 +505,6 @@ void ChaosController::fire_partition(sim::Simulation& s, const FaultAction& a,
   }
   os << " heal_ns=" << a.duration;
   log_line(s.now(), seq, os.str());
-  trace_event("partition", static_cast<double>(a.group_a.size() +
-                                               a.group_b.size()));
 
   s.schedule(a.duration, [this, &s, ga = a.group_a, gb = a.group_b, seq] {
     for (const NodeId x : ga) {
@@ -526,7 +517,6 @@ void ChaosController::fire_partition(sim::Simulation& s, const FaultAction& a,
     std::snprintf(b, sizeof(b), "t=%lld heal",
                   static_cast<long long>(s.now()));
     log_line(s.now(), seq + 1, b);
-    trace_event("partition_heal", 0.0);
   });
 }
 
@@ -541,7 +531,6 @@ void ChaosController::fire_pcie_corrupt(sim::Simulation& s,
   std::snprintf(buf, sizeof(buf), "t=%lld pcie-corrupt node=%u rate=%g",
                 static_cast<long long>(s.now()), a.node, a.rate);
   log_line(s.now(), seq, buf);
-  trace_event("pcie_corrupt", a.rate);
 
   s.schedule(a.duration, [this, &s, node = a.node, seq] {
     const auto h = hooks_.find(node);
@@ -550,7 +539,6 @@ void ChaosController::fire_pcie_corrupt(sim::Simulation& s,
     std::snprintf(b, sizeof(b), "t=%lld pcie-heal node=%u",
                   static_cast<long long>(s.now()), node);
     log_line(s.now(), seq + 1, b);
-    trace_event("pcie_heal", static_cast<double>(node));
   });
 }
 
@@ -565,7 +553,6 @@ void ChaosController::fire_link_fault(sim::Simulation& s, const FaultAction& a,
                 a.fault.dup_prob, a.fault.corrupt_prob,
                 static_cast<long long>(a.fault.reorder_jitter));
   log_line(s.now(), seq, buf);
-  trace_event("link_fault", a.fault.drop_prob);
 
   s.schedule(a.duration, [this, &s, saved, seq] {
     net_.set_fault_model(saved);
@@ -573,7 +560,6 @@ void ChaosController::fire_link_fault(sim::Simulation& s, const FaultAction& a,
     std::snprintf(b, sizeof(b), "t=%lld link-heal",
                   static_cast<long long>(s.now()));
     log_line(s.now(), seq + 1, b);
-    trace_event("link_heal", 0.0);
   });
 }
 
@@ -598,7 +584,6 @@ void ChaosController::fire_nic_crash(sim::Simulation& s, const FaultAction& a,
                 static_cast<long long>(s.now()), verb, a.node,
                 static_cast<long long>(a.duration));
   log_line(s.now(), seq, buf);
-  trace_event("nic_crash", static_cast<double>(a.node));
 
   s.schedule(a.duration, [this, &s, node = a.node, seq] {
     nic_down_[node].store(false, std::memory_order_relaxed);
@@ -609,7 +594,6 @@ void ChaosController::fire_nic_crash(sim::Simulation& s, const FaultAction& a,
     std::snprintf(b, sizeof(b), "t=%lld nic-restore node=%u",
                   static_cast<long long>(s.now()), node);
     log_line(s.now(), seq + 1, b);
-    trace_event("nic_restore", static_cast<double>(node));
   });
 }
 
@@ -622,7 +606,6 @@ void ChaosController::fire_pcie_flap(sim::Simulation& s, const FaultAction& a,
                 static_cast<long long>(s.now()), a.node,
                 static_cast<long long>(a.duration));
   log_line(s.now(), seq, buf);
-  trace_event("pcie_flap", static_cast<double>(a.node));
 
   s.schedule(a.duration, [this, &s, node = a.node, seq] {
     const auto h = hooks_.find(node);
@@ -631,7 +614,6 @@ void ChaosController::fire_pcie_flap(sim::Simulation& s, const FaultAction& a,
     std::snprintf(b, sizeof(b), "t=%lld pcie-up node=%u",
                   static_cast<long long>(s.now()), node);
     log_line(s.now(), seq + 1, b);
-    trace_event("pcie_up", static_cast<double>(node));
   });
 }
 
@@ -645,7 +627,6 @@ void ChaosController::fire_accel_fail(sim::Simulation& s, const FaultAction& a,
   std::snprintf(buf, sizeof(buf), "t=%lld accel-fail node=%u bank=%u",
                 static_cast<long long>(s.now()), a.node, a.bank);
   log_line(s.now(), seq, buf);
-  trace_event("accel_fail", static_cast<double>(a.bank));
 
   s.schedule(a.duration, [this, &s, node = a.node, bank = a.bank, seq] {
     const auto h = hooks_.find(node);
@@ -656,21 +637,12 @@ void ChaosController::fire_accel_fail(sim::Simulation& s, const FaultAction& a,
     std::snprintf(b, sizeof(b), "t=%lld accel-heal node=%u bank=%u",
                   static_cast<long long>(s.now()), node, bank);
     log_line(s.now(), seq + 1, b);
-    trace_event("accel_heal", static_cast<double>(bank));
   });
 }
 
 void ChaosController::log_line(Ns t, std::uint64_t seq, std::string line) {
   const std::lock_guard<std::mutex> guard(log_mu_);
   recs_.push_back(LogRec{t, seq, std::move(line)});
-}
-
-void ChaosController::trace_event(const char* name, double arg) {
-  // Sharded runs skip the tracer: one ring cannot take concurrent
-  // appends, and per-domain engine counters cover the visibility need.
-  if (tracer_ == nullptr || !tracer_->enabled() || net_.sharded()) return;
-  tracer_->instant(trace::Cat::kChaos, name, trace::tid::kChaos, 0,
-                   {"v", arg});
 }
 
 const std::vector<std::string>& ChaosController::event_log() const {

@@ -29,10 +29,6 @@
 #include "netsim/network.h"
 #include "sim/simulation.h"
 
-namespace ipipe::trace {
-class Tracer;
-}  // namespace ipipe::trace
-
 namespace ipipe::netsim {
 
 /// One scheduled fault.  `at` is the virtual time it fires; faults with a
@@ -117,24 +113,23 @@ struct NodeHooks {
   std::function<void(std::uint32_t, bool)> accel_fail;
 };
 
-/// Against a sharded fabric the controller becomes multi-domain aware:
-/// node-scoped actions (crash, restore, pcie-corrupt) are scheduled on
-/// the target node's engine domain, fabric-scoped ones (partition, heal,
-/// link-fault) on the switch domain that owns the partition set and the
-/// fault model.  Log lines from different domains merge under a mutex
-/// keyed by (virtual time, plan sequence), so `event_log()` stays
-/// byte-identical across thread counts; the down flags and counters are
-/// atomics.  The tracer hook is ignored in sharded mode (one Tracer
-/// cannot take concurrent appends).
+/// Dispatch rule: node-scoped actions (crash, restore, pcie-corrupt,
+/// nic-crash, pcie-flap, accel-fail) are scheduled on the target node's
+/// engine domain, fabric-scoped ones (partition, heal, link-fault) — and
+/// node actions against a node the fabric does not know — on the switch
+/// domain that owns the partition set and the fault model.  Log lines
+/// from different domains merge under a mutex keyed by (virtual time,
+/// plan sequence), so `event_log()` stays byte-identical across thread
+/// counts; the down flags and counters are atomics.  Fault instants show
+/// up in traces through the nodes' own runtime tracers.
 class ChaosController {
  public:
-  ChaosController(sim::Simulation& sim, Network& net) : sim_(sim), net_(net) {}
+  explicit ChaosController(Network& net) : net_(net) {}
 
   void register_node(NodeId node, NodeHooks hooks) {
     hooks_[node] = std::move(hooks);
     down_[node].store(false, std::memory_order_relaxed);
   }
-  void set_tracer(trace::Tracer* tracer) noexcept { tracer_ = tracer; }
 
   /// Schedule every action in `plan` on the simulation clock.  May be
   /// called multiple times; actions from all plans interleave by time.
@@ -148,8 +143,8 @@ class ChaosController {
   // ---- the replayable record -----------------------------------------------
   /// Every fault/heal event, in execution order, as "t=<ns> <what> ..."
   /// lines.  Byte-identical across runs of the same plan + same binary
-  /// (and, sharded, across thread counts).  Call only while the
-  /// simulation is not running.
+  /// and across thread counts.  Call only while the simulation is not
+  /// running.
   [[nodiscard]] const std::vector<std::string>& event_log() const;
   /// The log joined with newlines (for the determinism byte-compare).
   [[nodiscard]] std::string event_log_text() const;
@@ -168,10 +163,9 @@ class ChaosController {
   }
 
  private:
-  /// `s` is the domain queue the action executes on (the node's domain /
-  /// the switch domain when sharded; `sim_` otherwise).  `seq` is the
-  /// action's plan-order sequence, the deterministic tie-break for log
-  /// lines that share a timestamp.
+  /// `s` is the domain queue the action executes on (see action_sim).
+  /// `seq` is the action's plan-order sequence, the deterministic
+  /// tie-break for log lines that share a timestamp.
   void fire_crash(sim::Simulation& s, const FaultAction& a, std::uint64_t seq);
   void fire_partition(sim::Simulation& s, const FaultAction& a,
                       std::uint64_t seq);
@@ -185,14 +179,11 @@ class ChaosController {
                       std::uint64_t seq);
   void fire_accel_fail(sim::Simulation& s, const FaultAction& a,
                        std::uint64_t seq);
-  /// Domain an action schedules on (multi-domain dispatch when sharded).
+  /// Domain an action schedules on (the dispatch rule above).
   [[nodiscard]] sim::Simulation& action_sim(const FaultAction& a);
   void log_line(Ns t, std::uint64_t seq, std::string line);
-  void trace_event(const char* name, double arg);
 
-  sim::Simulation& sim_;
   Network& net_;
-  trace::Tracer* tracer_ = nullptr;
   std::map<NodeId, NodeHooks> hooks_;
   /// Pre-populated at registration / plan execution (the map's shape is
   /// frozen while workers run; only the atomic flags flip).

@@ -21,10 +21,6 @@ void Network::attach(NodeId node, Endpoint& ep, double gbps,
 }
 
 void Network::detach(NodeId node) {
-  if (!sharded()) {
-    ports_.erase(node);
-    return;
-  }
   // The port map is frozen while engine workers run; mark the port down
   // in place (the flag is owned by the node's own domain, which is where
   // crash events execute).
@@ -33,11 +29,10 @@ void Network::detach(NodeId node) {
 }
 
 void Network::install_lookahead() {
-  assert(sharded());
   for (const auto& [node, port] : ports_) {
     if (port.domain == switch_domain_) continue;
-    psim_->set_lookahead(port.domain, switch_domain_, switch_in_);
-    psim_->set_lookahead(switch_domain_, port.domain, switch_out_);
+    psim_.set_lookahead(port.domain, switch_domain_, switch_in_);
+    psim_.set_lookahead(switch_domain_, port.domain, switch_out_);
   }
 }
 
@@ -54,68 +49,6 @@ bool Network::pair_blocked(NodeId a, NodeId b) const {
          blocked_pairs_.count(pair_key(a, b)) != 0;
 }
 
-void Network::send(PacketPtr pkt) {
-  assert(pkt != nullptr);
-  if (sharded()) {
-    send_sharded(std::move(pkt));
-    return;
-  }
-  ++frames_sent_;
-
-  const auto src_it = ports_.find(pkt->src);
-  const auto dst_it = ports_.find(pkt->dst);
-  if (src_it == ports_.end() || dst_it == ports_.end()) {
-    ++dropped_unknown_endpoint_;
-    LOG_DEBUG("drop: unknown endpoint %u -> %u", pkt->src, pkt->dst);
-    return;
-  }
-
-  if (pair_blocked(pkt->src, pkt->dst)) {
-    ++dropped_partition_;
-    return;
-  }
-
-  if (faults_.drop_prob > 0.0 && rng_.bernoulli(faults_.drop_prob)) {
-    ++dropped_fault_;
-    return;
-  }
-
-  const bool duplicate =
-      faults_.dup_prob > 0.0 && rng_.bernoulli(faults_.dup_prob);
-
-  PortState& src_port = src_it->second;
-  PortState& dst_port = dst_it->second;
-  const Ns now = sim_.now();
-
-  const Ns tx_start = std::max(now, src_port.tx_busy_until);
-  const Ns tx_done = tx_start + wire_time(pkt->frame_size, src_port.gbps);
-  src_port.tx_busy_until = tx_done;
-
-  const Ns at_switch = tx_done + switch_latency_;
-  const Ns rx_start = std::max(at_switch, dst_port.rx_busy_until);
-  const Ns rx_done = rx_start + wire_time(pkt->frame_size, dst_port.gbps);
-  dst_port.rx_busy_until = rx_done;
-
-  Ns jitter = 0;
-  if (faults_.reorder_jitter > 0) {
-    jitter = rng_.uniform_u64(faults_.reorder_jitter + 1);
-  }
-
-  // Each delivered instance (primary and any duplicate) can be corrupted
-  // independently — they traverse the fabric as separate frames.
-  if (duplicate) {
-    auto copy = pool_.make(*pkt);
-    const bool corrupt_dup =
-        faults_.corrupt_prob > 0.0 && rng_.bernoulli(faults_.corrupt_prob);
-    if (corrupt_dup) corrupt_payload(*copy);
-    deliver(std::move(copy), rx_done - now + jitter, corrupt_dup);
-  }
-  const bool corrupt =
-      faults_.corrupt_prob > 0.0 && rng_.bernoulli(faults_.corrupt_prob);
-  if (corrupt) corrupt_payload(*pkt);
-  deliver(std::move(pkt), rx_done - now + jitter, corrupt);
-}
-
 void Network::corrupt_payload(Packet& pkt) {
   if (pkt.payload.empty()) return;
   const std::size_t byte = rng_.uniform_u64(pkt.payload.size());
@@ -124,13 +57,14 @@ void Network::corrupt_payload(Packet& pkt) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded mode: the frame takes three hops, each owned by one domain.
+// The frame takes three hops, each owned by one domain.
 // ---------------------------------------------------------------------------
 
 // Hop 1, on the source's domain: serialize on the uplink (the source
 // port's tx state belongs to the sender), then hand off to the switch
 // domain after the ingress half-latency.
-void Network::send_sharded(PacketPtr pkt) {
+void Network::send(PacketPtr pkt) {
+  assert(pkt != nullptr);
   frames_sent_.fetch_add(1, std::memory_order_relaxed);
   const auto src_it = ports_.find(pkt->src);
   const auto dst_it = ports_.find(pkt->dst);
@@ -140,11 +74,11 @@ void Network::send_sharded(PacketPtr pkt) {
     return;
   }
   PortState& src_port = src_it->second;
-  const Ns now = psim_->domain(src_port.domain).now();
+  const Ns now = psim_.domain(src_port.domain).now();
   const Ns tx_start = std::max(now, src_port.tx_busy_until);
   const Ns tx_done = tx_start + wire_time(pkt->frame_size, src_port.gbps);
   src_port.tx_busy_until = tx_done;
-  psim_->post(switch_domain_, tx_done + switch_in_,
+  psim_.post(switch_domain_, tx_done + switch_in_,
               [this, p = std::move(pkt)]() mutable {
                 switch_hop(std::move(p));
               });
@@ -189,7 +123,7 @@ void Network::post_to_dst(PacketPtr pkt, Ns jitter, bool corrupt) {
     return;
   }
   const sim::DomainId dst_domain = it->second.domain;
-  psim_->post(dst_domain, sim_.now() + switch_out_ + jitter,
+  psim_.post(dst_domain, sim_.now() + switch_out_ + jitter,
               [this, corrupt, p = std::move(pkt)]() mutable {
                 arrive(std::move(p), corrupt);
               });
@@ -205,7 +139,7 @@ void Network::arrive(PacketPtr pkt, bool corrupt) {
     return;
   }
   PortState& port = it->second;
-  sim::Simulation& dsim = psim_->domain(port.domain);
+  sim::Simulation& dsim = psim_.domain(port.domain);
   const Ns now = dsim.now();
   const Ns rx_start = std::max(now, port.rx_busy_until);
   const Ns rx_done = rx_start + wire_time(pkt->frame_size, port.gbps);
@@ -221,29 +155,8 @@ void Network::arrive(PacketPtr pkt, bool corrupt) {
       return;
     }
     frames_delivered_.fetch_add(1, std::memory_order_relaxed);
-    p->nic_arrival = psim_->domain(dit->second.domain).now();
+    p->nic_arrival = psim_.domain(dit->second.domain).now();
     dit->second.ep->receive(std::move(p));
-  });
-}
-
-void Network::deliver(PacketPtr pkt, Ns delay, bool corrupt) {
-  // InlineFn takes move-only captures, so the frame rides inside the
-  // event itself — no allocation, no shared_ptr shim.
-  sim_.schedule(delay, [this, corrupt, p = std::move(pkt)]() mutable {
-    const auto it = ports_.find(p->dst);
-    if (it == ports_.end() || it->second.ep == nullptr) {
-      ++dropped_node_down_;
-      return;
-    }
-    if (corrupt) {
-      // The frame occupied the wire, but the MAC's FCS check rejects the
-      // flipped payload — the endpoint never sees it.
-      ++dropped_corrupt_;
-      return;
-    }
-    ++frames_delivered_;
-    p->nic_arrival = sim_.now();
-    it->second.ep->receive(std::move(p));
   });
 }
 

@@ -20,21 +20,21 @@
 // Every drop is counted under its reason; `frames_dropped()` stays the
 // grand total.
 //
-// Sharded mode (parallel engine): constructed against a
-// `sim::ParallelSimulation`, the fabric becomes the only cross-domain
-// surface in the system.  The switch is its own domain — it owns the
-// partition set, the fault RNG, and the fault model — and the switch
-// latency splits into an ingress and an egress half that become the
-// lookahead on the node→switch and switch→node edges.  A frame then
-// takes three hops: tx serialization on the source's domain (the source
-// port's tx state is source-owned), a switch event (partition/fault
-// decisions, deterministic because handoffs drain in canonical order),
-// and an arrival event on the destination's domain (rx serialization and
-// the up/down check are destination-owned).  The port map is frozen
-// during a sharded run: detach marks the port down instead of erasing,
-// attach on an existing node updates in place, and the frame counters
-// are relaxed atomics (their sums are order-invariant, so deterministic
-// output may print them).
+// Execution model: the fabric runs on a `sim::ParallelSimulation` and is
+// the only cross-domain surface in the system.  The switch is its own
+// domain — it owns the partition set, the fault RNG, and the fault
+// model — and the switch latency splits into an ingress and an egress
+// half that become the lookahead on the node→switch and switch→node
+// edges.  A frame takes three hops: tx serialization on the source's
+// domain (the source port's tx state is source-owned), a switch event
+// (partition/fault decisions, deterministic because handoffs drain in
+// canonical order), and an arrival event on the destination's domain (rx
+// serialization and the up/down check are destination-owned).  The
+// destination's downlink therefore serves frames in switch-arrival
+// order.  The port map is frozen during a run: detach marks the port
+// down instead of erasing, attach on an existing node updates in place,
+// and the frame counters are relaxed atomics (their sums are
+// order-invariant, so deterministic output may print them).
 #pragma once
 
 #include <atomic>
@@ -69,48 +69,39 @@ struct FaultModel {
 
 class Network {
  public:
-  Network(sim::Simulation& sim, Ns switch_latency = 300 /*ns*/)
-      : sim_(sim),
-        pool_(PacketPool::local()),
-        switch_latency_(switch_latency),
-        switch_in_(switch_latency / 2),
-        switch_out_(switch_latency - switch_latency / 2),
-        rng_(0xFAB51Cull) {}
-
-  /// Sharded fabric for the parallel engine.  `switch_domain` must be a
-  /// dedicated domain (it runs the switch events and owns the fault
-  /// state).  `switch_latency` should be >= 2 ns so both half-latencies
-  /// (the edge lookaheads) stay nonzero — a rack-scale value in the
-  /// microseconds gives the engine wide safe windows.
+  /// `switch_domain` must be a dedicated domain (it runs the switch
+  /// events and owns the fault state).  `switch_latency` should be >= 2 ns
+  /// so both half-latencies (the edge lookaheads) stay nonzero — a
+  /// rack-scale value in the microseconds gives the engine wide safe
+  /// windows.
   Network(sim::ParallelSimulation& psim, sim::DomainId switch_domain,
           Ns switch_latency = 300 /*ns*/)
       : sim_(psim.domain(switch_domain)),
-        psim_(&psim),
+        psim_(psim),
         switch_domain_(switch_domain),
         pool_(PacketPool::local()),
-        switch_latency_(switch_latency),
         switch_in_(switch_latency / 2),
         switch_out_(switch_latency - switch_latency / 2),
         rng_(0xFAB51Cull) {}
 
-  /// Attach `ep` as `node` with a full-duplex link of `gbps`.  In
-  /// sharded mode `domain` names the engine domain that owns the
-  /// endpoint (rx state and delivery run there); defaulted, a new port
-  /// takes the current attach domain (`set_attach_domain`) and a known
-  /// node keeps its domain — so components that re-attach on restore
-  /// (ServerNode) need no domain plumbing.  Re-attaching updates the
-  /// port in place and marks it back up.
+  /// Attach `ep` as `node` with a full-duplex link of `gbps`.  `domain`
+  /// names the engine domain that owns the endpoint (rx state and
+  /// delivery run there); defaulted, a new port takes the current attach
+  /// domain (`set_attach_domain`) and a known node keeps its domain — so
+  /// components that re-attach on restore (ServerNode) need no domain
+  /// plumbing.  Re-attaching updates the port in place and marks it back
+  /// up.
   void attach(NodeId node, Endpoint& ep, double gbps,
               sim::DomainId domain = sim::kNoDomain);
 
-  /// Domain assigned to subsequently attached new ports (sharded setup:
-  /// the cluster sets this before constructing each node's components,
-  /// which self-attach without knowing about domains).
+  /// Domain assigned to subsequently attached new ports (the cluster
+  /// sets this before constructing each node's components, which
+  /// self-attach without knowing about domains).
   void set_attach_domain(sim::DomainId d) noexcept { attach_domain_ = d; }
 
   /// Detach (e.g. simulate node failure); in-flight frames to it are
-  /// lost.  Sharded mode marks the port down instead of erasing it (the
-  /// port map is frozen while workers run).
+  /// lost.  The port is marked down, not erased (the port map is frozen
+  /// while workers run).
   void detach(NodeId node);
   [[nodiscard]] bool attached(NodeId node) const {
     const auto it = ports_.find(node);
@@ -159,14 +150,13 @@ class Network {
   [[nodiscard]] std::uint64_t frames_delivered() const noexcept {
     return frames_delivered_;
   }
+  /// The switch domain's queue.
   [[nodiscard]] sim::Simulation& sim() noexcept { return sim_; }
   /// Packet arena shared by this fabric's endpoints (workload clients
   /// draw their request frames from here).
   [[nodiscard]] PacketPool& pool() noexcept { return pool_; }
 
-  /// Sharded-mode surface (null / kNoDomain when single-queue).
-  [[nodiscard]] bool sharded() const noexcept { return psim_ != nullptr; }
-  [[nodiscard]] sim::ParallelSimulation* engine() noexcept { return psim_; }
+  [[nodiscard]] sim::ParallelSimulation& engine() noexcept { return psim_; }
   [[nodiscard]] sim::DomainId switch_domain() const noexcept {
     return switch_domain_;
   }
@@ -195,23 +185,20 @@ class Network {
     return (static_cast<std::uint64_t>(lo) << 32) | hi;
   }
 
-  void deliver(PacketPtr pkt, Ns extra_delay, bool corrupt);
   /// Flip one random payload bit (corrupt_prob fault path).
   void corrupt_payload(Packet& pkt);
-  /// Sharded-mode hops (see file header).
-  void send_sharded(PacketPtr pkt);
+  /// Hops 2 and 3 (hop 1 is send(); see file header).
   void switch_hop(PacketPtr pkt);
   void post_to_dst(PacketPtr pkt, Ns jitter, bool corrupt);
   void arrive(PacketPtr pkt, bool corrupt);
 
-  sim::Simulation& sim_;  ///< sharded mode: the switch domain's queue
-  sim::ParallelSimulation* psim_ = nullptr;
-  sim::DomainId switch_domain_ = sim::kNoDomain;
+  sim::Simulation& sim_;  ///< the switch domain's queue
+  sim::ParallelSimulation& psim_;
+  sim::DomainId switch_domain_;
   PacketPool& pool_;
-  Ns switch_latency_;
   Ns switch_in_;   ///< ingress half: node->switch edge lookahead
   Ns switch_out_;  ///< egress half: switch->node edge lookahead
-  Rng rng_;        ///< switch-domain-owned in sharded mode
+  Rng rng_;        ///< switch-domain-owned
   sim::DomainId attach_domain_ = 0;
   FaultModel faults_;
   std::unordered_map<NodeId, PortState> ports_;

@@ -26,7 +26,6 @@
 #include "nic/dma_engine.h"
 #include "nic/nic_config.h"
 #include "nic/traffic_manager.h"
-#include "sim/parallel.h"
 #include "sim/simulation.h"
 
 namespace ipipe::nic {
@@ -151,13 +150,6 @@ class NicModel : public netsim::Endpoint {
   }
   [[nodiscard]] Ns total_busy_ns() const noexcept;
 
-  /// Engine domain this device executes in (parallel-cluster
-  /// registration); kNoDomain on the single-queue engine.
-  void set_engine_domain(sim::DomainId d) noexcept { engine_domain_ = d; }
-  [[nodiscard]] sim::DomainId engine_domain() const noexcept {
-    return engine_domain_;
-  }
-
  private:
   struct CoreState {
     bool parked = true;      // no work; waiting for wake
@@ -169,7 +161,6 @@ class NicModel : public netsim::Endpoint {
   void retire(unsigned core, std::unique_ptr<NicExecContext> ctx);
   void admit(netsim::PacketPtr pkt);
 
-  sim::DomainId engine_domain_ = sim::kNoDomain;
   sim::Simulation& sim_;
   NicConfig cfg_;
   netsim::Network& net_;

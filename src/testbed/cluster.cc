@@ -78,62 +78,6 @@ double ServerNode::nic_cores_used() const {
          static_cast<double>(window);
 }
 
-ServerNode& Cluster::add_server(ServerSpec spec) {
-  const auto id = static_cast<netsim::NodeId>(servers_.size());
-  servers_.push_back(std::make_unique<ServerNode>(sim_, net_, id, std::move(spec)));
-  return *servers_.back();
-}
-
-workloads::ClientGen& Cluster::add_client(double link_gbps,
-                                          workloads::ClientGen::MakeReq make,
-                                          std::uint64_t seed) {
-  const auto id = static_cast<netsim::NodeId>(kClientBase + clients_.size());
-  clients_.push_back(std::make_unique<workloads::ClientGen>(
-      sim_, net_, id, link_gbps, std::move(make), seed));
-  return *clients_.back();
-}
-
-workloads::OpenLoopGen& Cluster::add_open_loop(
-    workloads::OpenLoopParams params) {
-  const auto id = static_cast<netsim::NodeId>(kClientBase + clients_.size() +
-                                              open_loops_.size());
-  open_loops_.push_back(
-      std::make_unique<workloads::OpenLoopGen>(sim_, net_, id, params));
-  return *open_loops_.back();
-}
-
-void Cluster::snapshot_all() {
-  for (auto& server : servers_) server->snapshot();
-}
-
-std::unique_ptr<netsim::ChaosController> Cluster::make_chaos() {
-  auto chaos = std::make_unique<netsim::ChaosController>(sim_, net_);
-  for (auto& server : servers_) {
-    ServerNode* node = server.get();
-    chaos->register_node(node->id(),
-                         {.crash = [node] { node->crash(); },
-                          .restore = [node] { node->restore(); },
-                          .pcie_corrupt =
-                              [node](double rate) {
-                                node->runtime().set_channel_fault(rate);
-                              },
-                          .nic_crash = [node] { node->runtime().nic_crash(); },
-                          .nic_restore =
-                              [node] { node->runtime().nic_restore(); },
-                          .pcie_flap =
-                              [node](bool down) {
-                                node->runtime().set_pcie_link(!down);
-                              },
-                          .accel_fail =
-                              [node](std::uint32_t bank, bool failed) {
-                                node->runtime().set_accel_failed(bank, failed);
-                              }});
-  }
-  return chaos;
-}
-
-// --------------------------------------------------------- ParallelCluster --
-
 ServerNode& ParallelCluster::add_server(ServerSpec spec) {
   const auto id = static_cast<netsim::NodeId>(servers_.size());
   const sim::DomainId d = psim_.add_domain("server" + std::to_string(id));
@@ -144,8 +88,6 @@ ServerNode& ParallelCluster::add_server(ServerSpec spec) {
   servers_.push_back(
       std::make_unique<ServerNode>(psim_.domain(d), net_, id, std::move(spec)));
   ServerNode& node = *servers_.back();
-  node.nic().set_engine_domain(d);
-  node.host().set_engine_domain(d);
   node.runtime().set_engine(&psim_, d);
   return node;
 }
@@ -177,15 +119,15 @@ void ParallelCluster::run_until(Ns t) {
   psim_.run(t);
 }
 
-void ParallelCluster::snapshot_all() {
-  for (auto& server : servers_) server->snapshot();
+void ParallelCluster::snapshot_all_at(Ns t) {
+  for (auto& server : servers_) {
+    ServerNode* node = server.get();
+    node->sim().schedule_at(t, [node] { node->snapshot(); });
+  }
 }
 
 std::unique_ptr<netsim::ChaosController> ParallelCluster::make_chaos() {
-  // The controller dispatches per action: node-scoped faults to the
-  // node's domain, fabric-scoped ones to the switch domain.
-  auto chaos = std::make_unique<netsim::ChaosController>(
-      psim_.domain(net_.switch_domain()), net_);
+  auto chaos = std::make_unique<netsim::ChaosController>(net_);
   for (auto& server : servers_) {
     ServerNode* node = server.get();
     chaos->register_node(node->id(),

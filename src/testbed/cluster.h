@@ -64,6 +64,8 @@ class ServerNode {
   [[nodiscard]] hostsim::HostModel& host() noexcept { return *host_; }
   [[nodiscard]] Runtime& runtime() noexcept { return *runtime_; }
   [[nodiscard]] Mode mode() const noexcept { return spec_.mode; }
+  /// The node's engine domain queue (where its per-server work runs).
+  [[nodiscard]] sim::Simulation& sim() noexcept { return sim_; }
 
   /// Default actor placement for this mode (used by app deploy helpers).
   [[nodiscard]] ActorLoc default_loc() const noexcept {
@@ -100,65 +102,50 @@ class ServerNode {
   Ns nic_busy_snapshot_ = 0;
 };
 
-class Cluster {
- public:
-  explicit Cluster(Ns switch_latency = 300)
-      : net_(sim_, switch_latency) {}
+/// The paper testbed's ToR switch latency (§5.1); the paper-figure
+/// benches, tests and examples build their cluster with it.
+inline constexpr Ns kTorLatency = 300;
 
-  /// Add a server; returns its node id (0, 1, 2, ...).
-  ServerNode& add_server(ServerSpec spec);
-  /// Add a client endpoint with its own (dumb) NIC.
-  workloads::ClientGen& add_client(double link_gbps,
-                                   workloads::ClientGen::MakeReq make,
-                                   std::uint64_t seed = 42);
-  /// Add a multiplexed open-loop population endpoint (sharded RKV).
-  workloads::OpenLoopGen& add_open_loop(workloads::OpenLoopParams params);
-
-  void run_until(Ns t) { sim_.run(t); }
-  void snapshot_all();
-
-  [[nodiscard]] sim::Simulation& sim() noexcept { return sim_; }
-  [[nodiscard]] const sim::Simulation& sim() const noexcept { return sim_; }
-  [[nodiscard]] netsim::Network& net() noexcept { return net_; }
-  [[nodiscard]] ServerNode& server(std::size_t i) { return *servers_[i]; }
-  [[nodiscard]] std::size_t server_count() const noexcept {
-    return servers_.size();
-  }
-  [[nodiscard]] workloads::ClientGen& client(std::size_t i) {
-    return *clients_[i];
-  }
-  [[nodiscard]] std::size_t client_count() const noexcept {
-    return clients_.size();
+/// The fabric without server nodes, for device-level runs (a NIC and its
+/// client on the wire): the switch domain plus one endpoint domain that
+/// every attached component joins.
+struct BareFabric {
+  explicit BareFabric(Ns switch_latency = kTorLatency)
+      : switch_domain(engine.add_domain("switch")),
+        node_domain(engine.add_domain("nodes")),
+        net(engine, switch_domain, switch_latency) {
+    net.set_attach_domain(node_domain);
   }
 
-  /// Build a chaos controller wired to every server added so far:
-  /// crash/restore map onto ServerNode::crash/restore, pcie-corrupt onto
-  /// the node's channel fault injection.  Call after the last add_server.
-  [[nodiscard]] std::unique_ptr<netsim::ChaosController> make_chaos();
+  /// The endpoint domain's queue: construct components against it; its
+  /// clock is the delivery clock.
+  [[nodiscard]] sim::Simulation& sim() { return engine.domain(node_domain); }
+  /// Run until `until` (inclusive) or until every queue drains.
+  void run(Ns until = ~Ns{0}) {
+    net.install_lookahead();
+    engine.run(until);
+  }
 
-  /// Node ids: servers are 0..N-1; clients get 1000, 1001, ...
-  static constexpr netsim::NodeId kClientBase = 1000;
-
- private:
-  sim::Simulation sim_;
-  netsim::Network net_;
-  std::vector<std::unique_ptr<ServerNode>> servers_;
-  std::vector<std::unique_ptr<workloads::ClientGen>> clients_;
-  std::vector<std::unique_ptr<workloads::OpenLoopGen>> open_loops_;
+  sim::ParallelSimulation engine;
+  sim::DomainId switch_domain;
+  sim::DomainId node_domain;
+  netsim::Network net;
 };
 
-/// Cluster on the conservative parallel engine: every server gets its own
-/// engine domain (its NIC, host, runtime, actors, and timers all schedule
-/// on that domain's queue — ServerNode and friends are reused unchanged),
-/// the switch is domain 0, and all clients share domain 1 (bench
-/// closures routinely share state across client generators, so keeping
-/// them co-domained keeps that pattern safe).  The fabric is the only
-/// cross-domain surface.  `run_until(t)` executes the domains on
-/// `set_threads(n)` workers with byte-identical results for every n.
+/// The testbed cluster, on the conservative parallel engine: every server
+/// gets its own engine domain (its NIC, host, runtime, actors, and timers
+/// all schedule on that domain's queue), the switch is domain 0, and all
+/// clients share domain 1 (bench closures routinely share state across
+/// client generators, so keeping them co-domained keeps that pattern
+/// safe).  The fabric is the only cross-domain surface, so a closure must
+/// schedule on the domain whose state it touches: client-side work on
+/// `client_sim()`, per-server work on `server(i).sim()`.  `run_until(t)`
+/// executes the domains on `set_threads(n)` workers with byte-identical
+/// results for every n.
 ///
-/// Pick a rack-scale switch latency (e.g. 2 us): the two half-latencies
-/// become the engine's lookahead windows, and wider windows mean fewer
-/// synchronization barriers per simulated second.
+/// The two switch half-latencies become the engine's lookahead windows:
+/// a wider latency (the 2 us default) means fewer synchronization
+/// barriers per simulated second.
 class ParallelCluster {
  public:
   explicit ParallelCluster(Ns switch_latency = 2000)
@@ -182,7 +169,8 @@ class ParallelCluster {
   void set_threads(unsigned n) noexcept { psim_.set_threads(n); }
   /// First call freezes the topology (installs the lookahead edges).
   void run_until(Ns t);
-  void snapshot_all();
+  /// Snapshot every server at virtual time `t`, each on its own domain.
+  void snapshot_all_at(Ns t);
 
   [[nodiscard]] sim::ParallelSimulation& engine() noexcept { return psim_; }
   [[nodiscard]] netsim::Network& net() noexcept { return net_; }
@@ -204,9 +192,12 @@ class ParallelCluster {
     return clients_.size();
   }
 
-  /// Chaos controller with multi-domain dispatch (see ChaosController).
+  /// Build a chaos controller wired to every server added so far:
+  /// crash/restore map onto ServerNode::crash/restore, pcie-corrupt onto
+  /// the node's channel fault injection.  Call after the last add_server.
   [[nodiscard]] std::unique_ptr<netsim::ChaosController> make_chaos();
 
+  /// Node ids: servers are 0..N-1; clients get 1000, 1001, ...
   static constexpr netsim::NodeId kClientBase = 1000;
 
  private:

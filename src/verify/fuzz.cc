@@ -15,7 +15,7 @@
 namespace ipipe::verify {
 namespace {
 
-using testbed::Cluster;
+using testbed::ParallelCluster;
 using testbed::ServerSpec;
 
 constexpr std::size_t kNodes = 3;
@@ -48,7 +48,7 @@ FuzzVerdict run_rkv(const FuzzOptions& opt, const netsim::FaultPlan& plan) {
   const Ns total = sec(opt.duration_s);
   const Ns traffic_end = total - sec(5);
 
-  Cluster cluster;
+  ParallelCluster cluster(testbed::kTorLatency);
   for (std::size_t i = 0; i < kNodes; ++i) {
     ServerSpec spec;
     spec.ipipe.mgmt_period = msec(5);
@@ -73,13 +73,9 @@ FuzzVerdict run_rkv(const FuzzOptions& opt, const netsim::FaultPlan& plan) {
     params.peer_consensus_actor = d.consensus;
   }
   auto chaos = cluster.make_chaos();
-  if (opt.tracer != nullptr) {
-    chaos->set_tracer(opt.tracer);
-    opt.tracer->set_clock(cluster.sim().clock());
-  }
   chaos->execute(plan);
 
-  HistoryRecorder recorder(cluster.sim());
+  HistoryRecorder recorder(cluster.client_sim());
 
   // Leader steering shared by both clients: follow NotLeader hints,
   // probe round-robin when a reply carries none (a leader that lost its
@@ -103,7 +99,9 @@ FuzzVerdict run_rkv(const FuzzOptions& opt, const netsim::FaultPlan& plan) {
   auto& writer = cluster.add_client(
       10.0,
       [&](std::uint64_t seq, Rng& rng, netsim::PacketPool& pool) {
-        if (cluster.sim().now() >= traffic_end) return netsim::PacketPtr{};
+        if (cluster.client_sim().now() >= traffic_end) {
+          return netsim::PacketPtr{};
+        }
         auto pkt = pool.make();
         pkt->dst = leader;
         pkt->dst_actor = consensus;
@@ -133,7 +131,9 @@ FuzzVerdict run_rkv(const FuzzOptions& opt, const netsim::FaultPlan& plan) {
   auto& reader = cluster.add_client(
       10.0,
       [&](std::uint64_t, Rng& rng, netsim::PacketPool& pool) {
-        if (cluster.sim().now() >= traffic_end) return netsim::PacketPtr{};
+        if (cluster.client_sim().now() >= traffic_end) {
+          return netsim::PacketPtr{};
+        }
         auto pkt = pool.make();
         pkt->dst = rng.uniform_u64(4) == 0
                        ? static_cast<netsim::NodeId>(rng.uniform_u64(kNodes))
@@ -171,7 +171,6 @@ FuzzVerdict run_rkv(const FuzzOptions& opt, const netsim::FaultPlan& plan) {
     v.checker = "linearizability";
     v.detail = lin.detail;
   }
-  if (opt.tracer != nullptr) opt.tracer->set_clock(Clock{});
   return v;
 }
 
@@ -200,7 +199,7 @@ FuzzVerdict run_shard(const FuzzOptions& opt, const netsim::FaultPlan& plan) {
   const Ns total = sec(opt.duration_s);
   const Ns traffic_end = total - sec(5);
 
-  Cluster cluster;
+  ParallelCluster cluster(testbed::kTorLatency);
   for (std::size_t i = 0; i < kShardNodes; ++i) {
     ServerSpec spec;
     spec.ipipe.mgmt_period = msec(5);
@@ -249,13 +248,9 @@ FuzzVerdict run_shard(const FuzzOptions& opt, const netsim::FaultPlan& plan) {
   }
 
   auto chaos = cluster.make_chaos();
-  if (opt.tracer != nullptr) {
-    chaos->set_tracer(opt.tracer);
-    opt.tracer->set_clock(cluster.sim().clock());
-  }
   chaos->execute(plan);
 
-  HistoryRecorder recorder(cluster.sim());
+  HistoryRecorder recorder(cluster.client_sim());
   recorder.set_kv_key_filter(shard_sampled_key);
 
   workloads::OpenLoopParams wp;
@@ -306,7 +301,6 @@ FuzzVerdict run_shard(const FuzzOptions& opt, const netsim::FaultPlan& plan) {
       v.detail = lin.detail;
     }
   }
-  if (opt.tracer != nullptr) opt.tracer->set_clock(Clock{});
   return v;
 }
 
@@ -314,7 +308,7 @@ FuzzVerdict run_dt(const FuzzOptions& opt, const netsim::FaultPlan& plan) {
   const Ns total = sec(opt.duration_s);
   const Ns traffic_end = total - sec(5);
 
-  Cluster cluster;
+  ParallelCluster cluster(testbed::kTorLatency);
   for (std::size_t i = 0; i < kNodes; ++i) {
     ServerSpec spec;
     spec.ipipe.mgmt_period = msec(5);
@@ -333,13 +327,9 @@ FuzzVerdict run_dt(const FuzzOptions& opt, const netsim::FaultPlan& plan) {
     deps.push_back(dt::deploy_dt(cluster.server(i).runtime(), i == 0, rec));
   }
   auto chaos = cluster.make_chaos();
-  if (opt.tracer != nullptr) {
-    chaos->set_tracer(opt.tracer);
-    opt.tracer->set_clock(cluster.sim().clock());
-  }
   chaos->execute(plan);
 
-  HistoryRecorder recorder(cluster.sim());
+  HistoryRecorder recorder(cluster.client_sim());
   auto* coord = dynamic_cast<dt::CoordinatorActor*>(
       cluster.server(0).runtime().find_actor(deps[0].coordinator));
   recorder.hook_dt_coordinator(*coord);
@@ -353,7 +343,9 @@ FuzzVerdict run_dt(const FuzzOptions& opt, const netsim::FaultPlan& plan) {
   auto& client = cluster.add_client(
       10.0,
       [&](std::uint64_t seq, Rng& rng, netsim::PacketPool& pool) {
-        if (cluster.sim().now() >= traffic_end) return netsim::PacketPtr{};
+        if (cluster.client_sim().now() >= traffic_end) {
+          return netsim::PacketPtr{};
+        }
         auto pkt = pool.make();
         pkt->dst = 0;
         pkt->dst_actor = coordinator;
@@ -396,7 +388,6 @@ FuzzVerdict run_dt(const FuzzOptions& opt, const netsim::FaultPlan& plan) {
     v.checker = "serializability";
     v.detail = ser.detail;
   }
-  if (opt.tracer != nullptr) opt.tracer->set_clock(Clock{});
   return v;
 }
 

@@ -108,7 +108,7 @@ struct DtHistory {
 
 /// Hooks clients and actors and accumulates their histories.  Must
 /// outlive every hooked object's last callback (in practice: declare it
-/// before the Cluster's clients and keep it alive until the run ends).
+/// before the cluster's clients and keep it alive until the run ends).
 class HistoryRecorder {
  public:
   explicit HistoryRecorder(const sim::Simulation& sim) : sim_(sim) {}

@@ -26,7 +26,8 @@
 
 namespace ipipe::chaostest {
 
-using testbed::Cluster;
+using testbed::kTorLatency;
+using testbed::ParallelCluster;
 using testbed::ServerSpec;
 using workloads::ClientGen;
 
@@ -71,7 +72,7 @@ inline RkvChaosResult run_rkv_chaos(std::uint64_t seed, double total_secs) {
   const Ns write_end = total - sec(110);
   const Ns verify_at = total - sec(100);
 
-  Cluster cluster;
+  ParallelCluster cluster(kTorLatency);
   for (int i = 0; i < 3; ++i) {
     ServerSpec spec;
     // The idle management heartbeat dominates long runs; 5ms keeps the
@@ -139,10 +140,10 @@ inline RkvChaosResult run_rkv_chaos(std::uint64_t seed, double total_secs) {
   // Debug aid: CHAOS_PROGRESS=1 prints virtual-time progress (stall hunts).
   if (std::getenv("CHAOS_PROGRESS")) {
     for (Ns pt = sec(10); pt < total; pt += sec(10)) {
-      cluster.sim().schedule_at(pt, [&cluster, &deps, pt] {
+      cluster.client_sim().schedule_at(pt, [&cluster, &deps, pt] {
         fprintf(stderr, "[chaos] t=%llds events=%llu frames=%llu",
                 static_cast<long long>(pt / sec(1)),
-                static_cast<unsigned long long>(cluster.sim().executed()),
+                static_cast<unsigned long long>(cluster.engine().executed()),
                 static_cast<unsigned long long>(cluster.net().frames_sent()));
         for (std::size_t i = 0; i < 3; ++i) {
           auto* c = dynamic_cast<rkv::ConsensusActor*>(
@@ -174,7 +175,7 @@ inline RkvChaosResult run_rkv_chaos(std::uint64_t seed, double total_secs) {
         if (!wq.empty()) {
           key = wq.front();
           wq.pop_front();
-        } else if (cluster.sim().now() < write_end) {
+        } else if (cluster.client_sim().now() < write_end) {
           key = next_key++;
         } else {
           return netsim::PacketPtr{};
@@ -286,7 +287,7 @@ inline RkvChaosResult run_rkv_chaos(std::uint64_t seed, double total_secs) {
     }
     leader = (leader + 1) % 3;
   });
-  cluster.sim().schedule_at(verify_at, [&] {
+  cluster.client_sim().schedule_at(verify_at, [&] {
     for (const std::uint64_t key : acked) vq.push_back(key);
     verifier.start_open_loop(200.0, total, /*poisson=*/false);
   });
@@ -345,7 +346,7 @@ inline DtChaosResult run_dt_chaos(std::uint64_t seed, double total_secs) {
   const Ns final_heal = total - sec(100);
   const Ns traffic_end = total - sec(60);
 
-  Cluster cluster;
+  ParallelCluster cluster(kTorLatency);
   for (int i = 0; i < 3; ++i) {
     ServerSpec spec;
     spec.ipipe.mgmt_period = msec(5);
@@ -434,15 +435,15 @@ inline DtChaosResult run_dt_chaos(std::uint64_t seed, double total_secs) {
                                    seed * 1000 + 37);
   burst.enable_retries({.timeout = msec(100), .max_retries = 3,
                         .backoff = 2.0, .cap = sec(1)});
-  cluster.sim().schedule_at(coord_crash_at - msec(5), [&] {
+  cluster.client_sim().schedule_at(coord_crash_at - msec(5), [&] {
     burst.start_closed_loop(64, coord_crash_at + msec(2));
   });
 
   auto* coord = dynamic_cast<dt::CoordinatorActor*>(
       cluster.server(0).runtime().find_actor(deps[0].coordinator));
   std::uint64_t committed_at_heal = 0;
-  cluster.sim().schedule_at(final_heal,
-                            [&] { committed_at_heal = coord->committed(); });
+  cluster.server(0).sim().schedule_at(
+      final_heal, [&] { committed_at_heal = coord->committed(); });
 
   cluster.run_until(total);
 

@@ -14,12 +14,13 @@
 namespace ipipe {
 namespace {
 
-using testbed::Cluster;
+using testbed::kTorLatency;
+using testbed::ParallelCluster;
 using testbed::Mode;
 using testbed::ServerSpec;
 
 struct RkvCluster {
-  explicit RkvCluster(Cluster& cluster, Mode mode = Mode::kIPipe) {
+  explicit RkvCluster(ParallelCluster& cluster, Mode mode = Mode::kIPipe) {
     for (int i = 0; i < 3; ++i) {
       ServerSpec spec;
       spec.mode = mode;
@@ -38,7 +39,7 @@ struct RkvCluster {
 };
 
 TEST(RkvCluster, PutThenGetRoundTrip) {
-  Cluster cluster;
+  ParallelCluster cluster(kTorLatency);
   RkvCluster rkv(cluster);
 
   std::map<std::string, rkv::ClientReply> replies;
@@ -84,7 +85,7 @@ TEST(RkvCluster, PutThenGetRoundTrip) {
 }
 
 TEST(RkvCluster, WritesReplicateToFollowers) {
-  Cluster cluster;
+  ParallelCluster cluster(kTorLatency);
   RkvCluster rkv(cluster);
 
   auto& client = cluster.add_client(10.0, [&](std::uint64_t seq, Rng&, netsim::PacketPool& pool) {
@@ -120,7 +121,7 @@ TEST(RkvCluster, WritesReplicateToFollowers) {
 }
 
 TEST(RkvCluster, FollowerRejectsClientWrites) {
-  Cluster cluster;
+  ParallelCluster cluster(kTorLatency);
   RkvCluster rkv(cluster);
   auto& client = cluster.add_client(10.0, [&](std::uint64_t seq, Rng&, netsim::PacketPool& pool) {
     if (seq > 1) return netsim::PacketPtr{};
@@ -147,7 +148,7 @@ TEST(RkvCluster, FollowerRejectsClientWrites) {
 }
 
 TEST(RkvCluster, SurvivesMessageLossAndDuplication) {
-  Cluster cluster;
+  ParallelCluster cluster(kTorLatency);
   RkvCluster rkv(cluster);
   netsim::FaultModel fm;
   fm.dup_prob = 0.05;
@@ -188,18 +189,18 @@ TEST(RkvCluster, SurvivesMessageLossAndDuplication) {
 }
 
 TEST(RkvCluster, LeaderElectionPromotesFollower) {
-  Cluster cluster;
+  ParallelCluster cluster(kTorLatency);
   RkvCluster rkv(cluster);
 
   // Trigger an election on node 1.
-  cluster.sim().schedule(msec(1), [&] {
+  cluster.server(1).sim().schedule(msec(1), [&] {
     auto pkt = netsim::alloc_packet();
     pkt->src = 1;
     pkt->dst = 1;
     pkt->dst_actor = rkv.deployments[1].consensus;
     pkt->msg_type = rkv::ConsensusActor::kElectTrigger;
     pkt->frame_size = 64;
-    pkt->nic_arrival = cluster.sim().now();
+    pkt->nic_arrival = cluster.server(1).sim().now();
     cluster.server(1).nic().tm().push(std::move(pkt));
   });
   cluster.run_until(msec(20));
@@ -214,7 +215,7 @@ TEST(RkvCluster, LeaderElectionPromotesFollower) {
 }
 
 TEST(RkvCluster, MemtableFlushMovesDataToSstables) {
-  Cluster cluster;
+  ParallelCluster cluster(kTorLatency);
   // Small flush threshold to force minor compactions quickly.
   for (int i = 0; i < 3; ++i) {
     ServerSpec spec;
@@ -279,7 +280,7 @@ TEST(RkvCluster, MemtableFlushMovesDataToSstables) {
 // ---------------------------------------------------------------------- DT --
 
 struct DtCluster {
-  explicit DtCluster(Cluster& cluster, Mode mode = Mode::kIPipe) {
+  explicit DtCluster(ParallelCluster& cluster, Mode mode = Mode::kIPipe) {
     for (int i = 0; i < 3; ++i) {
       ServerSpec spec;
       spec.mode = mode;
@@ -295,7 +296,7 @@ struct DtCluster {
 };
 
 TEST(DtCluster, CommittedTransactionsApplyWrites) {
-  Cluster cluster;
+  ParallelCluster cluster(kTorLatency);
   DtCluster dtc(cluster);
 
   std::vector<dt::TxnReply> replies;
@@ -333,7 +334,7 @@ TEST(DtCluster, CommittedTransactionsApplyWrites) {
 }
 
 TEST(DtCluster, ReadYourWrites) {
-  Cluster cluster;
+  ParallelCluster cluster(kTorLatency);
   DtCluster dtc(cluster);
 
   std::vector<dt::TxnReply> replies;
@@ -369,7 +370,7 @@ TEST(DtCluster, ReadYourWrites) {
 TEST(DtCluster, ConflictingTransactionsSerializable) {
   // Hammer a tiny keyspace with read-write transactions.  OCC must keep
   // the final version count == number of committed writes per key.
-  Cluster cluster;
+  ParallelCluster cluster(kTorLatency);
   DtCluster dtc(cluster);
 
   std::uint64_t committed = 0;
@@ -412,7 +413,7 @@ TEST(DtCluster, ConflictingTransactionsSerializable) {
 // --------------------------------------------------------------------- RTA --
 
 TEST(RtaCluster, PipelineCountsAndRanks) {
-  Cluster cluster;
+  ParallelCluster cluster(kTorLatency);
   cluster.add_server(ServerSpec{});
   rta::RtaParams params;
   params.counter_emit_every = 2;
@@ -444,7 +445,7 @@ TEST(RtaCluster, PipelineCountsAndRanks) {
 }
 
 TEST(RtaCluster, AggregatedRankerReceivesRemoteTopN) {
-  Cluster cluster;
+  ParallelCluster cluster(kTorLatency);
   cluster.add_server(ServerSpec{});  // node 0: aggregator
   cluster.add_server(ServerSpec{});  // node 1: worker
 

@@ -119,9 +119,9 @@ class MessageChannelTest : public ::testing::Test {
 TEST_F(MessageChannelTest, MessageVisibleOnlyAfterDmaDelay) {
   ChannelMsg msg;
   msg.payload = {1, 2, 3};
-  const auto cost = chan.nic_send(msg);
-  ASSERT_TRUE(cost.has_value());
-  EXPECT_GT(*cost, 0u);
+  const SendTicket ticket = chan.send_or_queue_to_host(msg);
+  ASSERT_EQ(ticket.outcome, SendOutcome::kSent);
+  EXPECT_GT(ticket.cost, 0u);
   // Not visible immediately.
   EXPECT_FALSE(chan.host_poll().has_value());
   sim.run();
@@ -134,8 +134,8 @@ TEST_F(MessageChannelTest, BidirectionalOrderPreserved) {
   for (std::uint16_t i = 0; i < 10; ++i) {
     ChannelMsg msg;
     msg.msg_type = i;
-    ASSERT_TRUE(chan.nic_send(msg).has_value());
-    ASSERT_TRUE(chan.host_send(msg).has_value());
+    ASSERT_EQ(chan.send_or_queue_to_host(msg).outcome, SendOutcome::kSent);
+    ASSERT_EQ(chan.send_or_queue_to_nic(msg).outcome, SendOutcome::kSent);
   }
   sim.run();
   for (std::uint16_t i = 0; i < 10; ++i) {
@@ -153,16 +153,25 @@ TEST_F(MessageChannelTest, RingFullFailsSend) {
   MessageChannel small(local_sim, local_dma, 256);
   ChannelMsg msg;
   msg.payload.assign(100, 0xCC);
-  ASSERT_TRUE(small.nic_send(msg).has_value());
-  EXPECT_FALSE(small.nic_send(msg).has_value());
-  EXPECT_EQ(small.send_failures(), 1u);
+  ASSERT_EQ(small.send_or_queue_to_host(msg).outcome, SendOutcome::kSent);
+  // The ring cannot take a second frame: the send fails into the pending
+  // queue instead of the ring, and is delivered once the consumer drains.
+  EXPECT_EQ(small.send_or_queue_to_host(msg).outcome, SendOutcome::kQueued);
+  EXPECT_EQ(small.to_host_stats().sent, 1u);
+  EXPECT_EQ(small.to_host_stats().queued, 1u);
+  // Bounded runs: the parked send keeps a retry timer armed.
+  local_sim.run(msec(1));
+  ASSERT_TRUE(small.host_poll().has_value());
+  local_sim.run(msec(2));
+  ASSERT_TRUE(small.host_poll().has_value());
+  EXPECT_EQ(small.to_host_stats().sent, 2u);
 }
 
 TEST_F(MessageChannelTest, NotifyFiresWhenVisible) {
   int notified = 0;
   chan.set_host_notify([&] { ++notified; });
   ChannelMsg msg;
-  chan.nic_send(msg);
+  chan.send_or_queue_to_host(msg);
   EXPECT_EQ(notified, 0);
   sim.run();
   EXPECT_EQ(notified, 1);

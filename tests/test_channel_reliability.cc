@@ -17,7 +17,8 @@
 namespace ipipe {
 namespace {
 
-using testbed::Cluster;
+using testbed::kTorLatency;
+using testbed::ParallelCluster;
 using testbed::ServerSpec;
 using workloads::ClientGen;
 
@@ -323,7 +324,7 @@ ClientGen::MakeReq to_actor(netsim::NodeId node, ActorId actor,
 // end-to-end — every request eventually executes — with the recovery
 // visible in the runtime's channel counters.
 TEST(ChannelReliabilityE2E, FaultInjectionLosesNothing) {
-  Cluster cluster;
+  ParallelCluster cluster(kTorLatency);
   ServerSpec spec;
   spec.ipipe.channel_bytes = 4096;
   spec.ipipe.channel_fault_rate = 0.02;  // 2% of frames corrupted
@@ -353,7 +354,7 @@ TEST(ChannelReliabilityE2E, FaultInjectionLosesNothing) {
 // tiny ring under load the forwards hit ring-full and must park inside
 // the channel instead of being dropped or stalling the migration.
 TEST(ChannelReliabilityE2E, MigrationPhase4SurvivesFullRing) {
-  Cluster cluster;
+  ParallelCluster cluster(kTorLatency);
   ServerSpec spec;
   spec.ipipe.channel_bytes = 4096;
   spec.ipipe.enable_migration = false;  // only the manual migration below
@@ -366,7 +367,7 @@ TEST(ChannelReliabilityE2E, MigrationPhase4SurvivesFullRing) {
   client.start_closed_loop(32, msec(30));
   // Kick the migration mid-load so requests pile into the migration
   // buffer and phase 4 has real forwarding to do over the tiny ring.
-  cluster.sim().schedule(msec(5), [&] {
+  server.sim().schedule(msec(5), [&] {
     ASSERT_TRUE(server.runtime().start_migration(id, ActorLoc::kHost));
   });
   cluster.run_until(msec(60));
@@ -385,7 +386,7 @@ TEST(ChannelReliabilityE2E, MigrationPhase4SurvivesFullRing) {
 // Retiring the last DRR core while DRR mailboxes still hold requests
 // would strand them forever (FCFS cores never scan DRR mailboxes).
 TEST(AutoscaleRegression, LastDrrCoreNotRetiredWithPendingWork) {
-  Cluster cluster;
+  ParallelCluster cluster(kTorLatency);
   ServerSpec spec;
   spec.ipipe.policy = SchedPolicy::kDrrOnly;
   auto& server = cluster.add_server(spec);
@@ -421,7 +422,7 @@ TEST(AutoscaleRegression, LastDrrCoreNotRetiredWithPendingWork) {
 // the forwarding-cost ballpark even when a core handles a whole batch of
 // packets within one slice.
 TEST(SchedulerStatsRegression, ForwardOnlyResponseStaysBounded) {
-  Cluster cluster;
+  ParallelCluster cluster(kTorLatency);
   auto& server = cluster.add_server(ServerSpec{});
   workloads::EchoWorkloadParams p;
   p.server = 0;

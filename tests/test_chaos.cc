@@ -26,7 +26,8 @@ namespace ipipe {
 namespace {
 
 using chaostest::run_rkv_chaos;
-using testbed::Cluster;
+using testbed::kTorLatency;
+using testbed::ParallelCluster;
 using testbed::ServerSpec;
 using workloads::ClientGen;
 
@@ -138,7 +139,7 @@ ClientGen::MakeReq echo_to(netsim::NodeId node, ActorId actor) {
 }
 
 TEST(ChaosNet, CorruptionIsCountedAndDiscarded) {
-  Cluster cluster;
+  ParallelCluster cluster(kTorLatency);
   auto& server = cluster.add_server(ServerSpec{});
   const ActorId echo =
       server.runtime().register_actor(std::make_unique<EchoActor>());
@@ -163,14 +164,14 @@ TEST(ChaosNet, CorruptionIsCountedAndDiscarded) {
 }
 
 TEST(ChaosNet, PartitionBlocksTrafficUntilHealed) {
-  Cluster cluster;
+  ParallelCluster cluster(kTorLatency);
   auto& server = cluster.add_server(ServerSpec{});
   const ActorId echo =
       server.runtime().register_actor(std::make_unique<EchoActor>());
   auto chaos = cluster.make_chaos();
 
   netsim::FaultPlan plan;
-  plan.partition({0}, {Cluster::kClientBase}, msec(10), msec(30));
+  plan.partition({0}, {ParallelCluster::kClientBase}, msec(10), msec(30));
   chaos->execute(plan);
 
   auto& client = cluster.add_client(10.0, echo_to(0, echo));
@@ -211,7 +212,7 @@ class CrashOnceActor final : public Actor {
 };
 
 TEST(Supervision, RestartsKilledActorAndServiceResumes) {
-  Cluster cluster;
+  ParallelCluster cluster(kTorLatency);
   ServerSpec spec;
   spec.ipipe.watchdog_limit = usec(500);
   spec.ipipe.supervise = true;
@@ -239,7 +240,7 @@ TEST(Supervision, RestartsKilledActorAndServiceResumes) {
 }
 
 TEST(Supervision, QuarantinesRepeatOffender) {
-  Cluster cluster;
+  ParallelCluster cluster(kTorLatency);
   ServerSpec spec;
   spec.ipipe.watchdog_limit = usec(500);
   spec.ipipe.supervise = true;
@@ -331,7 +332,7 @@ TEST(RkvFailover, LeaderCrashLosesNoAckedWrite) {
 }
 
 TEST(RkvFailover, SimultaneousCandidatesConvergeToOneLeader) {
-  Cluster cluster;
+  ParallelCluster cluster(kTorLatency);
   for (int i = 0; i < 3; ++i) cluster.add_server(ServerSpec{});
   rkv::RkvParams params;
   params.replicas = {0, 1, 2};
@@ -355,13 +356,13 @@ TEST(RkvFailover, SimultaneousCandidatesConvergeToOneLeader) {
     pkt->dst_actor = deps[node].consensus;
     pkt->msg_type = rkv::ConsensusActor::kElectTrigger;
     pkt->frame_size = 64;
-    pkt->nic_arrival = cluster.sim().now();
+    pkt->nic_arrival = cluster.server(node).sim().now();
     cluster.server(node).nic().tm().push(std::move(pkt));
   };
-  cluster.sim().schedule_at(msec(1), [&] {
-    trigger(1);
-    trigger(2);
-  });
+  for (const netsim::NodeId node : {1u, 2u}) {
+    cluster.server(node).sim().schedule_at(msec(1),
+                                           [&trigger, node] { trigger(node); });
+  }
   cluster.run_until(sec(3));
 
   int leaders = 0;
@@ -380,7 +381,7 @@ TEST(RkvFailover, SimultaneousCandidatesConvergeToOneLeader) {
 TEST(DtChaos, AbortsReleaseLocksOnLossyFabric) {
   // Satellite regression: abort-path unlocks are retransmitted until
   // acked, so a lossy fabric cannot leave a record locked forever.
-  Cluster cluster;
+  ParallelCluster cluster(kTorLatency);
   for (int i = 0; i < 3; ++i) cluster.add_server(ServerSpec{});
   dt::DtRecoveryParams recovery;
   recovery.enabled = true;
@@ -395,7 +396,7 @@ TEST(DtChaos, AbortsReleaseLocksOnLossyFabric) {
   lossy.drop_prob = 0.25;
   lossy.dup_prob = 0.05;
   cluster.net().set_fault_model(lossy);
-  cluster.sim().schedule_at(msec(600), [&] {
+  cluster.net().sim().schedule_at(msec(600), [&] {
     cluster.net().set_fault_model(netsim::FaultModel{});
   });
 
@@ -437,7 +438,7 @@ TEST(DtChaos, AbortsReleaseLocksOnLossyFabric) {
 }
 
 TEST(DtChaos, CoordinatorRestartResolvesInDoubtTxns) {
-  Cluster cluster;
+  ParallelCluster cluster(kTorLatency);
   for (int i = 0; i < 3; ++i) cluster.add_server(ServerSpec{});
   dt::DtRecoveryParams recovery;
   recovery.enabled = true;

@@ -723,7 +723,7 @@ TEST(PipelineE2E, PreservesIngressOrderThroughReorderingStages) {
   // The chain holds (pfabric), drops (ratelimit tail/oversized) and
   // reorders; the egress must still release every source's sequence
   // monotonically, with drops accounted as tombstones.
-  testbed::Cluster cluster;
+  testbed::ParallelCluster cluster(testbed::kTorLatency);
   auto& server = cluster.add_server(testbed::ServerSpec{});
   const auto spec = nfp::parse_pipeline(
       "firewall(64) | ratelimit(50Mbps,cap=16) | "
@@ -776,7 +776,7 @@ TEST(PipelineE2E, PreservesIngressOrderThroughReorderingStages) {
 }
 
 TEST(PipelineE2E, FanoutStagesDoNotDisturbSequencing) {
-  testbed::Cluster cluster;
+  testbed::ParallelCluster cluster(testbed::kTorLatency);
   auto& server = cluster.add_server(testbed::ServerSpec{});
   const auto spec =
       nfp::parse_pipeline("chainrepl(2) | maglev(4) | counter");
@@ -803,7 +803,7 @@ TEST(PipelineE2E, FanoutStagesDoNotDisturbSequencing) {
 }
 
 TEST(PipelineE2E, GroupMigrationMovesWholePipelineAndKeepsOrder) {
-  testbed::Cluster cluster;
+  testbed::ParallelCluster cluster(testbed::kTorLatency);
   auto& server = cluster.add_server(testbed::ServerSpec{});
   const auto spec = nfp::parse_pipeline("counter | kvcache");
   nfp::PipelineRunner runner(server.runtime(), spec);
@@ -841,7 +841,7 @@ TEST(PipelineE2E, GroupMigrationMovesWholePipelineAndKeepsOrder) {
 }
 
 TEST(PipelineE2E, TwoClientsGetIndependentSequenceSpaces) {
-  testbed::Cluster cluster;
+  testbed::ParallelCluster cluster(testbed::kTorLatency);
   auto& server = cluster.add_server(testbed::ServerSpec{});
   const auto spec = nfp::parse_pipeline("firewall(0) | counter");
   nfp::PipelineRunner runner(server.runtime(), spec);

@@ -21,7 +21,8 @@
 namespace ipipe {
 namespace {
 
-using testbed::Cluster;
+using testbed::kTorLatency;
+using testbed::ParallelCluster;
 using testbed::ServerSpec;
 using workloads::ClientGen;
 
@@ -84,7 +85,7 @@ ServerSpec watchdog_spec() {
 // ------------------------------------------------- watchdog + evacuation --
 
 TEST(NicFailover, CrashEvacuatesServesDegradedAndReoffloads) {
-  Cluster cluster;
+  ParallelCluster cluster(kTorLatency);
   auto& server = cluster.add_server(watchdog_spec());
   auto chaos = cluster.make_chaos();
 
@@ -132,7 +133,7 @@ TEST(NicFailover, CrashEvacuatesServesDegradedAndReoffloads) {
 }
 
 TEST(NicFailover, EvacuationWithoutMirrorLosesNicResidentBytes) {
-  Cluster cluster;
+  ParallelCluster cluster(kTorLatency);
   ServerSpec spec = watchdog_spec();
   spec.ipipe.dmo_host_mirror = false;
   auto& server = cluster.add_server(spec);
@@ -164,7 +165,7 @@ TEST(NicFailover, EvacuationWithoutMirrorLosesNicResidentBytes) {
 TEST(NicFailover, PcieFlapParksTrafficWithoutWatchdogTrip) {
   // A short flap heals before the watchdog's miss budget expires: the
   // channel parks and retransmits, nothing is evacuated, nothing is lost.
-  Cluster cluster;
+  ParallelCluster cluster(kTorLatency);
   ServerSpec spec = watchdog_spec();
   spec.ipipe.watchdog_miss_limit = 40;  // miss budget outlives the flap
   auto& server = cluster.add_server(spec);
@@ -197,7 +198,7 @@ TEST(NicFailover, LongPcieFlapTripsWatchdogThenReoffloads) {
   // so the host must declare it failed anyway (fail-silent model), serve
   // from the host, and re-offload when the first pong crosses the healed
   // link.
-  Cluster cluster;
+  ParallelCluster cluster(kTorLatency);
   auto& server = cluster.add_server(watchdog_spec());
   auto chaos = cluster.make_chaos();
 
@@ -242,7 +243,7 @@ class AccelEcho final : public Actor {
 };
 
 TEST(NicFailover, AccelBankFailureFallsBackToSoftware) {
-  Cluster cluster;
+  ParallelCluster cluster(kTorLatency);
   auto& server = cluster.add_server(ServerSpec{});
   auto chaos = cluster.make_chaos();
 
@@ -302,7 +303,7 @@ ServerSpec supervision_spec(Ns decay) {
   return spec;
 }
 
-std::uint64_t run_offender(Cluster& cluster, ServerSpec spec) {
+std::uint64_t run_offender(ParallelCluster& cluster, ServerSpec spec) {
   auto& server = cluster.add_server(spec);
   const ActorId id = server.runtime().register_actor(
       std::make_unique<PeriodicOffender>(4000));
@@ -318,7 +319,7 @@ TEST(Supervision, RestartEpisodesDecayAfterHealthyInterval) {
   // Without decay: crash episodes separated by milliseconds of healthy
   // service still accumulate, and the third one quarantines the actor
   // for good.
-  Cluster legacy;
+  ParallelCluster legacy(kTorLatency);
   run_offender(legacy, supervision_spec(0));
   EXPECT_EQ(legacy.server(0).runtime().actors_quarantined(), 1u)
       << "control run must reproduce the legacy quarantine";
@@ -326,7 +327,7 @@ TEST(Supervision, RestartEpisodesDecayAfterHealthyInterval) {
   // With decay: each healthy stretch longer than the decay interval
   // resets the episode counter, so the long-lived actor is never one
   // fault away from permanent quarantine.
-  Cluster forgiving;
+  ParallelCluster forgiving(kTorLatency);
   const ActorId id = run_offender(forgiving, supervision_spec(msec(3)));
   auto& rt = forgiving.server(0).runtime();
   EXPECT_GE(rt.restart_decays(), 1u);
@@ -358,7 +359,7 @@ class MigrationFault : public ::testing::TestWithParam<MigFaultCase> {};
 TEST_P(MigrationFault, CompletesOrRollsBackWithoutLosingState) {
   const MigFaultCase param = GetParam();
 
-  Cluster cluster;
+  ParallelCluster cluster(kTorLatency);
   ServerSpec spec = watchdog_spec();
   spec.ipipe.mean_thresh = sec(1);  // suppress autonomous migrations
   spec.ipipe.tail_thresh = sec(1);
@@ -373,7 +374,7 @@ TEST_P(MigrationFault, CompletesOrRollsBackWithoutLosingState) {
                          .backoff = 1.5, .cap = msec(10)});
   client.start_closed_loop(2, msec(60));
 
-  auto& sim = cluster.sim();
+  auto& sim = server.sim();
   auto& rt = server.runtime();
 
   // Kick off a manual NIC->host migration once traffic is flowing.

@@ -6,6 +6,7 @@
 #include "nic/nic_config.h"
 #include "nic/nic_model.h"
 #include "sim/simulation.h"
+#include "testbed/cluster.h"
 #include "testbed/echo_firmware.h"
 #include "workloads/app_workloads.h"
 #include "workloads/client.h"
@@ -16,8 +17,9 @@ namespace {
 /// Echo goodput for a given card / frame size / active cores.
 double echo_goodput_gbps(const nic::NicConfig& cfg, std::uint32_t frame,
                          unsigned cores, double client_gbps = 100.0) {
-  sim::Simulation sim;
-  netsim::Network net(sim, 300);
+  testbed::BareFabric fabric;
+  sim::Simulation& sim = fabric.sim();
+  netsim::Network& net = fabric.net;
   nic::NicModel nic(sim, cfg, net, /*node=*/0);
   nic.set_active_cores(cores);
   // The echo server runs entirely on NIC cores; for off-path cards the
@@ -36,7 +38,7 @@ double echo_goodput_gbps(const nic::NicConfig& cfg, std::uint32_t frame,
   const double rate = line_rate_pps(frame, cfg.link_gbps);
   client.set_warmup(msec(2));
   client.start_open_loop(rate * 1.05, duration, /*poisson=*/false);
-  sim.run(duration + msec(1));
+  fabric.run(duration + msec(1));
 
   const double measured_window =
       to_sec(client.last_completion() - client.first_measured_completion());
@@ -239,8 +241,9 @@ TEST(RdmaModel, RoughlyDoublesBlockingDmaLatency) {
 }
 
 TEST(NicModel, DumbNicDeliversToHost) {
-  sim::Simulation sim;
-  netsim::Network net(sim, 300);
+  testbed::BareFabric fabric;
+  sim::Simulation& sim = fabric.sim();
+  netsim::Network& net = fabric.net;
   nic::NicModel nic(sim, nic::intel_xl710(), net, 0);
   std::vector<netsim::PacketPtr> host_rx;
   nic.set_host_rx([&](netsim::PacketPtr p) { host_rx.push_back(std::move(p)); });
@@ -255,14 +258,15 @@ TEST(NicModel, DumbNicDeliversToHost) {
   } null_ep;
   net.attach(1, null_ep, 10.0);
   net.send(std::move(pkt));
-  sim.run();
+  fabric.run();
   ASSERT_EQ(host_rx.size(), 1u);
   EXPECT_EQ(nic.to_host_frames(), 1u);
 }
 
 TEST(NicModel, AdmissionPacingEnforcesMaxPps) {
-  sim::Simulation sim;
-  netsim::Network net(sim, 300);
+  testbed::BareFabric fabric;
+  sim::Simulation& sim = fabric.sim();
+  netsim::Network& net = fabric.net;
   auto cfg = nic::liquidio_cn2350();
   cfg.max_pps = 1e6;  // 1us gap
   nic::NicModel nic(sim, cfg, net, 0);
@@ -275,7 +279,7 @@ TEST(NicModel, AdmissionPacingEnforcesMaxPps) {
   workloads::ClientGen client(sim, net, 1000, 100.0,
                               workloads::echo_workload(params));
   client.start_open_loop(5e6, msec(5), false);
-  sim.run(msec(6));
+  fabric.run(msec(6));
   // Admission paced at ~1Mpps over the 6ms simulated window.
   EXPECT_LE(echo.echoed(), 6300u);
   EXPECT_GT(echo.echoed(), 5000u);

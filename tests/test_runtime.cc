@@ -8,7 +8,8 @@
 namespace ipipe {
 namespace {
 
-using testbed::Cluster;
+using testbed::kTorLatency;
+using testbed::ParallelCluster;
 using testbed::Mode;
 using testbed::ServerSpec;
 using workloads::ClientGen;
@@ -80,7 +81,7 @@ ClientGen::MakeReq to_actor(netsim::NodeId node, ActorId actor,
 }
 
 TEST(Runtime, NicActorServesRequests) {
-  Cluster cluster;
+  ParallelCluster cluster(kTorLatency);
   auto& server = cluster.add_server(ServerSpec{});
   auto* actor = new SyntheticActor("echo", [](Rng&) { return usec(2); });
   const ActorId id = server.runtime().register_actor(
@@ -99,7 +100,7 @@ TEST(Runtime, NicActorServesRequests) {
 }
 
 TEST(Runtime, HostPinnedActorRunsOnHost) {
-  Cluster cluster;
+  ParallelCluster cluster(kTorLatency);
   auto& server = cluster.add_server(ServerSpec{});
   class Pinned final : public SyntheticActor {
    public:
@@ -121,7 +122,7 @@ TEST(Runtime, HostPinnedActorRunsOnHost) {
 }
 
 TEST(Runtime, DpdkModeRunsEverythingOnHost) {
-  Cluster cluster;
+  ParallelCluster cluster(kTorLatency);
   ServerSpec spec;
   spec.mode = Mode::kDpdk;
   auto& server = cluster.add_server(spec);
@@ -138,7 +139,7 @@ TEST(Runtime, DpdkModeRunsEverythingOnHost) {
 }
 
 TEST(Runtime, HighDispersionActorDowngradedToDrr) {
-  Cluster cluster;
+  ParallelCluster cluster(kTorLatency);
   ServerSpec spec;
   spec.ipipe.tail_thresh = usec(40);
   spec.ipipe.enable_migration = false;  // isolate the downgrade mechanism
@@ -164,7 +165,7 @@ TEST(Runtime, HighDispersionActorDowngradedToDrr) {
 }
 
 TEST(Runtime, OverloadTriggersPushMigrationToHost) {
-  Cluster cluster;
+  ParallelCluster cluster(kTorLatency);
   ServerSpec spec;
   spec.ipipe.mean_thresh = usec(25);
   auto& server = cluster.add_server(spec);
@@ -196,7 +197,7 @@ TEST(Runtime, OverloadTriggersPushMigrationToHost) {
 }
 
 TEST(Runtime, IdleNicPullsActorBack) {
-  Cluster cluster;
+  ParallelCluster cluster(kTorLatency);
   ServerSpec spec;
   spec.ipipe.mean_thresh = usec(25);
   spec.ipipe.alpha = 0.25;
@@ -220,7 +221,7 @@ TEST(Runtime, IdleNicPullsActorBack) {
 }
 
 TEST(Runtime, WatchdogKillsRunawayActor) {
-  Cluster cluster;
+  ParallelCluster cluster(kTorLatency);
   ServerSpec spec;
   spec.ipipe.watchdog_limit = usec(500);
   auto& server = cluster.add_server(spec);
@@ -246,7 +247,7 @@ TEST(Runtime, WatchdogKillsRunawayActor) {
 }
 
 TEST(Runtime, IsolationTrapKillsOffendingActor) {
-  Cluster cluster;
+  ParallelCluster cluster(kTorLatency);
   auto& server = cluster.add_server(ServerSpec{});
 
   // Victim allocates an object; the attacker guesses ids and pokes them.
@@ -281,7 +282,7 @@ TEST(Runtime, IsolationTrapKillsOffendingActor) {
 }
 
 TEST(Runtime, ForwardOnlyTrafficPassesThrough) {
-  Cluster cluster;
+  ParallelCluster cluster(kTorLatency);
   auto& server = cluster.add_server(ServerSpec{});
   (void)server;
   // Traffic addressed to no actor is forwarded to the host (and dropped
@@ -295,7 +296,7 @@ TEST(Runtime, ForwardOnlyTrafficPassesThrough) {
 }
 
 TEST(Runtime, FcfsOnlyPolicyNeverDowngrades) {
-  Cluster cluster;
+  ParallelCluster cluster(kTorLatency);
   ServerSpec spec;
   spec.ipipe.policy = SchedPolicy::kFcfsOnly;
   spec.ipipe.tail_thresh = usec(10);  // would trigger constantly
@@ -315,7 +316,7 @@ TEST(Runtime, FcfsOnlyPolicyNeverDowngrades) {
 }
 
 TEST(Runtime, LocalSendBetweenNicActors) {
-  Cluster cluster;
+  ParallelCluster cluster(kTorLatency);
   auto& server = cluster.add_server(ServerSpec{});
 
   class Sink final : public Actor {
@@ -358,7 +359,7 @@ TEST(Runtime, LocalSendBetweenNicActors) {
 }
 
 TEST(Runtime, ManualMigrationRoundTrip) {
-  Cluster cluster;
+  ParallelCluster cluster(kTorLatency);
   ServerSpec spec;
   spec.ipipe.enable_migration = false;  // only manual triggers
   auto& server = cluster.add_server(spec);
@@ -369,10 +370,10 @@ TEST(Runtime, ManualMigrationRoundTrip) {
   auto& client = cluster.add_client(10.0, to_actor(0, id));
   client.start_closed_loop(2, msec(200));
 
-  cluster.sim().schedule(msec(20), [&] {
+  server.sim().schedule(msec(20), [&] {
     EXPECT_TRUE(server.runtime().start_migration(id, ActorLoc::kHost));
   });
-  cluster.sim().schedule(msec(100), [&] {
+  server.sim().schedule(msec(100), [&] {
     EXPECT_TRUE(server.runtime().start_migration(id, ActorLoc::kNic));
   });
   cluster.run_until(msec(220));

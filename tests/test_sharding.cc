@@ -19,7 +19,8 @@
 namespace ipipe {
 namespace {
 
-using testbed::Cluster;
+using testbed::kTorLatency;
+using testbed::ParallelCluster;
 using testbed::ServerSpec;
 
 // ---------------------------------------------------------------- ring --
@@ -106,7 +107,7 @@ TEST(RequestId, RoundTripsNodeAndSequence) {
 // ------------------------------------------------- dedup-table bounds --
 
 TEST(RkvDedup, RequestTableStaysBounded) {
-  Cluster cluster;
+  ParallelCluster cluster(kTorLatency);
   cluster.add_server(ServerSpec{});
   rkv::RkvParams params;
   params.replicas = {0};
@@ -139,7 +140,7 @@ TEST(RkvDedup, RequestTableStaysBounded) {
 }
 
 TEST(ClientGen, FireAndForgetInflightExpires) {
-  Cluster cluster;  // no servers: every request is dropped at the switch
+  ParallelCluster cluster(kTorLatency);  // no servers: every request is dropped at the switch
   auto& client = cluster.add_client(
       10.0, [&](std::uint64_t, Rng&, netsim::PacketPool& pool) {
         auto pkt = pool.make();
@@ -173,7 +174,7 @@ struct ShardedOpts {
 struct ShardedRkv {
   static constexpr std::uint32_t kShards = 16;
 
-  ShardedRkv(Cluster& cluster, ShardedOpts opts) {
+  ShardedRkv(ParallelCluster& cluster, ShardedOpts opts) {
     const int groups = opts.groups;
     const int replicas = opts.replicas;
     std::uint32_t active_groups = opts.active_groups;
@@ -240,7 +241,7 @@ workloads::OpenLoopParams small_population() {
 }
 
 TEST(ShardedRkv, RoutesAcrossGroupsAndReadsBack) {
-  Cluster cluster;
+  ParallelCluster cluster(kTorLatency);
   ShardedRkv rkv(cluster,
                  {.groups = 2, .replicas = 1, .cache = false, .failover = false});
   auto& gen = cluster.add_open_loop(small_population());
@@ -264,7 +265,7 @@ TEST(ShardedRkv, RoutesAcrossGroupsAndReadsBack) {
 }
 
 TEST(ShardedRkv, WrongShardCarriesEpochAndIsRetriable) {
-  Cluster cluster;
+  ParallelCluster cluster(kTorLatency);
   ShardedRkv rkv(cluster,
                  {.groups = 2, .replicas = 1, .cache = false, .failover = false});
   // Find a key owned by group 1 and ask group 0 for it.
@@ -308,7 +309,7 @@ TEST(ShardedRkv, WrongShardCarriesEpochAndIsRetriable) {
 }
 
 TEST(ShardedRkv, HotCacheServesRepeatsAndInvalidatesOnWrite) {
-  Cluster cluster;
+  ParallelCluster cluster(kTorLatency);
   // A deliberately tiny cache: write-through keeps every written key
   // resident in a large cache (no misses, hence no fills), so eviction
   // pressure is what exercises the miss -> kCacheGet -> fill path here.
@@ -337,7 +338,7 @@ TEST(ShardedRkv, HotCacheServesRepeatsAndInvalidatesOnWrite) {
 TEST(ShardedRkv, CheckerCatchesInjectedStaleCache) {
   // Self-test of the online checker: a cache that drops invalidations
   // MUST produce observable stale reads under a read-heavy Zipf load.
-  Cluster cluster;
+  ParallelCluster cluster(kTorLatency);
   ShardedRkv rkv(cluster, {.groups = 1,
                            .replicas = 3,
                            .cache = true,
@@ -386,7 +387,7 @@ class ShardRebalanceMatrix : public testing::TestWithParam<MatrixCase> {};
 
 TEST_P(ShardRebalanceMatrix, RebalanceSurvivesChaos) {
   const auto param = GetParam();
-  Cluster cluster;
+  ParallelCluster cluster(kTorLatency);
   // Two active groups plus a standby third group that the rebalance
   // brings onto the ring mid-run.
   ShardedRkv rkv(cluster, {.groups = 3,

@@ -61,7 +61,7 @@ struct Fingerprint {
 };
 
 Fingerprint run_point(std::size_t index) {
-  testbed::Cluster cluster;
+  testbed::ParallelCluster cluster(testbed::kTorLatency);
   testbed::ServerSpec spec;
   auto& server = cluster.add_server(spec);
 
@@ -83,7 +83,7 @@ Fingerprint run_point(std::size_t index) {
                                     /*seed=*/100 + index);
   client.start_closed_loop(4 + static_cast<unsigned>(index % 3), msec(2));
   cluster.run_until(msec(3));
-  return Fingerprint{client.completed(), cluster.sim().executed(),
+  return Fingerprint{client.completed(), cluster.engine().executed(),
                      client.latencies().p99()};
 }
 

@@ -23,7 +23,8 @@
 namespace ipipe {
 namespace {
 
-using testbed::Cluster;
+using testbed::kTorLatency;
+using testbed::ParallelCluster;
 using testbed::ServerSpec;
 using workloads::ClientGen;
 
@@ -144,7 +145,7 @@ TEST(TrafficManagerClasses, PerClassCapsAndFilterRejects) {
 // victim keeps its fast path and its ledger stays clean.
 
 TEST(Tenancy, IngressPolicerIsolatesFlood) {
-  Cluster cluster;
+  ParallelCluster cluster(kTorLatency);
   auto& server = cluster.add_server(ServerSpec{});
   Runtime& rt = server.runtime();
 
@@ -193,7 +194,7 @@ TEST(Tenancy, IngressPolicerIsolatesFlood) {
 // DMO quota groups.
 
 TEST(Tenancy, DmoQuotaCapsTenantAllocations) {
-  Cluster cluster;
+  ParallelCluster cluster(kTorLatency);
   auto& server = cluster.add_server(ServerSpec{});
   Runtime& rt = server.runtime();
 
@@ -233,7 +234,7 @@ TEST(Tenancy, DmoQuotaCapsTenantAllocations) {
 // stalls instead of stealing ring capacity.
 
 TEST(Tenancy, ChannelBudgetChargesStalls) {
-  Cluster cluster;
+  ParallelCluster cluster(kTorLatency);
   auto& server = cluster.add_server(ServerSpec{});
   Runtime& rt = server.runtime();
 
@@ -271,7 +272,7 @@ TEST(Tenancy, ChannelBudgetChargesStalls) {
 // PF<->VF control mailbox.
 
 TEST(Tenancy, VfMailboxServesAndContainsSpam) {
-  Cluster cluster;
+  ParallelCluster cluster(kTorLatency);
   auto& server = cluster.add_server(ServerSpec{});
   Runtime& rt = server.runtime();
 
@@ -317,7 +318,7 @@ TEST(Tenancy, VfMailboxServesAndContainsSpam) {
 // quarantines — and the neighbor never notices.
 
 TEST(Tenancy, ThrottleThenQuarantineEscalation) {
-  Cluster cluster;
+  ParallelCluster cluster(kTorLatency);
   auto& server = cluster.add_server(ServerSpec{});
   Runtime& rt = server.runtime();
 
@@ -426,7 +427,7 @@ struct RkvTenantRun {
 };
 
 RkvTenantRun run_rkv_tenant_scenario(bool with_aggressor) {
-  Cluster cluster;
+  ParallelCluster cluster(kTorLatency);
   for (int i = 0; i < 3; ++i) cluster.add_server(ServerSpec{});
   std::vector<rkv::RkvDeployment> deployments;
   rkv::RkvParams params;

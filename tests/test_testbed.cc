@@ -26,7 +26,7 @@ TEST(ConfigForMode, FloemKeepsOverheadsDisablesMigration) {
 }
 
 TEST(ServerNode, DpdkModeUsesDumbNic) {
-  Cluster cluster;
+  ParallelCluster cluster(kTorLatency);
   ServerSpec spec;
   spec.mode = Mode::kDpdk;
   spec.nic = nic::liquidio_cn2350();
@@ -37,14 +37,14 @@ TEST(ServerNode, DpdkModeUsesDumbNic) {
 }
 
 TEST(ServerNode, IPipeModeKeepsSmartNic) {
-  Cluster cluster;
+  ParallelCluster cluster(kTorLatency);
   auto& server = cluster.add_server(ServerSpec{});
   EXPECT_EQ(server.nic().config().cores, 12u);
   EXPECT_EQ(server.default_loc(), ActorLoc::kNic);
 }
 
 TEST(ServerNode, CoreUsageAccountingWindowed) {
-  Cluster cluster;
+  ParallelCluster cluster(kTorLatency);
   auto& server = cluster.add_server(ServerSpec{});
 
   class Burn final : public Actor {
@@ -63,7 +63,7 @@ TEST(ServerNode, CoreUsageAccountingWindowed) {
   auto& client = cluster.add_client(10.0, workloads::echo_workload(wl));
   client.start_closed_loop(4, msec(20));
 
-  cluster.sim().schedule(msec(5), [&] { cluster.snapshot_all(); });
+  cluster.snapshot_all_at(msec(5));
   cluster.run_until(msec(20));
   // NIC cores are busy (handler work on the NIC), host idle.
   EXPECT_GT(server.nic_cores_used(), 0.5);
@@ -71,8 +71,9 @@ TEST(ServerNode, CoreUsageAccountingWindowed) {
 }
 
 TEST(EchoFirmware, CountsAndBouncesFrames) {
-  sim::Simulation sim;
-  netsim::Network net(sim, 300);
+  BareFabric fabric;
+  sim::Simulation& sim = fabric.sim();
+  netsim::Network& net = fabric.net;
   nic::NicModel nic(sim, nic::liquidio_cn2350(), net, 0);
   EchoFirmware echo(usec(1));
   nic.set_firmware(&echo);
@@ -83,20 +84,20 @@ TEST(EchoFirmware, CountsAndBouncesFrames) {
   workloads::ClientGen client(sim, net, 1000, 10.0,
                               workloads::echo_workload(wl));
   client.start_closed_loop(2, msec(2));
-  sim.run(msec(3));
+  fabric.run(msec(3));
   EXPECT_GT(echo.echoed(), 100u);
   EXPECT_EQ(echo.echoed(), client.completed());
 }
 
 TEST(Cluster, ClientNodeIdsStartAtBase) {
-  Cluster cluster;
+  ParallelCluster cluster(kTorLatency);
   cluster.add_server(ServerSpec{});
   workloads::EchoWorkloadParams wl;
   wl.server = 0;
   auto& c0 = cluster.add_client(10.0, workloads::echo_workload(wl));
   auto& c1 = cluster.add_client(10.0, workloads::echo_workload(wl));
-  EXPECT_EQ(c0.node(), Cluster::kClientBase);
-  EXPECT_EQ(c1.node(), Cluster::kClientBase + 1);
+  EXPECT_EQ(c0.node(), ParallelCluster::kClientBase);
+  EXPECT_EQ(c1.node(), ParallelCluster::kClientBase + 1);
 }
 
 }  // namespace

@@ -161,9 +161,10 @@ class TraceRuntimeTest : public ::testing::Test {
   };
 
   Outcome run(bool traced, Runtime** out_rt = nullptr,
-              testbed::Cluster* cluster_storage = nullptr) {
-    testbed::Cluster local;
-    testbed::Cluster& cluster = cluster_storage ? *cluster_storage : local;
+              testbed::ParallelCluster* cluster_storage = nullptr) {
+    testbed::ParallelCluster local(testbed::kTorLatency);
+    testbed::ParallelCluster& cluster =
+        cluster_storage ? *cluster_storage : local;
     testbed::ServerSpec spec;
     spec.ipipe.trace = traced;
     spec.ipipe.trace_metrics_period = usec(200);
@@ -192,7 +193,7 @@ class TraceRuntimeTest : public ::testing::Test {
 };
 
 TEST_F(TraceRuntimeTest, RuntimeHooksRecordExecSpansAndSnapshots) {
-  testbed::Cluster cluster;
+  testbed::ParallelCluster cluster(testbed::kTorLatency);
   Runtime* rt = nullptr;
   const Outcome out = run(/*traced=*/true, &rt, &cluster);
   ASSERT_NE(rt, nullptr);
