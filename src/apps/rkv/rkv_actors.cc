@@ -248,7 +248,6 @@ void ConsensusActor::remember_request(std::uint64_t request_id,
     return;
   }
   req_order_.push_back(request_id);
-  if (params_.req_dedup_cap == 0) return;
   while (req_slot_.size() > params_.req_dedup_cap && !req_order_.empty()) {
     req_slot_.erase(req_order_.front());
     req_order_.pop_front();
@@ -256,10 +255,7 @@ void ConsensusActor::remember_request(std::uint64_t request_id,
 }
 
 void ConsensusActor::maybe_grant_lease(ActorEnv& env) {
-  if (cache_ == 0 || !leader_ || !params_.enable_failover ||
-      !params_.read_lease) {
-    return;
-  }
+  if (cache_ == 0 || !leader_ || !params_.enable_failover) return;
   // Grant the cache serving rights until the latest instant at which
   // has_read_lease() would still hold with no further acks: the
   // majority'th-freshest ack plus the lease window.  Same safety
@@ -316,7 +312,7 @@ void ConsensusActor::on_cache_get(ActorEnv& env, const netsim::Packet& req) {
 }
 
 bool ConsensusActor::has_read_lease(Ns now) const {
-  if (!params_.enable_failover || !params_.read_lease) return true;
+  if (!params_.enable_failover) return true;
   // A peer that acked within the last election_timeout_min cannot have
   // started an election yet, so no newer leader can exist while a
   // majority of acks is this fresh.  Half the timeout leaves generous
@@ -831,7 +827,7 @@ RkvDeployment deploy_rkv(Runtime& rt, RkvParams params) {
     HotCacheParams cp;
     cp.buckets = params.cache_buckets;
     cp.capacity_bytes = params.cache_capacity_bytes;
-    cp.require_lease = params.enable_failover && params.read_lease;
+    cp.require_lease = params.enable_failover;
     cp.num_shards = params.num_shards;
     cp.epoch = params.shard_epoch;
     cp.owned_shards = params.owned_shards;

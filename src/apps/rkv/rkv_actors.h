@@ -61,7 +61,13 @@ struct RkvParams {
   // -- failover (off by default: no timers, no heartbeat traffic) --
   /// Leader heartbeats + follower election timeouts + crash-restart
   /// catch-up.  Required for the chaos harness; legacy deployments keep
-  /// the static leader.
+  /// the static leader.  With failover on, the leader only serves reads
+  /// while it holds a read lease: heartbeat acks from a majority within
+  /// the last election_timeout_min.  A leader stranded in a minority
+  /// partition loses the lease before any peer can elect a replacement,
+  /// so it can never serve a read that a newer leader's write has
+  /// overtaken.  Without the lease it replies kNotLeader and the client
+  /// re-probes.
   bool enable_failover = false;
   Ns heartbeat_period = msec(100);
   /// Election timeout drawn uniformly from [min, max) per arming — the
@@ -69,14 +75,6 @@ struct RkvParams {
   Ns election_timeout_min = msec(250);
   Ns election_timeout_max = msec(450);
   std::size_t catchup_batch = 64;  ///< chosen entries per catch-up frame
-
-  /// With failover on, the leader only serves reads while it holds a
-  /// read lease: heartbeat acks from a majority within the last
-  /// election_timeout_min.  A leader stranded in a minority partition
-  /// loses the lease before any peer can elect a replacement, so it can
-  /// never serve a read that a newer leader's write has overtaken.
-  /// Without the lease it replies kNotLeader and the client re-probes.
-  bool read_lease = true;
 
   /// Fault injection for the verification harness' mutation self-test:
   /// serve kClientGet from the local applied state regardless of
@@ -89,7 +87,7 @@ struct RkvParams {
   /// Cap on the request-id -> slot dedup table (FIFO eviction).  Client
   /// retries are bounded (seconds), so evicting the oldest entries is
   /// safe long before they could be retransmitted; unbounded growth at
-  /// million-client scale is not.  0 = unbounded (legacy).
+  /// million-client scale is not.
   std::size_t req_dedup_cap = 1 << 16;
 
   // -- sharded scale-out (off by default: the group owns every key) --

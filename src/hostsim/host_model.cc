@@ -2,29 +2,25 @@
 
 namespace ipipe::hostsim {
 
-Ns HostExecContext::now() const noexcept { return host_.sim().now(); }
+HostExecContext::HostExecContext(HostModel& host, unsigned core)
+    : ExecContext(host.sim(), host.cache(), core), host_(host) {}
 
 void HostExecContext::charge_cycles(double cycles) noexcept {
-  consumed_ += static_cast<Ns>(cycles / host_.config().freq_ghz);
-}
-
-void HostExecContext::mem(std::uint64_t working_set, std::uint64_t n) noexcept {
-  consumed_ += host_.cache().chase_ns(working_set, n);
-}
-
-void HostExecContext::stream(std::uint64_t working_set,
-                             std::uint64_t bytes) noexcept {
-  consumed_ += host_.cache().stream_ns(working_set, bytes);
+  charge(static_cast<Ns>(cycles / host_.config().freq_ghz));
 }
 
 void HostExecContext::charge_rx(std::uint32_t frame_size) noexcept {
   const auto& cfg = host_.config();
-  consumed_ += static_cast<Ns>(cfg.rx_base_ns + cfg.rx_per_byte_ns * frame_size);
+  charge(static_cast<Ns>(cfg.rx_base_ns + cfg.rx_per_byte_ns * frame_size));
 }
 
 void HostExecContext::charge_tx(std::uint32_t frame_size) noexcept {
   const auto& cfg = host_.config();
-  consumed_ += static_cast<Ns>(cfg.tx_base_ns + cfg.tx_per_byte_ns * frame_size);
+  charge(static_cast<Ns>(cfg.tx_base_ns + cfg.tx_per_byte_ns * frame_size));
+}
+
+void HostExecContext::flush() {
+  for (auto& pkt : tx_queue_) host_.nic().host_tx(std::move(pkt));
 }
 
 HostModel::HostModel(sim::Simulation& sim, HostConfig cfg, nic::NicModel& nic)
@@ -32,15 +28,14 @@ HostModel::HostModel(sim::Simulation& sim, HostConfig cfg, nic::NicModel& nic)
       cfg_(cfg),
       nic_(nic),
       cache_(nic::CacheModel::intel_host()),
-      active_cores_(cfg.cores),
-      cores_(cfg.cores) {
+      cores_(sim, *this, cfg.cores) {
   nic_.set_host_rx([this](netsim::PacketPtr pkt) { rx_push(std::move(pkt)); });
 }
 
 void HostModel::set_runtime(HostRuntime* rt) {
-  runtime_ = rt;
-  if (runtime_) {
-    runtime_->attached(*this);
+  cores_.set_program(rt);
+  if (rt) {
+    rt->attached(*this);
     wake_all();
   }
 }
@@ -56,56 +51,6 @@ netsim::PacketPtr HostModel::rx_pop() {
   auto pkt = std::move(rx_ring_.front());
   rx_ring_.pop_front();
   return pkt;
-}
-
-void HostModel::wake_core(unsigned core) {
-  if (core >= active_cores_) return;
-  CoreState& st = cores_[core];
-  if (!st.parked || st.executing) return;
-  st.parked = false;
-  sim_.schedule(0, [this, core] { run_core(core); });
-}
-
-void HostModel::wake_all() {
-  for (unsigned i = 0; i < active_cores_; ++i) wake_core(i);
-}
-
-void HostModel::wake_core_at(unsigned core, Ns when) {
-  sim_.schedule_at(when, [this, core] { wake_core(core); });
-}
-
-void HostModel::run_core(unsigned core) {
-  if (core >= active_cores_ || runtime_ == nullptr) {
-    cores_[core].parked = true;
-    return;
-  }
-  CoreState& st = cores_[core];
-  if (st.executing) return;
-
-  auto ctx = std::make_unique<HostExecContext>(*this, core);
-  const bool did_work = runtime_->run_once(*ctx, core);
-  if (!did_work) {
-    st.parked = true;
-    return;
-  }
-  st.executing = true;
-  const Ns cost = ctx->consumed();
-  st.busy_total += cost;
-  auto shared = std::make_shared<std::unique_ptr<HostExecContext>>(std::move(ctx));
-  sim_.schedule(cost, [this, core, shared] { retire(core, std::move(*shared)); });
-}
-
-void HostModel::retire(unsigned core, std::unique_ptr<HostExecContext> ctx) {
-  for (auto& pkt : ctx->tx_queue_) nic_.host_tx(std::move(pkt));
-  for (auto& fn : ctx->deferred_) fn();
-  cores_[core].executing = false;
-  run_core(core);
-}
-
-Ns HostModel::total_busy_ns() const noexcept {
-  Ns total = 0;
-  for (const auto& core : cores_) total += core.busy_total;
-  return total;
 }
 
 }  // namespace ipipe::hostsim

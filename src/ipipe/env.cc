@@ -119,6 +119,83 @@ netsim::PacketPtr EnvBase::make_packet(NodeId dst, ActorId dst_actor,
   return pkt;
 }
 
+// --------------------------------------------------------------- CoreEnv --
+
+namespace {
+
+/// The per-frame send cost: the NIC's hardware-assisted nstack primitive,
+/// or the host's DPDK-style transmit.
+void charge_send(nic::NicExecContext& ctx, std::uint32_t frame_size) {
+  ctx.charge_nstack(frame_size);
+}
+void charge_send(hostsim::HostExecContext& ctx, std::uint32_t frame_size) {
+  ctx.charge_tx(frame_size);
+}
+
+}  // namespace
+
+template <class Context>
+void CoreEnv<Context>::transmit(netsim::PacketPtr pkt) {
+  charge_send(ctx_, pkt->frame_size);
+  ctx_.tx(std::move(pkt));
+}
+
+template <class Context>
+void CoreEnv<Context>::send(NodeId dst_node, ActorId dst_actor,
+                            std::uint16_t type,
+                            std::vector<std::uint8_t> payload,
+                            std::uint32_t frame_size) {
+  transmit(make_packet(dst_node, dst_actor, type, std::move(payload),
+                       frame_size));
+}
+
+template <class Context>
+void CoreEnv<Context>::reply(const netsim::Packet& req, std::uint16_t type,
+                             std::vector<std::uint8_t> payload,
+                             std::uint32_t frame_size) {
+  auto pkt = make_packet(req.src, req.src_actor, type, std::move(payload),
+                         frame_size);
+  pkt->request_id = req.request_id;
+  pkt->created_at = req.created_at;
+  transmit(std::move(pkt));
+}
+
+template <class Context>
+void CoreEnv<Context>::local_send(ActorId dst_actor, std::uint16_t type,
+                                  std::vector<std::uint8_t> payload) {
+  hop_local(make_packet(node(), dst_actor, type, std::move(payload), 0));
+}
+
+template <class Context>
+void CoreEnv<Context>::forward(ActorId dst_actor, netsim::PacketPtr pkt) {
+  // The packet keeps every field the sender saw (flow, request_id,
+  // created_at, payload) — only the destination actor changes.
+  pkt->dst = node();
+  pkt->dst_actor = dst_actor;
+  pkt->local_hop = true;
+  hop_local(std::move(pkt));
+}
+
+template <class Context>
+void CoreEnv<Context>::hop_local(netsim::PacketPtr pkt) {
+  // Same-side delivery is a cheap queue insert; crossing PCIe pays the
+  // full per-message channel handling cost (the send itself happens in
+  // deliver_local once this slice retires).
+  const auto* dst = rt_.control(pkt->dst_actor);
+  const ActorLoc here = on_nic() ? ActorLoc::kNic : ActorLoc::kHost;
+  const bool crosses = dst != nullptr && dst->loc != here;
+  charge(crosses ? rt_.config().channel_handling_ns
+                 : rt_.config().channel_handling_ns / 2);
+  Runtime& rt = rt_;
+  ctx_.defer([&rt, from = side(), p = std::move(pkt)]() mutable {
+    const ActorId dst = p->dst_actor;
+    rt.deliver_local(dst, std::move(p), from);
+  });
+}
+
+template class CoreEnv<nic::NicExecContext>;
+template class CoreEnv<hostsim::HostExecContext>;
+
 // ---------------------------------------------------------------- NicEnv --
 
 void NicEnv::compute(double units) {
@@ -145,60 +222,6 @@ void NicEnv::accel(nic::AccelKind kind, std::uint32_t bytes,
   rt_.note_accel_fallback();
 }
 
-void NicEnv::send(NodeId dst_node, ActorId dst_actor, std::uint16_t type,
-                  std::vector<std::uint8_t> payload, std::uint32_t frame_size) {
-  auto pkt = make_packet(dst_node, dst_actor, type, std::move(payload),
-                         frame_size);
-  ctx_.charge_nstack(pkt->frame_size);
-  ctx_.tx(std::move(pkt));
-}
-
-void NicEnv::reply(const netsim::Packet& req, std::uint16_t type,
-                   std::vector<std::uint8_t> payload, std::uint32_t frame_size) {
-  auto pkt = make_packet(req.src, req.src_actor, type, std::move(payload),
-                         frame_size);
-  pkt->request_id = req.request_id;
-  pkt->created_at = req.created_at;
-  ctx_.charge_nstack(pkt->frame_size);
-  ctx_.tx(std::move(pkt));
-}
-
-void NicEnv::local_send(ActorId dst_actor, std::uint16_t type,
-                        std::vector<std::uint8_t> payload) {
-  auto pkt = make_packet(node(), dst_actor, type, std::move(payload), 0);
-  // Same-side delivery is a cheap queue insert; crossing PCIe pays the
-  // full per-message channel handling cost (the send itself happens in
-  // deliver_local once this slice retires).
-  const auto* dst = rt_.control(dst_actor);
-  const bool crosses = dst != nullptr && dst->loc == ActorLoc::kHost;
-  charge(crosses ? rt_.config().channel_handling_ns
-                 : rt_.config().channel_handling_ns / 2);
-  Runtime& rt = rt_;
-  ctx_.defer([&rt, p = std::move(pkt)]() mutable {
-    const ActorId dst = p->dst_actor;
-    rt.deliver_local(dst, std::move(p), MemSide::kNic);
-  });
-}
-
-void NicEnv::forward(ActorId dst_actor, netsim::PacketPtr pkt) {
-  // The packet keeps every field the sender saw (flow, request_id,
-  // created_at, payload) — only the destination actor changes.  Cost
-  // model matches local_send: a queue insert same-side, the full
-  // channel-handling tax when the receiver lives across PCIe.
-  pkt->dst = node();
-  pkt->dst_actor = dst_actor;
-  pkt->local_hop = true;
-  const auto* dst = rt_.control(dst_actor);
-  const bool crosses = dst != nullptr && dst->loc == ActorLoc::kHost;
-  charge(crosses ? rt_.config().channel_handling_ns
-                 : rt_.config().channel_handling_ns / 2);
-  Runtime& rt = rt_;
-  ctx_.defer([&rt, p = std::move(pkt)]() mutable {
-    const ActorId dst = p->dst_actor;
-    rt.deliver_local(dst, std::move(p), MemSide::kNic);
-  });
-}
-
 // --------------------------------------------------------------- HostEnv --
 
 void HostEnv::compute(double units) {
@@ -215,54 +238,6 @@ void HostEnv::accel(nic::AccelKind kind, std::uint32_t bytes,
   const double slow =
       rt_.config().host_accel_slowdown[static_cast<std::size_t>(kind)];
   ctx_.charge(static_cast<Ns>(static_cast<double>(hw_cost) * slow));
-}
-
-void HostEnv::send(NodeId dst_node, ActorId dst_actor, std::uint16_t type,
-                   std::vector<std::uint8_t> payload, std::uint32_t frame_size) {
-  auto pkt = make_packet(dst_node, dst_actor, type, std::move(payload),
-                         frame_size);
-  ctx_.charge_tx(pkt->frame_size);
-  ctx_.tx(std::move(pkt));
-}
-
-void HostEnv::reply(const netsim::Packet& req, std::uint16_t type,
-                    std::vector<std::uint8_t> payload,
-                    std::uint32_t frame_size) {
-  auto pkt = make_packet(req.src, req.src_actor, type, std::move(payload),
-                         frame_size);
-  pkt->request_id = req.request_id;
-  pkt->created_at = req.created_at;
-  ctx_.charge_tx(pkt->frame_size);
-  ctx_.tx(std::move(pkt));
-}
-
-void HostEnv::local_send(ActorId dst_actor, std::uint16_t type,
-                         std::vector<std::uint8_t> payload) {
-  auto pkt = make_packet(node(), dst_actor, type, std::move(payload), 0);
-  const auto* dst = rt_.control(dst_actor);
-  const bool crosses = dst != nullptr && dst->loc == ActorLoc::kNic;
-  charge(crosses ? rt_.config().channel_handling_ns
-                 : rt_.config().channel_handling_ns / 2);
-  Runtime& rt = rt_;
-  ctx_.defer([&rt, p = std::move(pkt)]() mutable {
-    const ActorId dst = p->dst_actor;
-    rt.deliver_local(dst, std::move(p), MemSide::kHost);
-  });
-}
-
-void HostEnv::forward(ActorId dst_actor, netsim::PacketPtr pkt) {
-  pkt->dst = node();
-  pkt->dst_actor = dst_actor;
-  pkt->local_hop = true;
-  const auto* dst = rt_.control(dst_actor);
-  const bool crosses = dst != nullptr && dst->loc == ActorLoc::kNic;
-  charge(crosses ? rt_.config().channel_handling_ns
-                 : rt_.config().channel_handling_ns / 2);
-  Runtime& rt = rt_;
-  ctx_.defer([&rt, p = std::move(pkt)]() mutable {
-    const ActorId dst = p->dst_actor;
-    rt.deliver_local(dst, std::move(p), MemSide::kHost);
-  });
 }
 
 }  // namespace ipipe

@@ -65,22 +65,21 @@ class EnvBase : public ActorEnv {
   ActorControl& ac_;
 };
 
-class NicEnv final : public EnvBase {
+/// What NIC-side and host-side execution share: cost hooks forward to
+/// the core's execution context, frames leave when the work item
+/// retires, and same-node messages are delivered by a deferred action.
+template <class Context>
+class CoreEnv : public EnvBase {
  public:
-  NicEnv(Runtime& rt, ActorControl& ac, nic::NicExecContext& ctx)
+  CoreEnv(Runtime& rt, ActorControl& ac, Context& ctx)
       : EnvBase(rt, ac), ctx_(ctx) {}
 
   [[nodiscard]] Ns now() const override { return ctx_.now(); }
-  [[nodiscard]] bool on_nic() const override { return true; }
-
   void charge(Ns t) override { ctx_.charge(t); }
-  void compute(double units) override;
   void mem(std::uint64_t ws, std::uint64_t n) override { ctx_.mem(ws, n); }
   void stream(std::uint64_t ws, std::uint64_t bytes) override {
     ctx_.stream(ws, bytes);
   }
-  void accel(nic::AccelKind kind, std::uint32_t bytes,
-             std::uint32_t batch) override;
 
   void send(NodeId dst_node, ActorId dst_actor, std::uint16_t type,
             std::vector<std::uint8_t> payload,
@@ -92,39 +91,35 @@ class NicEnv final : public EnvBase {
                   std::vector<std::uint8_t> payload) override;
   void forward(ActorId dst_actor, netsim::PacketPtr pkt) override;
 
+ protected:
+  Context& ctx_;
+
  private:
-  nic::NicExecContext& ctx_;
+  /// Charge the per-frame send cost and transmit at retirement.
+  void transmit(netsim::PacketPtr pkt);
+  /// Charge a same-node hop to `pkt->dst_actor` and deliver it at
+  /// retirement.
+  void hop_local(netsim::PacketPtr pkt);
 };
 
-class HostEnv final : public EnvBase {
+class NicEnv final : public CoreEnv<nic::NicExecContext> {
  public:
-  HostEnv(Runtime& rt, ActorControl& ac, hostsim::HostExecContext& ctx)
-      : EnvBase(rt, ac), ctx_(ctx) {}
+  using CoreEnv::CoreEnv;
 
-  [[nodiscard]] Ns now() const override { return ctx_.now(); }
-  [[nodiscard]] bool on_nic() const override { return false; }
-
-  void charge(Ns t) override { ctx_.charge(t); }
+  [[nodiscard]] bool on_nic() const override { return true; }
   void compute(double units) override;
-  void mem(std::uint64_t ws, std::uint64_t n) override { ctx_.mem(ws, n); }
-  void stream(std::uint64_t ws, std::uint64_t bytes) override {
-    ctx_.stream(ws, bytes);
-  }
   void accel(nic::AccelKind kind, std::uint32_t bytes,
              std::uint32_t batch) override;
+};
 
-  void send(NodeId dst_node, ActorId dst_actor, std::uint16_t type,
-            std::vector<std::uint8_t> payload,
-            std::uint32_t frame_size) override;
-  void reply(const netsim::Packet& req, std::uint16_t type,
-             std::vector<std::uint8_t> payload,
-             std::uint32_t frame_size) override;
-  void local_send(ActorId dst_actor, std::uint16_t type,
-                  std::vector<std::uint8_t> payload) override;
-  void forward(ActorId dst_actor, netsim::PacketPtr pkt) override;
+class HostEnv final : public CoreEnv<hostsim::HostExecContext> {
+ public:
+  using CoreEnv::CoreEnv;
 
- private:
-  hostsim::HostExecContext& ctx_;
+  [[nodiscard]] bool on_nic() const override { return false; }
+  void compute(double units) override;
+  void accel(nic::AccelKind kind, std::uint32_t bytes,
+             std::uint32_t batch) override;
 };
 
 }  // namespace ipipe

@@ -55,6 +55,21 @@ class InitEnv final : public EnvBase {
 
 namespace {
 
+/// DRR mailbox length migration trigger (ALG 2's Q_thresh).
+constexpr std::size_t kQThresh = 64;
+/// Effective NIC->host object-migration bandwidth (Fig. 18 phase 3).
+constexpr double kMigGbps = 7.2;
+/// Per-object table/allocator work of a migration.
+constexpr Ns kMigPerObjectNs = 2500;
+/// Emergency evacuation replays DMO payloads from the host mirror at
+/// this cost per KB of payload before evacuated actors start serving.
+constexpr Ns kEvacReplayNsPerKb = 300;
+/// Extra stall charged to a sender whose direction is backpressured
+/// (pending queue over cap) — models the producer slowing down.
+constexpr Ns kChannelBackpressureStallNs = 500;
+/// Seed of the channel's fault injection (IPipeConfig::channel_fault_rate).
+constexpr std::uint64_t kChannelFaultSeed = 0x5EEDULL;
+
 /// True while requests for this actor must be buffered (migration phases
 /// 1-3).  In kClean (phase 4) the new home is live and dispatch resumes.
 [[nodiscard]] bool buffering(const ActorControl& ac) noexcept {
@@ -74,7 +89,7 @@ Runtime::Runtime(sim::Simulation& sim, nic::NicModel& nic,
       pool_(netsim::PacketPool::local()),
       nic_fw_(*this),
       host_rt_(*this),
-      channel_(sim, nic.dma(), cfg.channel_bytes, cfg.channel_tuning),
+      channel_(sim, nic.dma(), cfg.channel_bytes),
       roles_(nic.config().cores, CoreRole::kFcfs),
       busy_snapshot_(nic.config().cores, 0),
       busy_snapshot_at_(sim.now()) {
@@ -85,13 +100,13 @@ Runtime::Runtime(sim::Simulation& sim, nic::NicModel& nic,
     busy_snapshot_[i] = nic.core_busy_ns(i);
   }
   if (cfg.channel_fault_rate > 0.0) {
-    channel_.set_fault_injection(cfg.channel_fault_rate, cfg.channel_fault_seed);
+    channel_.set_fault_injection(cfg.channel_fault_rate, kChannelFaultSeed);
   }
   tracer_.set_clock(sim.clock());
   channel_.set_tracer(&tracer_);
   objects_.set_tracer(&tracer_);
   if (cfg.trace) {
-    tracer_.enable(cfg.trace_capacity);
+    tracer_.enable();
     metrics_.set_period(cfg.trace_metrics_period);
   }
   channel_.set_host_notify([this] { host_.wake_all(); });
@@ -718,6 +733,17 @@ void Runtime::set_accel_failed(std::uint32_t bank, bool failed) {
   }
 }
 
+ChannelMsg Runtime::watchdog_msg(std::uint16_t type) const {
+  ChannelMsg msg;
+  msg.src_node = nic_.node();
+  msg.dst_node = nic_.node();
+  msg.src_actor = kWatchdogActor;
+  msg.dst_actor = kWatchdogActor;
+  msg.msg_type = type;
+  msg.created_at = sim_.now();
+  return msg;
+}
+
 void Runtime::watchdog_tick() {
   if (!cfg_.nic_watchdog) return;
   if (node_down_) {
@@ -726,7 +752,6 @@ void Runtime::watchdog_tick() {
     sim_.schedule(cfg_.watchdog_heartbeat, [this] { watchdog_tick(); });
     return;
   }
-  const Ns now = sim_.now();
   // Misses are counted in probes, not wall-clock silence: once the probe
   // period has backed off toward the cap, a healthy revived NIC still
   // pongs only once per probe, and a wall-clock limit would re-trip on a
@@ -736,16 +761,9 @@ void Runtime::watchdog_tick() {
   }
   // Keep probing even after a trip: the first pong out of rebooted
   // firmware is the re-offload signal.
-  ChannelMsg ping;
-  ping.src_node = nic_.node();
-  ping.dst_node = nic_.node();
-  ping.src_actor = kWatchdogActor;
-  ping.dst_actor = kWatchdogActor;
-  ping.msg_type = kWatchdogPingMsg;
-  ping.created_at = now;
   ++watchdog_pings_;
   ++pings_unanswered_;
-  (void)send_or_queue(MemSide::kHost, ping);
+  (void)send_or_queue(MemSide::kHost, watchdog_msg(kWatchdogPingMsg));
   nic_.wake_all();
   if (nic_down_ || evacuated_ || pings_unanswered_ > 1) {
     // Exponential probe backoff while the NIC stays silent: a dead
@@ -810,8 +828,8 @@ void Runtime::emergency_evacuate(std::vector<ChannelMsg> undelivered) {
     deliver_local(m.dst_actor, m.to_packet(pool_), MemSide::kHost);
   }
   const Ns replay =
-      static_cast<Ns>(replay_bytes) * cfg_.evac_replay_ns_per_kb / 1024 +
-      static_cast<Ns>(moved_actors) * cfg_.mig_per_object_ns;
+      static_cast<Ns>(replay_bytes) * kEvacReplayNsPerKb / 1024 +
+      static_cast<Ns>(moved_actors) * kMigPerObjectNs;
   sim_.schedule(std::max<Ns>(replay, 1), [this] { finish_evacuation(); });
   if (tracer_.enabled()) {
     tracer_.instant(trace::Cat::kChaos, "nic_evacuate", trace::tid::kChaos, 0,
@@ -1036,8 +1054,8 @@ bool Runtime::advance_migration(nic::NicExecContext& ctx) {
       migration_->bytes = moved.payload_bytes;
       const Ns xfer =
           static_cast<Ns>(static_cast<double>(moved.payload_bytes) * 8.0 /
-                          cfg_.mig_gbps) +
-          obj_count * cfg_.mig_per_object_ns;
+                          kMigGbps) +
+          obj_count * kMigPerObjectNs;
       ctx.charge(xfer);
       ac->mig = MigState::kGone;
       ac->loc = migration_->to;
@@ -1072,8 +1090,9 @@ bool Runtime::advance_migration(nic::NicExecContext& ctx) {
           // migration's phase 4 on a bounced buffer.
           ctx.charge(send_or_queue(MemSide::kNic, ChannelMsg::from_packet(*pkt)));
         } else {
-          auto shared = std::make_shared<netsim::PacketPtr>(std::move(pkt));
-          ctx.defer([this, shared] { nic_.tm().push(std::move(*shared)); });
+          ctx.defer([this, p = std::move(pkt)]() mutable {
+            nic_.tm().push(std::move(p));
+          });
         }
         return true;
       }
@@ -1119,17 +1138,7 @@ bool Runtime::fcfs_run(nic::NicExecContext& ctx, unsigned core) {
     }
   }
 
-  if (auto pkt = nic_.tm().pop()) {
-    const Ns pkt_start = ctx.consumed();
-    const auto& nic_cfg = nic_.config();
-    ctx.charge(nic_cfg.has_hw_traffic_manager ? nic_cfg.tm_dequeue_cost
-                                              : nic_cfg.sw_shuffle_cost);
-    // Intra-NIC actor messages re-enter the work queue without paying the
-    // wire RX/TX tax; only frames from the MAC or the host DMA path do.
-    const bool local_msg =
-        (pkt->src == nic_.node() && !pkt->from_host) || pkt->local_hop;
-    if (!local_msg) ctx.charge_forwarding(pkt->frame_size);
-    dispatch_nic(ctx, std::move(pkt), pkt_start);
+  if (dispatch_from_tm(ctx)) {
     if (cfg_.policy == SchedPolicy::kHybrid && fcfs_stats_.seeded()) {
       if (fcfs_stats_.tail() > static_cast<double>(cfg_.tail_thresh)) {
         // Downgrade only on *persistent* violations — transient EWMA
@@ -1154,14 +1163,7 @@ bool Runtime::fcfs_run(nic::NicExecContext& ctx, unsigned core) {
       if (msg->dst_actor == kWatchdogActor) {
         // Firmware watchdog endpoint: answer the host's heartbeat.
         if (msg->msg_type == kWatchdogPingMsg) {
-          ChannelMsg pong;
-          pong.src_node = nic_.node();
-          pong.dst_node = nic_.node();
-          pong.src_actor = kWatchdogActor;
-          pong.dst_actor = kWatchdogActor;
-          pong.msg_type = kWatchdogPongMsg;
-          pong.created_at = sim_.now();
-          ctx.charge(send_or_queue(MemSide::kNic, pong));
+          ctx.charge(send_or_queue(MemSide::kNic, watchdog_msg(kWatchdogPongMsg)));
         }
         return true;
       }
@@ -1293,7 +1295,7 @@ Ns Runtime::send_or_queue(MemSide from, const ChannelMsg& msg) {
   if (ticket.outcome == SendOutcome::kBackpressured) {
     // The pending queue is over its cap: charge a stall so the producer
     // side visibly slows down instead of racing ahead of the consumer.
-    cost += cfg_.channel_backpressure_stall_ns;
+    cost += kChannelBackpressureStallNs;
   }
   // Tenant channel budget: traffic destined to a tenant's actor charges
   // that tenant's token bucket, and an over-budget tenant pays a
@@ -1452,7 +1454,7 @@ bool Runtime::drr_run(nic::NicExecContext& ctx, unsigned core) {
           maybe_upgrade();  // ALG 2 lines 10-12
         }
         if (cfg_.enable_migration && ac->group == kNoGroup &&
-            ac->mailbox.size() > cfg_.q_thresh && !migration_.has_value()) {
+            ac->mailbox.size() > kQThresh && !migration_.has_value()) {
           start_migration(ac->id, ActorLoc::kHost);  // ALG 2 lines 18-20
         }
         return true;
@@ -1464,38 +1466,31 @@ bool Runtime::drr_run(nic::NicExecContext& ctx, unsigned core) {
   // No eligible handler work: help drain the shared ingress queue instead
   // of idling (dedicating a lone FCFS core to dispatch would bottleneck
   // small-core NICs).
-  if (auto pkt = nic_.tm().pop()) {
-    const Ns pkt_start = ctx.consumed();
-    const auto& nic_cfg = nic_.config();
-    ctx.charge(nic_cfg.has_hw_traffic_manager ? nic_cfg.tm_dequeue_cost
-                                              : nic_cfg.sw_shuffle_cost);
-    const bool local_msg =
-        (pkt->src == nic_.node() && !pkt->from_host) || pkt->local_hop;
-    if (!local_msg) ctx.charge_forwarding(pkt->frame_size);
-    dispatch_nic(ctx, std::move(pkt), pkt_start);
-    return true;
-  }
+  if (dispatch_from_tm(ctx)) return true;
   // Park only when there is neither handler nor dispatch work; deficits
   // carry over to the next slice.  Throttled tenants' backlogs don't
   // count as work (that would busy-spin the core through the penalty) —
   // instead, arm a wake at the earliest penalty expiry.
   Ns wake_at = 0;
-  for (const ActorId id : drr_queue_) {
-    const auto* ac = control(id);
-    if (ac == nullptr || ac->killed || ac->mailbox.empty()) continue;
-    if (const TenantState* t = tenant(ac->tenant); t != nullptr) {
-      if (t->quarantined) continue;
-      if (t->throttled(sim_.now())) {
-        if (wake_at == 0 || t->throttled_until < wake_at) {
-          wake_at = t->throttled_until;
-        }
-        continue;
-      }
-    }
-    return true;
-  }
+  if (drr_work_pending(&wake_at)) return true;
   if (wake_at != 0) nic_.wake_core_at(core, wake_at);
   return false;
+}
+
+bool Runtime::dispatch_from_tm(nic::NicExecContext& ctx) {
+  auto pkt = nic_.tm().pop();
+  if (!pkt) return false;
+  const Ns pkt_start = ctx.consumed();
+  const auto& nic_cfg = nic_.config();
+  ctx.charge(nic_cfg.has_hw_traffic_manager ? nic_cfg.tm_dequeue_cost
+                                            : nic_cfg.sw_shuffle_cost);
+  // Intra-NIC actor messages re-enter the work queue without paying the
+  // wire RX/TX tax; only frames from the MAC or the host DMA path do.
+  const bool local_msg =
+      (pkt->src == nic_.node() && !pkt->from_host) || pkt->local_hop;
+  if (!local_msg) ctx.charge_forwarding(pkt->frame_size);
+  dispatch_nic(ctx, std::move(pkt), pkt_start);
+  return true;
 }
 
 bool Runtime::management_run(nic::NicExecContext& ctx) {
@@ -1675,13 +1670,19 @@ void Runtime::spawn_drr_core() {
   }
 }
 
-bool Runtime::drr_work_pending() const {
+bool Runtime::drr_work_pending(Ns* next_wake) const {
   for (const ActorId id : drr_queue_) {
     const auto* ac = control(id);
     if (ac == nullptr || ac->killed || ac->mailbox.empty()) continue;
-    if (const TenantState* t = tenant(ac->tenant);
-        t != nullptr && (t->quarantined || t->throttled(sim_.now()))) {
-      continue;
+    if (const TenantState* t = tenant(ac->tenant); t != nullptr) {
+      if (t->quarantined) continue;
+      if (t->throttled(sim_.now())) {
+        if (next_wake != nullptr &&
+            (*next_wake == 0 || t->throttled_until < *next_wake)) {
+          *next_wake = t->throttled_until;
+        }
+        continue;
+      }
     }
     return true;
   }
@@ -1755,17 +1756,7 @@ bool Runtime::host_run_once(hostsim::HostExecContext& ctx, unsigned core) {
       pkt->nic_arrival = sim_.now();
       ActorControl* ac = control(pkt->dst_actor);
       if (ac == nullptr || ac->killed) return true;  // dropped
-      if (buffering(*ac)) {
-        ac->mig_buffer.push_back(std::move(pkt));
-        return true;
-      }
-      if (ac->loc == ActorLoc::kNic) {
-        // Stale: bounce back to the NIC (reliably — a full ring must not
-        // eat the request).
-        ctx.charge(send_or_queue(MemSide::kHost, ChannelMsg::from_packet(*pkt)));
-        return true;
-      }
-      execute_on_host(ctx, *ac, std::move(pkt));
+      serve_on_host(ctx, *ac, std::move(pkt));
       return true;
     }
     ctx.charge(cfg_.channel_handling_ns);
@@ -1798,15 +1789,7 @@ bool Runtime::host_run_once(hostsim::HostExecContext& ctx, unsigned core) {
         t->stats.admitted_bytes += pkt->frame_size;
       }
     }
-    if (buffering(*ac)) {
-      ac->mig_buffer.push_back(std::move(pkt));
-      return true;
-    }
-    if (ac->loc == ActorLoc::kNic) {
-      ctx.charge(send_or_queue(MemSide::kHost, ChannelMsg::from_packet(*pkt)));
-      return true;
-    }
-    execute_on_host(ctx, *ac, std::move(pkt));
+    serve_on_host(ctx, *ac, std::move(pkt));
     return true;
   }
 
@@ -1816,19 +1799,26 @@ bool Runtime::host_run_once(hostsim::HostExecContext& ctx, unsigned core) {
     host_local_queue_.pop_front();
     ActorControl* ac = control(pkt->dst_actor);
     if (ac == nullptr || ac->killed) return true;
-    if (buffering(*ac)) {
-      ac->mig_buffer.push_back(std::move(pkt));
-      return true;
-    }
-    if (ac->loc == ActorLoc::kHost) {
-      execute_on_host(ctx, *ac, std::move(pkt));
-    } else {
-      ctx.charge(send_or_queue(MemSide::kHost, ChannelMsg::from_packet(*pkt)));
-    }
+    serve_on_host(ctx, *ac, std::move(pkt));
     return true;
   }
 
   return false;
+}
+
+void Runtime::serve_on_host(hostsim::HostExecContext& ctx, ActorControl& ac,
+                            netsim::PacketPtr pkt) {
+  if (buffering(ac)) {
+    ac.mig_buffer.push_back(std::move(pkt));
+    return;
+  }
+  if (ac.loc == ActorLoc::kNic) {
+    // Stale: bounce back to the NIC (reliably — a full ring must not eat
+    // the request).
+    ctx.charge(send_or_queue(MemSide::kHost, ChannelMsg::from_packet(*pkt)));
+    return;
+  }
+  execute_on_host(ctx, ac, std::move(pkt));
 }
 
 void Runtime::execute_on_host(hostsim::HostExecContext& ctx, ActorControl& ac,

@@ -40,7 +40,6 @@ struct IPipeConfig {
   Ns mean_thresh = usec(30);
   Ns tail_thresh = usec(80);
   double alpha = 0.25;          ///< hysteresis factor
-  std::size_t q_thresh = 64;    ///< DRR mailbox length migration trigger
   Ns watchdog_limit = msec(1);  ///< DoS timeout (§3.4)
   Ns mgmt_period = usec(20);    ///< management-core bookkeeping cadence
   Ns migration_cooldown = msec(10);  ///< min gap between migrations
@@ -76,22 +75,16 @@ struct IPipeConfig {
   std::uint32_t watchdog_miss_limit = 4;
   Ns watchdog_probe_cap = msec(5);
   /// Emergency evacuation replays DMO payloads from the host mirror
-  /// (crash-consistent: no PCIe transfer possible).  Replay costs
-  /// `evac_replay_ns_per_kb` per KB of payload before evacuated actors
-  /// start serving; without the mirror the NIC-resident bytes are lost
-  /// and objects come back zero-filled.
+  /// (crash-consistent: no PCIe transfer possible), at a fixed cost per
+  /// KB of payload before evacuated actors start serving; without the
+  /// mirror the NIC-resident bytes are lost and objects come back
+  /// zero-filled.
   bool dmo_host_mirror = true;
-  Ns evac_replay_ns_per_kb = 300;
 
   double nic_ipc = 1.2;   ///< cnMIPS 2-way in-order, achieved IPC
   double host_ipc = 3.0;  ///< Xeon out-of-order, achieved IPC
 
-  /// Effective NIC->host object-migration bandwidth (Fig. 18 phase 3).
-  double mig_gbps = 7.2;
-  Ns mig_per_object_ns = 2500;  ///< per-object table/allocator work
-
   std::size_t channel_bytes = 1 << 20;
-  std::uint64_t default_region_bytes = 8 * MiB;
 
   /// Host software fallback slowdown vs the NIC accelerator, per engine
   /// (§2.2.3: MD5 engine 7.0x, AES 2.5x faster than host).
@@ -115,22 +108,14 @@ struct IPipeConfig {
   Ns dmo_translate_ns = 7;
   Ns sched_bookkeeping_ns = 30;
 
-  /// Reliable-channel tuning: retransmit backoff, NACK latency and the
-  /// pending-queue backpressure cap (see ChannelTuning).
-  ChannelTuning channel_tuning{};
-  /// Extra stall charged to a sender whose direction is backpressured
-  /// (pending queue over cap) — models the producer slowing down.
-  Ns channel_backpressure_stall_ns = 500;
   /// Fault injection for tests: probability that a pushed frame body is
   /// corrupted in the ring (0 disables).
   double channel_fault_rate = 0.0;
-  std::uint64_t channel_fault_seed = 0x5EEDULL;
 
   /// Observability (see common/trace.h).  Off by default: every hook is a
   /// single predicted-false branch, and timestamps are virtual time, so
   /// enabling tracing never shifts measured latencies either.
   bool trace = false;
-  std::size_t trace_capacity = trace::Tracer::kDefaultCapacity;
   /// Virtual-time cadence of metrics snapshots (0 disables snapshots).
   Ns trace_metrics_period = usec(500);
 };
@@ -434,8 +419,10 @@ class Runtime {
   /// True when any DRR-group actor still has a non-empty mailbox
   /// (throttled/quarantined tenants' mailboxes don't count: their work
   /// is parked, and counting it would busy-spin the DRR cores through
-  /// the whole penalty window).
-  [[nodiscard]] bool drr_work_pending() const;
+  /// the whole penalty window).  When it returns false and `next_wake`
+  /// is given, *next_wake is lowered to the earliest penalty expiry of a
+  /// throttled tenant with a backlog (it is left alone if none).
+  [[nodiscard]] bool drr_work_pending(Ns* next_wake = nullptr) const;
   /// Tenant accounting hook for env-layer DMO denials (kQuotaExceeded).
   void note_dmo_denied(ActorId id);
 
@@ -453,6 +440,10 @@ class Runtime {
   // NIC-side scheduling (ALG 1 / ALG 2).
   bool fcfs_run(nic::NicExecContext& ctx, unsigned core);
   bool drr_run(nic::NicExecContext& ctx, unsigned core);
+  /// Dequeue one frame from the traffic manager, charge the dequeue and
+  /// (for wire/host frames) forwarding cost, and dispatch it.  False when
+  /// the TM is empty.
+  bool dispatch_from_tm(nic::NicExecContext& ctx);
   bool management_run(nic::NicExecContext& ctx);
   /// Supervision pass: restart killed actors whose delay elapsed,
   /// quarantine repeat offenders, decay episode counters of long-healthy
@@ -462,6 +453,9 @@ class Runtime {
   /// Host-side watchdog heartbeat: ping the firmware, check pong
   /// freshness, trip on silence, back off while probing a dead NIC.
   void watchdog_tick();
+  /// A heartbeat ping or pong between the host and the NIC watchdog
+  /// endpoints.
+  [[nodiscard]] ChannelMsg watchdog_msg(std::uint16_t type) const;
   /// Declare the NIC dead: fence the channel and evacuate.
   void watchdog_trip();
   /// Force-migrate every NIC-resident actor to the host (crash-consistent
@@ -486,6 +480,11 @@ class Runtime {
                       netsim::PacketPtr pkt);
   void execute_on_host(hostsim::HostExecContext& ctx, ActorControl& ac,
                        netsim::PacketPtr pkt);
+  /// Host-side delivery of a request for a live actor: buffer it during a
+  /// migration, bounce it to the NIC if the actor lives there, else
+  /// execute it.
+  void serve_on_host(hostsim::HostExecContext& ctx, ActorControl& ac,
+                     netsim::PacketPtr pkt);
   /// `consumed_before` is ctx.consumed() when this packet's processing
   /// began — forwarding-path stats record the per-packet delta, not the
   /// cumulative slice time.

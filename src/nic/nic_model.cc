@@ -1,47 +1,40 @@
 #include "nic/nic_model.h"
 
-#include <cassert>
-
-#include "common/logging.h"
-
 namespace ipipe::nic {
 
-Ns NicExecContext::now() const noexcept { return nic_.sim().now(); }
+NicExecContext::NicExecContext(NicModel& nic, unsigned core)
+    : ExecContext(nic.sim(), nic.cache(), core), nic_(nic) {}
 
 void NicExecContext::charge_cycles(double cycles) noexcept {
-  consumed_ += static_cast<Ns>(nic_.config().cycles_to_ns(cycles));
-}
-
-void NicExecContext::mem(std::uint64_t working_set, std::uint64_t n) noexcept {
-  consumed_ += nic_.cache().chase_ns(working_set, n);
-}
-
-void NicExecContext::stream(std::uint64_t working_set, std::uint64_t bytes) noexcept {
-  consumed_ += nic_.cache().stream_ns(working_set, bytes);
+  charge(static_cast<Ns>(nic_.config().cycles_to_ns(cycles)));
 }
 
 void NicExecContext::accel(AccelKind kind, std::uint32_t bytes,
                            std::uint32_t batch) noexcept {
-  consumed_ += nic_.accel().batch_cost(kind, bytes, batch);
+  charge(nic_.accel().batch_cost(kind, bytes, batch));
   nic_.accel().record_use(kind, batch);
 }
 
 void NicExecContext::charge_forwarding(std::uint32_t frame_size) noexcept {
-  consumed_ += nic_.config().forwarding.cost(frame_size);
+  charge(nic_.config().forwarding.cost(frame_size));
 }
 
 void NicExecContext::charge_nstack(std::uint32_t frame_size) noexcept {
   const auto& cfg = nic_.config();
-  consumed_ += static_cast<Ns>(cfg.nstack_base_ns +
-                               cfg.nstack_per_byte_ns * frame_size);
+  charge(static_cast<Ns>(cfg.nstack_base_ns + cfg.nstack_per_byte_ns * frame_size));
 }
 
 void NicExecContext::dma_read_blocking(std::uint32_t bytes) noexcept {
-  consumed_ += nic_.dma().blocking_read_latency(bytes);
+  charge(nic_.dma().blocking_read_latency(bytes));
 }
 
 void NicExecContext::dma_write_blocking(std::uint32_t bytes) noexcept {
-  consumed_ += nic_.dma().blocking_write_latency(bytes);
+  charge(nic_.dma().blocking_write_latency(bytes));
+}
+
+void NicExecContext::flush() {
+  for (auto& pkt : tx_queue_) nic_.wire_tx(std::move(pkt));
+  for (auto& pkt : host_queue_) nic_.deliver_to_host(std::move(pkt));
 }
 
 NicModel::NicModel(sim::Simulation& sim, NicConfig cfg, netsim::Network& net,
@@ -52,30 +45,24 @@ NicModel::NicModel(sim::Simulation& sim, NicConfig cfg, netsim::Network& net,
       node_(node),
       dma_(sim, cfg_.dma),
       cache_(CacheModel::for_nic(cfg_)),
-      active_cores_(cfg_.cores),
-      cores_(cfg_.cores) {
+      cores_(sim, *this, cfg_.cores) {
   net_.attach(node_, *this, cfg_.link_gbps);
   tm_.set_notify([this] { wake_all(); });
 }
 
 void NicModel::set_firmware(NicFirmware* fw) {
-  firmware_ = fw;
-  if (firmware_) {
-    firmware_->attached(*this);
+  cores_.set_program(fw);
+  if (fw) {
+    fw->attached(*this);
     wake_all();
   }
-}
-
-void NicModel::set_active_cores(unsigned n) noexcept {
-  assert(n <= cfg_.cores);
-  active_cores_ = n;
 }
 
 void NicModel::receive(netsim::PacketPtr pkt) {
   ++rx_frames_;
 
   // Dumb NIC: straight to the host RX ring via DMA.
-  if (cfg_.cores == 0 || firmware_ == nullptr) {
+  if (cfg_.cores == 0 || cores_.program() == nullptr) {
     deliver_to_host(std::move(pkt));
     return;
   }
@@ -104,8 +91,8 @@ void NicModel::admit(netsim::PacketPtr pkt) {
   } else {
     const Ns when = next_admit_;
     next_admit_ += gap;
-    auto shared = std::make_shared<netsim::PacketPtr>(std::move(pkt));
-    sim_.schedule_at(when, [this, shared] { tm_.push(std::move(*shared)); });
+    sim_.schedule_at(when,
+                     [this, p = std::move(pkt)]() mutable { tm_.push(std::move(p)); });
   }
 }
 
@@ -114,10 +101,8 @@ void NicModel::host_tx(netsim::PacketPtr pkt) {
   // The NIC pulls the frame from host memory over PCIe, then hands it to
   // the normal processing path (on-path) or straight to the MAC.
   const Ns dma_delay = dma_.blocking_read_latency(pkt->frame_size);
-  auto shared = std::make_shared<netsim::PacketPtr>(std::move(pkt));
-  sim_.schedule(dma_delay, [this, shared] {
-    netsim::PacketPtr p = std::move(*shared);
-    if (cfg_.cores == 0 || firmware_ == nullptr ||
+  sim_.schedule(dma_delay, [this, p = std::move(pkt)]() mutable {
+    if (cfg_.cores == 0 || cores_.program() == nullptr ||
         cfg_.path == NicPath::kOffPath) {
       wire_tx(std::move(p));
     } else {
@@ -135,65 +120,11 @@ void NicModel::wire_tx(netsim::PacketPtr pkt) {
 void NicModel::deliver_to_host(netsim::PacketPtr pkt) {
   ++to_host_frames_;
   const Ns dma_delay = dma_.blocking_write_latency(pkt->frame_size);
-  auto shared = std::make_shared<netsim::PacketPtr>(std::move(pkt));
-  sim_.schedule(dma_delay, [this, shared] {
+  sim_.schedule(dma_delay, [this, p = std::move(pkt)]() mutable {
     if (host_rx_) {
-      host_rx_(std::move(*shared));
+      host_rx_(std::move(p));
     }
   });
-}
-
-void NicModel::wake_core(unsigned core) {
-  if (core >= active_cores_) return;
-  CoreState& st = cores_[core];
-  if (!st.parked || st.executing) return;
-  st.parked = false;
-  sim_.schedule(0, [this, core] { run_core(core); });
-}
-
-void NicModel::wake_all() {
-  for (unsigned i = 0; i < active_cores_; ++i) wake_core(i);
-}
-
-void NicModel::wake_core_at(unsigned core, Ns when) {
-  sim_.schedule_at(when, [this, core] { wake_core(core); });
-}
-
-void NicModel::run_core(unsigned core) {
-  if (core >= active_cores_ || firmware_ == nullptr) {
-    cores_[core].parked = true;
-    return;
-  }
-  CoreState& st = cores_[core];
-  if (st.executing) return;
-
-  auto ctx = std::make_unique<NicExecContext>(*this, core);
-  const bool did_work = firmware_->run_once(*ctx, core);
-  if (!did_work) {
-    st.parked = true;
-    return;
-  }
-  st.executing = true;
-  const Ns cost = ctx->consumed();
-  st.busy_total += cost;
-  auto shared = std::make_shared<std::unique_ptr<NicExecContext>>(std::move(ctx));
-  sim_.schedule(cost, [this, core, shared] {
-    retire(core, std::move(*shared));
-  });
-}
-
-void NicModel::retire(unsigned core, std::unique_ptr<NicExecContext> ctx) {
-  for (auto& pkt : ctx->tx_queue_) wire_tx(std::move(pkt));
-  for (auto& pkt : ctx->host_queue_) deliver_to_host(std::move(pkt));
-  for (auto& fn : ctx->deferred_) fn();
-  cores_[core].executing = false;
-  run_core(core);
-}
-
-Ns NicModel::total_busy_ns() const noexcept {
-  Ns total = 0;
-  for (const auto& core : cores_) total += core.busy_total;
-  return total;
 }
 
 }  // namespace ipipe::nic

@@ -5,17 +5,14 @@
 // *do* is pluggable firmware: the echo server of the characterization
 // experiments, the iPipe NIC runtime, or a pass-through for dumb NICs.
 //
-// Core execution protocol: whenever a core is free the device calls
-// `firmware->run_once(ctx, core)`.  The firmware performs at most one
-// run-to-completion unit of work, charging simulated time through the
-// NicExecContext; the core is then busy for the accumulated cost and any
-// buffered transmissions / host deliveries happen at completion time.
-// Returning false parks the core until `wake_core`/`wake_all`.
+// The cores run the shared core execution protocol (nic/core_engine.h):
+// the firmware performs one run-to-completion work item per call,
+// charging time through the core's NicExecContext, and the frames it
+// buffered go to the wire or to the host when the work item retires.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "common/units.h"
@@ -23,6 +20,7 @@
 #include "netsim/packet.h"
 #include "nic/accelerator.h"
 #include "nic/cache_model.h"
+#include "nic/core_engine.h"
 #include "nic/dma_engine.h"
 #include "nic/nic_config.h"
 #include "nic/traffic_manager.h"
@@ -31,25 +29,18 @@
 namespace ipipe::nic {
 
 class NicModel;
+class NicFirmware;
 
-/// Per-work-item execution context: accumulates simulated cost and
-/// buffers externally visible effects until the work item retires.
-class NicExecContext {
+/// NIC-core execution context: the shared charges plus the NIC's
+/// accelerator, DMA, forwarding and nstack costs, and host delivery.
+class NicExecContext : public ExecContext {
  public:
-  NicExecContext(NicModel& nic, unsigned core) : nic_(nic), core_(core) {}
+  NicExecContext(NicModel& nic, unsigned core);
 
-  [[nodiscard]] Ns now() const noexcept;
-  [[nodiscard]] unsigned core() const noexcept { return core_; }
   [[nodiscard]] NicModel& nic() noexcept { return nic_; }
 
-  /// Charge raw simulated time / core cycles.
-  void charge(Ns t) noexcept { consumed_ += t; }
+  /// Charge core cycles at the NIC core clock.
   void charge_cycles(double cycles) noexcept;
-
-  /// Charge `n` dependent random accesses within a working set.
-  void mem(std::uint64_t working_set, std::uint64_t n) noexcept;
-  /// Charge a sequential touch of `bytes` within a working set.
-  void stream(std::uint64_t working_set, std::uint64_t bytes) noexcept;
   /// Charge a blocking accelerator batch.
   void accel(AccelKind kind, std::uint32_t bytes, std::uint32_t batch) noexcept;
   /// Charge the standard per-frame forwarding cost (RX+TX tax).
@@ -60,24 +51,20 @@ class NicExecContext {
   void dma_read_blocking(std::uint32_t bytes) noexcept;
   void dma_write_blocking(std::uint32_t bytes) noexcept;
 
-  /// Transmit a frame onto the wire when this work item retires.
-  void tx(netsim::PacketPtr pkt) { tx_queue_.push_back(std::move(pkt)); }
   /// Deliver a frame to the host (DMA write + host RX ring) at retirement.
   void to_host(netsim::PacketPtr pkt) { host_queue_.push_back(std::move(pkt)); }
-  /// Run an arbitrary action at retirement (after tx/host deliveries).
-  /// InlineFn: move-only captures (e.g. a PacketPtr) ride inline.
-  void defer(InlineFn fn) { deferred_.push_back(std::move(fn)); }
-
-  [[nodiscard]] Ns consumed() const noexcept { return consumed_; }
 
  private:
-  friend class NicModel;
+  friend class CoreEngine<NicFirmware, NicExecContext>;
+  void reset() noexcept {
+    ExecContext::reset();
+    host_queue_.clear();
+  }
+  /// Retirement: wire TX, then host DMA.
+  void flush();
+
   NicModel& nic_;
-  unsigned core_;
-  Ns consumed_ = 0;
-  std::vector<netsim::PacketPtr> tx_queue_;
   std::vector<netsim::PacketPtr> host_queue_;
-  std::vector<InlineFn> deferred_;
 };
 
 /// Pluggable NIC-core program.
@@ -102,7 +89,7 @@ class NicModel : public netsim::Endpoint {
   // -- wiring ---------------------------------------------------------
   void set_firmware(NicFirmware* fw);
   /// Restrict the device to its first `n` cores (Fig. 2/3 sweeps).
-  void set_active_cores(unsigned n) noexcept;
+  void set_active_cores(unsigned n) noexcept { cores_.set_active_cores(n); }
   /// Host RX ring sink: frames DMAed to the host land here.
   void set_host_rx(std::function<void(netsim::PacketPtr)> sink) {
     host_rx_ = std::move(sink);
@@ -123,10 +110,10 @@ class NicModel : public netsim::Endpoint {
   void deliver_to_host(netsim::PacketPtr pkt);
 
   // -- core scheduling --------------------------------------------------
-  void wake_core(unsigned core);
-  void wake_all();
+  void wake_core(unsigned core) { cores_.wake_core(core); }
+  void wake_all() { cores_.wake_all(); }
   /// Arrange for `wake_core(core)` at an absolute time (DRR timers etc).
-  void wake_core_at(unsigned core, Ns when);
+  void wake_core_at(unsigned core, Ns when) { cores_.wake_core_at(core, when); }
 
   // -- components -------------------------------------------------------
   [[nodiscard]] const NicConfig& config() const noexcept { return cfg_; }
@@ -136,7 +123,9 @@ class NicModel : public netsim::Endpoint {
   [[nodiscard]] CacheModel& cache() noexcept { return cache_; }
   [[nodiscard]] sim::Simulation& sim() noexcept { return sim_; }
   [[nodiscard]] netsim::NodeId node() const noexcept { return node_; }
-  [[nodiscard]] unsigned active_cores() const noexcept { return active_cores_; }
+  [[nodiscard]] unsigned active_cores() const noexcept {
+    return cores_.active_cores();
+  }
 
   // -- statistics -------------------------------------------------------
   [[nodiscard]] std::uint64_t rx_frames() const noexcept { return rx_frames_; }
@@ -146,19 +135,13 @@ class NicModel : public netsim::Endpoint {
   }
   /// Cumulative busy time of `core` (for utilization measurements).
   [[nodiscard]] Ns core_busy_ns(unsigned core) const {
-    return cores_[core].busy_total;
+    return cores_.core_busy_ns(core);
   }
-  [[nodiscard]] Ns total_busy_ns() const noexcept;
+  [[nodiscard]] Ns total_busy_ns() const noexcept {
+    return cores_.total_busy_ns();
+  }
 
  private:
-  struct CoreState {
-    bool parked = true;      // no work; waiting for wake
-    bool executing = false;  // currently inside a work item
-    Ns busy_total = 0;
-  };
-
-  void run_core(unsigned core);
-  void retire(unsigned core, std::unique_ptr<NicExecContext> ctx);
   void admit(netsim::PacketPtr pkt);
 
   sim::Simulation& sim_;
@@ -171,9 +154,7 @@ class NicModel : public netsim::Endpoint {
   AcceleratorBank accel_;
   CacheModel cache_;
 
-  NicFirmware* firmware_ = nullptr;
-  unsigned active_cores_;
-  std::vector<CoreState> cores_;
+  CoreEngine<NicFirmware, NicExecContext> cores_;
 
   std::function<void(netsim::PacketPtr)> host_rx_;
   std::function<bool(const netsim::Packet&)> steer_to_nic_;

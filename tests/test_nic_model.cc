@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <type_traits>
+
+#include "hostsim/host_model.h"
 #include "nic/accelerator.h"
 #include "nic/cache_model.h"
 #include "nic/dma_engine.h"
@@ -283,6 +287,175 @@ TEST(NicModel, AdmissionPacingEnforcesMaxPps) {
   // Admission paced at ~1Mpps over the 6ms simulated window.
   EXPECT_LE(echo.echoed(), 6300u);
   EXPECT_GT(echo.echoed(), 5000u);
+}
+
+
+// ---- the core execution protocol, on both devices --------------------------
+
+/// Counts the frames the fabric delivers to node 1.
+class FrameSink final : public netsim::Endpoint {
+ public:
+  void receive(netsim::PacketPtr) override { ++frames; }
+  std::uint64_t frames = 0;
+};
+
+/// One NIC on node 0 with its host RX ring counted, and a frame sink on
+/// node 1.
+struct CoreRig {
+  CoreRig() {
+    nic.set_host_rx([this](netsim::PacketPtr) { ++host_deliveries; });
+    fabric.net.attach(1, sink, 10.0);
+  }
+  static netsim::PacketPtr frame_to_sink() {
+    auto pkt = netsim::alloc_packet();
+    pkt->dst = 1;
+    pkt->frame_size = 64;
+    return pkt;
+  }
+
+  testbed::BareFabric fabric;
+  nic::NicModel nic{fabric.sim(), nic::liquidio_cn2350(), fabric.net, 0};
+  FrameSink sink;
+  std::uint64_t host_deliveries = 0;
+};
+
+/// The NIC cores under test: firmware programs, `tx` goes to the wire.
+struct NicCores : CoreRig {
+  using Context = nic::NicExecContext;
+  using Program = nic::NicFirmware;
+  nic::NicModel& device() { return nic; }
+  void install(Program* program) { nic.set_firmware(program); }
+};
+
+/// The host cores under test: host runtimes, `tx` goes through the NIC
+/// (which has no firmware, so straight to the wire).
+struct HostCores : CoreRig {
+  using Context = hostsim::HostExecContext;
+  using Program = hostsim::HostRuntime;
+  hostsim::HostModel& device() { return host; }
+  void install(Program* program) { host.set_runtime(program); }
+
+  // Constructed after the base, so the host takes over the RX ring.
+  hostsim::HostModel host{fabric.sim(), hostsim::HostConfig{}, nic};
+};
+
+/// A program whose work item is a test-supplied function of the call
+/// index on its core.
+template <class Side>
+class ScriptedProgram final : public Side::Program {
+ public:
+  using Step = std::function<bool(typename Side::Context&, unsigned call)>;
+  explicit ScriptedProgram(Step step) : step_(std::move(step)) {}
+
+  bool run_once(typename Side::Context& ctx, unsigned core) override {
+    if (core >= calls.size()) calls.resize(core + 1, 0);
+    return step_(ctx, calls[core]++);
+  }
+  std::vector<unsigned> calls;  ///< run_once calls per core
+
+ private:
+  Step step_;
+};
+
+template <class Side>
+class CoreProtocol : public ::testing::Test {
+ protected:
+  Side side;
+};
+
+using Sides = ::testing::Types<NicCores, HostCores>;
+TYPED_TEST_SUITE(CoreProtocol, Sides);
+
+TYPED_TEST(CoreProtocol, ReusedContextReplaysNothing) {
+  auto& side = this->side;
+  unsigned deferred = 0;
+  ScriptedProgram<TypeParam> program([&](auto& ctx, unsigned call) {
+    if (ctx.core() != 0 || call >= 3) return false;
+    if (call == 0) {
+      ctx.tx(CoreRig::frame_to_sink());
+      if constexpr (requires { ctx.to_host(CoreRig::frame_to_sink()); }) {
+        ctx.to_host(CoreRig::frame_to_sink());
+      }
+      ctx.defer([&] { ++deferred; });
+    }
+    ctx.charge(100);
+    return true;
+  });
+  side.install(&program);
+  side.fabric.run();
+
+  EXPECT_EQ(program.calls[0], 4u);  // three work items, then park
+  EXPECT_EQ(side.sink.frames, 1u);
+  EXPECT_EQ(deferred, 1u);
+  constexpr bool kHasToHost = std::is_same_v<TypeParam, NicCores>;
+  EXPECT_EQ(side.host_deliveries, kHasToHost ? 1u : 0u);
+  EXPECT_EQ(side.device().core_busy_ns(0), 300u);
+}
+
+TYPED_TEST(CoreProtocol, DeferredSelfWakeDoesNotRunTheCoreTwice) {
+  auto& side = this->side;
+  Ns busy_until = 0;
+  ScriptedProgram<TypeParam> program([&](auto& ctx, unsigned call) {
+    if (ctx.core() != 0) return false;
+    // No work item may start while the previous one is in flight.
+    EXPECT_GE(ctx.now(), busy_until) << "call " << call;
+    if (call >= 2) return false;
+    if (call == 0) {
+      ctx.defer([&side] { side.device().wake_core(0); });
+    }
+    ctx.charge(100);
+    busy_until = ctx.now() + 100;
+    return true;
+  });
+  side.install(&program);
+  side.fabric.run();
+
+  // Two work items and one idle call that parks the core.
+  EXPECT_EQ(program.calls[0], 3u);
+  EXPECT_EQ(side.device().core_busy_ns(0), 200u);
+}
+
+TYPED_TEST(CoreProtocol, PerCoreBusyTimeSumsToTotal) {
+  auto& side = this->side;
+  // Core c runs c + 1 work items of (c + 1) * 10 ns each.
+  ScriptedProgram<TypeParam> program([&](auto& ctx, unsigned call) {
+    const unsigned items = ctx.core() + 1;
+    if (call >= items) return false;
+    ctx.charge(static_cast<Ns>(items) * 10);
+    return true;
+  });
+  side.install(&program);
+  side.fabric.run();
+
+  const unsigned cores = side.device().active_cores();
+  ASSERT_GT(cores, 1u);
+  Ns sum = 0;
+  Ns expected = 0;
+  for (unsigned c = 0; c < cores; ++c) {
+    const Ns items = c + 1;
+    EXPECT_EQ(side.device().core_busy_ns(c), items * items * 10) << "core " << c;
+    sum += side.device().core_busy_ns(c);
+    expected += items * items * 10;
+  }
+  EXPECT_EQ(sum, side.device().total_busy_ns());
+  EXPECT_EQ(sum, expected);
+}
+
+TYPED_TEST(CoreProtocol, CoreWithoutProgramParksAndStaysParked) {
+  auto& side = this->side;
+  side.device().wake_all();
+  side.device().wake_core_at(0, usec(5));
+  side.fabric.run();  // drains: a parked core schedules nothing further
+  EXPECT_EQ(side.device().total_busy_ns(), 0u);
+
+  // The cores really parked (rather than staying woken): installing a
+  // program wakes every one of them.
+  ScriptedProgram<TypeParam> program(
+      [](auto& /*ctx*/, unsigned /*call*/) { return false; });
+  side.install(&program);
+  side.fabric.engine.run();  // the lookahead is already installed
+  ASSERT_EQ(program.calls.size(), side.device().active_cores());
+  for (const unsigned calls : program.calls) EXPECT_EQ(calls, 1u);
 }
 
 }  // namespace
