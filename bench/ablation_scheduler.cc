@@ -45,8 +45,8 @@ Outcome run_with(IPipeConfig cfg, bool traced,
   testbed::ParallelCluster cluster(testbed::kTorLatency);
   testbed::ServerSpec spec;
   spec.ipipe = cfg;
-  if (traced) g_trace.apply(spec.ipipe);
   auto& server = cluster.add_server(spec);
+  if (traced) g_trace.apply(cluster);
   std::vector<ActorId> actors;
   for (int i = 0; i < 3; ++i) {
     actors.push_back(

@@ -97,7 +97,6 @@ double p99_at_load(const Scenario& sc, SchedPolicy policy, double load,
   spec.nic = sc.nic;
   spec.ipipe.policy = policy;
   if (capture) {
-    g_trace.apply(spec.ipipe);
     // Narrow the host channel ring so the reliability/backpressure path
     // genuinely exercises during the capture (the default 1MB ring never
     // fills at these message rates).
@@ -118,6 +117,7 @@ double p99_at_load(const Scenario& sc, SchedPolicy policy, double load,
       sc.bimodal ? usec((sc.b1_us + sc.b2_us) / 2.0 * 1.6)
                  : usec(sc.mean_us * 2.2);
   auto& server = cluster.add_server(spec);
+  if (capture) g_trace.apply(cluster);
 
   // Three actors share the NIC (multiple apps coexist, §5.4 workload is a
   // trace mix); each receives a slice of the Poisson stream.

@@ -86,8 +86,8 @@ int main(int argc, char** argv) {
     testbed::ParallelCluster cluster(testbed::kTorLatency);
     testbed::ServerSpec spec;
     spec.ipipe.enable_migration = false;  // only the forced migration
-    if (!trace_written) trace.apply(spec.ipipe);
     auto& server = cluster.add_server(spec);
+    if (!trace_written) trace.apply(cluster);
     const ActorId id = server.runtime().register_actor(
         std::make_unique<AppActor>(cand.name, cand.state_bytes, cand.cost));
 

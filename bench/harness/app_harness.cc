@@ -58,7 +58,6 @@ testbed::ServerSpec make_spec(const RunConfig& cfg) {
   spec.nic = cfg.use_25g ? nic::liquidio_cn2360() : nic::liquidio_cn2350();
   spec.mode = cfg.mode;
   spec.ipipe = cfg.ipipe;
-  cfg.trace.apply(spec.ipipe);
   return spec;
 }
 
@@ -68,6 +67,7 @@ RunResult run_app(const RunConfig& cfg) {
   testbed::ParallelCluster cluster(testbed::kTorLatency);
   const double link = cfg.use_25g ? 25.0 : 10.0;
   for (int i = 0; i < 3; ++i) cluster.add_server(make_spec(cfg));
+  cfg.trace.apply(cluster);
 
   std::vector<workloads::ClientGen*> clients;
   const ActorLoc loc = cluster.server(0).default_loc();

@@ -19,6 +19,13 @@ TraceOpts parse_trace_opts(int argc, char** argv) {
   return opts;
 }
 
+void TraceOpts::apply(testbed::ParallelCluster& cluster) const {
+  if (!enabled()) return;
+  for (std::size_t i = 0; i < cluster.server_count(); ++i) {
+    cluster.server(i).runtime().enable_tracing();
+  }
+}
+
 bool write_cluster_trace(const TraceOpts& opts,
                          testbed::ParallelCluster& cluster,
                          const std::string& label) {

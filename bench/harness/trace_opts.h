@@ -1,7 +1,7 @@
 // Shared --trace-out plumbing for the bench binaries: parse the flags,
-// flip IPipeConfig::trace on, and dump every server's tracer + metrics
-// registry into one Chrome-trace JSON (open in Perfetto UI or
-// chrome://tracing) and/or a plain-text table.
+// turn tracing on for a cluster's runtimes, and dump every server's
+// tracer + metrics registry into one Chrome-trace JSON (open in Perfetto
+// UI or chrome://tracing) and/or a plain-text table.
 #pragma once
 
 #include <string>
@@ -18,10 +18,9 @@ struct TraceOpts {
   [[nodiscard]] bool enabled() const noexcept {
     return !json_path.empty() || !text_path.empty();
   }
-  /// Apply to a runtime config (call before servers are constructed).
-  void apply(IPipeConfig& cfg) const {
-    if (enabled()) cfg.trace = true;
-  }
+  /// Enable tracing on every server of `cluster` (call after the servers
+  /// are added, before anything runs).
+  void apply(testbed::ParallelCluster& cluster) const;
 };
 
 /// Scan argv for --trace-out= / --trace-txt= (unknown args are ignored so

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "harness/bench_util.h"
 #include "ipipe/runtime.h"
 #include "netsim/packet.h"
 #include "sim/parallel.h"
@@ -186,17 +187,8 @@ void BM_EchoNodeSimulatedMillisecond(benchmark::State& state) {
   for (auto _ : state) {
     testbed::ParallelCluster cluster(testbed::kTorLatency);
     auto& server = cluster.add_server(testbed::ServerSpec{});
-
-    class Echo final : public Actor {
-     public:
-      Echo() : Actor("echo") {}
-      void handle(ActorEnv& env, const netsim::Packet& req) override {
-        env.charge(usec(2));
-        env.reply(req, 2, {});
-      }
-    };
     const ActorId id =
-        server.runtime().register_actor(std::make_unique<Echo>());
+        server.runtime().register_actor(std::make_unique<bench::EchoActor>());
     workloads::EchoWorkloadParams wl;
     wl.server = 0;
     wl.actor = id;

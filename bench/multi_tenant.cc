@@ -18,7 +18,7 @@
 // drops) while the victim's ledger stays clean.
 //
 // Flags: --jobs=N parallelizes the points; --bench-json=<path> emits the
-// perf baseline (committed as BENCH_mt.json, uploaded by CI mt-smoke).
+// perf baseline (committed as BENCH_mt.json, uploaded by CI sanitizers).
 #include <cstdio>
 #include <memory>
 #include <string>

@@ -101,8 +101,8 @@ int main(int argc, char** argv) {
         testbed::ParallelCluster cluster(testbed::kTorLatency);
         testbed::ServerSpec spec;
         const bool traced = trace.enabled() && load >= 0.9;
-        if (traced) trace.apply(spec.ipipe);
         auto& server = cluster.add_server(spec);
+        if (traced) trace.apply(cluster);
         const ActorId id = server.runtime().register_actor(
             std::make_unique<FirewallActor>(8192));
         workloads::EchoWorkloadParams wl;

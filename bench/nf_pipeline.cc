@@ -146,8 +146,8 @@ int main(int argc, char** argv) {
         sspec.nic = card.make();
         const bool traced =
             trace.enabled() && chain.depth == 6 && i + 1 == points.size();
-        if (traced) trace.apply(sspec.ipipe);
         auto& server = cluster.add_server(sspec);
+        if (traced) trace.apply(cluster);
         const auto spec = nfp::parse_pipeline(chain.text);
         nfp::PipelineRunner pipeline(server.runtime(), spec);
 

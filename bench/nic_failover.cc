@@ -20,63 +20,23 @@
 // --p99-factor x the healthy baseline.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <deque>
-#include <map>
-#include <set>
+#include <memory>
 #include <string>
-#include <vector>
 
-#include "apps/rkv/rkv_actors.h"
-#include "netsim/chaos.h"
-#include "testbed/cluster.h"
+#include "harness/bench_util.h"
+#include "harness/rkv_durability.h"
 #include "workloads/app_workloads.h"
 
 using namespace ipipe;
+using bench::flag_value;
+using bench::fnv1a_str;
+using bench::fnv1a_u64;
+using bench::kFnvBasis;
 
 namespace {
 
 constexpr int kReplicas = 3;           // nodes 0..2
 constexpr int kEchoNode = kReplicas;   // node 3: latency probe target
-constexpr std::uint64_t kSeqMask = (1ULL << 40) - 1;
-
-std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-std::uint64_t fnv1a_str(std::uint64_t h, const std::string& s) {
-  return fnv1a(h, s.data(), s.size());
-}
-std::uint64_t fnv1a_u64(std::uint64_t h, std::uint64_t v) {
-  return fnv1a(h, &v, sizeof(v));
-}
-constexpr std::uint64_t kFnvBasis = 1469598103934665603ULL;
-
-std::string fo_key(std::uint64_t k) { return "fo" + std::to_string(k); }
-
-std::vector<std::uint8_t> fo_value(std::uint64_t k) {
-  return {static_cast<std::uint8_t>(k), static_cast<std::uint8_t>(k >> 8),
-          static_cast<std::uint8_t>(k >> 16), 0xA5};
-}
-
-class EchoActor final : public Actor {
- public:
-  EchoActor() : Actor("echo") {}
-  void handle(ActorEnv& env, const netsim::Packet& req) override {
-    env.charge(usec(2));
-    env.reply(req, 2, {});
-  }
-};
-
-const char* flag_value(const char* arg, const char* name) {
-  const std::size_t n = std::strlen(name);
-  if (std::strncmp(arg, name, n) == 0 && arg[n] == '=') return arg + n + 1;
-  return nullptr;
-}
 
 }  // namespace
 
@@ -118,158 +78,19 @@ int main(int argc, char** argv) {
     cluster.add_server(spec);
   }
 
-  // ---- RKV group --------------------------------------------------------
-  rkv::RkvParams params;
-  params.replicas = {0, 1, 2};
-  params.enable_failover = true;
-  params.heartbeat_period = msec(100);
-  params.election_timeout_min = msec(250);
-  params.election_timeout_max = msec(450);
-  std::vector<rkv::RkvDeployment> deps;
-  for (int r = 0; r < kReplicas; ++r) {
-    params.self_index = static_cast<std::size_t>(r);
-    const auto d =
-        rkv::deploy_rkv(cluster.server(static_cast<std::size_t>(r)).runtime(),
-                        params);
-    deps.push_back(d);
-    params.peer_consensus_actor = d.consensus;
-  }
+  // ---- RKV group + acked-write probe -----------------------------------
+  const auto deps = bench::deploy_rkv_group(cluster, {0, 1, 2});
   const ActorId echo_id =
       cluster.server(kEchoNode).runtime().register_actor(
-          std::make_unique<EchoActor>());
+          std::make_unique<bench::EchoActor>());
 
-  // ---- Writer: unique keys, retried across redirects and abandons -------
-  netsim::NodeId leader = 0;
-  std::deque<std::uint64_t> wq;
-  std::map<std::uint64_t, std::uint64_t> wissued;
-  std::set<std::uint64_t> acked;
-  std::uint64_t next_key = 1;
-  const ActorId consensus = deps[0].consensus;
-
-  auto& writer = cluster.add_client(
-      10.0,
-      [&](std::uint64_t seq, Rng&, netsim::PacketPool& pool) {
-        std::uint64_t key = 0;
-        if (!wq.empty()) {
-          key = wq.front();
-          wq.pop_front();
-        } else if (cluster.client_sim().now() < write_end) {
-          key = next_key++;
-        } else {
-          return netsim::PacketPtr{};
-        }
-        wissued[seq] = key;
-        auto pkt = pool.make();
-        pkt->dst = leader;
-        pkt->dst_actor = consensus;
-        pkt->msg_type = rkv::kClientPut;
-        pkt->frame_size = 256;
-        rkv::ClientReq req;
-        req.op = rkv::Op::kPut;
-        req.key = fo_key(key);
-        req.value = fo_value(key);
-        pkt->payload = req.encode();
-        return pkt;
-      },
-      /*seed=*/seed * 1000 + 17);
-  writer.enable_retries(
-      {.timeout = msec(80), .max_retries = 4, .backoff = 2.0, .cap = msec(600)});
-  writer.set_on_reply([&](const netsim::Packet& pkt) {
-    const auto it = wissued.find(pkt.request_id & kSeqMask);
-    if (it == wissued.end()) return;
-    const auto rep = rkv::ClientReply::decode(pkt.payload);
-    if (!rep) return;
-    const std::uint64_t key = it->second;
-    wissued.erase(it);
-    if (rep->status == rkv::Status::kOk) {
-      acked.insert(key);
-      return;
-    }
-    if (rep->status == rkv::Status::kNotLeader && !rep->value.empty() &&
-        rep->value[0] < kReplicas) {
-      leader = rep->value[0];
-    }
-    wq.push_back(key);
-  });
-  writer.set_on_abandon([&](std::uint64_t rid) {
-    const auto it = wissued.find(rid & kSeqMask);
-    if (it != wissued.end()) {
-      wq.push_back(it->second);
-      wissued.erase(it);
-    }
-    leader = (leader + 1) % kReplicas;
-  });
-  writer.start_open_loop(100.0, write_end, /*poisson=*/false);
-
-  // ---- Verifier: after the final heal, read back every acked key --------
-  std::deque<std::uint64_t> vq;
-  std::map<std::uint64_t, std::uint64_t> vissued;
-  std::map<std::uint64_t, int> vattempts;
-  std::uint64_t verified = 0;
-  std::uint64_t lost = 0;
-  std::uint64_t corrupt = 0;
-
-  auto& verifier = cluster.add_client(
-      10.0,
-      [&](std::uint64_t seq, Rng&, netsim::PacketPool& pool) {
-        if (vq.empty()) return netsim::PacketPtr{};
-        const std::uint64_t key = vq.front();
-        vq.pop_front();
-        vissued[seq] = key;
-        auto pkt = pool.make();
-        pkt->dst = leader;
-        pkt->dst_actor = consensus;
-        pkt->msg_type = rkv::kClientGet;
-        pkt->frame_size = 256;
-        rkv::ClientReq req;
-        req.op = rkv::Op::kGet;
-        req.key = fo_key(key);
-        pkt->payload = req.encode();
-        return pkt;
-      },
-      /*seed=*/seed * 1000 + 23);
-  verifier.enable_retries(
-      {.timeout = msec(80), .max_retries = 4, .backoff = 2.0, .cap = msec(600)});
-  verifier.set_on_reply([&](const netsim::Packet& pkt) {
-    const auto it = vissued.find(pkt.request_id & kSeqMask);
-    if (it == vissued.end()) return;
-    const auto rep = rkv::ClientReply::decode(pkt.payload);
-    if (!rep) return;
-    const std::uint64_t key = it->second;
-    vissued.erase(it);
-    if (rep->status == rkv::Status::kOk) {
-      if (rep->value == fo_value(key)) {
-        ++verified;
-      } else {
-        ++corrupt;
-      }
-      return;
-    }
-    if (rep->status == rkv::Status::kNotLeader) {
-      if (!rep->value.empty() && rep->value[0] < kReplicas) {
-        leader = rep->value[0];
-      }
-      vq.push_back(key);
-      return;
-    }
-    if (++vattempts[key] <= 5) {
-      vq.push_back(key);
-    } else {
-      ++lost;
-    }
-  });
-  verifier.set_on_abandon([&](std::uint64_t rid) {
-    const auto it = vissued.find(rid & kSeqMask);
-    if (it != vissued.end()) {
-      vq.push_back(it->second);
-      vissued.erase(it);
-    }
-    leader = (leader + 1) % kReplicas;
-  });
-  cluster.client_sim().schedule_at(verify_at, [&] {
-    for (const std::uint64_t key : acked) vq.push_back(key);
-    verifier.start_open_loop(600.0, total, /*poisson=*/false);
-  });
+  // Unique keys retried across redirects and abandons; after the final
+  // heal the read-back re-reads every acked key.
+  bench::AckedWriteProbe writes(
+      cluster,
+      {.nodes = {0, 1, 2}, .consensus = deps[0].consensus, .key_prefix = "fo"},
+      /*rate=*/100.0, write_end, /*seed=*/seed * 1000 + 17);
+  writes.read_back(/*rate=*/600.0, verify_at, total, /*seed=*/seed * 1000 + 23);
 
   // ---- Echo latency probe ----------------------------------------------
   workloads::EchoWorkloadParams wl;
@@ -339,28 +160,28 @@ int main(int argc, char** argv) {
     results = fnv1a_u64(results, rt.evac_lost_bytes());
     results = fnv1a_u64(results, rt.reoffloads());
   }
-  const std::uint64_t unverified =
-      acked.size() - static_cast<std::size_t>(verified + lost + corrupt);
-  std::printf("acked=%zu verified=%llu lost=%llu corrupt=%llu "
+  const bench::DurabilityVerdicts v = writes.verdicts();
+  std::printf("acked=%llu verified=%llu lost=%llu corrupt=%llu "
               "unverified=%llu writer_retx=%llu\n",
-              acked.size(), static_cast<unsigned long long>(verified),
-              static_cast<unsigned long long>(lost),
-              static_cast<unsigned long long>(corrupt),
-              static_cast<unsigned long long>(unverified),
-              static_cast<unsigned long long>(writer.retransmits()));
+              static_cast<unsigned long long>(v.acked),
+              static_cast<unsigned long long>(v.verified),
+              static_cast<unsigned long long>(v.not_found),
+              static_cast<unsigned long long>(v.mismatched),
+              static_cast<unsigned long long>(v.unverified),
+              static_cast<unsigned long long>(writes.writer().retransmits()));
   std::printf("probe completed=%llu healthy_p99=%lluns final_p99=%lluns\n",
               static_cast<unsigned long long>(probe.completed()),
               static_cast<unsigned long long>(healthy_p99),
               static_cast<unsigned long long>(probe.latencies().p99()));
-  results = fnv1a_u64(results, acked.size());
-  results = fnv1a_u64(results, verified);
-  results = fnv1a_u64(results, lost);
-  results = fnv1a_u64(results, corrupt);
-  results = fnv1a_u64(results, writer.retransmits());
+  results = fnv1a_u64(results, v.acked);
+  results = fnv1a_u64(results, v.verified);
+  results = fnv1a_u64(results, v.not_found);
+  results = fnv1a_u64(results, v.mismatched);
+  results = fnv1a_u64(results, writes.writer().retransmits());
   results = fnv1a_u64(results, probe.completed());
   results = fnv1a_u64(results, probe.latencies().p50());
   results = fnv1a_u64(results, probe.latencies().p99());
-  for (const std::uint64_t k : acked) results = fnv1a_u64(results, k);
+  for (const std::uint64_t k : writes.acked()) results = fnv1a_u64(results, k);
 
   const std::uint64_t chaos_digest =
       fnv1a_str(kFnvBasis, chaos->event_log_text());
@@ -377,8 +198,8 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(reoffloads));
     return 3;
   }
-  if (lost > 0) return 2;
-  if (corrupt > 0 || unverified > 0) return 3;
+  if (v.not_found > 0) return 2;
+  if (v.mismatched > 0 || v.unverified > 0) return 3;
   const std::uint64_t final_p99 = probe.latencies().p99();
   if (healthy_p99 > 0 &&
       static_cast<double>(final_p99) >

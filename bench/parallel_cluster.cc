@@ -14,21 +14,22 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <deque>
-#include <map>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "apps/rkv/rkv_actors.h"
 #include "common/trace.h"
-#include "netsim/chaos.h"
-#include "testbed/cluster.h"
+#include "harness/bench_util.h"
+#include "harness/rkv_durability.h"
 #include "workloads/app_workloads.h"
 
 using namespace ipipe;
+using bench::flag_value;
+using bench::fnv1a_str;
+using bench::fnv1a_u64;
+using bench::kFnvBasis;
 
 namespace {
 
@@ -37,60 +38,6 @@ constexpr int kReplicas = 3;
 constexpr int kRkvServers = kGroups * kReplicas;  // nodes 0..11
 constexpr int kEchoServers = 4;                   // nodes 12..15
 constexpr int kServers = kRkvServers + kEchoServers;
-constexpr std::uint64_t kSeqMask = (1ULL << 40) - 1;
-
-std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-std::uint64_t fnv1a_str(std::uint64_t h, const std::string& s) {
-  return fnv1a(h, s.data(), s.size());
-}
-std::uint64_t fnv1a_u64(std::uint64_t h, std::uint64_t v) {
-  return fnv1a(h, &v, sizeof(v));
-}
-constexpr std::uint64_t kFnvBasis = 1469598103934665603ULL;
-
-std::string group_key(int group, std::uint64_t k) {
-  return "g" + std::to_string(group) + "k" + std::to_string(k);
-}
-
-std::vector<std::uint8_t> group_value(int group, std::uint64_t k) {
-  return {static_cast<std::uint8_t>(group), static_cast<std::uint8_t>(k),
-          static_cast<std::uint8_t>(k >> 8), 0x5A};
-}
-
-/// Per-group PUT workload state (all clients live in the clients domain,
-/// so sharing these across closures is single-threaded by construction).
-struct GroupWriter {
-  netsim::NodeId leader = 0;
-  netsim::NodeId lo = 0;  ///< first node of the group
-  std::deque<std::uint64_t> queue;
-  std::map<std::uint64_t, std::uint64_t> issued;  ///< seq -> key
-  std::set<std::uint64_t> acked;
-  std::uint64_t next_key = 1;
-  ActorId consensus = 0;
-  workloads::ClientGen* client = nullptr;
-};
-
-const char* flag_value(const char* arg, const char* name) {
-  const std::size_t n = std::strlen(name);
-  if (std::strncmp(arg, name, n) == 0 && arg[n] == '=') return arg + n + 1;
-  return nullptr;
-}
-
-class EchoActor final : public Actor {
- public:
-  EchoActor() : Actor("echo") {}
-  void handle(ActorEnv& env, const netsim::Packet& req) override {
-    env.charge(usec(2));
-    env.reply(req, 2, {});
-  }
-};
 
 }  // namespace
 
@@ -133,91 +80,28 @@ int main(int argc, char** argv) {
   cluster.server(0).runtime().enable_tracing(1 << 14, msec(250));
   cluster.server(kRkvServers).runtime().enable_tracing(1 << 14, msec(250));
 
-  // ---- RKV groups -------------------------------------------------------
-  std::vector<GroupWriter> groups(kGroups);
+  // ---- RKV groups: one acked-write probe each (no read-back) -----------
+  std::vector<std::unique_ptr<bench::AckedWriteProbe>> groups;
   for (int g = 0; g < kGroups; ++g) {
-    rkv::RkvParams params;
-    params.replicas.clear();
+    std::vector<netsim::NodeId> nodes;
     for (int r = 0; r < kReplicas; ++r) {
-      params.replicas.push_back(static_cast<netsim::NodeId>(g * kReplicas + r));
+      nodes.push_back(static_cast<netsim::NodeId>(g * kReplicas + r));
     }
-    params.enable_failover = true;
-    params.heartbeat_period = msec(100);
-    params.election_timeout_min = msec(250);
-    params.election_timeout_max = msec(450);
-    for (int r = 0; r < kReplicas; ++r) {
-      params.self_index = static_cast<std::size_t>(r);
-      const auto d = rkv::deploy_rkv(
-          cluster.server(static_cast<std::size_t>(g * kReplicas + r)).runtime(),
-          params);
-      params.peer_consensus_actor = d.consensus;
-      if (r == 0) groups[static_cast<std::size_t>(g)].consensus = d.consensus;
-    }
-    groups[static_cast<std::size_t>(g)].lo =
-        static_cast<netsim::NodeId>(g * kReplicas);
-    groups[static_cast<std::size_t>(g)].leader =
-        groups[static_cast<std::size_t>(g)].lo;
-  }
-  for (int g = 0; g < kGroups; ++g) {
-    GroupWriter& gw = groups[static_cast<std::size_t>(g)];
-    auto& client = cluster.add_client(
-        10.0,
-        [&gw, g, write_end, &cluster](std::uint64_t seq, Rng&,
-                                      netsim::PacketPool& pool) {
-          std::uint64_t key = 0;
-          if (!gw.queue.empty()) {
-            key = gw.queue.front();
-            gw.queue.pop_front();
-          } else if (cluster.client_sim().now() < write_end) {
-            key = gw.next_key++;
-          } else {
-            return netsim::PacketPtr{};
-          }
-          gw.issued[seq] = key;
-          auto pkt = pool.make();
-          pkt->dst = gw.leader;
-          pkt->dst_actor = gw.consensus;
-          pkt->msg_type = rkv::kClientPut;
-          pkt->frame_size = 256;
-          rkv::ClientReq req;
-          req.op = rkv::Op::kPut;
-          req.key = group_key(g, key);
-          req.value = group_value(g, key);
-          pkt->payload = req.encode();
-          return pkt;
-        },
-        /*seed=*/seed * 1000 + 17 + static_cast<std::uint64_t>(g));
-    client.enable_retries({.timeout = msec(80),
-                           .max_retries = 4,
-                           .backoff = 2.0,
-                           .cap = msec(600)});
-    client.set_on_reply([&gw](const netsim::Packet& pkt) {
-      const auto it = gw.issued.find(pkt.request_id & kSeqMask);
-      if (it == gw.issued.end()) return;
-      const auto rep = rkv::ClientReply::decode(pkt.payload);
-      if (!rep) return;
-      const std::uint64_t key = it->second;
-      gw.issued.erase(it);
-      if (rep->status == rkv::Status::kOk) {
-        gw.acked.insert(key);
-        return;
-      }
-      if (rep->status == rkv::Status::kNotLeader && !rep->value.empty() &&
-          rep->value[0] >= gw.lo && rep->value[0] < gw.lo + kReplicas) {
-        gw.leader = rep->value[0];
-      }
-      gw.queue.push_back(key);
-    });
-    client.set_on_abandon([&gw](std::uint64_t rid) {
-      const auto it = gw.issued.find(rid & kSeqMask);
-      if (it != gw.issued.end()) {
-        gw.queue.push_back(it->second);
-        gw.issued.erase(it);
-      }
-      gw.leader = gw.lo + (gw.leader - gw.lo + 1) % kReplicas;
-    });
-    client.start_open_loop(100.0, write_end, /*poisson=*/false);
-    gw.client = &client;
+    const ActorId consensus = bench::deploy_rkv_group(cluster, nodes)[0].consensus;
+    groups.push_back(std::make_unique<bench::AckedWriteProbe>(
+        cluster,
+        bench::RkvProbeGroup{
+            .nodes = std::move(nodes),
+            .consensus = consensus,
+            .key_prefix = "g" + std::to_string(g) + "k",
+            .value =
+                [g](std::uint64_t k) {
+                  return std::vector<std::uint8_t>{
+                      static_cast<std::uint8_t>(g), static_cast<std::uint8_t>(k),
+                      static_cast<std::uint8_t>(k >> 8), 0x5A};
+                }},
+        /*rate=*/100.0, write_end,
+        /*seed=*/seed * 1000 + 17 + static_cast<std::uint64_t>(g)));
   }
 
   // ---- Echo servers -----------------------------------------------------
@@ -225,7 +109,7 @@ int main(int argc, char** argv) {
   for (int e = 0; e < kEchoServers; ++e) {
     const auto node = static_cast<std::size_t>(kRkvServers + e);
     const ActorId id = cluster.server(node).runtime().register_actor(
-        std::make_unique<EchoActor>());
+        std::make_unique<bench::EchoActor>());
     workloads::EchoWorkloadParams wl;
     wl.server = static_cast<netsim::NodeId>(node);
     wl.actor = id;
@@ -295,13 +179,14 @@ int main(int argc, char** argv) {
   std::uint64_t results = kFnvBasis;
   bool lost = false;
   for (int g = 0; g < kGroups; ++g) {
-    const GroupWriter& gw = groups[static_cast<std::size_t>(g)];
-    std::printf("group %d: acked=%zu retx=%llu\n", g, gw.acked.size(),
-                static_cast<unsigned long long>(gw.client->retransmits()));
-    results = fnv1a_u64(results, gw.acked.size());
-    results = fnv1a_u64(results, gw.client->retransmits());
-    for (const std::uint64_t k : gw.acked) results = fnv1a_u64(results, k);
-    if (gw.acked.empty()) lost = true;  // a group that never acked is dead
+    const auto& probe = *groups[static_cast<std::size_t>(g)];
+    const std::set<std::uint64_t>& acked = probe.acked();
+    std::printf("group %d: acked=%zu retx=%llu\n", g, acked.size(),
+                static_cast<unsigned long long>(probe.writer().retransmits()));
+    results = fnv1a_u64(results, acked.size());
+    results = fnv1a_u64(results, probe.writer().retransmits());
+    for (const std::uint64_t k : acked) results = fnv1a_u64(results, k);
+    if (acked.empty()) lost = true;  // a group that never acked is dead
   }
   for (int e = 0; e < kEchoServers; ++e) {
     auto& c = *echo_clients[static_cast<std::size_t>(e)];

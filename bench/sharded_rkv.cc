@@ -25,44 +25,26 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "apps/rkv/hot_cache.h"
 #include "apps/rkv/rkv_actors.h"
+#include "harness/bench_util.h"
 #include "ipipe/shard.h"
 #include "netsim/chaos.h"
 #include "testbed/cluster.h"
 #include "workloads/open_loop.h"
 
 using namespace ipipe;
+using bench::flag_value;
+using bench::fnv1a_str;
+using bench::fnv1a_u64;
+using bench::kFnvBasis;
 
 namespace {
 
 constexpr int kReplicas = 3;
-
-std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-std::uint64_t fnv1a_str(std::uint64_t h, const std::string& s) {
-  return fnv1a(h, s.data(), s.size());
-}
-std::uint64_t fnv1a_u64(std::uint64_t h, std::uint64_t v) {
-  return fnv1a(h, &v, sizeof(v));
-}
-constexpr std::uint64_t kFnvBasis = 1469598103934665603ULL;
-
-const char* flag_value(const char* arg, const char* name) {
-  const std::size_t n = std::strlen(name);
-  if (std::strncmp(arg, name, n) == 0 && arg[n] == '=') return arg + n + 1;
-  return nullptr;
-}
 
 }  // namespace
 

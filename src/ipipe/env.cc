@@ -200,7 +200,7 @@ template class CoreEnv<hostsim::HostExecContext>;
 
 void NicEnv::compute(double units) {
   const auto& nic_cfg = rt_.nic().config();
-  ctx_.charge(static_cast<Ns>(units / (rt_.config().nic_ipc * nic_cfg.freq_ghz)));
+  ctx_.charge(static_cast<Ns>(units / (kNicIpc * nic_cfg.freq_ghz)));
 }
 
 void NicEnv::accel(nic::AccelKind kind, std::uint32_t bytes,
@@ -215,9 +215,8 @@ void NicEnv::accel(nic::AccelKind kind, std::uint32_t bytes,
   // wimpy NIC core: the host software slowdown scaled up by the hosts'
   // IPC advantage, with no engine invocation to amortize.
   const Ns hw_cost = bank.batch_cost(kind, bytes, batch);
-  const double slow =
-      rt_.config().host_accel_slowdown[static_cast<std::size_t>(kind)] *
-      (rt_.config().host_ipc / rt_.config().nic_ipc);
+  const double slow = kHostAccelSlowdown[static_cast<std::size_t>(kind)] *
+                      (kHostIpc / kNicIpc);
   ctx_.charge(static_cast<Ns>(static_cast<double>(hw_cost) * slow));
   rt_.note_accel_fallback();
 }
@@ -226,8 +225,7 @@ void NicEnv::accel(nic::AccelKind kind, std::uint32_t bytes,
 
 void HostEnv::compute(double units) {
   const auto& host_cfg = rt_.host().config();
-  ctx_.charge(
-      static_cast<Ns>(units / (rt_.config().host_ipc * host_cfg.freq_ghz)));
+  ctx_.charge(static_cast<Ns>(units / (kHostIpc * host_cfg.freq_ghz)));
 }
 
 void HostEnv::accel(nic::AccelKind kind, std::uint32_t bytes,
@@ -235,8 +233,7 @@ void HostEnv::accel(nic::AccelKind kind, std::uint32_t bytes,
   // No engine on the host: software fallback, slower by the per-engine
   // factor from §2.2.3 (but no invocation overhead amortization games).
   const Ns hw_cost = rt_.nic().accel().batch_cost(kind, bytes, batch);
-  const double slow =
-      rt_.config().host_accel_slowdown[static_cast<std::size_t>(kind)];
+  const double slow = kHostAccelSlowdown[static_cast<std::size_t>(kind)];
   ctx_.charge(static_cast<Ns>(static_cast<double>(hw_cost) * slow));
 }
 

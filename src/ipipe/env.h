@@ -9,12 +9,34 @@
 // cost; same-side delivery charges half (a plain queue insert).
 #pragma once
 
+#include <array>
+
 #include "hostsim/host_model.h"
 #include "ipipe/actor.h"
 #include "ipipe/runtime.h"
 #include "nic/nic_model.h"
 
 namespace ipipe {
+
+/// Achieved IPC that turns compute() units into time on each core type.
+inline constexpr double kNicIpc = 1.2;   ///< cnMIPS 2-way in-order
+inline constexpr double kHostIpc = 3.0;  ///< Xeon out-of-order
+
+/// Host software fallback slowdown vs the NIC accelerator, per engine
+/// (§2.2.3: MD5 engine 7.0x, AES 2.5x faster than host).
+inline constexpr std::array<double, nic::kNumAccelKinds> kHostAccelSlowdown = {
+    3.0,  // CRC
+    7.0,  // MD5
+    5.0,  // SHA-1
+    4.0,  // 3DES
+    2.5,  // AES
+    4.0,  // KASUMI
+    4.0,  // SMS4
+    4.0,  // SNOW3G
+    0.5,  // FAU: plain atomics are faster on the host
+    2.0,  // ZIP
+    3.0,  // DFA
+};
 
 /// Shared DMO plumbing (owner checks, translation cost, traps).
 class EnvBase : public ActorEnv {

@@ -67,8 +67,6 @@ constexpr Ns kEvacReplayNsPerKb = 300;
 /// Extra stall charged to a sender whose direction is backpressured
 /// (pending queue over cap) — models the producer slowing down.
 constexpr Ns kChannelBackpressureStallNs = 500;
-/// Seed of the channel's fault injection (IPipeConfig::channel_fault_rate).
-constexpr std::uint64_t kChannelFaultSeed = 0x5EEDULL;
 
 /// True while requests for this actor must be buffered (migration phases
 /// 1-3).  In kClean (phase 4) the new home is live and dispatch resumes.
@@ -99,16 +97,9 @@ Runtime::Runtime(sim::Simulation& sim, nic::NicModel& nic,
   for (unsigned i = 0; i < nic.config().cores; ++i) {
     busy_snapshot_[i] = nic.core_busy_ns(i);
   }
-  if (cfg.channel_fault_rate > 0.0) {
-    channel_.set_fault_injection(cfg.channel_fault_rate, kChannelFaultSeed);
-  }
   tracer_.set_clock(sim.clock());
   channel_.set_tracer(&tracer_);
   objects_.set_tracer(&tracer_);
-  if (cfg.trace) {
-    tracer_.enable();
-    metrics_.set_period(cfg.trace_metrics_period);
-  }
   channel_.set_host_notify([this] { host_.wake_all(); });
   channel_.set_nic_notify([this] { nic_.wake_all(); });
   nic_.set_steer_to_nic([this](const netsim::Packet& pkt) {

@@ -8,7 +8,6 @@
 // each one runs.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -81,43 +80,13 @@ struct IPipeConfig {
   /// zero-filled.
   bool dmo_host_mirror = true;
 
-  double nic_ipc = 1.2;   ///< cnMIPS 2-way in-order, achieved IPC
-  double host_ipc = 3.0;  ///< Xeon out-of-order, achieved IPC
-
   std::size_t channel_bytes = 1 << 20;
-
-  /// Host software fallback slowdown vs the NIC accelerator, per engine
-  /// (§2.2.3: MD5 engine 7.0x, AES 2.5x faster than host).
-  std::array<double, nic::kNumAccelKinds> host_accel_slowdown = {
-      3.0,  // CRC
-      7.0,  // MD5
-      5.0,  // SHA-1
-      4.0,  // 3DES
-      2.5,  // AES
-      4.0,  // KASUMI
-      4.0,  // SMS4
-      4.0,  // SNOW3G
-      0.5,  // FAU: plain atomics are faster on the host
-      2.0,  // ZIP
-      3.0,  // DFA
-  };
 
   /// Fixed framework overheads (Fig. 17): per-message channel handling
   /// and per-DMO-op translation cost, charged wherever they occur.
   Ns channel_handling_ns = 90;
   Ns dmo_translate_ns = 7;
   Ns sched_bookkeeping_ns = 30;
-
-  /// Fault injection for tests: probability that a pushed frame body is
-  /// corrupted in the ring (0 disables).
-  double channel_fault_rate = 0.0;
-
-  /// Observability (see common/trace.h).  Off by default: every hook is a
-  /// single predicted-false branch, and timestamps are virtual time, so
-  /// enabling tracing never shifts measured latencies either.
-  bool trace = false;
-  /// Virtual-time cadence of metrics snapshots (0 disables snapshots).
-  Ns trace_metrics_period = usec(500);
 };
 
 class Runtime;
@@ -382,7 +351,10 @@ class Runtime {
   [[nodiscard]] const trace::MetricsRegistry& metrics() const noexcept {
     return metrics_;
   }
-  /// Turn tracing on after construction (same effect as cfg.trace=true).
+  /// Turn tracing on, with a metrics snapshot every `metrics_period` of
+  /// virtual time (0 disables snapshots).  Off by default: every hook is a
+  /// single predicted-false branch, and timestamps are virtual time, so
+  /// enabling tracing never shifts measured latencies either.
   void enable_tracing(std::size_t capacity = trace::Tracer::kDefaultCapacity,
                       Ns metrics_period = usec(500)) {
     tracer_.enable(capacity);

@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "common/rng.h"
+#include "ipipe/env.h"
 #include "netsim/packet.h"
 #include "nic/accelerator.h"
 
@@ -60,8 +61,6 @@ class CostMeter final : public StageCtx {
   void do_emit(netsim::PacketPtr pkt) override { pkt.reset(); }
 
  private:
-  static constexpr double kNicIpc = 1.2;  // IPipeConfig default nic_ipc
-
   const nic::NicConfig& cfg_;
   nic::AcceleratorBank bank_;
   Rng rng_;

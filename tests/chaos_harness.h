@@ -2,7 +2,8 @@
 // bring-up, guaranteed fault backbone + seeded random tail, steering
 // clients, durability sweeps, determinism digests) used by both the
 // quick chaos tests (test_chaos.cc) and the long-horizon soak tests
-// (test_chaos_soak.cc).
+// (test_chaos_soak.cc).  The RKV run is built from the bench harness'
+// durability kit (bench/harness/rkv_durability.h).
 //
 // The soak horizons honor CHAOS_VSECS (virtual seconds, default 5000;
 // CI uses a reduced value).  Values below ~300 leave no room for the
@@ -11,15 +12,13 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <deque>
-#include <map>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "apps/dt/dt_actors.h"
 #include "apps/rkv/rkv_actors.h"
+#include "harness/rkv_durability.h"
 #include "netsim/chaos.h"
 #include "testbed/cluster.h"
 #include "workloads/client.h"
@@ -31,21 +30,12 @@ using testbed::ParallelCluster;
 using testbed::ServerSpec;
 using workloads::ClientGen;
 
-constexpr std::uint64_t kSeqMask = (1ULL << 40) - 1;
-
 [[nodiscard]] inline double chaos_vsecs() {
   if (const char* env = std::getenv("CHAOS_VSECS")) {
     const double v = std::atof(env);
     if (v > 0) return std::max(v, 300.0);
   }
   return 5000.0;
-}
-
-inline std::string chaos_key(std::uint64_t k) { return "ck" + std::to_string(k); }
-
-inline std::vector<std::uint8_t> chaos_value(std::uint64_t k) {
-  return {static_cast<std::uint8_t>(k), static_cast<std::uint8_t>(k >> 8),
-          static_cast<std::uint8_t>(k >> 16), 0xA5};
 }
 
 struct RkvChaosResult {
@@ -67,8 +57,6 @@ struct RkvChaosResult {
 /// acknowledged write.
 inline RkvChaosResult run_rkv_chaos(std::uint64_t seed, double total_secs) {
   const Ns total = sec(total_secs);
-  const Ns chaos_start = sec(5);
-  const Ns chaos_end = total - sec(130);
   const Ns write_end = total - sec(110);
   const Ns verify_at = total - sec(100);
 
@@ -80,62 +68,9 @@ inline RkvChaosResult run_rkv_chaos(std::uint64_t seed, double total_secs) {
     spec.ipipe.mgmt_period = msec(5);
     cluster.add_server(spec);
   }
-  rkv::RkvParams params;
-  params.replicas = {0, 1, 2};
-  params.enable_failover = true;
-  params.heartbeat_period = msec(100);
-  params.election_timeout_min = msec(250);
-  params.election_timeout_max = msec(450);
-  std::vector<rkv::RkvDeployment> deps;
-  for (std::size_t i = 0; i < 3; ++i) {
-    params.self_index = i;
-    auto d = rkv::deploy_rkv(cluster.server(i).runtime(), params);
-    deps.push_back(d);
-    params.peer_consensus_actor = d.consensus;
-  }
+  const auto deps = bench::deploy_rkv_group(cluster, {0, 1, 2});
   auto chaos = cluster.make_chaos();
-
-  // Guaranteed fault backbone: leader crash, partition, corrupting fabric.
-  netsim::FaultPlan plan;
-  plan.crash(0, chaos_start, sec(10));
-  plan.partition({1}, {0, 2}, chaos_start + sec(30), sec(5));
-  netsim::FaultModel lossy;
-  lossy.drop_prob = 0.02;
-  lossy.corrupt_prob = 0.02;
-  lossy.dup_prob = 0.01;
-  plan.link_fault(lossy, chaos_start + sec(45), sec(5));
-  // Seeded random tail: crashes, partitions, PCIe bursts, fabric faults.
-  Rng prng(0xC4405000ULL + seed);
-  Ns t = chaos_start + sec(60);
-  while (t < chaos_end) {
-    switch (prng.uniform_u64(4)) {
-      case 0:
-        plan.crash(static_cast<netsim::NodeId>(prng.uniform_u64(3)), t,
-                   sec(5) + static_cast<Ns>(prng.uniform_u64(sec(15))));
-        break;
-      case 1: {
-        const auto lone = static_cast<netsim::NodeId>(prng.uniform_u64(3));
-        std::vector<netsim::NodeId> rest;
-        for (netsim::NodeId n = 0; n < 3; ++n) {
-          if (n != lone) rest.push_back(n);
-        }
-        plan.partition({lone}, std::move(rest), t,
-                       sec(3) + static_cast<Ns>(prng.uniform_u64(sec(7))));
-        break;
-      }
-      case 2:
-        plan.pcie_corrupt(static_cast<netsim::NodeId>(prng.uniform_u64(3)),
-                          0.01, t,
-                          sec(2) + static_cast<Ns>(prng.uniform_u64(sec(6))));
-        break;
-      default:
-        plan.link_fault(lossy, t,
-                        sec(3) + static_cast<Ns>(prng.uniform_u64(sec(7))));
-        break;
-    }
-    t += sec(20) + static_cast<Ns>(prng.uniform_u64(sec(40)));
-  }
-  chaos->execute(plan);
+  chaos->execute(bench::rkv_chaos_plan(seed, total));
 
   // Debug aid: CHAOS_PROGRESS=1 prints virtual-time progress (stall hunts).
   if (std::getenv("CHAOS_PROGRESS")) {
@@ -160,152 +95,29 @@ inline RkvChaosResult run_rkv_chaos(std::uint64_t seed, double total_secs) {
     }
   }
 
-  // -- writer: unique keys, logical-op retry on NotLeader/abandon --------
-  netsim::NodeId leader = 0;
-  std::deque<std::uint64_t> wq;
-  std::map<std::uint64_t, std::uint64_t> wissued;  // seq -> key
-  std::set<std::uint64_t> acked;
-  std::uint64_t next_key = 1;
-  const ActorId consensus = deps[0].consensus;
-
-  auto& writer = cluster.add_client(
-      10.0,
-      [&](std::uint64_t seq, Rng&, netsim::PacketPool& pool) {
-        std::uint64_t key = 0;
-        if (!wq.empty()) {
-          key = wq.front();
-          wq.pop_front();
-        } else if (cluster.client_sim().now() < write_end) {
-          key = next_key++;
-        } else {
-          return netsim::PacketPtr{};
-        }
-        wissued[seq] = key;
-        auto pkt = pool.make();
-        pkt->dst = leader;
-        pkt->dst_actor = consensus;
-        pkt->msg_type = rkv::kClientPut;
-        pkt->frame_size = 256;
-        rkv::ClientReq req;
-        req.op = rkv::Op::kPut;
-        req.key = chaos_key(key);
-        req.value = chaos_value(key);
-        pkt->payload = req.encode();
-        return pkt;
-      },
-      /*seed=*/seed * 1000 + 17);
-  writer.enable_retries({.timeout = msec(80), .max_retries = 4,
-                         .backoff = 2.0, .cap = msec(600)});
-  writer.set_on_reply([&](const netsim::Packet& pkt) {
-    const auto it = wissued.find(pkt.request_id & kSeqMask);
-    if (it == wissued.end()) return;
-    const auto rep = rkv::ClientReply::decode(pkt.payload);
-    if (!rep) return;
-    const std::uint64_t key = it->second;
-    wissued.erase(it);
-    if (rep->status == rkv::Status::kOk) {
-      acked.insert(key);
-      return;
-    }
-    if (rep->status == rkv::Status::kNotLeader && !rep->value.empty() &&
-        rep->value[0] < 3) {
-      leader = rep->value[0];
-    }
-    wq.push_back(key);  // not acknowledged: retry the logical op
-  });
-  writer.set_on_abandon([&](std::uint64_t rid) {
-    const auto it = wissued.find(rid & kSeqMask);
-    if (it != wissued.end()) {
-      wq.push_back(it->second);
-      wissued.erase(it);
-    }
-    leader = (leader + 1) % 3;  // maybe talking to a dead node
-  });
-  writer.start_open_loop(2.0, write_end, /*poisson=*/false);
-
-  // -- verifier: read back every acked write after the final heal --------
-  std::deque<std::uint64_t> vq;
-  std::map<std::uint64_t, std::uint64_t> vissued;
-  std::map<std::uint64_t, int> vattempts;
-  std::uint64_t verified = 0;
-  std::uint64_t lost = 0;
-
-  auto& verifier = cluster.add_client(
-      10.0,
-      [&](std::uint64_t seq, Rng&, netsim::PacketPool& pool) {
-        if (vq.empty()) return netsim::PacketPtr{};
-        const std::uint64_t key = vq.front();
-        vq.pop_front();
-        vissued[seq] = key;
-        auto pkt = pool.make();
-        pkt->dst = leader;
-        pkt->dst_actor = consensus;
-        pkt->msg_type = rkv::kClientGet;
-        pkt->frame_size = 256;
-        rkv::ClientReq req;
-        req.op = rkv::Op::kGet;
-        req.key = chaos_key(key);
-        pkt->payload = req.encode();
-        return pkt;
-      },
-      /*seed=*/seed * 1000 + 23);
-  verifier.enable_retries({.timeout = msec(80), .max_retries = 4,
-                           .backoff = 2.0, .cap = msec(600)});
-  verifier.set_on_reply([&](const netsim::Packet& pkt) {
-    const auto it = vissued.find(pkt.request_id & kSeqMask);
-    if (it == vissued.end()) return;
-    const auto rep = rkv::ClientReply::decode(pkt.payload);
-    if (!rep) return;
-    const std::uint64_t key = it->second;
-    vissued.erase(it);
-    if (rep->status == rkv::Status::kOk) {
-      if (rep->value == chaos_value(key)) {
-        ++verified;
-      } else {
-        ++lost;  // acked write came back with someone else's bytes
-      }
-      return;
-    }
-    if (rep->status == rkv::Status::kNotLeader) {
-      if (!rep->value.empty() && rep->value[0] < 3) leader = rep->value[0];
-      vq.push_back(key);
-      return;
-    }
-    // NotFound right after a leader change can be apply lag: retry a few
-    // times before declaring the acked write lost.
-    if (++vattempts[key] <= 5) {
-      vq.push_back(key);
-    } else {
-      ++lost;
-    }
-  });
-  verifier.set_on_abandon([&](std::uint64_t rid) {
-    const auto it = vissued.find(rid & kSeqMask);
-    if (it != vissued.end()) {
-      vq.push_back(it->second);
-      vissued.erase(it);
-    }
-    leader = (leader + 1) % 3;
-  });
-  cluster.client_sim().schedule_at(verify_at, [&] {
-    for (const std::uint64_t key : acked) vq.push_back(key);
-    verifier.start_open_loop(200.0, total, /*poisson=*/false);
-  });
+  bench::AckedWriteProbe probe(
+      cluster,
+      {.nodes = {0, 1, 2},
+       .consensus = deps[0].consensus,
+       .key_prefix = "ck"},
+      /*rate=*/2.0, write_end, /*seed=*/seed * 1000 + 17);
+  probe.read_back(/*rate=*/200.0, verify_at, total, /*seed=*/seed * 1000 + 23);
 
   cluster.run_until(total);
 
+  const bench::DurabilityVerdicts v = probe.verdicts();
   RkvChaosResult result;
-  result.acked = acked.size();
-  result.verified = verified;
-  result.lost = lost;
+  result.acked = v.acked;
+  result.verified = v.verified;
+  result.lost = v.not_found + v.mismatched;
   result.crashes = chaos->crashes();
   result.partitions = chaos->partitions();
   result.corrupted = cluster.net().frames_corrupted();
-  result.post_heal_completed = verifier.completed();
+  result.post_heal_completed = probe.reader()->completed();
   std::ostringstream digest;
   digest << chaos->event_log_text();
-  digest << "acked=" << result.acked << " verified=" << verified
-         << " lost=" << lost << "\n";
+  digest << "acked=" << result.acked << " verified=" << result.verified
+         << " lost=" << result.lost << "\n";
   for (std::size_t i = 0; i < 3; ++i) {
     auto* c = dynamic_cast<rkv::ConsensusActor*>(
         cluster.server(i).runtime().find_actor(deps[i].consensus));
@@ -316,9 +128,9 @@ inline RkvChaosResult run_rkv_chaos(std::uint64_t seed, double total_secs) {
            << " elections=" << c->elections_started()
            << " leader=" << c->is_leader() << "\n";
   }
-  digest << "writer_sent=" << writer.sent()
-         << " writer_retx=" << writer.retransmits()
-         << " verifier_completed=" << verifier.completed() << "\n";
+  digest << "writer_sent=" << probe.writer().sent()
+         << " writer_retx=" << probe.writer().retransmits()
+         << " verifier_completed=" << result.post_heal_completed << "\n";
   digest << "net_dropped=" << cluster.net().frames_dropped()
          << " corrupted=" << cluster.net().frames_corrupted() << "\n";
   result.digest = digest.str();

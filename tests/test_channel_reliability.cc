@@ -327,8 +327,8 @@ TEST(ChannelReliabilityE2E, FaultInjectionLosesNothing) {
   ParallelCluster cluster(kTorLatency);
   ServerSpec spec;
   spec.ipipe.channel_bytes = 4096;
-  spec.ipipe.channel_fault_rate = 0.02;  // 2% of frames corrupted
   auto& server = cluster.add_server(spec);
+  server.runtime().set_channel_fault(0.02);  // 2% of frames corrupted
   auto* actor = new EchoActor(/*pinned=*/true);
   const ActorId id =
       server.runtime().register_actor(std::unique_ptr<Actor>(actor));

@@ -166,9 +166,11 @@ class TraceRuntimeTest : public ::testing::Test {
     testbed::ParallelCluster& cluster =
         cluster_storage ? *cluster_storage : local;
     testbed::ServerSpec spec;
-    spec.ipipe.trace = traced;
-    spec.ipipe.trace_metrics_period = usec(200);
     auto& server = cluster.add_server(spec);
+    if (traced) {
+      server.runtime().enable_tracing(trace::Tracer::kDefaultCapacity,
+                                      usec(200));
+    }
 
     class Burn final : public Actor {
      public:
