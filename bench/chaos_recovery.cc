@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
   testbed::ParallelCluster cluster(testbed::kTorLatency);
   for (int i = 0; i < kReplicas; ++i) {
     testbed::ServerSpec spec;
-    spec.ipipe.mgmt_period = msec(5);  // idle heartbeat cost on long runs
+    spec.ipipe.mgmt_period = msec(5);  // the cadence the pinned digests assume
     spec.ipipe.supervise = true;
     cluster.add_server(spec);
   }

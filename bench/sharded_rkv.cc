@@ -15,13 +15,16 @@
 // the deterministic headline metrics (the checked-in BENCH_shard.json).
 //
 //   sharded_rkv [--sim-threads=N] [--duration-s=S] [--seed=N]
-//               [--groups=N] [--min-events=N] [--wall-out=<path>]
-//               [--json-out=<path>]
+//               [--groups=N] [--min-ops=N] [--max-events-per-op=X]
+//               [--wall-out=<path>] [--json-out=<path>]
 //
 // Exit codes: 0 ok; 2 correctness violation (stale read, lost acked
-// write, readback failure, or rebalance did not complete); 3 fewer
-// engine events than --min-events; 4 SLO breach (cache hit rate < 50%
+// write, readback failure, or rebalance did not complete); 3 scale gate:
+// fewer ops sent than --min-ops (the run did not do its full work), or
+// more engine events per op sent than --max-events-per-op (idle
+// simulation work crept back); 4 SLO breach (cache hit rate < 50%
 // or p99 over the floor).
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -53,7 +56,8 @@ int main(int argc, char** argv) {
   double duration_s = 10.0;
   std::uint64_t seed = 1;
   int groups = 8;
-  std::uint64_t min_events = 0;
+  std::uint64_t min_ops = 0;
+  double max_events_per_op = 0.0;
   std::string wall_out;
   std::string json_out;
   for (int i = 1; i < argc; ++i) {
@@ -66,8 +70,10 @@ int main(int argc, char** argv) {
       seed = std::strtoull(v, nullptr, 10);
     } else if (const char* v = flag_value(argv[i], "--groups")) {
       groups = static_cast<int>(std::strtol(v, nullptr, 10));
-    } else if (const char* v = flag_value(argv[i], "--min-events")) {
-      min_events = std::strtoull(v, nullptr, 10);
+    } else if (const char* v = flag_value(argv[i], "--min-ops")) {
+      min_ops = std::strtoull(v, nullptr, 10);
+    } else if (const char* v = flag_value(argv[i], "--max-events-per-op")) {
+      max_events_per_op = std::strtod(v, nullptr);
     } else if (const char* v = flag_value(argv[i], "--wall-out")) {
       wall_out = v;
     } else if (const char* v = flag_value(argv[i], "--json-out")) {
@@ -223,6 +229,9 @@ int main(int argc, char** argv) {
 
   // ---- deterministic report (identical for every --sim-threads) ----------
   const std::uint64_t events = cluster.engine().executed();
+  const double events_per_op =
+      static_cast<double>(events) /
+      static_cast<double>(std::max<std::uint64_t>(gen.sent(), 1));
   std::printf("# sharded_rkv seed=%llu duration=%.0fs groups=%d+1 servers=%d "
               "clients=%llu\n",
               static_cast<unsigned long long>(seed), duration_s, groups,
@@ -340,7 +349,8 @@ int main(int argc, char** argv) {
           "{\n"
           "  \"bench\": \"sharded_rkv\",\n"
           "  \"seed\": %llu, \"duration_s\": %.1f, \"groups\": %d,\n"
-          "  \"clients\": %llu, \"events\": %llu,\n"
+          "  \"clients\": %llu, \"events\": %llu, \"rounds\": %llu,\n"
+          "  \"events_per_op\": %.1f,\n"
           "  \"completed\": %llu, \"acked_writes\": %llu,\n"
           "  \"stale_reads\": %llu, \"lost_acked\": %llu,\n"
           "  \"cache_hit_rate\": %.4f, \"cache_wipes\": %llu,\n"
@@ -352,6 +362,8 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(seed), duration_s, groups,
           static_cast<unsigned long long>(wp.clients),
           static_cast<unsigned long long>(events),
+          static_cast<unsigned long long>(cluster.engine().rounds()),
+          events_per_op,
           static_cast<unsigned long long>(gen.completed()),
           static_cast<unsigned long long>(gen.acked_writes()),
           static_cast<unsigned long long>(gen.stale_reads()),
@@ -367,11 +379,16 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (min_events > 0 && events < min_events) {
+  if (min_ops > 0 && gen.sent() < min_ops) {
+    std::fprintf(stderr, "sharded_rkv: sent %llu ops < --min-ops=%llu\n",
+                 static_cast<unsigned long long>(gen.sent()),
+                 static_cast<unsigned long long>(min_ops));
+    return 3;
+  }
+  if (max_events_per_op > 0.0 && events_per_op > max_events_per_op) {
     std::fprintf(stderr,
-                 "sharded_rkv: executed %llu events < --min-events=%llu\n",
-                 static_cast<unsigned long long>(events),
-                 static_cast<unsigned long long>(min_events));
+                 "sharded_rkv: %.1f events per op > --max-events-per-op=%.1f\n",
+                 events_per_op, max_events_per_op);
     return 3;
   }
   const bool correct = gen.stale_reads() == 0 && gen.lost_acked() == 0 &&

@@ -23,6 +23,7 @@
 //  * export_text — a plain table dump for terminals and diffing.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -179,6 +180,12 @@ class MetricsRegistry {
   [[nodiscard]] bool due(Ns now) const noexcept {
     return period_ > 0 &&
            (snaps_.empty() || now - snaps_.back().ts >= period_);
+  }
+  /// Earliest virtual time a snapshot is owed, at or after `now`
+  /// (~Ns{0} when snapshots are off).
+  [[nodiscard]] Ns next_due(Ns now) const noexcept {
+    if (period_ == 0) return ~Ns{0};
+    return snaps_.empty() ? now : std::max(now, snaps_.back().ts + period_);
   }
   void record(Snapshot snap) { snaps_.push_back(std::move(snap)); }
   [[nodiscard]] const std::vector<Snapshot>& snapshots() const noexcept {

@@ -43,7 +43,7 @@ void HostModel::set_runtime(HostRuntime* rt) {
 void HostModel::rx_push(netsim::PacketPtr pkt) {
   ++rx_frames_;
   rx_ring_.push_back(std::move(pkt));
-  wake_all();
+  wake_one();
 }
 
 netsim::PacketPtr HostModel::rx_pop() {

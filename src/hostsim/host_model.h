@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 
 #include "common/units.h"
 #include "netsim/packet.h"
@@ -72,6 +73,11 @@ class HostModel {
   HostModel& operator=(const HostModel&) = delete;
 
   void set_runtime(HostRuntime* rt);
+  /// Work the runtime queues outside the RX ring (the NIC->host channel,
+  /// host-local mailboxes): counted by work_pending().
+  void set_work_pending(std::function<bool()> pred) {
+    work_pending_ = std::move(pred);
+  }
 
   /// Frames DMAed up from the NIC land here (wired in the constructor).
   void rx_push(netsim::PacketPtr pkt);
@@ -81,7 +87,13 @@ class HostModel {
   void rx_clear() noexcept { rx_ring_.clear(); }
 
   void wake_core(unsigned core) { cores_.wake_core(core); }
+  /// One item was queued for the cores: wake one parked core.
+  void wake_one() { cores_.wake_one(); }
   void wake_all() { cores_.wake_all(); }
+  /// True while the host holds items some core should take.
+  [[nodiscard]] bool work_pending() const {
+    return !rx_ring_.empty() || (work_pending_ && work_pending_());
+  }
   void wake_core_at(unsigned core, Ns when) { cores_.wake_core_at(core, when); }
 
   [[nodiscard]] const HostConfig& config() const noexcept { return cfg_; }
@@ -107,6 +119,7 @@ class HostModel {
   nic::CacheModel cache_;
   nic::CoreEngine<HostRuntime, HostExecContext> cores_;
   std::deque<netsim::PacketPtr> rx_ring_;
+  std::function<bool()> work_pending_;
   std::uint64_t rx_frames_ = 0;
 };
 

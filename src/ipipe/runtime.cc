@@ -68,6 +68,12 @@ constexpr Ns kEvacReplayNsPerKb = 300;
 /// (pending queue over cap) — models the producer slowing down.
 constexpr Ns kChannelBackpressureStallNs = 500;
 
+/// The first tick of the grid `origin + k * period` at or after `t`.
+[[nodiscard]] Ns grid_tick_at_or_after(Ns origin, Ns period, Ns t) noexcept {
+  return t <= origin ? origin
+                     : origin + (t - origin + period - 1) / period * period;
+}
+
 /// True while requests for this actor must be buffered (migration phases
 /// 1-3).  In kClean (phase 4) the new home is live and dispatch resumes.
 [[nodiscard]] bool buffering(const ActorControl& ac) noexcept {
@@ -100,8 +106,13 @@ Runtime::Runtime(sim::Simulation& sim, nic::NicModel& nic,
   tracer_.set_clock(sim.clock());
   channel_.set_tracer(&tracer_);
   objects_.set_tracer(&tracer_);
-  channel_.set_host_notify([this] { host_.wake_all(); });
-  channel_.set_nic_notify([this] { nic_.wake_all(); });
+  // Each visible channel message is one queued item: wake one core.
+  channel_.set_host_notify([this] { host_.wake_one(); });
+  channel_.set_nic_notify([this] { nic_.wake_one(); });
+  nic_.set_work_pending([this] { return channel_.nic_has_data(); });
+  host_.set_work_pending([this] {
+    return channel_.host_has_data() || !host_local_queue_.empty();
+  });
   nic_.set_steer_to_nic([this](const netsim::Packet& pkt) {
     if (nic_down_) return false;  // dead firmware: everything lands host-side
     const auto* ac = control(pkt.dst_actor);
@@ -154,6 +165,7 @@ ActorId Runtime::register_actor(std::unique_ptr<Actor> actor, ActorLoc initial,
     drr_queue_.push_back(id);
     if (drr_cores() == 0) spawn_drr_core();
   }
+  mgmt_kick();  // a new migration candidate
   return id;
 }
 
@@ -214,6 +226,7 @@ void Runtime::kill_actor(ActorId id, bool isolation_trap) {
   drr_queue_.erase(std::remove(drr_queue_.begin(), drr_queue_.end(), id),
                    drr_queue_.end());
   objects_.deregister_actor(id);
+  mgmt_kick();  // supervision restarts it
   if (isolation_trap) {
     ++isolation_kills_;
   } else {
@@ -295,11 +308,13 @@ int Runtime::classify_ingress(netsim::Packet& pkt) {
                   pkt.src) == t->cfg.allowed_src.end()) {
       ++t->stats.filter_drops;
       t->note_violation(now);
+      mgmt_kick();  // the escalation ladder runs on the management core
       return -1;
     }
     if (!t->ingress_admit(pkt.frame_size, now)) {
       ++t->stats.policer_drops;
       t->note_violation(now);
+      mgmt_kick();
       return -1;
     }
   }
@@ -317,6 +332,7 @@ bool Runtime::vf_mailbox_post(TenantId id, VfMboxMsg msg) {
     // count toward the throttle ladder.
     ++t->stats.mbox_drops;
     t->note_violation(sim_.now());
+    mgmt_kick();
     return false;
   }
   t->mbox.push_back(msg);
@@ -358,6 +374,7 @@ void Runtime::note_dmo_denied(ActorId id) {
   if (TenantState* t = tenant_of(id); t != nullptr) {
     ++t->stats.dmo_denied;
     t->note_violation(sim_.now());
+    mgmt_kick();
   }
 }
 
@@ -440,13 +457,10 @@ void Runtime::tenant_scan(nic::NicExecContext& ctx) {
                t->cfg.name.c_str(),
                static_cast<unsigned long long>(penalty / kNsPerUs),
                t->throttle_count);
+      // The penalty's end is a management deadline (unthrottle_pending).
       if (t->cfg.quarantine_after != 0 &&
           t->throttle_count >= t->cfg.quarantine_after) {
         quarantine_tenant(t->id);
-      } else {
-        // Keep the management heartbeat alive through the penalty so the
-        // unthrottle wake actually fires on an otherwise idle NIC.
-        nic_.wake_core_at(0, t->throttled_until);
       }
     }
   }
@@ -665,6 +679,10 @@ void Runtime::nic_crash() {
   // engines (hardware, not firmware) shunt arriving frames straight to
   // the host RX ring, where degraded-mode serving picks them up.
   nic_.set_firmware(nullptr);
+  // The management core dies with the firmware: its heartbeat stops.
+  mgmt_catch_up(sim_.now());
+  mgmt_parked_ = false;
+  mgmt_armed_ = kNever;
   for (const auto& owned : owned_actors_) {
     auto* ac = control(owned->id());
     if (ac == nullptr || ac->killed) continue;
@@ -708,11 +726,9 @@ void Runtime::nic_restore() {
 }
 
 void Runtime::set_pcie_link(bool up) {
+  // Link restored: the parked messages re-enter the rings and each one
+  // wakes a core when it becomes visible.
   channel_.set_link_down(!up);
-  if (up) {
-    nic_.wake_all();
-    host_.wake_all();
-  }
 }
 
 void Runtime::set_accel_failed(std::uint32_t bank, bool failed) {
@@ -755,7 +771,6 @@ void Runtime::watchdog_tick() {
   ++watchdog_pings_;
   ++pings_unanswered_;
   (void)send_or_queue(MemSide::kHost, watchdog_msg(kWatchdogPingMsg));
-  nic_.wake_all();
   if (nic_down_ || evacuated_ || pings_unanswered_ > 1) {
     // Exponential probe backoff while the NIC stays silent: a dead
     // device should not be heartbeat-hammered at full cadence.
@@ -845,6 +860,7 @@ void Runtime::finish_evacuation() {
       ac->mig_buffer.pop_front();
     }
   }
+  mgmt_kick();  // the evacuees are now host-side migration candidates
   if (tracer_.enabled()) {
     tracer_.instant(trace::Cat::kChaos, "evac_done", trace::tid::kChaos, 0);
   }
@@ -894,6 +910,7 @@ void Runtime::resolve_migration_on_fault() {
   if (!migration_.has_value()) return;
   const ActorId id = migration_->id;
   migration_.reset();
+  mgmt_kick();  // the actor is a migration candidate again
   auto* ac = control(id);
   if (ac == nullptr || ac->killed) return;
   // Phase >= 3 moved the DMO payload and flipped the location: commit.
@@ -1100,7 +1117,6 @@ bool Runtime::advance_migration(nic::NicExecContext& ctx) {
       ac->latency.reset();
       migration_.reset();
       ctx.charge(cfg_.sched_bookkeeping_ns);
-      host_.wake_all();
       return true;
     }
     default:
@@ -1113,17 +1129,27 @@ bool Runtime::advance_migration(nic::NicExecContext& ctx) {
 
 bool Runtime::nic_run_once(nic::NicExecContext& ctx, unsigned core) {
   if (nic_down_) return false;  // firmware dead: cores fetch nothing
-  if (core < roles_.size() && roles_[core] == CoreRole::kDrr) {
-    return drr_run(ctx, core);
-  }
-  return fcfs_run(ctx, core);
+  const bool ran = core < roles_.size() && roles_[core] == CoreRole::kDrr
+                       ? drr_run(ctx, core)
+                       : fcfs_run(ctx, core);
+  if (ran) mgmt_kick();  // the next heartbeat tick sees this work
+  return ran;
 }
 
 bool Runtime::fcfs_run(nic::NicExecContext& ctx, unsigned core) {
   // Core 0 doubles as the management core (migration, thresholds,
   // auto-scaling), per §3.2.5.
   if (core == 0) {
-    if (migration_.has_value()) return advance_migration(ctx);
+    if (mgmt_parked_) {
+      mgmt_catch_up(sim_.now());
+      mgmt_parked_ = false;
+    }
+    mgmt_armed_ = kNever;  // parking re-arms from the deadlines
+    if (migration_.has_value()) {
+      if (advance_migration(ctx)) return true;
+      mgmt_park(/*heartbeat=*/false);
+      return false;
+    }
     if (sim_.now() - last_mgmt_ >= cfg_.mgmt_period) {
       if (management_run(ctx)) return true;
     }
@@ -1167,13 +1193,7 @@ bool Runtime::fcfs_run(nic::NicExecContext& ctx, unsigned core) {
     return true;
   }
 
-  if (core == 0 && mgmt_wake_at_ <= sim_.now()) {
-    // Keep the management heartbeat alive while parked.  Arm at most one
-    // outstanding wake: every idle wakeup used to plant a fresh periodic
-    // chain, and the chains accumulated without bound over long runs.
-    mgmt_wake_at_ = sim_.now() + cfg_.mgmt_period;
-    nic_.wake_core_at(0, mgmt_wake_at_);
-  }
+  if (core == 0) mgmt_park(/*heartbeat=*/true);
   return false;
 }
 
@@ -1486,6 +1506,7 @@ bool Runtime::dispatch_from_tm(nic::NicExecContext& ctx) {
 
 bool Runtime::management_run(nic::NicExecContext& ctx) {
   last_mgmt_ = sim_.now();
+  mgmt_dirty_ = false;
   ctx.charge(cfg_.sched_bookkeeping_ns * 2);
 
   check_autoscale();
@@ -1519,32 +1540,170 @@ bool Runtime::management_run(nic::NicExecContext& ctx) {
   const double mean = fcfs_stats_.mean();
   if (mean > static_cast<double>(cfg_.mean_thresh)) {
     // Push migration: evict the NIC actor contributing the highest load.
-    ActorControl* heaviest = nullptr;
-    for (auto& [id, ac] : actors_) {
-      (void)id;
-      if (ac.killed || ac.loc != ActorLoc::kNic || ac.group != kNoGroup ||
-          ac.mig != MigState::kStable || !ac.latency.seeded()) {
-        continue;
-      }
-      if (heaviest == nullptr || ac.load() > heaviest->load()) heaviest = &ac;
+    if (const ActorControl* heaviest = push_candidate(); heaviest != nullptr) {
+      return start_migration(heaviest->id, ActorLoc::kHost);
     }
-    if (heaviest != nullptr) return start_migration(heaviest->id, ActorLoc::kHost);
   } else if (mean < (1.0 - cfg_.alpha) * static_cast<double>(cfg_.mean_thresh) &&
              fcfs_util_ < 0.6) {
     // Pull migration: bring back the lightest host actor — only with
     // genuine CPU headroom on the FCFS cores (§3.2.2).
-    ActorControl* lightest = nullptr;
-    for (auto& [id, ac] : actors_) {
-      (void)id;
-      if (ac.killed || ac.loc != ActorLoc::kHost || ac.actor->host_pinned() ||
-          ac.group != kNoGroup || ac.mig != MigState::kStable) {
-        continue;
-      }
-      if (lightest == nullptr || ac.load() < lightest->load()) lightest = &ac;
+    if (const ActorControl* lightest = pull_candidate(); lightest != nullptr) {
+      return start_migration(lightest->id, ActorLoc::kNic);
     }
-    if (lightest != nullptr) return start_migration(lightest->id, ActorLoc::kNic);
   }
   return false;
+}
+
+const ActorControl* Runtime::push_candidate() const {
+  const ActorControl* heaviest = nullptr;
+  for (const auto& [id, ac] : actors_) {
+    (void)id;
+    if (ac.killed || ac.loc != ActorLoc::kNic || ac.group != kNoGroup ||
+        ac.mig != MigState::kStable || !ac.latency.seeded()) {
+      continue;
+    }
+    if (heaviest == nullptr || ac.load() > heaviest->load()) heaviest = &ac;
+  }
+  return heaviest;
+}
+
+const ActorControl* Runtime::pull_candidate() const {
+  const ActorControl* lightest = nullptr;
+  for (const auto& [id, ac] : actors_) {
+    (void)id;
+    if (ac.killed || ac.loc != ActorLoc::kHost || ac.actor->host_pinned() ||
+        ac.group != kNoGroup || ac.mig != MigState::kStable) {
+      continue;
+    }
+    if (lightest == nullptr || ac.load() < lightest->load()) lightest = &ac;
+  }
+  return lightest;
+}
+
+// ------------------------------------------------ management-core wakeups --
+
+void Runtime::mgmt_park(bool heartbeat) {
+  const Ns now = sim_.now();
+  if (mgmt_wake_at_ <= now) {
+    if (!heartbeat) return;  // no tick outstanding: sleep until woken
+    mgmt_wake_at_ = now + cfg_.mgmt_period;
+  }
+  mgmt_parked_ = true;
+  const Ns due = mgmt_dirty_ ? now : mgmt_next_deadline();
+  if (due == kNever) return;  // quiescent: nothing to schedule
+  arm_mgmt(grid_tick_at_or_after(mgmt_wake_at_, cfg_.mgmt_period, due));
+}
+
+void Runtime::arm_mgmt(Ns at) {
+  if (mgmt_armed_ <= at) return;
+  mgmt_armed_ = at;
+  sim_.schedule_at(at, [this, at] {
+    if (mgmt_armed_ != at) return;  // superseded: core 0 ran or re-armed
+    mgmt_armed_ = kNever;
+    nic_.wake_core(0);
+  });
+}
+
+void Runtime::mgmt_kick() {
+  if (mgmt_dirty_) return;  // the next tick is armed, or core 0 is awake
+  mgmt_dirty_ = true;
+  if (!mgmt_parked_) return;
+  mgmt_catch_up(sim_.now());
+  arm_mgmt(mgmt_wake_at_);
+}
+
+void Runtime::mgmt_catch_up(Ns now) {
+  if (!mgmt_parked_ || mgmt_wake_at_ >= now) return;
+  // The grid ticks first_tick, ..., last are the ones before `now`.  A
+  // tick runs a management pass when a period has passed since the last
+  // one — every skipped tick but possibly the first.
+  const Ns period = cfg_.mgmt_period;
+  const Ns first_tick = mgmt_wake_at_;
+  mgmt_wake_at_ = grid_tick_at_or_after(first_tick, period, now);
+  const Ns last = mgmt_wake_at_ - period;
+  const Ns first =
+      first_tick - last_mgmt_ >= period ? first_tick : first_tick + period;
+  if (first > last) return;
+  last_mgmt_ = last;
+  // No NIC core started work since core 0 parked (that would have
+  // kicked), so busy counters stood still: the first window closed on the
+  // skipped ticks measures the work before the park, and any later one
+  // reads zero.  The windows change no core roles — DRR cores make the
+  // window a deadline, so it was never skipped.
+  const Ns window = period * 8;
+  const Ns first_window =
+      grid_tick_at_or_after(first, period, last_autoscale_ + window);
+  if (first_window > last) return;
+  close_autoscale_window(first_window);
+  const Ns last_window = first_window + (last - first_window) / window * window;
+  if (last_window > first_window) close_autoscale_window(last_window);
+}
+
+Ns Runtime::mgmt_next_deadline() const {
+  const Ns now = sim_.now();
+  const Ns period = cfg_.mgmt_period;
+  Ns due = kNever;
+  const auto at = [&due, now](Ns t) { due = std::min(due, std::max(t, now)); };
+
+  if (!pending_group_migs_.empty()) at(now);
+  // Autoscale decisions only exist while there are DRR cores.
+  if (drr_cores() > 0) at(last_autoscale_ + period * 8);
+  if (tracer_.enabled()) at(metrics_.next_due(now));
+
+  // Policy migrations, once the cooldown ends.  A pull also waits for
+  // FCFS headroom, which only an autoscale window can report.
+  if (cfg_.enable_migration && !migration_.has_value() &&
+      fcfs_stats_.seeded() && fcfs_samples_ >= 2000) {
+    const Ns ready = last_migration_end_ + cfg_.migration_cooldown;
+    const double mean = fcfs_stats_.mean();
+    if (mean > static_cast<double>(cfg_.mean_thresh)) {
+      if (push_candidate() != nullptr) at(ready);
+    } else if (mean < (1.0 - cfg_.alpha) *
+                          static_cast<double>(cfg_.mean_thresh) &&
+               pull_candidate() != nullptr) {
+      at(fcfs_util_ < 0.6 ? ready
+                          : std::max(ready, last_autoscale_ + period * 8));
+    }
+  }
+  if (node_down_) return due;
+
+  for (const auto& slot : tenants_) {
+    const TenantState* t = slot.get();
+    if (t == nullptr) continue;
+    if (nic_.tm().class_drops(t->id) > t->tm_drops_seen) at(now);
+    if (t->quarantined) continue;
+    if (!t->mbox.empty()) at(now);
+    if (t->unthrottle_pending) at(t->throttled_until);
+    if (t->cfg.throttle_threshold != 0 &&
+        t->violations_window >= t->cfg.throttle_threshold) {
+      at(t->throttled(now) ? t->throttled_until : now);
+    }
+  }
+
+  if (cfg_.supervise) {
+    for (const auto& [id, ac] : actors_) {
+      (void)id;
+      if (ac.quarantined) continue;
+      if (!ac.killed) {
+        if (cfg_.supervise_restart_decay > 0 && ac.restarts > 0 &&
+            ac.last_revive_at > 0) {
+          at(ac.last_revive_at + cfg_.supervise_restart_decay);
+        }
+        continue;
+      }
+      if (const TenantState* t = tenant(ac.tenant); t != nullptr) {
+        if (t->quarantined) continue;
+        if (t->throttled(now)) {
+          at(t->throttled_until);
+          continue;
+        }
+      }
+      at(ac.restarts >= cfg_.supervise_quarantine_after
+             ? now
+             : ac.killed_at + cfg_.supervise_restart_delay);
+    }
+  }
+  return due;
 }
 
 void Runtime::snapshot_metrics() {
@@ -1601,10 +1760,30 @@ void Runtime::snapshot_metrics() {
 }
 
 void Runtime::check_autoscale() {
-  const Ns now = sim_.now();
-  if (now - last_autoscale_ < cfg_.mgmt_period * 8) return;
-  const Ns window = now - busy_snapshot_at_;
-  if (window == 0) return;
+  if (!close_autoscale_window(sim_.now())) return;
+  const unsigned n_fcfs = fcfs_cores();
+  const unsigned n_drr = drr_cores();
+  const double fcfs_util = fcfs_util_;
+  const double drr_util = drr_util_;
+
+  // §3.2.4: grow the DRR group when it saturates and FCFS can spare a
+  // core; shrink it when it idles.
+  if (n_drr > 0 && drr_util >= 0.95 && n_fcfs > 1 &&
+      fcfs_util < static_cast<double>(n_fcfs - 1) / n_fcfs) {
+    // Fair share: a single tenant saturating DRR may not annex FCFS
+    // cores past its weight share — that would starve other tenants of
+    // forwarding capacity (the aggressor's goal, exactly).
+    if (fair_share_allows_spawn(n_drr)) spawn_drr_core();
+  } else if (n_drr > 0 && (drr_queue_.empty() || (drr_util < 0.5 &&
+                                                  fcfs_util > 0.9))) {
+    retire_drr_core();
+  }
+}
+
+bool Runtime::close_autoscale_window(Ns at) {
+  if (at - last_autoscale_ < cfg_.mgmt_period * 8) return false;
+  const Ns window = at - busy_snapshot_at_;
+  if (window == 0) return false;
 
   double fcfs_busy = 0.0;
   double drr_busy = 0.0;
@@ -1623,26 +1802,11 @@ void Runtime::check_autoscale() {
     }
     busy_snapshot_[i] = nic_.core_busy_ns(i);
   }
-  busy_snapshot_at_ = now;
-  last_autoscale_ = now;
-
-  const double fcfs_util = n_fcfs > 0 ? fcfs_busy / n_fcfs : 0.0;
-  const double drr_util = n_drr > 0 ? drr_busy / n_drr : 0.0;
-  fcfs_util_ = fcfs_util;
-  drr_util_ = drr_util;
-
-  // §3.2.4: grow the DRR group when it saturates and FCFS can spare a
-  // core; shrink it when it idles.
-  if (n_drr > 0 && drr_util >= 0.95 && n_fcfs > 1 &&
-      fcfs_util < static_cast<double>(n_fcfs - 1) / n_fcfs) {
-    // Fair share: a single tenant saturating DRR may not annex FCFS
-    // cores past its weight share — that would starve other tenants of
-    // forwarding capacity (the aggressor's goal, exactly).
-    if (fair_share_allows_spawn(n_drr)) spawn_drr_core();
-  } else if (n_drr > 0 && (drr_queue_.empty() || (drr_util < 0.5 &&
-                                                  fcfs_util > 0.9))) {
-    retire_drr_core();
-  }
+  busy_snapshot_at_ = at;
+  last_autoscale_ = at;
+  fcfs_util_ = n_fcfs > 0 ? fcfs_busy / n_fcfs : 0.0;
+  drr_util_ = n_drr > 0 ? drr_busy / n_drr : 0.0;
+  return true;
 }
 
 void Runtime::spawn_drr_core() {
@@ -1650,6 +1814,7 @@ void Runtime::spawn_drr_core() {
   for (unsigned i = nic_.active_cores(); i-- > 1;) {
     if (roles_[i] == CoreRole::kFcfs) {
       roles_[i] = CoreRole::kDrr;
+      mgmt_kick();  // DRR cores make the autoscale window a deadline
       if (tracer_.enabled()) {
         tracer_.instant(trace::Cat::kSched, "drr_core_spawn", i, 0,
                         {"drr_cores", static_cast<double>(drr_cores())},
@@ -1773,6 +1938,7 @@ bool Runtime::host_run_once(hostsim::HostExecContext& ctx, unsigned core) {
         if (!t->ingress_admit(pkt->frame_size, now)) {
           ++t->stats.policer_drops;
           t->note_violation(now);
+          mgmt_kick();
           ++degraded_drops_;
           return true;
         }
@@ -1869,7 +2035,7 @@ void Runtime::deliver_local(ActorId dst, netsim::PacketPtr msg, MemSide from) {
     }
   } else {
     host_local_queue_.push_back(std::move(msg));
-    host_.wake_all();
+    host_.wake_one();
   }
 }
 

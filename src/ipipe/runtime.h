@@ -359,6 +359,7 @@ class Runtime {
                       Ns metrics_period = usec(500)) {
     tracer_.enable(capacity);
     metrics_.set_period(metrics_period);
+    mgmt_kick();  // snapshots are management-core deadlines
   }
 
   /// Register this runtime's parallel-engine domain (ParallelCluster
@@ -417,6 +418,31 @@ class Runtime {
   /// the TM is empty.
   bool dispatch_from_tm(nic::NicExecContext& ctx);
   bool management_run(nic::NicExecContext& ctx);
+  // ---- management-core wakeups ----------------------------------------------
+  // Core 0's heartbeat ticks on the grid mgmt_wake_at_ + k * mgmt_period.
+  // While core 0 is parked those ticks are virtual: a real wake is armed
+  // only at the first tick at or after the earliest management deadline,
+  // and the skipped ticks are replayed (mgmt_catch_up) when core 0 next
+  // runs or when something it reacts to changes (mgmt_kick).
+  /// Core 0 parks: keep the heartbeat grid going (`heartbeat` false: only
+  /// an already outstanding tick, as after a failed migration step) and
+  /// arm the wake for the earliest deadline.
+  void mgmt_park(bool heartbeat);
+  /// Replay the idle management passes of the grid ticks before `now`:
+  /// their only effects are the last-run stamp and the autoscale windows.
+  void mgmt_catch_up(Ns now);
+  /// State the management core reacts to changed (NIC work, a kill, a
+  /// tenant violation, ...): the next heartbeat tick must run.
+  void mgmt_kick();
+  /// Earliest virtual time a management pass would act on the current
+  /// state, or kNever.
+  [[nodiscard]] Ns mgmt_next_deadline() const;
+  /// Arm the real wake of core 0 at grid tick `at` (keeps an earlier one).
+  void arm_mgmt(Ns at);
+  /// The NIC actor whose load makes it the push-migration victim, and
+  /// the lightest host actor a pull migration would bring back.
+  [[nodiscard]] const ActorControl* push_candidate() const;
+  [[nodiscard]] const ActorControl* pull_candidate() const;
   /// Supervision pass: restart killed actors whose delay elapsed,
   /// quarantine repeat offenders, decay episode counters of long-healthy
   /// actors.  Runs on the management core.
@@ -465,6 +491,9 @@ class Runtime {
   void maybe_downgrade();
   void maybe_upgrade();
   void check_autoscale();
+  /// Close the autoscale window at `at` (at most every 8 mgmt periods):
+  /// per-group utilization since the last window.  False when not due.
+  bool close_autoscale_window(Ns at);
   // ---- tenancy internals ---------------------------------------------------
   /// TM ingress classifier: resolve the destination actor's tenant,
   /// stamp the packet, apply filter/policer/throttle, return the traffic
@@ -520,8 +549,12 @@ class Runtime {
   double fcfs_util_ = 0.0;      ///< recent FCFS group utilization
   double drr_util_ = 0.0;
   LatencyHistogram response_hist_;
+  static constexpr Ns kNever = ~Ns{0};
   Ns last_mgmt_ = 0;
-  Ns mgmt_wake_at_ = 0;  ///< latest armed idle-wake for the mgmt core
+  Ns mgmt_wake_at_ = 0;       ///< next heartbeat grid tick
+  Ns mgmt_armed_ = kNever;    ///< grid tick of the armed core-0 wake
+  bool mgmt_parked_ = false;  ///< core 0 parked with its heartbeat running
+  bool mgmt_dirty_ = false;   ///< kicked since the last management pass
   Ns last_autoscale_ = 0;
   std::vector<Ns> busy_snapshot_;
   Ns busy_snapshot_at_ = 0;

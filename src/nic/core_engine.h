@@ -9,7 +9,15 @@
 // buffered effects happen when the item retires, and the core runs again
 // at once.  A program that finds no work parks the core until a wake.
 // Each core owns one context, reset before every call, so the hot loop
-// (most calls find no work) never allocates.
+// never allocates.
+//
+// Wake-one: each item the device enqueues wakes only the lowest-indexed
+// parked core (`wake_one`).  A core whose run leaves the device holding
+// work while no other wake is in flight — it declined the item (a DRR
+// core with no run queue) or did other work instead (the management core
+// advancing a migration) — passes the wake on to the next parked core
+// above it, so an item is never stranded behind a core that will not
+// take it.  "Holding work" is the device's own `work_pending()`.
 #pragma once
 
 #include <cassert>
@@ -89,12 +97,19 @@ class ExecContext {
 /// `Context(device, core)`, and provides `flush()`, which performs its
 /// device's buffered frame effects (the engine then runs the deferred
 /// actions); a Context with buffers of its own also hides `reset()`.
+/// `Device` provides `work_pending()`: true while it holds queued items
+/// that some core should take.
 template <class Program, class Context>
 class CoreEngine {
  public:
   template <class Device>
   CoreEngine(sim::Simulation& sim, Device& device, unsigned cores)
-      : sim_(sim), active_cores_(cores) {
+      : sim_(sim),
+        device_(&device),
+        work_pending_([](const void* d) {
+          return static_cast<const Device*>(d)->work_pending();
+        }),
+        active_cores_(cores) {
     cores_.reserve(cores);
     for (unsigned i = 0; i < cores; ++i) {
       cores_.push_back(CoreState{Context(device, i)});
@@ -121,8 +136,16 @@ class CoreEngine {
     CoreState& st = cores_[core];
     if (st.phase != Phase::kParked) return;
     st.phase = Phase::kWoken;
-    sim_.schedule(0, [this, core] { run_core(core); });
+    ++wakes_in_flight_;
+    sim_.schedule(0, [this, core] {
+      --wakes_in_flight_;
+      run_core(core);
+    });
   }
+  /// One item was enqueued: wake the lowest-indexed parked core (none
+  /// when every core is busy — a busy core re-runs when it retires).
+  void wake_one() { wake_parked_from(0); }
+  /// Wake every parked core (program install, revival, evacuation).
   void wake_all() {
     for (unsigned i = 0; i < active_cores_; ++i) wake_core(i);
   }
@@ -160,14 +183,24 @@ class CoreEngine {
       return;
     }
     st.ctx.reset();
-    if (!program_->run_once(st.ctx, core)) {
-      st.phase = Phase::kParked;
-      return;
+    const bool ran = program_->run_once(st.ctx, core);
+    st.phase = ran ? Phase::kExecuting : Phase::kParked;
+    if (wakes_in_flight_ == 0 && work_pending_(device_)) {
+      wake_parked_from(core + 1);  // pass the wake on
     }
-    st.phase = Phase::kExecuting;
+    if (!ran) return;
     const Ns cost = st.ctx.consumed();
     st.busy_total += cost;
     sim_.schedule(cost, [this, core] { retire(core); });
+  }
+
+  void wake_parked_from(unsigned first) {
+    for (unsigned i = first; i < active_cores_; ++i) {
+      if (cores_[i].phase == Phase::kParked) {
+        wake_core(i);
+        return;
+      }
+    }
   }
 
   void retire(unsigned core) {
@@ -179,9 +212,12 @@ class CoreEngine {
   }
 
   sim::Simulation& sim_;
+  const void* device_;
+  bool (*work_pending_)(const void* device);
   Program* program_ = nullptr;
   unsigned active_cores_;
   std::vector<CoreState> cores_;
+  unsigned wakes_in_flight_ = 0;  ///< scheduled runs not yet started
 };
 
 }  // namespace ipipe::nic

@@ -47,7 +47,7 @@ NicModel::NicModel(sim::Simulation& sim, NicConfig cfg, netsim::Network& net,
       cache_(CacheModel::for_nic(cfg_)),
       cores_(sim, *this, cfg_.cores) {
   net_.attach(node_, *this, cfg_.link_gbps);
-  tm_.set_notify([this] { wake_all(); });
+  tm_.set_notify([this] { wake_one(); });
 }
 
 void NicModel::set_firmware(NicFirmware* fw) {

@@ -99,6 +99,11 @@ class NicModel : public netsim::Endpoint {
   void set_steer_to_nic(std::function<bool(const netsim::Packet&)> pred) {
     steer_to_nic_ = std::move(pred);
   }
+  /// Work the firmware queues outside the traffic manager (the iPipe
+  /// runtime's host->NIC channel): counted by work_pending().
+  void set_work_pending(std::function<bool()> pred) {
+    work_pending_ = std::move(pred);
+  }
 
   // -- datapath -------------------------------------------------------
   void receive(netsim::PacketPtr pkt) override;  // from the wire
@@ -111,7 +116,14 @@ class NicModel : public netsim::Endpoint {
 
   // -- core scheduling --------------------------------------------------
   void wake_core(unsigned core) { cores_.wake_core(core); }
+  /// One item was queued for the cores: wake one parked core.
+  void wake_one() { cores_.wake_one(); }
   void wake_all() { cores_.wake_all(); }
+  /// True while the device holds items some core should take: a
+  /// non-empty traffic manager, or firmware-queued work.
+  [[nodiscard]] bool work_pending() const {
+    return !tm_.empty() || (work_pending_ && work_pending_());
+  }
   /// Arrange for `wake_core(core)` at an absolute time (DRR timers etc).
   void wake_core_at(unsigned core, Ns when) { cores_.wake_core_at(core, when); }
 
@@ -158,6 +170,7 @@ class NicModel : public netsim::Endpoint {
 
   std::function<void(netsim::PacketPtr)> host_rx_;
   std::function<bool(const netsim::Packet&)> steer_to_nic_;
+  std::function<bool()> work_pending_;
 
   Ns next_admit_ = 0;  // NIC-wide max_pps admission pacing
   std::uint64_t rx_frames_ = 0;

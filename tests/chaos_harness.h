@@ -63,8 +63,8 @@ inline RkvChaosResult run_rkv_chaos(std::uint64_t seed, double total_secs) {
   ParallelCluster cluster(kTorLatency);
   for (int i = 0; i < 3; ++i) {
     ServerSpec spec;
-    // The idle management heartbeat dominates long runs; 5ms keeps the
-    // 5000-vsec horizon cheap without disturbing the apps.
+    // A 5 ms management cadence: supervision restarts and autoscale
+    // windows land on its grid, and the pinned chaos timings assume it.
     spec.ipipe.mgmt_period = msec(5);
     cluster.add_server(spec);
   }

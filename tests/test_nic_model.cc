@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <map>
 #include <type_traits>
 
 #include "hostsim/host_model.h"
@@ -325,6 +326,9 @@ struct NicCores : CoreRig {
   using Program = nic::NicFirmware;
   nic::NicModel& device() { return nic; }
   void install(Program* program) { nic.set_firmware(program); }
+  /// Queue one item for the cores (a traffic-manager push) / take one.
+  void enqueue(netsim::PacketPtr pkt) { nic.tm().push(std::move(pkt)); }
+  static netsim::PacketPtr take(Context& ctx) { return ctx.nic().tm().pop(); }
 };
 
 /// The host cores under test: host runtimes, `tx` goes through the NIC
@@ -334,6 +338,9 @@ struct HostCores : CoreRig {
   using Program = hostsim::HostRuntime;
   hostsim::HostModel& device() { return host; }
   void install(Program* program) { host.set_runtime(program); }
+  /// Queue one item for the cores (a host RX ring push) / take one.
+  void enqueue(netsim::PacketPtr pkt) { host.rx_push(std::move(pkt)); }
+  static netsim::PacketPtr take(Context& ctx) { return ctx.host().rx_pop(); }
 
   // Constructed after the base, so the host takes over the RX ring.
   hostsim::HostModel host{fabric.sim(), hostsim::HostConfig{}, nic};
@@ -456,6 +463,124 @@ TYPED_TEST(CoreProtocol, CoreWithoutProgramParksAndStaysParked) {
   side.fabric.engine.run();  // the lookahead is already installed
   ASSERT_EQ(program.calls.size(), side.device().active_cores());
   for (const unsigned calls : program.calls) EXPECT_EQ(calls, 1u);
+}
+
+// ---- wake-one: an enqueued item wakes one parked core --------------------
+
+/// A program that takes one queued item per call (100 ns each) on every
+/// core except those `declines` says to skip, recording which core took
+/// what and when.
+template <class Side>
+struct TakeItems {
+  explicit TakeItems(std::function<bool(unsigned core)> declines =
+                         [](unsigned) { return false; })
+      : program([this, declines](auto& ctx, unsigned /*call*/) {
+          if (declines(ctx.core())) return false;
+          auto pkt = Side::take(ctx);
+          if (!pkt) return false;
+          ++taken[ctx.core()];
+          taken_at.push_back(ctx.now());
+          ctx.charge(100);
+          return true;
+        }) {}
+
+  ScriptedProgram<Side> program;
+  std::map<unsigned, unsigned> taken;  ///< items per core that took any
+  std::vector<Ns> taken_at;
+};
+
+/// Install `program` and let every core park after its idle first call.
+template <class Side>
+std::vector<unsigned> park_all(Side& side, ScriptedProgram<Side>& program) {
+  side.install(&program);
+  side.fabric.run();
+  EXPECT_EQ(program.calls.size(), side.device().active_cores());
+  return program.calls;
+}
+
+// On the host side the item is an rx_push into the host RX ring.
+TYPED_TEST(CoreProtocol, OneQueuedItemWakesOneParkedCore) {
+  auto& side = this->side;
+  TakeItems<TypeParam> work;
+  const auto parked = park_all(side, work.program);
+
+  side.enqueue(CoreRig::frame_to_sink());
+  side.fabric.engine.run();
+
+  // Core 0 runs the item and then once more to park; no other core runs.
+  EXPECT_EQ(work.taken, (std::map<unsigned, unsigned>{{0, 1}}));
+  EXPECT_EQ(work.program.calls[0], parked[0] + 2);
+  for (unsigned c = 1; c < parked.size(); ++c) {
+    EXPECT_EQ(work.program.calls[c], parked[c]) << "core " << c;
+  }
+}
+
+TYPED_TEST(CoreProtocol, TwoItemsAtOneInstantWakeTwoCores) {
+  auto& side = this->side;
+  TakeItems<TypeParam> work;
+  const auto parked = park_all(side, work.program);
+
+  side.enqueue(CoreRig::frame_to_sink());
+  side.enqueue(CoreRig::frame_to_sink());
+  side.fabric.engine.run();
+
+  EXPECT_EQ(work.taken, (std::map<unsigned, unsigned>{{0, 1}, {1, 1}}));
+  ASSERT_EQ(work.taken_at.size(), 2u);
+  EXPECT_EQ(work.taken_at[0], work.taken_at[1]);  // in parallel, not queued
+  for (unsigned c = 2; c < parked.size(); ++c) {
+    EXPECT_EQ(work.program.calls[c], parked[c]) << "core " << c;
+  }
+}
+
+TYPED_TEST(CoreProtocol, DecliningCoreHandsTheWakeOn) {
+  auto& side = this->side;
+  // Core 0 never takes queued items (like a DRR core with no run queue).
+  TakeItems<TypeParam> work([](unsigned core) { return core == 0; });
+  const auto parked = park_all(side, work.program);
+
+  side.enqueue(CoreRig::frame_to_sink());
+  side.fabric.engine.run();
+
+  // Core 0 was woken, declined, and passed the wake to core 1: nothing
+  // is stranded, and no core beyond the taker ran.
+  EXPECT_EQ(work.taken, (std::map<unsigned, unsigned>{{1, 1}}));
+  EXPECT_EQ(work.program.calls[0], parked[0] + 1);
+  EXPECT_EQ(work.program.calls[1], parked[1] + 2);
+  for (unsigned c = 2; c < parked.size(); ++c) {
+    EXPECT_EQ(work.program.calls[c], parked[c]) << "core " << c;
+  }
+  EXPECT_FALSE(side.device().work_pending());
+}
+
+TYPED_TEST(CoreProtocol, CoreBusyWithOtherWorkHandsTheWakeOn) {
+  auto& side = this->side;
+  // Core 0's next call does 10 us of its own work instead of the item
+  // (like the management core advancing a migration).
+  bool other_work = false;
+  std::vector<Ns> taken_at;
+  ScriptedProgram<TypeParam> program([&](auto& ctx, unsigned /*call*/) {
+    if (ctx.core() == 0 && other_work) {
+      other_work = false;
+      ctx.charge(usec(10));
+      return true;
+    }
+    if (ctx.core() == 0) return false;
+    auto pkt = TypeParam::take(ctx);
+    if (!pkt) return false;
+    taken_at.push_back(ctx.now());
+    ctx.charge(100);
+    return true;
+  });
+  park_all(side, program);
+
+  other_work = true;
+  const Ns pushed = side.fabric.sim().now();
+  side.enqueue(CoreRig::frame_to_sink());
+  side.fabric.engine.run();
+
+  // Another core took the item at once, not after core 0's 10 us.
+  ASSERT_EQ(taken_at.size(), 1u);
+  EXPECT_EQ(taken_at[0], pushed);
 }
 
 }  // namespace

@@ -387,5 +387,52 @@ TEST(Runtime, ManualMigrationRoundTrip) {
   EXPECT_LT(client.sent() - client.completed(), 8u);
 }
 
+// ---- the management core wakes for its deadlines, not on a timer ----------
+
+TEST(Runtime, IdleRuntimeSchedulesNothing) {
+  ParallelCluster cluster(kTorLatency);
+  auto& server = cluster.add_server(ServerSpec{});
+  server.runtime().register_actor(std::make_unique<SyntheticActor>(
+      "idle", [](Rng&) { return usec(2); }));
+  cluster.run_until(msec(100));
+  // A fixed 20 us heartbeat would run 5,000 management ticks here.
+  EXPECT_LT(server.sim().executed(), 50u);
+}
+
+TEST(Runtime, SupervisedRestartLandsOnTheHeartbeatGrid) {
+  ParallelCluster cluster(kTorLatency);
+  ServerSpec spec;
+  spec.ipipe.supervise = true;
+  spec.ipipe.supervise_restart_delay = usec(500);
+  auto& server = cluster.add_server(spec);
+  Runtime& rt = server.runtime();
+  const ActorId id = rt.register_actor(std::make_unique<SyntheticActor>(
+      "victim", [](Rng&) { return usec(2); }));
+
+  constexpr Ns kKilledAt = usec(1000) + 7;
+  server.sim().schedule_at(kKilledAt, [&] { rt.kill_actor(id, false); });
+  cluster.run_until(msec(5));
+
+  // The restart delay ends at 1,500,007 ns; the management pass that acts
+  // on it is the next 20 us heartbeat tick, as when core 0 polled.
+  ASSERT_EQ(rt.actor_restarts(), 1u);
+  EXPECT_FALSE(rt.control(id)->killed);
+  EXPECT_EQ(rt.control(id)->last_revive_at, usec(1520));
+}
+
+TEST(Runtime, IdleDrrCoreIsRetiredByAutoscale) {
+  ParallelCluster cluster(kTorLatency);
+  auto& server = cluster.add_server(ServerSpec{});
+  Runtime& rt = server.runtime();
+  server.sim().schedule_at(usec(50), [&] { rt.spawn_drr_core(); });
+
+  // The first autoscale window closes on the tick at 8 periods (160 us)
+  // and finds the DRR group with nothing to run.
+  cluster.run_until(usec(150));
+  EXPECT_EQ(rt.drr_cores(), 1u);
+  cluster.run_until(usec(170));
+  EXPECT_EQ(rt.drr_cores(), 0u);
+}
+
 }  // namespace
 }  // namespace ipipe
