@@ -1,11 +1,13 @@
 // google-benchmark microbenchmarks of the simulator itself: event-queue
 // throughput (schedule-heavy and cancel-heavy churn), event-capture cost
 // around the inline-callable small-buffer boundary, packet-pool recycling,
+// parallel-engine rounds (dense churn and a sparse many-domain star),
 // and end-to-end simulated-seconds-per-wallclock-second for a loaded
 // node — documents the cost of running the reproduction.
 #include <benchmark/benchmark.h>
 
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -179,6 +181,60 @@ void BM_MultiDomainChurn(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
 }
 BENCHMARK(BM_MultiDomainChurn)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+
+// A 96-domain star, the shape of a sharded cluster behind one switch:
+// four leaves tick and send to the hub, the hub forwards each message to
+// the next active leaf, and the other 91 leaves stay idle.  Every round
+// moves a handful of handoffs, so the engine's per-round bookkeeping, not
+// the events, sets the rate; an all-sources drain makes it O(D^2) per
+// round.  One thread: the rate is pure per-round cost, no barrier.
+constexpr std::uint32_t kSparseDomains = 96;
+constexpr std::uint32_t kSparseHub = 0;
+constexpr std::uint32_t kSparseActive[] = {1, 32, 64, 95};
+constexpr Ns kSparseHorizon = usec(200);
+constexpr Ns kSparseLookahead = usec(1);
+
+struct SparseLeaf {
+  sim::ParallelSimulation& ps;
+  std::uint32_t d;
+  std::uint32_t next;  ///< the active leaf the hub forwards this one to
+  void tick() {
+    auto& s = ps.domain(d);
+    if (s.now() >= kSparseHorizon) return;
+    ps.post(kSparseHub, s.now() + kSparseLookahead, [this] {
+      ps.post(next, ps.domain(kSparseHub).now() + kSparseLookahead, [] {});
+    });
+    s.schedule(250, [this] { tick(); });
+  }
+};
+
+void BM_SparseManyDomains(benchmark::State& state) {
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    sim::ParallelSimulation psim;
+    for (std::uint32_t d = 0; d < kSparseDomains; ++d) {
+      psim.add_domain("star" + std::to_string(d));
+    }
+    for (std::uint32_t d = 0; d < kSparseDomains; ++d) {
+      if (d == kSparseHub) continue;
+      psim.set_lookahead(d, kSparseHub, kSparseLookahead);
+      psim.set_lookahead(kSparseHub, d, kSparseLookahead);
+    }
+    std::vector<std::unique_ptr<SparseLeaf>> leaves;
+    constexpr std::size_t kActive = std::size(kSparseActive);
+    for (std::size_t i = 0; i < kActive; ++i) {
+      leaves.push_back(std::make_unique<SparseLeaf>(SparseLeaf{
+          psim, kSparseActive[i], kSparseActive[(i + 1) % kActive]}));
+      SparseLeaf* leaf = leaves.back().get();
+      psim.domain(leaf->d).schedule_at(i * 61, [leaf] { leaf->tick(); });
+    }
+    psim.run(kSparseHorizon + usec(5));
+    events += psim.executed();
+    benchmark::DoNotOptimize(psim.executed());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+}
+BENCHMARK(BM_SparseManyDomains);
 
 // ---- End-to-end --------------------------------------------------------
 

@@ -7,26 +7,44 @@ namespace {
 
 constexpr std::uint32_t kPoly = 0xEDB88320u;  // reflected 0x04C11DB7
 
-constexpr std::array<std::uint32_t, 256> make_table() {
-  std::array<std::uint32_t, 256> table{};
+/// Slicing-by-8 tables: kTables[0] is the classic bytewise table, and
+/// kTables[k][i] is the CRC of byte i followed by k zero bytes, so eight
+/// lookups advance the register over eight input bytes at once.
+constexpr std::array<std::array<std::uint32_t, 256>, 8> make_tables() {
+  std::array<std::array<std::uint32_t, 256>, 8> t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) c = (c & 1u) ? (kPoly ^ (c >> 1)) : (c >> 1);
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      t[k][i] = t[0][t[k - 1][i] & 0xFFu] ^ (t[k - 1][i] >> 8);
+    }
+  }
+  return t;
 }
 
-constexpr auto kTable = make_table();
+constexpr auto kTables = make_tables();
 
 }  // namespace
 
 std::uint32_t crc32(std::span<const std::uint8_t> data,
                     std::uint32_t seed) noexcept {
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (const std::uint8_t byte : data) {
-    c = kTable[(c ^ byte) & 0xFFu] ^ (c >> 8);
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  // Byte loads keep this independent of host endianness and alignment.
+  for (; n >= 8; n -= 8, p += 8) {
+    const std::uint32_t lo = c ^ (std::uint32_t{p[0]} | std::uint32_t{p[1]} << 8 |
+                                  std::uint32_t{p[2]} << 16 |
+                                  std::uint32_t{p[3]} << 24);
+    c = kTables[7][lo & 0xFFu] ^ kTables[6][(lo >> 8) & 0xFFu] ^
+        kTables[5][(lo >> 16) & 0xFFu] ^ kTables[4][lo >> 24] ^
+        kTables[3][p[4]] ^ kTables[2][p[5]] ^ kTables[1][p[6]] ^
+        kTables[0][p[7]];
   }
+  for (; n > 0; --n, ++p) c = kTables[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 

@@ -1,4 +1,4 @@
-// CRC-32 (IEEE 802.3 polynomial, reflected), table-driven.
+// CRC-32 (IEEE 802.3 polynomial, reflected), slicing-by-8 table-driven.
 // Used for message-channel integrity checksums (§3.5) and as the CRC
 // accelerator's functional model.
 #pragma once

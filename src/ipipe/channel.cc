@@ -100,18 +100,24 @@ std::size_t ChannelRing::producer_free() const noexcept {
   return buf_.size() - (write_pos_ - acked_read_pos_);
 }
 
+// Callers never move more than the ring holds, so a copy wraps at most
+// once: one segment up to the end of the buffer, one from its start.
 void ChannelRing::write_bytes(std::span<const std::uint8_t> bytes) {
-  for (const std::uint8_t b : bytes) {
-    buf_[write_pos_ % buf_.size()] = b;
-    ++write_pos_;
-  }
+  if (bytes.empty()) return;  // an empty span may carry no pointer
+  const std::size_t at = write_pos_ % buf_.size();
+  const std::size_t head = std::min(bytes.size(), buf_.size() - at);
+  std::memcpy(buf_.data() + at, bytes.data(), head);
+  std::memcpy(buf_.data(), bytes.data() + head, bytes.size() - head);
+  write_pos_ += bytes.size();
 }
 
 void ChannelRing::read_bytes(std::span<std::uint8_t> out) {
-  for (auto& b : out) {
-    b = buf_[read_pos_ % buf_.size()];
-    ++read_pos_;
-  }
+  if (out.empty()) return;  // an empty span may carry no pointer
+  const std::size_t at = read_pos_ % buf_.size();
+  const std::size_t head = std::min(out.size(), buf_.size() - at);
+  std::memcpy(out.data(), buf_.data() + at, head);
+  std::memcpy(out.data() + head, buf_.data(), out.size() - head);
+  read_pos_ += out.size();
 }
 
 bool ChannelRing::push(std::span<const std::uint8_t> body) {

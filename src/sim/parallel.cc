@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cassert>
 #include <thread>
 #include <utility>
@@ -92,6 +93,9 @@ void ParallelSimulation::finalize() {
   }
   rings_.resize(D * D);
   drain_scratch_.resize(D);
+  written_scratch_.resize(D);
+  inbox_words_ = (D + 63) / 64;
+  inbox_lines_ = (inbox_words_ + 7) / 8;
   next_ts_.assign(D, kNsMax);
   for (DomainId d = 0; d < D; ++d) {
     DomainState& dom = *domains_[d];
@@ -127,6 +131,12 @@ HandoffId ParallelSimulation::post(DomainId dst, Ns when, EventFn fn) {
   }
 #endif
   Ring& r = ring(src, dst);
+  // Windowed runs drain only the rings flagged here; the sequential
+  // fallback drains after every event and keeps no inbox.
+  if (r.items.empty() && !has_zero_lookahead_) {
+    inbox_row(dst, domains_[src]->worker)[src / 64] |=
+        std::uint64_t{1} << (src % 64);
+  }
   const std::uint64_t seq = r.next_seq++;
   r.items.push_back(Handoff{std::move(fn), when, seq});
   ++domains_[src]->stats.handoffs_out;
@@ -193,27 +203,47 @@ void ParallelSimulation::execute_domain(DomainId d, Ns bound_cap, Ns until,
   tls_current = {this, d};
   dom.sim.run_before(bound);
   tls_current = {nullptr, kNoDomain};
+  dom.ran = true;
 }
 
 void ParallelSimulation::drain_domain(DomainId d) {
-  const std::size_t D = domains_.size();
   DomainState& dom = *domains_[d];
-  auto& scratch = drain_scratch_[d];
-  scratch.clear();
-  std::size_t queued = 0;
-  for (DomainId s = 0; s < D; ++s) {
-    if (s == d) continue;
-    Ring& r = rings_[s * D + d];
-    queued += r.items.size();
-    for (Handoff& h : r.items) {
-      if (!h.fn) continue;  // cancelled in flight
-      scratch.push_back(DrainRef{h.when, s, h.seq, &h});
+  auto& written = written_scratch_[d];
+  written.clear();
+  for (unsigned w = 0; w < assignment_.size(); ++w) {
+    std::uint64_t* row = inbox_row(d, w);
+    for (std::size_t i = 0; i < inbox_words_; ++i) {
+      std::uint64_t bits = row[i];
+      if (bits == 0) continue;
+      row[i] = 0;
+      for (; bits != 0; bits &= bits - 1) {
+        const auto s = static_cast<DomainId>(i * 64 + std::countr_zero(bits));
+        written.push_back(s);
+      }
     }
   }
-  if (queued > dom.stats.ring_high_watermark) {
-    dom.stats.ring_high_watermark = queued;
+  // Nothing delivered and nothing executed: the queue head is unchanged.
+  if (written.empty() && !dom.ran) {
+    assert(next_ts_[d] == dom.sim.next_event_time() &&
+           "a domain's queue changed outside its own execute phase");
+    return;
   }
-  if (!scratch.empty()) {
+  dom.ran = false;
+  if (!written.empty()) {
+    auto& scratch = drain_scratch_[d];
+    scratch.clear();
+    std::size_t queued = 0;
+    for (const DomainId s : written) {
+      Ring& r = ring(s, d);
+      queued += r.items.size();
+      for (Handoff& h : r.items) {
+        if (!h.fn) continue;  // cancelled in flight
+        scratch.push_back(DrainRef{h.when, s, h.seq, &h});
+      }
+    }
+    if (queued > dom.stats.ring_high_watermark) {
+      dom.stats.ring_high_watermark = queued;
+    }
     // Canonical insertion order — (timestamp, source domain, per-pair
     // sequence) — is what makes the event order a pure function of the
     // inputs, independent of which worker drained first.
@@ -227,12 +257,11 @@ void ParallelSimulation::drain_domain(DomainId d) {
       dom.sim.schedule_at(ref.when, std::move(ref.h->fn));
     }
     dom.stats.handoffs_in += scratch.size();
-  }
-  for (DomainId s = 0; s < D; ++s) {
-    if (s == d) continue;
-    Ring& r = rings_[s * D + d];
-    r.drained_below = r.next_seq;
-    r.items.clear();
+    for (const DomainId s : written) {
+      Ring& r = ring(s, d);
+      r.drained_below = r.next_seq;
+      r.items.clear();
+    }
   }
   next_ts_[d] = dom.sim.next_event_time();
 }
@@ -270,7 +299,11 @@ Ns ParallelSimulation::run_windowed(Ns until) {
   assignment_.assign(nthreads, {});
   for (DomainId d = 0; d < D; ++d) {
     assignment_[d % nthreads].push_back(d);
+    domains_[d]->worker = d % nthreads;
   }
+  // Every drain clears what it reads, so the inbox is all zero between
+  // runs; only its shape follows the worker count.
+  inbox_.assign(std::size_t{D} * nthreads * inbox_lines_, InboxLine{});
   barrier_ = std::make_unique<Barrier>(nthreads);
   running_ = true;
   std::vector<std::thread> pool;

@@ -22,7 +22,12 @@
 //   * Cross-domain sends go through per-(src,dst) handoff rings.  A ring
 //     is written only by its producer during the execute phase and read
 //     only by its consumer during the drain phase; the round barrier
-//     separates the phases, so the rings need no locks at all.
+//     separates the phases, so the rings need no locks at all.  A post
+//     that makes a ring non-empty also sets the source's bit in the
+//     destination's inbox (one cache line per destination and producing
+//     worker), so a drain visits only the rings written this round, and
+//     a domain re-reads its queue head only when it executed events or
+//     received handoffs.  A round costs what it delivers, not D^2.
 //   * Determinism is non-negotiable: drained handoffs are inserted into
 //     the destination queue sorted by (timestamp, source domain id,
 //     per-pair sequence), and per-domain execution is single-threaded, so
@@ -173,6 +178,8 @@ class ParallelSimulation {
     std::string name;
     DomainStats stats;
     std::uint64_t executed_base = 0;  ///< sim.executed() at engine attach
+    unsigned worker = 0;              ///< worker that executes and drains it
+    bool ran = false;                 ///< executed events this round
     /// In-edges (src domain, lookahead), built by finalize().
     std::vector<std::pair<DomainId, Ns>> in_edges;
   };
@@ -211,6 +218,22 @@ class ParallelSimulation {
     Handoff* h;
   };
   std::vector<std::vector<DrainRef>> drain_scratch_;
+  std::vector<std::vector<DomainId>> written_scratch_;  ///< per domain, too
+  /// Written-ring bitmaps: one row of `inbox_words_` words per
+  /// (destination, producing worker), bit `s` set when ring (s, dst) went
+  /// non-empty.  Rows are padded to whole cache lines; a row is written
+  /// only by its worker during the execute phase and read and cleared
+  /// only by the destination's worker during the drain phase, so the
+  /// round barrier orders every access, as it does for the rings.
+  struct alignas(64) InboxLine {
+    std::uint64_t words[8];
+  };
+  std::vector<InboxLine> inbox_;
+  std::size_t inbox_words_ = 0;  ///< words per row: ceil(D / 64)
+  std::size_t inbox_lines_ = 0;  ///< cache lines per row
+  [[nodiscard]] std::uint64_t* inbox_row(DomainId dst, unsigned w) {
+    return inbox_[(dst * assignment_.size() + w) * inbox_lines_].words;
+  }
 
   unsigned threads_ = 1;
   bool finalized_ = false;

@@ -60,6 +60,43 @@ TEST(ChannelRing, CorruptionDetectedByCrc) {
   EXPECT_EQ(ring.crc_failures(), 1u);
 }
 
+TEST(ChannelRing, HeaderStraddlingTheWrapPoint) {
+  ChannelRing ring(64);
+  // A 61-byte first frame leaves 3 bytes before the end of the buffer, so
+  // the next frame's 8-byte [len][crc] header splits 3 + 5 across the wrap.
+  const std::vector<std::uint8_t> first(53, 0x11);
+  ASSERT_TRUE(ring.push(first));
+  ASSERT_TRUE(ring.pop().has_value());
+  ring.ack();
+  std::vector<std::uint8_t> msg(20);
+  for (std::size_t i = 0; i < msg.size(); ++i) {
+    msg[i] = static_cast<std::uint8_t>(0xA0 + i);
+  }
+  ASSERT_EQ(ring.write_pos(), 61u);
+  ASSERT_TRUE(ring.push(msg));
+  const auto out = ring.pop();
+  ASSERT_TRUE(out.has_value());
+  EXPECT_EQ(*out, msg);
+  EXPECT_EQ(ring.crc_failures(), 0u);
+}
+
+TEST(ChannelRing, CorruptByteJustPastTheWrapIsRejected) {
+  ChannelRing ring(64);
+  const std::vector<std::uint8_t> first(32, 0x22);  // 40-byte frame
+  ASSERT_TRUE(ring.push(first));
+  ASSERT_TRUE(ring.pop().has_value());
+  ring.ack();
+  // The next header is 40..47 and its body 48..77, which wraps at 64.
+  ASSERT_EQ(ring.write_pos(), 40u);
+  const std::vector<std::uint8_t> msg(30, 0x5A);
+  ASSERT_TRUE(ring.push(msg));
+  ring.corrupt_byte(64, 0x01);  // the first body byte past the wrap
+  bool corrupt = false;
+  EXPECT_FALSE(ring.pop(&corrupt).has_value());
+  EXPECT_TRUE(corrupt);
+  EXPECT_EQ(ring.crc_failures(), 1u);
+}
+
 TEST(ChannelMsgCodec, RoundTrip) {
   ChannelMsg msg;
   msg.dst_actor = 7;

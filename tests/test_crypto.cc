@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "crypto/aes.h"
 #include "crypto/crc32.h"
@@ -40,6 +41,35 @@ TEST(Crc32, ChainedEqualsWhole) {
   const std::string b = s.substr(20);
   const auto chained = crc32(bytes_of(b), crc32(bytes_of(a)));
   EXPECT_EQ(whole, chained);
+}
+
+// Bit-at-a-time reference over the same reflected polynomial.
+std::uint32_t crc32_bitwise(std::span<const std::uint8_t> data,
+                            std::uint32_t seed) {
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (const std::uint8_t byte : data) {
+    c ^= byte;
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, SlicedMatchesBitwiseAtEveryLengthAndAlignment) {
+  std::vector<std::uint8_t> buf(1100 + 8);
+  std::uint32_t x = 0x9E3779B9u;
+  for (auto& b : buf) {
+    x = x * 1664525u + 1013904223u;
+    b = static_cast<std::uint8_t>(x >> 24);
+  }
+  for (std::size_t align = 0; align < 8; ++align) {
+    for (std::size_t len = 0; len <= 1100; ++len) {
+      const std::span<const std::uint8_t> data(buf.data() + align, len);
+      for (const std::uint32_t seed : {0u, 0xCBF43926u}) {
+        ASSERT_EQ(crc32(data, seed), crc32_bitwise(data, seed))
+            << "align=" << align << " len=" << len << " seed=" << seed;
+      }
+    }
+  }
 }
 
 TEST(Md5, Rfc1321Vectors) {

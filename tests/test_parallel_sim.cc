@@ -158,6 +158,136 @@ TEST(ParallelSim, SameTimestampCrossDomainOrderIsSourceIdOrder) {
   }
 }
 
+// Delivery order when sources on both sides of the 64-domain inbox word
+// boundary (0, 63 | 64, 70) post into one destination in the same round.
+std::vector<std::pair<DomainId, int>> run_wide_fan_in(unsigned threads) {
+  constexpr DomainId kD = 72;
+  constexpr DomainId kDst = 71;
+  ParallelSimulation ps;
+  for (DomainId d = 0; d < kD; ++d) ps.add_domain("w" + std::to_string(d));
+  const std::vector<DomainId> sources = {70, 64, 63, 0};
+  for (const DomainId s : sources) {
+    ps.set_lookahead(s, kDst, 1000);
+    ps.set_lookahead(kDst, s, 1000);
+  }
+  ps.set_threads(threads);
+
+  std::vector<std::pair<DomainId, int>> order;
+  auto post = [&](DomainId src, Ns when, int tag) {
+    ps.post(kDst, when, [&order, src, tag] { order.push_back({src, tag}); });
+  };
+  // Registered in descending source order so that neither scheduling nor
+  // worker order can produce the expected result by accident.
+  ps.domain(70).schedule_at(500, [&] {
+    post(70, 2000, 0);
+    post(70, 2000, 1);
+  });
+  ps.domain(64).schedule_at(500, [&] {
+    post(64, 2000, 0);
+    post(64, 1800, 1);
+  });
+  ps.domain(63).schedule_at(500, [&] { post(63, 2000, 0); });
+  ps.domain(0).schedule_at(500, [&] {
+    post(0, 2100, 0);
+    post(0, 2000, 1);
+  });
+  ps.run(5000);
+  EXPECT_EQ(ps.stats(kDst).handoffs_in, 7u) << "threads=" << threads;
+  EXPECT_EQ(ps.stats(kDst).ring_high_watermark, 7u) << "threads=" << threads;
+  return order;
+}
+
+TEST(ParallelSim, FanInAcrossInboxWordBoundaryIsCanonical) {
+  // (timestamp, source domain, per-pair seq): 64's 1800 first, then the
+  // 2000 batch by source id with each source's posts in seq order.
+  const std::vector<std::pair<DomainId, int>> expected = {
+      {64, 1}, {0, 1}, {63, 0}, {64, 0}, {70, 0}, {70, 1}, {0, 0}};
+  for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+    EXPECT_EQ(run_wide_fan_in(threads), expected) << "threads=" << threads;
+  }
+}
+
+TEST(ParallelSim, RingWithOnlyCancelledItemsIsClearedAndReusable) {
+  for (const unsigned threads : {1u, 2u}) {
+    ParallelSimulation ps;
+    const DomainId a = ps.add_domain("a");
+    const DomainId b = ps.add_domain("b");
+    ps.set_lookahead(a, b, 10'000);
+    ps.set_lookahead(b, a, 10'000);
+    ps.set_threads(threads);
+
+    std::vector<Ns> fired;
+    HandoffId first;
+    bool late_cancel = true;
+    // Same round: post, then cancel the ring's only item before the drain.
+    ps.domain(a).schedule_at(100, [&] {
+      first = ps.post(b, 10'100, [&] { fired.push_back(ps.domain(b).now()); });
+    });
+    ps.domain(a).schedule_at(200, [&] { EXPECT_TRUE(ps.cancel_handoff(first)); });
+    // A later round: the emptied ring must carry the next post normally,
+    // and the drained cancel handle stays dead.
+    ps.domain(a).schedule_at(30'000, [&] {
+      late_cancel = ps.cancel_handoff(first);
+      ps.post(b, 40'500, [&] { fired.push_back(ps.domain(b).now()); });
+    });
+    ps.run(60'000);
+    EXPECT_EQ(fired, std::vector<Ns>{40'500}) << "threads=" << threads;
+    EXPECT_FALSE(late_cancel) << "threads=" << threads;
+    EXPECT_EQ(ps.stats(a).handoffs_out, 2u) << "threads=" << threads;
+    EXPECT_EQ(ps.stats(a).handoffs_cancelled, 1u) << "threads=" << threads;
+    EXPECT_EQ(ps.stats(b).handoffs_in, 1u) << "threads=" << threads;
+    // The cancelled item still occupied its ring at the first drain.
+    EXPECT_EQ(ps.stats(b).ring_high_watermark, 1u) << "threads=" << threads;
+  }
+}
+
+TEST(ParallelSim, IdleDomainWokenOnlyByHandoffRunsOnTime) {
+  // b has no events of its own for hundreds of rounds; a handoff alone
+  // must wake it, and b's follow-up and reply must run on time too.  The
+  // run is split so the second half starts from a fresh worker count.
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    ParallelSimulation ps;
+    const DomainId a = ps.add_domain("a");
+    const DomainId b = ps.add_domain("b");
+    ps.add_domain("idle");
+    ps.set_lookahead(a, b, 20);
+    ps.set_lookahead(b, a, 20);
+    ps.set_threads(threads);
+
+    struct Ticker {
+      Simulation& s;
+      void tick() {
+        if (s.now() < 8000) s.schedule(10, [this] { tick(); });
+      }
+    } ticker{ps.domain(a)};
+    ps.domain(a).schedule_at(0, [&] { ticker.tick(); });
+
+    Ns woke = 0;
+    Ns follow_up = 0;
+    Ns reply = 0;
+    ps.domain(a).schedule_at(6000, [&] {
+      ps.post(b, 6100, [&] {
+        woke = ps.domain(b).now();
+        ps.domain(b).schedule(50, [&] {
+          follow_up = ps.domain(b).now();
+          ps.post(a, 6200, [&] { reply = ps.domain(a).now(); });
+        });
+      });
+    });
+    ps.run(3000);
+    const std::uint64_t rounds_idle = ps.rounds();
+    ps.set_threads(threads == 1 ? 2 : 1);
+    ps.run(10'000);
+    EXPECT_GT(rounds_idle, 50u) << "threads=" << threads;
+    EXPECT_EQ(woke, 6100u) << "threads=" << threads;
+    EXPECT_EQ(follow_up, 6150u) << "threads=" << threads;
+    EXPECT_EQ(reply, 6200u) << "threads=" << threads;
+    EXPECT_EQ(ps.stats(b).events, 2u) << "threads=" << threads;
+    EXPECT_EQ(ps.stats(b).handoffs_in, 1u) << "threads=" << threads;
+    EXPECT_EQ(ps.stats(a).handoffs_in, 1u) << "threads=" << threads;
+  }
+}
+
 // A ring of domains each running a local ticker that periodically hands
 // work to the next domain; records every execution into a per-domain
 // trace.  The merged digest must be identical for any thread count.
