@@ -1,544 +1,438 @@
 #include "netsim/chaos.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
+#include <cstdarg>
 #include <cstdio>
+#include <limits>
 #include <sstream>
+#include <string_view>
+#include <type_traits>
+#include <utility>
+
+#include "common/exact_text.h"
 
 namespace ipipe::netsim {
 
-// ------------------------------------------------------------- FaultPlan --
+// ------------------------------------------------------------ verb table --
 
-FaultPlan& FaultPlan::crash(NodeId node, Ns at, Ns downtime) {
-  FaultAction a;
-  a.kind = FaultAction::Kind::kCrash;
-  a.node = node;
-  a.at = at;
-  a.duration = downtime;
-  actions.push_back(std::move(a));
-  return *this;
-}
+/// Everything the parser, the printer, the dispatcher and the controller
+/// know about one node-scoped verb.
+struct NodeVerb {
+  /// The clause between the node and the window.  A rate only shapes the
+  /// fault; a bank names part of the target, so both log lines carry it.
+  /// A verb without a clause logs its outage length instead.
+  enum class Arg : std::uint8_t { kNone, kRate, kBank };
+  /// The outage a verb takes its node into.  A verb whose node is already
+  /// in that outage, or wholly down, logs skipped(down) and never heals.
+  enum class Outage : std::uint8_t { kNone, kNode, kNic };
 
-FaultPlan& FaultPlan::partition(std::vector<NodeId> ga, std::vector<NodeId> gb,
-                                Ns at, Ns duration) {
-  FaultAction a;
-  a.kind = FaultAction::Kind::kPartition;
-  a.group_a = std::move(ga);
-  a.group_b = std::move(gb);
-  a.at = at;
-  a.duration = duration;
-  actions.push_back(std::move(a));
-  return *this;
-}
-
-FaultPlan& FaultPlan::pcie_corrupt(NodeId node, double rate, Ns at,
-                                   Ns duration) {
-  FaultAction a;
-  a.kind = FaultAction::Kind::kPcieCorrupt;
-  a.node = node;
-  a.rate = rate;
-  a.at = at;
-  a.duration = duration;
-  actions.push_back(std::move(a));
-  return *this;
-}
-
-FaultPlan& FaultPlan::link_fault(FaultModel fm, Ns at, Ns duration) {
-  FaultAction a;
-  a.kind = FaultAction::Kind::kLinkFault;
-  a.fault = fm;
-  a.at = at;
-  a.duration = duration;
-  actions.push_back(std::move(a));
-  return *this;
-}
-
-FaultPlan& FaultPlan::nic_crash(NodeId node, Ns at, Ns downtime) {
-  FaultAction a;
-  a.kind = FaultAction::Kind::kNicCrash;
-  a.node = node;
-  a.at = at;
-  a.duration = downtime;
-  actions.push_back(std::move(a));
-  return *this;
-}
-
-FaultPlan& FaultPlan::nic_reset(NodeId node, Ns at, Ns downtime) {
-  FaultAction a;
-  a.kind = FaultAction::Kind::kNicReset;
-  a.node = node;
-  a.at = at;
-  a.duration = downtime;
-  actions.push_back(std::move(a));
-  return *this;
-}
-
-FaultPlan& FaultPlan::pcie_flap(NodeId node, Ns at, Ns duration) {
-  FaultAction a;
-  a.kind = FaultAction::Kind::kPcieFlap;
-  a.node = node;
-  a.at = at;
-  a.duration = duration;
-  actions.push_back(std::move(a));
-  return *this;
-}
-
-FaultPlan& FaultPlan::accel_fail(NodeId node, std::uint32_t bank, Ns at,
-                                 Ns duration) {
-  FaultAction a;
-  a.kind = FaultAction::Kind::kAccelFail;
-  a.node = node;
-  a.bank = bank;
-  a.at = at;
-  a.duration = duration;
-  actions.push_back(std::move(a));
-  return *this;
-}
+  FaultAction::Kind kind;
+  const char* name;  ///< grammar word, and the fire line's word
+  Arg arg;
+  const char* heal;  ///< the heal line's word
+  Outage outage;
+  /// Calls the node's hook: `fault` is true at the fire, false at the heal.
+  void (*hook)(const NodeHooks& h, const FaultAction& a, bool fault);
+};
 
 namespace {
 
-/// "250ms" / "3s" / "1500ns" / "2us" -> Ns.  Returns false on bad input.
-bool parse_time(const std::string& tok, Ns* out) {
-  std::size_t pos = 0;
-  double value = 0.0;
-  try {
-    value = std::stod(tok, &pos);
-  } catch (...) {
-    return false;
+using Kind = FaultAction::Kind;
+using Arg = NodeVerb::Arg;
+
+void nic_hook(const NodeHooks& h, const FaultAction&, bool fault) {
+  const auto& f = fault ? h.nic_crash : h.nic_restore;
+  if (f) f();
+}
+
+constexpr NodeVerb kNodeVerbs[] = {
+    {Kind::kCrash, "crash", Arg::kNone, "restore", NodeVerb::Outage::kNode,
+     [](const NodeHooks& h, const FaultAction&, bool fault) {
+       const auto& f = fault ? h.crash : h.restore;
+       if (f) f();
+     }},
+    {Kind::kPcieCorrupt, "pcie-corrupt", Arg::kRate, "pcie-heal",
+     NodeVerb::Outage::kNone,
+     [](const NodeHooks& h, const FaultAction& a, bool fault) {
+       if (h.pcie_corrupt) h.pcie_corrupt(fault ? a.rate : 0.0);
+     }},
+    {Kind::kNicCrash, "nic-crash", Arg::kNone, "nic-restore",
+     NodeVerb::Outage::kNic, nic_hook},
+    {Kind::kNicReset, "nic-reset", Arg::kNone, "nic-restore",
+     NodeVerb::Outage::kNic, nic_hook},
+    {Kind::kPcieFlap, "pcie-flap", Arg::kNone, "pcie-up",
+     NodeVerb::Outage::kNone,
+     [](const NodeHooks& h, const FaultAction&, bool fault) {
+       if (h.pcie_flap) h.pcie_flap(fault);
+     }},
+    {Kind::kAccelFail, "accel-fail", Arg::kBank, "accel-heal",
+     NodeVerb::Outage::kNone,
+     [](const NodeHooks& h, const FaultAction& a, bool fault) {
+       if (h.accel_fail) h.accel_fail(a.bank, fault);
+     }},
+};
+
+const NodeVerb* node_verb(Kind kind) {
+  for (const NodeVerb& v : kNodeVerbs) {
+    if (v.kind == kind) return &v;
   }
-  const std::string suffix = tok.substr(pos);
-  double scale = 0.0;
-  if (suffix == "ns") {
-    scale = 1.0;
-  } else if (suffix == "us") {
-    scale = 1e3;
-  } else if (suffix == "ms") {
-    scale = 1e6;
-  } else if (suffix == "s") {
-    scale = 1e9;
-  } else {
-    return false;
+  return nullptr;
+}
+
+const NodeVerb* node_verb(std::string_view name) {
+  for (const NodeVerb& v : kNodeVerbs) {
+    if (v.name == name) return &v;
   }
-  *out = static_cast<Ns>(value * scale);
+  return nullptr;
+}
+
+/// link-fault's probability knobs (jitter, a time, is parsed on its own).
+constexpr std::pair<std::string_view, double FaultModel::*> kProbKnobs[] = {
+    {"drop", &FaultModel::drop_prob},
+    {"dup", &FaultModel::dup_prob},
+    {"corrupt", &FaultModel::corrupt_prob},
+};
+
+// ------------------------------------------------------- token helpers --
+
+/// The whole token as a T: an unsigned integer with no sign that fits, or
+/// a finite double.
+template <typename T>
+bool parse_num(std::string_view tok, T* out) {
+  const char* end = tok.data() + tok.size();
+  const auto [ptr, ec] = std::from_chars(tok.data(), end, *out);
+  if (ec != std::errc{} || ptr != end) return false;
+  if constexpr (std::is_floating_point_v<T>) return std::isfinite(*out);
   return true;
 }
 
-bool parse_double(const std::string& tok, double* out) {
-  try {
-    std::size_t pos = 0;
-    *out = std::stod(tok, &pos);
-    return pos == tok.size();
-  } catch (...) {
-    return false;
-  }
+bool parse_prob(std::string_view tok, double* out) {
+  return parse_num(tok, out) && *out >= 0.0 && *out <= 1.0;
 }
 
-/// "0,1,2" -> {0, 1, 2}.
-bool parse_group(const std::string& tok, std::vector<NodeId>* out) {
-  std::stringstream ss(tok);
-  std::string part;
-  while (std::getline(ss, part, ',')) {
-    try {
-      std::size_t pos = 0;
-      const unsigned long v = std::stoul(part, &pos);
-      if (pos != part.size()) return false;
-      out->push_back(static_cast<NodeId>(v));
-    } catch (...) {
-      return false;
+/// "250ms" / "3s" / "1500ns" / "2.5us": finite, non-negative, and it fits
+/// in Ns.  Whole numbers convert exactly; fractions truncate to the ns.
+bool parse_time(std::string_view tok, Ns* out) {
+  constexpr std::pair<std::string_view, Ns> kUnits[] = {
+      {"ns", 1}, {"us", kNsPerUs}, {"ms", kNsPerMs}, {"s", kNsPerSec}};
+  for (const auto& [unit, scale] : kUnits) {
+    if (!tok.ends_with(unit)) continue;
+    const std::string_view num = tok.substr(0, tok.size() - unit.size());
+    Ns whole = 0;
+    if (parse_num(num, &whole)) {
+      if (whole > std::numeric_limits<Ns>::max() / scale) return false;
+      *out = whole * scale;
+      return true;
     }
+    double v = 0.0;
+    if (!parse_num(num, &v) || v < 0.0) return false;
+    const double ns = v * static_cast<double>(scale);
+    if (!(ns < 0x1p64)) return false;
+    *out = static_cast<Ns>(ns);
+    return true;
   }
-  return !out->empty();
+  return false;
 }
 
-/// Consume "at <time> for <duration>" from the token stream.
-bool parse_window(std::stringstream& ss, Ns* at, Ns* duration,
-                  std::string* err) {
-  std::string kw;
-  std::string tok;
-  if (!(ss >> kw >> tok) || kw != "at" || !parse_time(tok, at)) {
-    *err = "expected 'at <time>'";
-    return false;
+/// "0,1,2" -> {0, 1, 2}; every member a node id.
+bool parse_group(std::string_view tok, std::vector<NodeId>* out) {
+  for (std::size_t start = 0;;) {
+    const std::size_t comma = tok.find(',', start);
+    NodeId node = 0;
+    if (!parse_num(tok.substr(start, comma - start), &node)) return false;
+    out->push_back(node);
+    if (comma == std::string_view::npos) return true;
+    start = comma + 1;
   }
-  if (!(ss >> kw >> tok) || kw != "for" || !parse_time(tok, duration)) {
-    *err = "expected 'for <duration>'";
-    return false;
+}
+
+std::string groups_text(const FaultAction& a) {
+  std::string out;
+  for (std::size_t i = 0; i < a.group_a.size(); ++i) {
+    out += (i == 0 ? "" : ",") + std::to_string(a.group_a[i]);
   }
-  return true;
+  out += '|';
+  for (std::size_t i = 0; i < a.group_b.size(); ++i) {
+    out += (i == 0 ? "" : ",") + std::to_string(a.group_b[i]);
+  }
+  return out;
+}
+
+/// Parses one directive, `t[0]` being its verb, into `a`.  Returns why it
+/// is malformed, or "" when it is not.
+std::string parse_directive(const std::vector<std::string>& t,
+                            FaultAction* a) {
+  std::size_t i = 1;
+  const auto fail = [&](const std::string& why) { return t[0] + ": " + why; };
+  // "<kw> <value>" at the cursor: the value, or nullptr.
+  const auto clause = [&](std::string_view kw) -> const std::string* {
+    if (i + 1 >= t.size() || t[i] != kw) return nullptr;
+    i += 2;
+    return &t[i - 1];
+  };
+
+  if (const NodeVerb* v = node_verb(t[0])) {
+    a->kind = v->kind;
+    if (i >= t.size()) return fail("missing node");
+    if (!parse_num(t[i], &a->node)) return fail("bad node '" + t[i] + "'");
+    ++i;
+    if (v->arg == Arg::kRate) {
+      const std::string* p = clause("rate");
+      if (p == nullptr || !parse_prob(*p, &a->rate)) {
+        return fail("expected 'rate <p>' with 0 <= p <= 1");
+      }
+    } else if (v->arg == Arg::kBank) {
+      const std::string* b = clause("bank");
+      if (b == nullptr || !parse_num(*b, &a->bank)) {
+        return fail("expected 'bank <b>'");
+      }
+    }
+  } else if (t[0] == "partition") {
+    a->kind = Kind::kPartition;
+    if (i >= t.size()) return fail("missing groups");
+    const std::string& spec = t[i++];
+    const auto bar = spec.find('|');
+    if (bar == std::string::npos ||
+        !parse_group(std::string_view(spec).substr(0, bar), &a->group_a) ||
+        !parse_group(std::string_view(spec).substr(bar + 1), &a->group_b)) {
+      return fail("expected '<a,..>|<b,..>', got '" + spec + "'");
+    }
+  } else if (t[0] == "link-fault") {
+    a->kind = Kind::kLinkFault;
+    for (; i < t.size() && t[i] != "at"; ++i) {
+      const auto eq = t[i].find('=');
+      if (eq == std::string::npos) return fail("bad knob '" + t[i] + "'");
+      const std::string_view key = std::string_view(t[i]).substr(0, eq);
+      const std::string_view val = std::string_view(t[i]).substr(eq + 1);
+      const auto knob =
+          std::find_if(std::begin(kProbKnobs), std::end(kProbKnobs),
+                       [&](const auto& k) { return k.first == key; });
+      bool ok = false;
+      if (knob != std::end(kProbKnobs)) {
+        ok = parse_prob(val, &(a->fault.*knob->second));
+      } else if (key == "jitter") {
+        ok = parse_time(val, &a->fault.reorder_jitter);
+      } else {
+        return fail("unknown knob '" + std::string(key) + "'");
+      }
+      if (!ok) return fail("bad value in '" + t[i] + "'");
+    }
+  } else {
+    return "unknown directive '" + t[0] + "'";
+  }
+
+  const std::string* at = clause("at");
+  if (at == nullptr || !parse_time(*at, &a->at)) {
+    return fail("expected 'at <time>'");
+  }
+  const std::string* dur = clause("for");
+  if (dur == nullptr || !parse_time(*dur, &a->duration)) {
+    return fail("expected 'for <duration>'");
+  }
+  if (i < t.size()) return fail("unexpected '" + t[i] + "' after the window");
+  return "";
+}
+
+/// printf into a std::string: the event log's pinned field formats.
+[[gnu::format(printf, 1, 2)]] std::string strf(const char* fmt, ...) {
+  char buf[160];
+  va_list ap;
+  va_start(ap, fmt);
+  std::vsnprintf(buf, sizeof(buf), fmt, ap);
+  va_end(ap);
+  return buf;
 }
 
 }  // namespace
 
+// ------------------------------------------------------------- FaultPlan --
+
+FaultPlan& FaultPlan::add(FaultAction a) {
+  actions.push_back(std::move(a));
+  return *this;
+}
+
+FaultPlan& FaultPlan::crash(NodeId node, Ns at, Ns downtime) {
+  return add({.kind = Kind::kCrash, .at = at, .duration = downtime,
+              .node = node});
+}
+
+FaultPlan& FaultPlan::partition(std::vector<NodeId> a, std::vector<NodeId> b,
+                                Ns at, Ns duration) {
+  return add({.kind = Kind::kPartition, .at = at, .duration = duration,
+              .group_a = std::move(a), .group_b = std::move(b)});
+}
+
+FaultPlan& FaultPlan::pcie_corrupt(NodeId node, double rate, Ns at,
+                                   Ns duration) {
+  return add({.kind = Kind::kPcieCorrupt, .at = at, .duration = duration,
+              .node = node, .rate = rate});
+}
+
+FaultPlan& FaultPlan::link_fault(FaultModel fm, Ns at, Ns duration) {
+  return add({.kind = Kind::kLinkFault, .at = at, .duration = duration,
+              .fault = fm});
+}
+
+FaultPlan& FaultPlan::nic_crash(NodeId node, Ns at, Ns downtime) {
+  return add({.kind = Kind::kNicCrash, .at = at, .duration = downtime,
+              .node = node});
+}
+
+FaultPlan& FaultPlan::nic_reset(NodeId node, Ns at, Ns downtime) {
+  return add({.kind = Kind::kNicReset, .at = at, .duration = downtime,
+              .node = node});
+}
+
+FaultPlan& FaultPlan::pcie_flap(NodeId node, Ns at, Ns duration) {
+  return add({.kind = Kind::kPcieFlap, .at = at, .duration = duration,
+              .node = node});
+}
+
+FaultPlan& FaultPlan::accel_fail(NodeId node, std::uint32_t bank, Ns at,
+                                 Ns duration) {
+  return add({.kind = Kind::kAccelFail, .at = at, .duration = duration,
+              .node = node, .bank = bank});
+}
+
 std::optional<FaultPlan> FaultPlan::parse(const std::string& text,
                                           std::string* error) {
   FaultPlan plan;
-  std::stringstream lines(text);
+  std::istringstream lines(text);
   std::string line;
-  int line_no = 0;
-  const auto fail = [&](const std::string& why) -> std::optional<FaultPlan> {
-    if (error != nullptr) {
-      *error = "line " + std::to_string(line_no) + ": " + why;
+  for (int line_no = 1; std::getline(lines, line); ++line_no) {
+    std::istringstream words(line.substr(0, line.find('#')));
+    std::vector<std::string> tokens;
+    for (std::string tok; words >> tok;) tokens.push_back(std::move(tok));
+    if (tokens.empty()) continue;  // blank / comment-only line
+    FaultAction a;
+    const std::string why = parse_directive(tokens, &a);
+    if (!why.empty()) {
+      if (error != nullptr) {
+        *error = "line " + std::to_string(line_no) + ": " + why;
+      }
+      return std::nullopt;
     }
-    return std::nullopt;
-  };
-
-  while (std::getline(lines, line)) {
-    ++line_no;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    std::stringstream ss(line);
-    std::string verb;
-    if (!(ss >> verb)) continue;  // blank / comment-only line
-
-    std::string err;
-    if (verb == "crash") {
-      unsigned long node = 0;
-      std::string tok;
-      if (!(ss >> tok)) return fail("crash: missing node");
-      try {
-        node = std::stoul(tok);
-      } catch (...) {
-        return fail("crash: bad node '" + tok + "'");
-      }
-      Ns at = 0;
-      Ns dur = 0;
-      if (!parse_window(ss, &at, &dur, &err)) return fail("crash: " + err);
-      plan.crash(static_cast<NodeId>(node), at, dur);
-    } else if (verb == "partition") {
-      std::string spec;
-      if (!(ss >> spec)) return fail("partition: missing groups");
-      const auto bar = spec.find('|');
-      if (bar == std::string::npos) {
-        return fail("partition: expected '<a,..>|<b,..>'");
-      }
-      std::vector<NodeId> ga;
-      std::vector<NodeId> gb;
-      if (!parse_group(spec.substr(0, bar), &ga) ||
-          !parse_group(spec.substr(bar + 1), &gb)) {
-        return fail("partition: bad group in '" + spec + "'");
-      }
-      Ns at = 0;
-      Ns dur = 0;
-      if (!parse_window(ss, &at, &dur, &err)) return fail("partition: " + err);
-      plan.partition(std::move(ga), std::move(gb), at, dur);
-    } else if (verb == "pcie-corrupt") {
-      unsigned long node = 0;
-      std::string tok;
-      if (!(ss >> tok)) return fail("pcie-corrupt: missing node");
-      try {
-        node = std::stoul(tok);
-      } catch (...) {
-        return fail("pcie-corrupt: bad node '" + tok + "'");
-      }
-      std::string kw;
-      double rate = 0.0;
-      if (!(ss >> kw >> tok) || kw != "rate" || !parse_double(tok, &rate)) {
-        return fail("pcie-corrupt: expected 'rate <p>'");
-      }
-      Ns at = 0;
-      Ns dur = 0;
-      if (!parse_window(ss, &at, &dur, &err)) {
-        return fail("pcie-corrupt: " + err);
-      }
-      plan.pcie_corrupt(static_cast<NodeId>(node), rate, at, dur);
-    } else if (verb == "nic-crash" || verb == "nic-reset" ||
-               verb == "pcie-flap") {
-      unsigned long node = 0;
-      std::string tok;
-      if (!(ss >> tok)) return fail(verb + ": missing node");
-      try {
-        node = std::stoul(tok);
-      } catch (...) {
-        return fail(verb + ": bad node '" + tok + "'");
-      }
-      Ns at = 0;
-      Ns dur = 0;
-      if (!parse_window(ss, &at, &dur, &err)) return fail(verb + ": " + err);
-      if (verb == "nic-crash") {
-        plan.nic_crash(static_cast<NodeId>(node), at, dur);
-      } else if (verb == "nic-reset") {
-        plan.nic_reset(static_cast<NodeId>(node), at, dur);
-      } else {
-        plan.pcie_flap(static_cast<NodeId>(node), at, dur);
-      }
-    } else if (verb == "accel-fail") {
-      unsigned long node = 0;
-      std::string tok;
-      if (!(ss >> tok)) return fail("accel-fail: missing node");
-      try {
-        node = std::stoul(tok);
-      } catch (...) {
-        return fail("accel-fail: bad node '" + tok + "'");
-      }
-      std::string kw;
-      unsigned long bank = 0;
-      if (!(ss >> kw >> tok) || kw != "bank") {
-        return fail("accel-fail: expected 'bank <b>'");
-      }
-      bool bank_ok = true;
-      try {
-        std::size_t pos = 0;
-        bank = std::stoul(tok, &pos);
-        bank_ok = pos == tok.size();
-      } catch (...) {
-        bank_ok = false;
-      }
-      if (!bank_ok) return fail("accel-fail: bad bank '" + tok + "'");
-      Ns at = 0;
-      Ns dur = 0;
-      if (!parse_window(ss, &at, &dur, &err)) {
-        return fail("accel-fail: " + err);
-      }
-      plan.accel_fail(static_cast<NodeId>(node),
-                      static_cast<std::uint32_t>(bank), at, dur);
-    } else if (verb == "link-fault") {
-      FaultModel fm;
-      Ns at = 0;
-      Ns dur = 0;
-      bool have_window = false;
-      std::string tok;
-      while (ss >> tok) {
-        if (tok == "at") {
-          // Rewind "at" into a window parse.
-          std::string t2;
-          if (!(ss >> t2) || !parse_time(t2, &at)) {
-            return fail("link-fault: expected 'at <time>'");
-          }
-          std::string kw;
-          if (!(ss >> kw >> t2) || kw != "for" || !parse_time(t2, &dur)) {
-            return fail("link-fault: expected 'for <duration>'");
-          }
-          have_window = true;
-          break;
-        }
-        const auto eq = tok.find('=');
-        if (eq == std::string::npos) {
-          return fail("link-fault: bad knob '" + tok + "'");
-        }
-        const std::string key = tok.substr(0, eq);
-        const std::string val = tok.substr(eq + 1);
-        if (key == "jitter") {
-          if (!parse_time(val, &fm.reorder_jitter)) {
-            return fail("link-fault: bad jitter '" + val + "'");
-          }
-        } else {
-          double p = 0.0;
-          if (!parse_double(val, &p)) {
-            return fail("link-fault: bad value '" + val + "'");
-          }
-          if (key == "drop") {
-            fm.drop_prob = p;
-          } else if (key == "dup") {
-            fm.dup_prob = p;
-          } else if (key == "corrupt") {
-            fm.corrupt_prob = p;
-          } else {
-            return fail("link-fault: unknown knob '" + key + "'");
-          }
-        }
-      }
-      if (!have_window) return fail("link-fault: missing 'at ... for ...'");
-      plan.link_fault(fm, at, dur);
-    } else {
-      return fail("unknown directive '" + verb + "'");
-    }
+    plan.add(std::move(a));
   }
   return plan;
 }
 
 std::string FaultPlan::to_text() const {
-  std::ostringstream os;
+  std::string out;
   for (const FaultAction& a : actions) {
-    switch (a.kind) {
-      case FaultAction::Kind::kCrash:
-        os << "crash " << a.node;
-        break;
-      case FaultAction::Kind::kPartition: {
-        os << "partition ";
-        for (std::size_t i = 0; i < a.group_a.size(); ++i) {
-          os << (i == 0 ? "" : ",") << a.group_a[i];
+    if (const NodeVerb* v = node_verb(a.kind)) {
+      out += std::string(v->name) + ' ' + std::to_string(a.node);
+      if (v->arg == Arg::kRate) out += " rate " + exact_text(a.rate);
+      if (v->arg == Arg::kBank) out += " bank " + std::to_string(a.bank);
+    } else if (a.kind == Kind::kPartition) {
+      out += "partition " + groups_text(a);
+    } else {
+      out += "link-fault";
+      for (const auto& [key, field] : kProbKnobs) {
+        if (a.fault.*field > 0.0) {
+          out += ' ' + std::string(key) + '=' + exact_text(a.fault.*field);
         }
-        os << "|";
-        for (std::size_t i = 0; i < a.group_b.size(); ++i) {
-          os << (i == 0 ? "" : ",") << a.group_b[i];
-        }
-        break;
       }
-      case FaultAction::Kind::kPcieCorrupt:
-        os << "pcie-corrupt " << a.node << " rate " << a.rate;
-        break;
-      case FaultAction::Kind::kLinkFault:
-        os << "link-fault";
-        if (a.fault.drop_prob > 0.0) os << " drop=" << a.fault.drop_prob;
-        if (a.fault.dup_prob > 0.0) os << " dup=" << a.fault.dup_prob;
-        if (a.fault.corrupt_prob > 0.0) {
-          os << " corrupt=" << a.fault.corrupt_prob;
-        }
-        if (a.fault.reorder_jitter > 0) {
-          os << " jitter=" << a.fault.reorder_jitter << "ns";
-        }
-        break;
-      case FaultAction::Kind::kNicCrash:
-        os << "nic-crash " << a.node;
-        break;
-      case FaultAction::Kind::kNicReset:
-        os << "nic-reset " << a.node;
-        break;
-      case FaultAction::Kind::kPcieFlap:
-        os << "pcie-flap " << a.node;
-        break;
-      case FaultAction::Kind::kAccelFail:
-        os << "accel-fail " << a.node << " bank " << a.bank;
-        break;
+      if (a.fault.reorder_jitter > 0) {
+        out += " jitter=" + std::to_string(a.fault.reorder_jitter) + "ns";
+      }
     }
-    os << " at " << a.at << "ns for " << a.duration << "ns\n";
+    out += " at " + std::to_string(a.at) + "ns for " +
+           std::to_string(a.duration) + "ns\n";
   }
-  return os.str();
+  return out;
 }
 
 // ------------------------------------------------------- ChaosController --
 
-sim::Simulation& ChaosController::action_sim(const FaultAction& a) {
-  switch (a.kind) {
-    case FaultAction::Kind::kCrash:
-    case FaultAction::Kind::kPcieCorrupt:
-    case FaultAction::Kind::kNicCrash:
-    case FaultAction::Kind::kNicReset:
-    case FaultAction::Kind::kPcieFlap:
-    case FaultAction::Kind::kAccelFail: {
-      const sim::DomainId d = net_.node_domain(a.node);
-      if (d != sim::kNoDomain) return net_.engine().domain(d);
-      break;
-    }
-    case FaultAction::Kind::kPartition:
-    case FaultAction::Kind::kLinkFault:
-      break;
-  }
-  return net_.sim();
+ChaosController::OutageState* ChaosController::outage(const NodeVerb& v) {
+  if (v.outage == NodeVerb::Outage::kNone) return nullptr;
+  return v.outage == NodeVerb::Outage::kNode ? &node_out_ : &nic_out_;
 }
 
 void ChaosController::execute(const FaultPlan& plan) {
   for (const FaultAction& a : plan.actions) {
-    sim::Simulation& s = action_sim(a);
     const std::uint64_t seq = next_seq_;
-    next_seq_ += 2;  // fire line, then its heal/restore line
-    if (a.kind == FaultAction::Kind::kCrash) down_[a.node];
-    if (a.kind == FaultAction::Kind::kNicCrash ||
-        a.kind == FaultAction::Kind::kNicReset) {
-      nic_down_[a.node];
+    next_seq_ += 2;  // fire line, then its heal line
+    const NodeVerb* v = node_verb(a.kind);
+    if (v == nullptr) {
+      sim::Simulation& s = net_.sim();
+      s.schedule_at(a.at, [this, &s, a, seq] {
+        if (a.kind == Kind::kPartition) {
+          fire_partition(s, a, seq);
+        } else {
+          fire_link_fault(s, a, seq);
+        }
+      });
+      continue;
     }
-    switch (a.kind) {
-      case FaultAction::Kind::kCrash:
-        s.schedule_at(a.at, [this, &s, a, seq] { fire_crash(s, a, seq); });
-        break;
-      case FaultAction::Kind::kPartition:
-        s.schedule_at(a.at, [this, &s, a, seq] { fire_partition(s, a, seq); });
-        break;
-      case FaultAction::Kind::kPcieCorrupt:
-        s.schedule_at(a.at,
-                      [this, &s, a, seq] { fire_pcie_corrupt(s, a, seq); });
-        break;
-      case FaultAction::Kind::kLinkFault:
-        s.schedule_at(a.at,
-                      [this, &s, a, seq] { fire_link_fault(s, a, seq); });
-        break;
-      case FaultAction::Kind::kNicCrash:
-      case FaultAction::Kind::kNicReset:
-        s.schedule_at(a.at, [this, &s, a, seq] { fire_nic_crash(s, a, seq); });
-        break;
-      case FaultAction::Kind::kPcieFlap:
-        s.schedule_at(a.at, [this, &s, a, seq] { fire_pcie_flap(s, a, seq); });
-        break;
-      case FaultAction::Kind::kAccelFail:
-        s.schedule_at(a.at,
-                      [this, &s, a, seq] { fire_accel_fail(s, a, seq); });
-        break;
-    }
+    if (OutageState* o = outage(*v)) o->down[a.node];
+    const sim::DomainId d = net_.node_domain(a.node);
+    sim::Simulation& s =
+        d == sim::kNoDomain ? net_.sim() : net_.engine().domain(d);
+    s.schedule_at(a.at, [this, &s, v, a, seq] { fire_node(s, *v, a, seq); });
   }
 }
 
-void ChaosController::fire_crash(sim::Simulation& s, const FaultAction& a,
-                                 std::uint64_t seq) {
-  char buf[96];
-  std::atomic<bool>& flag = down_[a.node];
-  if (flag.load(std::memory_order_relaxed)) {
-    std::snprintf(buf, sizeof(buf), "t=%lld crash node=%u skipped(down)",
-                  static_cast<long long>(s.now()), a.node);
-    log_line(s.now(), seq, buf);
-    return;
+void ChaosController::fire_node(sim::Simulation& s, const NodeVerb& v,
+                                const FaultAction& a, std::uint64_t seq) {
+  std::string line = strf("%s node=%u", v.name, a.node);
+  if (OutageState* o = outage(v)) {
+    std::atomic<bool>& down = o->down[a.node];
+    if (down.load(std::memory_order_relaxed) || node_down(a.node)) {
+      log_line(s.now(), seq, line + " skipped(down)");
+      return;
+    }
+    down.store(true, std::memory_order_relaxed);
+    o->begun.fetch_add(1, std::memory_order_relaxed);
   }
-  flag.store(true, std::memory_order_relaxed);
-  crashes_.fetch_add(1, std::memory_order_relaxed);
-  const auto it = hooks_.find(a.node);
-  if (it != hooks_.end() && it->second.crash) it->second.crash();
-  std::snprintf(buf, sizeof(buf), "t=%lld crash node=%u down_ns=%lld",
-                static_cast<long long>(s.now()), a.node,
-                static_cast<long long>(a.duration));
-  log_line(s.now(), seq, buf);
+  const auto hooks = hooks_.find(a.node);
+  if (hooks != hooks_.end()) v.hook(hooks->second, a, true);
+  switch (v.arg) {
+    case Arg::kNone:
+      line += strf(" down_ns=%lld", static_cast<long long>(a.duration));
+      break;
+    case Arg::kRate:
+      line += strf(" rate=%g", a.rate);
+      break;
+    case Arg::kBank:
+      line += strf(" bank=%u", a.bank);
+      break;
+  }
+  log_line(s.now(), seq, line);
 
-  s.schedule(a.duration, [this, &s, node = a.node, seq] {
-    down_[node].store(false, std::memory_order_relaxed);
-    restores_.fetch_add(1, std::memory_order_relaxed);
-    const auto h = hooks_.find(node);
-    if (h != hooks_.end() && h->second.restore) h->second.restore();
-    char b[64];
-    std::snprintf(b, sizeof(b), "t=%lld restore node=%u",
-                  static_cast<long long>(s.now()), node);
-    log_line(s.now(), seq + 1, b);
+  s.schedule(a.duration, [this, &s, &v, a, seq] {
+    if (OutageState* o = outage(v)) {
+      o->down[a.node].store(false, std::memory_order_relaxed);
+      o->ended.fetch_add(1, std::memory_order_relaxed);
+    }
+    const auto h = hooks_.find(a.node);
+    if (h != hooks_.end()) v.hook(h->second, a, false);
+    std::string heal = strf("%s node=%u", v.heal, a.node);
+    if (v.arg == Arg::kBank) heal += strf(" bank=%u", a.bank);
+    log_line(s.now(), seq + 1, heal);
   });
 }
 
 void ChaosController::fire_partition(sim::Simulation& s, const FaultAction& a,
                                      std::uint64_t seq) {
   for (const NodeId x : a.group_a) {
-    for (const NodeId y : a.group_b) {
-      net_.block_pair(x, y);
-    }
+    for (const NodeId y : a.group_b) net_.block_pair(x, y);
   }
   partitions_.fetch_add(1, std::memory_order_relaxed);
-  std::ostringstream os;
-  os << "t=" << s.now() << " partition";
-  for (std::size_t i = 0; i < a.group_a.size(); ++i) {
-    os << (i == 0 ? " " : ",") << a.group_a[i];
-  }
-  os << "|";
-  for (std::size_t i = 0; i < a.group_b.size(); ++i) {
-    os << (i == 0 ? "" : ",") << a.group_b[i];
-  }
-  os << " heal_ns=" << a.duration;
-  log_line(s.now(), seq, os.str());
+  log_line(s.now(), seq,
+           "partition " + groups_text(a) +
+               " heal_ns=" + std::to_string(a.duration));
 
-  s.schedule(a.duration, [this, &s, ga = a.group_a, gb = a.group_b, seq] {
-    for (const NodeId x : ga) {
-      for (const NodeId y : gb) {
-        net_.unblock_pair(x, y);
-      }
+  s.schedule(a.duration, [this, &s, a, seq] {
+    for (const NodeId x : a.group_a) {
+      for (const NodeId y : a.group_b) net_.unblock_pair(x, y);
     }
     heals_.fetch_add(1, std::memory_order_relaxed);
-    char b[48];
-    std::snprintf(b, sizeof(b), "t=%lld heal",
-                  static_cast<long long>(s.now()));
-    log_line(s.now(), seq + 1, b);
-  });
-}
-
-void ChaosController::fire_pcie_corrupt(sim::Simulation& s,
-                                        const FaultAction& a,
-                                        std::uint64_t seq) {
-  const auto it = hooks_.find(a.node);
-  if (it != hooks_.end() && it->second.pcie_corrupt) {
-    it->second.pcie_corrupt(a.rate);
-  }
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "t=%lld pcie-corrupt node=%u rate=%g",
-                static_cast<long long>(s.now()), a.node, a.rate);
-  log_line(s.now(), seq, buf);
-
-  s.schedule(a.duration, [this, &s, node = a.node, seq] {
-    const auto h = hooks_.find(node);
-    if (h != hooks_.end() && h->second.pcie_corrupt) h->second.pcie_corrupt(0.0);
-    char b[64];
-    std::snprintf(b, sizeof(b), "t=%lld pcie-heal node=%u",
-                  static_cast<long long>(s.now()), node);
-    log_line(s.now(), seq + 1, b);
+    log_line(s.now(), seq + 1, "heal");
   });
 }
 
@@ -546,101 +440,20 @@ void ChaosController::fire_link_fault(sim::Simulation& s, const FaultAction& a,
                                       std::uint64_t seq) {
   const FaultModel saved = net_.fault_model();
   net_.set_fault_model(a.fault);
-  char buf[128];
-  std::snprintf(buf, sizeof(buf),
-                "t=%lld link-fault drop=%g dup=%g corrupt=%g jitter=%lld",
-                static_cast<long long>(s.now()), a.fault.drop_prob,
-                a.fault.dup_prob, a.fault.corrupt_prob,
-                static_cast<long long>(a.fault.reorder_jitter));
-  log_line(s.now(), seq, buf);
+  log_line(s.now(), seq,
+           strf("link-fault drop=%g dup=%g corrupt=%g jitter=%lld",
+                a.fault.drop_prob, a.fault.dup_prob, a.fault.corrupt_prob,
+                static_cast<long long>(a.fault.reorder_jitter)));
 
   s.schedule(a.duration, [this, &s, saved, seq] {
     net_.set_fault_model(saved);
-    char b[48];
-    std::snprintf(b, sizeof(b), "t=%lld link-heal",
-                  static_cast<long long>(s.now()));
-    log_line(s.now(), seq + 1, b);
+    log_line(s.now(), seq + 1, "link-heal");
   });
 }
 
-void ChaosController::fire_nic_crash(sim::Simulation& s, const FaultAction& a,
-                                     std::uint64_t seq) {
-  const char* verb =
-      a.kind == FaultAction::Kind::kNicReset ? "nic-reset" : "nic-crash";
-  char buf[96];
-  std::atomic<bool>& flag = nic_down_[a.node];
-  if (flag.load(std::memory_order_relaxed) ||
-      node_down(a.node)) {
-    std::snprintf(buf, sizeof(buf), "t=%lld %s node=%u skipped(down)",
-                  static_cast<long long>(s.now()), verb, a.node);
-    log_line(s.now(), seq, buf);
-    return;
-  }
-  flag.store(true, std::memory_order_relaxed);
-  nic_crashes_.fetch_add(1, std::memory_order_relaxed);
-  const auto it = hooks_.find(a.node);
-  if (it != hooks_.end() && it->second.nic_crash) it->second.nic_crash();
-  std::snprintf(buf, sizeof(buf), "t=%lld %s node=%u down_ns=%lld",
-                static_cast<long long>(s.now()), verb, a.node,
-                static_cast<long long>(a.duration));
-  log_line(s.now(), seq, buf);
-
-  s.schedule(a.duration, [this, &s, node = a.node, seq] {
-    nic_down_[node].store(false, std::memory_order_relaxed);
-    nic_restores_.fetch_add(1, std::memory_order_relaxed);
-    const auto h = hooks_.find(node);
-    if (h != hooks_.end() && h->second.nic_restore) h->second.nic_restore();
-    char b[64];
-    std::snprintf(b, sizeof(b), "t=%lld nic-restore node=%u",
-                  static_cast<long long>(s.now()), node);
-    log_line(s.now(), seq + 1, b);
-  });
-}
-
-void ChaosController::fire_pcie_flap(sim::Simulation& s, const FaultAction& a,
-                                     std::uint64_t seq) {
-  const auto it = hooks_.find(a.node);
-  if (it != hooks_.end() && it->second.pcie_flap) it->second.pcie_flap(true);
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "t=%lld pcie-flap node=%u down_ns=%lld",
-                static_cast<long long>(s.now()), a.node,
-                static_cast<long long>(a.duration));
-  log_line(s.now(), seq, buf);
-
-  s.schedule(a.duration, [this, &s, node = a.node, seq] {
-    const auto h = hooks_.find(node);
-    if (h != hooks_.end() && h->second.pcie_flap) h->second.pcie_flap(false);
-    char b[64];
-    std::snprintf(b, sizeof(b), "t=%lld pcie-up node=%u",
-                  static_cast<long long>(s.now()), node);
-    log_line(s.now(), seq + 1, b);
-  });
-}
-
-void ChaosController::fire_accel_fail(sim::Simulation& s, const FaultAction& a,
-                                      std::uint64_t seq) {
-  const auto it = hooks_.find(a.node);
-  if (it != hooks_.end() && it->second.accel_fail) {
-    it->second.accel_fail(a.bank, true);
-  }
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "t=%lld accel-fail node=%u bank=%u",
-                static_cast<long long>(s.now()), a.node, a.bank);
-  log_line(s.now(), seq, buf);
-
-  s.schedule(a.duration, [this, &s, node = a.node, bank = a.bank, seq] {
-    const auto h = hooks_.find(node);
-    if (h != hooks_.end() && h->second.accel_fail) {
-      h->second.accel_fail(bank, false);
-    }
-    char b[80];
-    std::snprintf(b, sizeof(b), "t=%lld accel-heal node=%u bank=%u",
-                  static_cast<long long>(s.now()), node, bank);
-    log_line(s.now(), seq + 1, b);
-  });
-}
-
-void ChaosController::log_line(Ns t, std::uint64_t seq, std::string line) {
+void ChaosController::log_line(Ns t, std::uint64_t seq,
+                               const std::string& body) {
+  std::string line = "t=" + std::to_string(t) + ' ' + body;
   const std::lock_guard<std::mutex> guard(log_mu_);
   recs_.push_back(LogRec{t, seq, std::move(line)});
 }

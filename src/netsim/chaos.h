@@ -1,19 +1,25 @@
 // Chaos harness: deterministic, replayable fault schedules executed in
 // virtual time against the simulated fabric and its nodes.
 //
-// A FaultPlan is a list of timestamped fault actions — crash/restore a
-// whole node, partition/heal link groups, inject burst corruption on a
-// node's PCIe channel, or override the fabric-wide FaultModel for a
-// window — built programmatically or parsed from a small text spec (see
-// EXPERIMENTS.md "Chaos & recovery").  The ChaosController schedules
-// every action on the simulation clock and drives per-node callbacks
-// registered by the testbed; because everything runs in virtual time
-// from seeded inputs, the same plan against the same binary produces a
-// byte-identical event log (the determinism check CI enforces).
+// A FaultPlan is a list of timestamped fault actions, built with the
+// builders below or parsed from a small text grammar (see EXPERIMENTS.md
+// "Chaos & recovery").  Six verbs target one node (crash, pcie-corrupt,
+// nic-crash, nic-reset, pcie-flap, accel-fail); partition and link-fault
+// target the fabric.  Each node verb is one row of chaos.cc's verb table,
+// which gives its grammar word, its optional `rate`/`bank` clause, its
+// heal line and the outage it dedups on; parse, to_text, dispatch and
+// the fire/heal path all read that row.  Adding a node verb is one row
+// plus its NodeHooks entry.
 //
-// The controller itself only knows the Network and the hook functions;
-// what "crash" means for a node (detach + wipe volatile runtime state)
-// is the testbed's business (ServerNode::crash / restore).
+// The grammar is strict (whole-token numbers, probabilities in [0, 1],
+// finite non-negative times that fit in Ns, nothing after the window) and
+// to_text prints every number exactly, so parse(to_text(p)) == p.
+//
+// The ChaosController schedules every action on the simulation clock and
+// drives the per-node hooks the testbed registers (what "crash" means for
+// a node is ServerNode::crash / restore).  Everything runs in virtual time
+// from seeded inputs, so the same plan against the same binary produces a
+// byte-identical event log (the determinism check CI enforces).
 #pragma once
 
 #include <atomic>
@@ -30,6 +36,8 @@
 #include "sim/simulation.h"
 
 namespace ipipe::netsim {
+
+struct NodeVerb;  // a row of chaos.cc's verb table
 
 /// One scheduled fault.  `at` is the virtual time it fires; faults with a
 /// `duration` heal/restore at `at + duration`.
@@ -52,9 +60,9 @@ struct FaultAction {
   NodeId node = kInvalidNode;        ///< node-scoped kinds
   double rate = 0.0;                 ///< kPcieCorrupt fault rate
   std::uint32_t bank = 0;            ///< kAccelFail accelerator bank
-  std::vector<NodeId> group_a;       ///< kPartition
-  std::vector<NodeId> group_b;
-  FaultModel fault;                  ///< kLinkFault
+  std::vector<NodeId> group_a{};     ///< kPartition
+  std::vector<NodeId> group_b{};
+  FaultModel fault{};                ///< kLinkFault
 };
 
 /// A replayable fault schedule.
@@ -84,16 +92,21 @@ struct FaultPlan {
   ///   nic-reset <node> at <time> for <duration>
   ///   pcie-flap <node> at <time> for <duration>
   ///   accel-fail <node> bank <b> at <time> for <duration>
-  /// Times accept ns/us/ms/s suffixes (e.g. "250ms", "3s").
-  /// Returns nullopt on malformed input; `error` (if given) explains why.
+  /// Times accept ns/us/ms/s suffixes (e.g. "250ms", "3s").  Nodes and
+  /// banks are unsigned 32-bit; probabilities lie in [0, 1].
+  /// Returns nullopt on malformed input; `error` (if given) explains why,
+  /// starting "line <n>: ".
   [[nodiscard]] static std::optional<FaultPlan> parse(
       const std::string& text, std::string* error = nullptr);
 
   /// Render back to the text-spec grammar (one directive per line, times
-  /// in ns so the round trip through parse() is exact).  Shrunk plans are
-  /// reported in this form so a failing schedule can be replayed with
-  /// --plan / --plan-file.
+  /// in ns, probabilities in their shortest exact form), so parse()
+  /// reproduces every field.  Shrunk plans are reported in this form so a
+  /// failing schedule can be replayed with --plan / --plan-file.
   [[nodiscard]] std::string to_text() const;
+
+ private:
+  FaultPlan& add(FaultAction a);
 };
 
 /// Per-node callbacks the controller drives.  All optional — an
@@ -113,11 +126,10 @@ struct NodeHooks {
   std::function<void(std::uint32_t, bool)> accel_fail;
 };
 
-/// Dispatch rule: node-scoped actions (crash, restore, pcie-corrupt,
-/// nic-crash, pcie-flap, accel-fail) are scheduled on the target node's
-/// engine domain, fabric-scoped ones (partition, heal, link-fault) — and
-/// node actions against a node the fabric does not know — on the switch
-/// domain that owns the partition set and the fault model.  Log lines
+/// Dispatch rule: the node verbs fire and heal on the target node's
+/// engine domain; partition and link-fault — and node verbs against a
+/// node the fabric does not know — on the switch domain that owns the
+/// partition set and the fault model.  Log lines
 /// from different domains merge under a mutex keyed by (virtual time,
 /// plan sequence), so `event_log()` stays byte-identical across thread
 /// counts; the down flags and counters are atomics.  Fault instants show
@@ -128,7 +140,7 @@ class ChaosController {
 
   void register_node(NodeId node, NodeHooks hooks) {
     hooks_[node] = std::move(hooks);
-    down_[node].store(false, std::memory_order_relaxed);
+    node_out_.down[node].store(false, std::memory_order_relaxed);
   }
 
   /// Schedule every action in `plan` on the simulation clock.  May be
@@ -136,8 +148,9 @@ class ChaosController {
   void execute(const FaultPlan& plan);
 
   [[nodiscard]] bool node_down(NodeId node) const {
-    const auto it = down_.find(node);
-    return it != down_.end() && it->second.load(std::memory_order_relaxed);
+    const auto it = node_out_.down.find(node);
+    return it != node_out_.down.end() &&
+           it->second.load(std::memory_order_relaxed);
   }
 
   // ---- the replayable record -----------------------------------------------
@@ -149,45 +162,52 @@ class ChaosController {
   /// The log joined with newlines (for the determinism byte-compare).
   [[nodiscard]] std::string event_log_text() const;
 
-  [[nodiscard]] std::uint64_t crashes() const noexcept { return crashes_; }
-  [[nodiscard]] std::uint64_t restores() const noexcept { return restores_; }
+  [[nodiscard]] std::uint64_t crashes() const noexcept {
+    return node_out_.begun;
+  }
+  [[nodiscard]] std::uint64_t restores() const noexcept {
+    return node_out_.ended;
+  }
   [[nodiscard]] std::uint64_t partitions() const noexcept {
     return partitions_;
   }
   [[nodiscard]] std::uint64_t heals() const noexcept { return heals_; }
   [[nodiscard]] std::uint64_t nic_crashes() const noexcept {
-    return nic_crashes_;
+    return nic_out_.begun;
   }
   [[nodiscard]] std::uint64_t nic_restores() const noexcept {
-    return nic_restores_;
+    return nic_out_.ended;
   }
 
  private:
-  /// `s` is the domain queue the action executes on (see action_sim).
-  /// `seq` is the action's plan-order sequence, the deterministic
+  /// One outage class (whole node, or NIC only): per-node down flags and
+  /// begin/end counts.  The flag map is filled at registration and plan
+  /// execution, so its shape is frozen while workers run; only the
+  /// atomics flip.
+  struct OutageState {
+    std::map<NodeId, std::atomic<bool>> down;
+    std::atomic<std::uint64_t> begun{0};
+    std::atomic<std::uint64_t> ended{0};
+  };
+
+  /// `s` is the domain queue the action executes on (the dispatch rule
+  /// above).  `seq` is the action's plan-order sequence, the deterministic
   /// tie-break for log lines that share a timestamp.
-  void fire_crash(sim::Simulation& s, const FaultAction& a, std::uint64_t seq);
+  void fire_node(sim::Simulation& s, const NodeVerb& v, const FaultAction& a,
+                 std::uint64_t seq);
   void fire_partition(sim::Simulation& s, const FaultAction& a,
                       std::uint64_t seq);
-  void fire_pcie_corrupt(sim::Simulation& s, const FaultAction& a,
-                         std::uint64_t seq);
   void fire_link_fault(sim::Simulation& s, const FaultAction& a,
                        std::uint64_t seq);
-  void fire_nic_crash(sim::Simulation& s, const FaultAction& a,
-                      std::uint64_t seq);
-  void fire_pcie_flap(sim::Simulation& s, const FaultAction& a,
-                      std::uint64_t seq);
-  void fire_accel_fail(sim::Simulation& s, const FaultAction& a,
-                       std::uint64_t seq);
-  /// Domain an action schedules on (the dispatch rule above).
-  [[nodiscard]] sim::Simulation& action_sim(const FaultAction& a);
-  void log_line(Ns t, std::uint64_t seq, std::string line);
+  /// The outage `v` dedups on, or nullptr.
+  [[nodiscard]] OutageState* outage(const NodeVerb& v);
+  /// Logs "t=<t> <body>".
+  void log_line(Ns t, std::uint64_t seq, const std::string& body);
 
   Network& net_;
   std::map<NodeId, NodeHooks> hooks_;
-  /// Pre-populated at registration / plan execution (the map's shape is
-  /// frozen while workers run; only the atomic flags flip).
-  std::map<NodeId, std::atomic<bool>> down_;
+  OutageState node_out_;  ///< crash / restore
+  OutageState nic_out_;   ///< nic-crash, nic-reset / nic-restore
   struct LogRec {
     Ns t;
     std::uint64_t seq;
@@ -197,15 +217,8 @@ class ChaosController {
   mutable std::vector<LogRec> recs_;
   mutable std::vector<std::string> log_;  ///< sorted cache, rebuilt on read
   std::uint64_t next_seq_ = 0;            ///< 2 per action: fire, then heal
-  std::atomic<std::uint64_t> crashes_{0};
-  std::atomic<std::uint64_t> restores_{0};
   std::atomic<std::uint64_t> partitions_{0};
   std::atomic<std::uint64_t> heals_{0};
-  std::atomic<std::uint64_t> nic_crashes_{0};
-  std::atomic<std::uint64_t> nic_restores_{0};
-  /// NIC-down flags, same discipline as `down_` (dedup of overlapping
-  /// nic-crash windows; the map's shape freezes before workers run).
-  std::map<NodeId, std::atomic<bool>> nic_down_;
 };
 
 }  // namespace ipipe::netsim

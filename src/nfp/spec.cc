@@ -2,8 +2,13 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <utility>
+
+#include "common/exact_text.h"
 
 namespace ipipe::nfp {
 namespace {
@@ -46,13 +51,19 @@ double parse_number(const std::string& token) {
   std::string suffix = token.substr(used);
   std::transform(suffix.begin(), suffix.end(), suffix.begin(),
                  [](unsigned char c) { return std::tolower(c); });
-  if (suffix.empty()) return v;
-  if (suffix == "kbps") return v * 1e3;
-  if (suffix == "mbps") return v * 1e6;
-  if (suffix == "gbps") return v * 1e9;
-  if (suffix == "k") return v * 1024;
-  if (suffix == "m") return v * 1024 * 1024;
-  if (suffix == "g") return v * 1024 * 1024 * 1024;
+  constexpr std::pair<std::string_view, double> kUnits[] = {
+      {"", 1},           {"kbps", 1e3},        {"mbps", 1e6},
+      {"gbps", 1e9},     {"k", 1024.0},        {"m", 1024.0 * 1024},
+      {"g", 1024.0 * 1024 * 1024}};
+  for (const auto& [unit, scale] : kUnits) {
+    if (suffix != unit) continue;
+    // NaN never equals itself and an infinity reaches the stages' integer
+    // casts, so neither is a parameter (nor could it round-trip).
+    if (!std::isfinite(v * scale)) {
+      throw std::invalid_argument("non-finite number '" + token + "'");
+    }
+    return v * scale;
+  }
   throw std::invalid_argument("unknown unit suffix '" + suffix + "' in '" +
                               token + "' (use Kbps/Mbps/Gbps or K/M/G)");
 }
@@ -178,7 +189,7 @@ PipelineSpec parse_pipeline(const std::string& text) {
     if (i >= text.size()) fail(text, i, "dangling '|'");
   }
 
-  // Normalized round-trippable form.
+  // Normalized form; numbers print exactly, so it parses back to `out`.
   std::ostringstream os;
   for (std::size_t s = 0; s < out.stages.size(); ++s) {
     if (s != 0) os << " | ";
@@ -189,12 +200,12 @@ PipelineSpec parse_pipeline(const std::string& text) {
       bool first = true;
       for (const double a : st.args) {
         if (!first) os << ',';
-        os << a;
+        os << exact_text(a);
         first = false;
       }
       for (const auto& [k, v] : st.kv) {
         if (!first) os << ',';
-        os << k << '=' << v;
+        os << k << '=' << exact_text(v);
         first = false;
       }
       os << ')';

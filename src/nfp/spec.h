@@ -34,7 +34,7 @@ struct StageSpec {
 
 struct PipelineSpec {
   std::vector<StageSpec> stages;
-  std::string text;  ///< normalized round-trippable form
+  std::string text;  ///< normalized form; parses back to equal stages
 
   [[nodiscard]] std::size_t depth() const noexcept { return stages.size(); }
 };
@@ -43,8 +43,8 @@ struct PipelineSpec {
 /// position-annotated message on malformed input.
 [[nodiscard]] PipelineSpec parse_pipeline(const std::string& text);
 
-/// Parse "1Gbps" / "500Mbps" / "64K" / "1024" into a double.
-/// Throws std::invalid_argument on malformed input.
+/// Parse "1Gbps" / "500Mbps" / "64K" / "1024" into a finite double.
+/// Throws std::invalid_argument on malformed or non-finite input.
 [[nodiscard]] double parse_number(const std::string& token);
 
 /// Instantiate one stage from its spec (seeded deterministically from

@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <cstdlib>
 #include <deque>
+#include <filesystem>
+#include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
@@ -20,6 +22,8 @@
 #include "fake_env.h"
 #include "netsim/chaos.h"
 #include "testbed/cluster.h"
+#include "text_mutator.h"
+#include "verify/fuzz.h"
 #include "workloads/client.h"
 
 namespace ipipe {
@@ -33,17 +37,20 @@ using workloads::ClientGen;
 
 // ------------------------------------------------------- FaultPlan parse --
 
+/// Every verb once (ParsesFullGrammar's input; a fuzz seed too).
+constexpr const char* kFullGrammar =
+    "# chaos schedule\n"
+    "crash 1 at 2s for 500ms\n"
+    "partition 0,1|2 at 3s for 250ms   # isolate node 2\n"
+    "pcie-corrupt 0 rate 0.05 at 4s for 100ms\n"
+    "link-fault drop=0.1 dup=0.02 corrupt=0.03 jitter=50us at 5s for 1s\n"
+    "nic-crash 1 at 6s for 200ms\n"
+    "nic-reset 2 at 7s for 50ms\n"
+    "pcie-flap 0 at 8s for 10ms\n"
+    "accel-fail 1 bank 4 at 9s for 1s\n";
+
 TEST(ChaosPlan, ParsesFullGrammar) {
-  const std::string text =
-      "# chaos schedule\n"
-      "crash 1 at 2s for 500ms\n"
-      "partition 0,1|2 at 3s for 250ms   # isolate node 2\n"
-      "pcie-corrupt 0 rate 0.05 at 4s for 100ms\n"
-      "link-fault drop=0.1 dup=0.02 corrupt=0.03 jitter=50us at 5s for 1s\n"
-      "nic-crash 1 at 6s for 200ms\n"
-      "nic-reset 2 at 7s for 50ms\n"
-      "pcie-flap 0 at 8s for 10ms\n"
-      "accel-fail 1 bank 4 at 9s for 1s\n";
+  const std::string text = kFullGrammar;
   std::string error;
   const auto plan = netsim::FaultPlan::parse(text, &error);
   ASSERT_TRUE(plan.has_value()) << error;
@@ -105,12 +112,120 @@ TEST(ChaosPlan, RejectsMalformedInput) {
       "pcie-flap 0 at 1s",                     // missing duration
       "accel-fail 0 at 1s for 1s",             // missing bank clause
       "accel-fail 0 bank x at 1s for 1s",      // non-numeric bank
+      "crash 1x at 1s for 1s",                 // node not a whole number
+      "crash -1 at 1s for 1s",                 // negative node
+      "crash 4294967297 at 1s for 1s",         // node past 32 bits
+      "partition 0|-1 at 1s for 1s",           // negative group member
+      "partition 0|4294967297 at 1s for 1s",   // group member past 32 bits
+      "accel-fail 0 bank -1 at 1s for 1s",     // negative bank
+      "accel-fail 0 bank 4294967297 at 1s for 1s",  // bank past 32 bits
+      "crash 1 at -5s for 1s",                 // negative time
+      "crash 1 at 1e30s for 1s",               // time past Ns
+      "crash 1 at nans for 1s",                // NaN time
+      "crash 1 at 1s for -1ms",                // negative duration
+      "pcie-corrupt 0 rate 7 at 1s for 1s",    // rate above 1
+      "pcie-corrupt 0 rate nan at 1s for 1s",  // NaN rate
+      "link-fault drop=nan at 1s for 1s",      // NaN probability
+      "link-fault corrupt=-0.5 at 1s for 1s",  // negative probability
+      "crash 1 at 1s for 1s 2s",               // trailing token
+      "link-fault drop=0.1 at 1s for 1s extra",  // trailing token
   };
   for (const char* text : bad) {
     std::string error;
     EXPECT_FALSE(netsim::FaultPlan::parse(text, &error).has_value()) << text;
     EXPECT_NE(error.find("line 1"), std::string::npos) << error;
   }
+}
+
+/// Field-for-field equality of two plans, doubles compared exactly.
+::testing::AssertionResult SamePlan(const netsim::FaultPlan& p,
+                                    const netsim::FaultPlan& q) {
+  if (p.size() != q.size()) {
+    return ::testing::AssertionFailure()
+           << p.size() << " vs " << q.size() << " actions";
+  }
+  for (std::size_t i = 0; i < p.size(); ++i) {
+    const netsim::FaultAction& a = p.actions[i];
+    const netsim::FaultAction& b = q.actions[i];
+    if (a.kind != b.kind || a.at != b.at || a.duration != b.duration ||
+        a.node != b.node || a.rate != b.rate || a.bank != b.bank ||
+        a.group_a != b.group_a || a.group_b != b.group_b ||
+        a.fault.drop_prob != b.fault.drop_prob ||
+        a.fault.dup_prob != b.fault.dup_prob ||
+        a.fault.corrupt_prob != b.fault.corrupt_prob ||
+        a.fault.reorder_jitter != b.fault.reorder_jitter) {
+      return ::testing::AssertionFailure() << "action " << i << " differs";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(ChaosPlan, PrintedPlanReplaysExactly) {
+  // Drawn rates and drop probabilities have all 17 significant digits;
+  // the printed plan must carry every one of them.
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    const netsim::FaultPlan p = verify::random_fault_plan(seed, 3, sec(30));
+    std::string error;
+    const auto q = netsim::FaultPlan::parse(p.to_text(), &error);
+    ASSERT_TRUE(q.has_value()) << "seed " << seed << ": " << error;
+    EXPECT_TRUE(SamePlan(p, *q)) << "seed " << seed << ":\n" << p.to_text();
+  }
+}
+
+/// The plan section of every checked-in tests/corpus file.
+std::vector<std::string> corpus_plans() {
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(IPIPE_CORPUS_DIR)) {
+    if (entry.path().extension() == ".corpus") files.push_back(entry.path());
+  }
+  std::sort(files.begin(), files.end());
+  std::vector<std::string> plans;
+  for (const auto& file : files) {
+    std::ifstream in(file);
+    std::stringstream text;
+    text << in.rdbuf();
+    const auto at = text.str().find("plan:\n");
+    if (at != std::string::npos) plans.push_back(text.str().substr(at + 6));
+  }
+  return plans;
+}
+
+TEST(ChaosPlan, MutatedPlansNeverCrashAndRoundTrip) {
+  std::vector<std::string> seeds = corpus_plans();
+  ASSERT_FALSE(seeds.empty()) << IPIPE_CORPUS_DIR;
+  seeds.push_back(kFullGrammar);
+  // Single directives too, so edits reach past the first line's verb.
+  for (std::size_t i = 0, n = seeds.size(); i < n; ++i) {
+    std::istringstream lines(seeds[i]);
+    for (std::string line; std::getline(lines, line);) seeds.push_back(line);
+  }
+  for (const std::string& seed_text : seeds) {
+    const auto plan = netsim::FaultPlan::parse(seed_text);
+    ASSERT_TRUE(plan.has_value()) << seed_text;
+  }
+
+  Rng rng(18);
+  std::size_t parsed = 0;
+  for (int i = 0; i < 4000; ++i) {
+    const std::string text =
+        fuzztest::mutate(seeds[i % seeds.size()], rng);
+    std::string error;
+    const auto p = netsim::FaultPlan::parse(text, &error);
+    if (!p) {
+      EXPECT_EQ(error.rfind("line ", 0), 0u) << text << " -> " << error;
+      continue;
+    }
+    ++parsed;
+    const std::string printed = p->to_text();
+    const auto q = netsim::FaultPlan::parse(printed, &error);
+    ASSERT_TRUE(q.has_value()) << text << " -> " << printed << " -> " << error;
+    EXPECT_TRUE(SamePlan(*p, *q)) << text << " -> " << printed;
+    EXPECT_EQ(q->to_text(), printed) << text;
+  }
+  // The mix must exercise both outcomes, not just the error path.
+  EXPECT_GT(parsed, 400u);
+  EXPECT_LT(parsed, 3600u);
 }
 
 // ------------------------------------------ fabric counters + client retry --
@@ -189,6 +304,70 @@ TEST(ChaosNet, PartitionBlocksTrafficUntilHealed) {
   const std::string log = chaos->event_log_text();
   EXPECT_NE(log.find("partition"), std::string::npos);
   EXPECT_NE(log.find("heal"), std::string::npos);
+}
+
+// ------------------------------------------------------- event-log golden --
+
+// Every verb's fire and heal line, both skipped(down) lines and the
+// dispatch counters, pinned byte for byte: the event log is the record
+// chaos digests hash, so a reworded line must fail here.
+TEST(ChaosController, EventLogGolden) {
+  ParallelCluster cluster(kTorLatency);
+  for (int i = 0; i < 3; ++i) cluster.add_server(ServerSpec{});
+  const ActorId echo =
+      cluster.server(0).runtime().register_actor(std::make_unique<EchoActor>());
+  auto chaos = cluster.make_chaos();
+
+  std::string error;
+  const auto plan = netsim::FaultPlan::parse(
+      "crash 1 at 10ms for 20ms\n"
+      "crash 1 at 15ms for 5ms\n"  // inside the first window: skipped
+      "partition 0|1,2,1000 at 12ms for 6ms\n"
+      "pcie-corrupt 0 rate 0.0123456789 at 20ms for 10ms\n"
+      "link-fault drop=0.0123456789 dup=0.02 corrupt=0.03 jitter=5us "
+      "at 25ms for 10ms\n"
+      "nic-crash 2 at 30ms for 20ms\n"
+      "nic-reset 2 at 35ms for 5ms\n"  // NIC already down: skipped
+      "pcie-flap 0 at 40ms for 2ms\n"
+      "accel-fail 1 bank 2 at 45ms for 10ms\n"
+      "nic-reset 1 at 50ms for 5ms\n"
+      "nic-crash 1 at 22ms for 1ms\n",  // whole node down: skipped
+      &error);
+  ASSERT_TRUE(plan.has_value()) << error;
+  chaos->execute(*plan);
+
+  auto& client = cluster.add_client(10.0, echo_to(0, echo));
+  client.enable_retries({.timeout = msec(2), .max_retries = 50,
+                         .backoff = 1.5, .cap = msec(10)});
+  client.start_closed_loop(2, msec(80));
+  cluster.run_until(msec(100));
+
+  EXPECT_EQ(chaos->event_log_text(),
+            "t=10000000 crash node=1 down_ns=20000000\n"
+            "t=12000000 partition 0|1,2,1000 heal_ns=6000000\n"
+            "t=15000000 crash node=1 skipped(down)\n"
+            "t=18000000 heal\n"
+            "t=20000000 pcie-corrupt node=0 rate=0.0123457\n"
+            "t=22000000 nic-crash node=1 skipped(down)\n"
+            "t=25000000 link-fault drop=0.0123457 dup=0.02 corrupt=0.03 jitter=5000\n"
+            "t=30000000 restore node=1\n"
+            "t=30000000 pcie-heal node=0\n"
+            "t=30000000 nic-crash node=2 down_ns=20000000\n"
+            "t=35000000 link-heal\n"
+            "t=35000000 nic-reset node=2 skipped(down)\n"
+            "t=40000000 pcie-flap node=0 down_ns=2000000\n"
+            "t=42000000 pcie-up node=0\n"
+            "t=45000000 accel-fail node=1 bank=2\n"
+            "t=50000000 nic-restore node=2\n"
+            "t=50000000 nic-reset node=1 down_ns=5000000\n"
+            "t=55000000 accel-heal node=1 bank=2\n"
+            "t=55000000 nic-restore node=1\n");
+  EXPECT_EQ(chaos->crashes(), 1u);
+  EXPECT_EQ(chaos->restores(), 1u);
+  EXPECT_EQ(chaos->partitions(), 1u);
+  EXPECT_EQ(chaos->heals(), 1u);
+  EXPECT_EQ(chaos->nic_crashes(), 2u);
+  EXPECT_EQ(chaos->nic_restores(), 2u);
 }
 
 // ------------------------------------------------------ actor supervision --

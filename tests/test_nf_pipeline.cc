@@ -21,6 +21,7 @@
 #include "nfp/spec.h"
 #include "nfp/stage.h"
 #include "testbed/cluster.h"
+#include "text_mutator.h"
 
 namespace ipipe {
 namespace {
@@ -261,16 +262,66 @@ TEST(Stages, CounterRejectsZeroDimensions) {
 }
 
 TEST(PipelineSpec, NormalizedTextRoundTrips) {
-  const auto a = nfp::parse_pipeline(
-      "  firewall( rules = 64 )|ratelimit(1Gbps,cap=32)  | counter");
-  const auto b = nfp::parse_pipeline(a.text);
-  EXPECT_EQ(a.text, b.text);
-  ASSERT_EQ(a.depth(), b.depth());
-  for (std::size_t i = 0; i < a.depth(); ++i) {
-    EXPECT_EQ(a.stages[i].kind, b.stages[i].kind);
-    EXPECT_EQ(a.stages[i].args, b.stages[i].args);
-    EXPECT_EQ(a.stages[i].kv, b.stages[i].kv);
+  // Values of seven significant digits must print in full, not as
+  // 1e+06 / 1.23457e+06.
+  for (const char* text :
+       {"  firewall( rules = 64 )|ratelimit(1Gbps,cap=32)  | counter",
+        "maglev(1000003)", "ratelimit(1234567)"}) {
+    const auto a = nfp::parse_pipeline(text);
+    const auto b = nfp::parse_pipeline(a.text);
+    EXPECT_EQ(a.text, b.text);
+    ASSERT_EQ(a.depth(), b.depth());
+    for (std::size_t i = 0; i < a.depth(); ++i) {
+      EXPECT_EQ(a.stages[i].kind, b.stages[i].kind);
+      EXPECT_EQ(a.stages[i].args, b.stages[i].args) << text;
+      EXPECT_EQ(a.stages[i].kv, b.stages[i].kv);
+    }
   }
+}
+
+TEST(PipelineSpec, MutatedSpecsNeverCrashAndRoundTrip) {
+  // The specs the nf benches run, plus this file's parser inputs.
+  const std::vector<std::string> seeds = {
+      "firewall(128) | ratelimit(2Gbps) | maglev(8) | counter",
+      "firewall(128) | counter",
+      "firewall(128) | ratelimit(500Mbps) | maglev(8) | "
+      "pfabric(cap=256,quantum=8) | classify | counter",
+      "firewall(128) | ipsec | maglev(8) | counter",
+      "ratelimit(rate=500Mbps, burst=32K, cap=128)",
+      "  firewall( rules = 64 )|ratelimit(1Gbps,cap=32)  | counter",
+      "maglev(8, table=17)",
+  };
+  Rng rng(18);
+  std::size_t parsed = 0;
+  for (int i = 0; i < 4000; ++i) {
+    const std::string text = fuzztest::mutate(seeds[i % seeds.size()], rng);
+    nfp::PipelineSpec a;
+    try {
+      a = nfp::parse_pipeline(text);
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("at offset"), std::string::npos)
+          << text << " -> " << e.what();
+      continue;
+    }
+    ++parsed;
+    nfp::PipelineSpec b;
+    try {
+      b = nfp::parse_pipeline(a.text);
+    } catch (const std::invalid_argument& e) {
+      ADD_FAILURE() << text << " -> " << a.text << " -> " << e.what();
+      continue;
+    }
+    EXPECT_EQ(b.text, a.text) << text;
+    ASSERT_EQ(a.depth(), b.depth()) << text;
+    for (std::size_t s = 0; s < a.depth(); ++s) {
+      EXPECT_EQ(a.stages[s].kind, b.stages[s].kind) << text;
+      EXPECT_EQ(a.stages[s].args, b.stages[s].args) << text;
+      EXPECT_EQ(a.stages[s].kv, b.stages[s].kv) << text;
+    }
+  }
+  // The mix must exercise both outcomes, not just the error path.
+  EXPECT_GT(parsed, 400u);
+  EXPECT_LT(parsed, 3600u);
 }
 
 TEST(PipelineSpec, EveryKnownKindInstantiates) {
