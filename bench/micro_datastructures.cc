@@ -6,6 +6,7 @@
 
 #include "apps/dt/hashtable.h"
 #include "apps/nf/count_min.h"
+#include "apps/nf/ipsec.h"
 #include "apps/nf/lpm_trie.h"
 #include "apps/nf/maglev.h"
 #include "apps/nf/tcam.h"
@@ -66,6 +67,22 @@ void BM_AesCtr(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_AesCtr)->Arg(64)->Arg(1024)->Arg(8192);
+
+// One ESP encapsulation (AES-256-CTR + HMAC-SHA1-96) of a payload of
+// range(0) bytes; 448 B is the ipsec stage's per-packet work in perfbench's
+// nf_chain workload.  Gated in CI by a floor in BENCH_sim.json.
+void BM_IpsecEncapsulate(benchmark::State& state) {
+  nf::IpsecGateway gw(std::vector<std::uint8_t>(32, 0x42),
+                      std::vector<std::uint8_t>(20, 0x11));
+  const std::vector<std::uint8_t> payload(
+      static_cast<std::size_t>(state.range(0)), 0x55);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(gw.encapsulate(payload));
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_IpsecEncapsulate)->Arg(448);
 
 void BM_SkipListInsert(benchmark::State& state) {
   test::FakeEnv env(1, 512 * MiB);

@@ -6,9 +6,9 @@
 namespace ipipe::nf {
 
 IpsecGateway::IpsecGateway(std::span<const std::uint8_t> aes_key,
-                           std::vector<std::uint8_t> hmac_key,
+                           const std::vector<std::uint8_t>& hmac_key,
                            std::uint32_t spi)
-    : aes_(aes_key), hmac_key_(std::move(hmac_key)), spi_(spi) {
+    : aes_(aes_key), hmac_(hmac_key), spi_(spi) {
   assert(aes_key.size() == 32 && "IPSec datapath uses AES-256 (§5.7)");
 }
 
@@ -24,16 +24,13 @@ std::array<std::uint8_t, 16> IpsecGateway::counter_block(
 
 std::array<std::uint8_t, 12> IpsecGateway::compute_icv(
     const EspPacket& pkt) const {
-  std::vector<std::uint8_t> auth_data;
-  auth_data.reserve(12 + 8 + pkt.ciphertext.size());
-  const auto* spi_bytes = reinterpret_cast<const std::uint8_t*>(&pkt.spi);
-  auth_data.insert(auth_data.end(), spi_bytes, spi_bytes + 4);
-  const auto* seq_bytes = reinterpret_cast<const std::uint8_t*>(&pkt.seq);
-  auth_data.insert(auth_data.end(), seq_bytes, seq_bytes + 8);
-  auth_data.insert(auth_data.end(), pkt.iv.begin(), pkt.iv.end());
-  auth_data.insert(auth_data.end(), pkt.ciphertext.begin(),
-                   pkt.ciphertext.end());
-  const auto digest = crypto::hmac_sha1(hmac_key_, auth_data);
+  // Authenticated data: spi || seq || iv || ciphertext.
+  crypto::Sha1 mac = hmac_.begin();
+  mac.update({reinterpret_cast<const std::uint8_t*>(&pkt.spi), 4});
+  mac.update({reinterpret_cast<const std::uint8_t*>(&pkt.seq), 8});
+  mac.update(pkt.iv);
+  mac.update(pkt.ciphertext);
+  const auto digest = hmac_.finish(mac);
   std::array<std::uint8_t, 12> icv;
   std::memcpy(icv.data(), digest.data(), 12);  // RFC 2404 96-bit truncation
   return icv;

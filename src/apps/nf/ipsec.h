@@ -19,7 +19,8 @@ class IpsecGateway {
  public:
   /// 32-byte AES-256 key + arbitrary-length HMAC key.
   IpsecGateway(std::span<const std::uint8_t> aes_key,
-               std::vector<std::uint8_t> hmac_key, std::uint32_t spi = 0x1001);
+               const std::vector<std::uint8_t>& hmac_key,
+               std::uint32_t spi = 0x1001);
 
   struct EspPacket {
     std::uint32_t spi = 0;
@@ -49,7 +50,7 @@ class IpsecGateway {
       const EspPacket& pkt) const;
 
   crypto::Aes aes_;
-  std::vector<std::uint8_t> hmac_key_;
+  crypto::HmacSha1 hmac_;
   std::uint32_t spi_;
   std::uint64_t seq_ = 0;
   std::uint64_t highest_seen_ = 0;

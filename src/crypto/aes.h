@@ -1,10 +1,12 @@
 // AES-128/192/256 block cipher (FIPS 197) and CTR mode.
 //
 // Functional model for the SmartNIC AES engine (Table 3) and the working
-// cipher behind the IPSec gateway (§5.7, AES-256-CTR).  This is a plain
-// table-free software implementation optimised for clarity and
-// auditability, not for side-channel resistance — it encrypts simulated
-// traffic, never real secrets.
+// cipher behind the IPSec gateway (§5.7, AES-256-CTR).  The engine's time
+// comes from the accelerator model, so this code only has to produce the
+// right bytes cheaply: encryption runs 32-bit T-table rounds (one 1 KiB
+// table, rotated per row), decryption stays byte-wise.  Table lookups are
+// not side-channel resistant; this encrypts simulated traffic, never real
+// secrets.
 #pragma once
 
 #include <array>
@@ -30,8 +32,9 @@ class Aes {
 
  private:
   int rounds_;
-  // Max 15 round keys of 16 bytes each (AES-256).
-  std::array<std::uint8_t, 16 * 15> round_keys_{};
+  // rounds_ + 1 round keys (at most 15, AES-256), each as four big-endian
+  // words.
+  std::array<std::uint32_t, 4 * 15> round_keys_{};
 };
 
 /// AES-CTR keystream cipher.  Encrypt and decrypt are the same operation.

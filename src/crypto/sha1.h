@@ -31,6 +31,27 @@ class Sha1 {
   std::size_t buffered_ = 0;
 };
 
+/// HMAC-SHA1 (RFC 2104) under one fixed key.  The key's ipad and opad
+/// blocks are hashed once, at construction; each message then costs only
+/// its own blocks plus the two final compressions.
+class HmacSha1 {
+ public:
+  /// Any key length; keys longer than a block are hashed first.
+  explicit HmacSha1(std::span<const std::uint8_t> key) noexcept;
+
+  /// A hasher already fed the key's ipad block.  update() it with the
+  /// message, in as many pieces as convenient, then pass it to finish().
+  [[nodiscard]] Sha1 begin() const noexcept { return inner_; }
+  /// The MAC of everything fed to `inner` since begin(); resets `inner`.
+  [[nodiscard]] Sha1::Digest finish(Sha1& inner) const noexcept;
+
+  [[nodiscard]] Sha1::Digest mac(std::span<const std::uint8_t> data) const noexcept;
+
+ private:
+  Sha1 inner_;  // after the key ^ ipad block
+  Sha1 outer_;  // after the key ^ opad block
+};
+
 /// HMAC-SHA1 over `data` with `key` (any key length; RFC 2104 key prep).
 [[nodiscard]] Sha1::Digest hmac_sha1(std::span<const std::uint8_t> key,
                                      std::span<const std::uint8_t> data) noexcept;

@@ -126,17 +126,17 @@ class IpsecStage final : public Stage {
     Rng rng(seed ^ 0x1F5ECULL);
     for (auto& b : aes_key) b = static_cast<std::uint8_t>(rng.next());
     for (auto& b : hmac_key) b = static_cast<std::uint8_t>(rng.next());
-    gw_ = std::make_unique<nf::IpsecGateway>(aes_key, std::move(hmac_key));
+    gw_ = std::make_unique<nf::IpsecGateway>(aes_key, hmac_key);
   }
 
   void process(StageCtx& ctx, netsim::PacketPtr pkt) override {
     if (pkt->payload.empty()) {
       pkt->payload.assign(16, static_cast<std::uint8_t>(pkt->flow));
     }
-    const auto esp = gw_->encapsulate(pkt->payload);
+    auto esp = gw_->encapsulate(pkt->payload);
     ctx.accel(nic::AccelKind::kAes, pkt->frame_size, batch_);
     ctx.accel(nic::AccelKind::kSha1, pkt->frame_size, batch_);
-    pkt->payload = esp.ciphertext;
+    pkt->payload = std::move(esp.ciphertext);
     pkt->frame_size += kEspOverhead;
     ctx.emit(std::move(pkt));
   }

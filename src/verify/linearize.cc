@@ -113,12 +113,12 @@ class KeySearch {
     memo.append(reinterpret_cast<const char*>(&state_id), sizeof state_id);
     if (!visited_.insert(std::move(memo)).second) return false;
 
-    const State& state = states_[state_id];
     for (std::size_t i = 0; i < entries_.size(); ++i) {
       if (bit(mask, i)) continue;
       const Entry& e = entries_[i];
       if (e.inv > min_res) continue;  // would linearize after a pending res
-      if (!e.is_mutation && e.value != state) continue;  // read mismatch
+      // Index states_ afresh each time: intern() below may grow it.
+      if (!e.is_mutation && e.value != states_[state_id]) continue;  // read mismatch
       mask[i / 64] |= 1ULL << (i % 64);
       const std::uint32_t next =
           e.is_mutation ? intern(e.value) : state_id;

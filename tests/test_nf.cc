@@ -391,5 +391,45 @@ TEST(Ipsec, WrongKeyFailsAuthentication) {
   EXPECT_FALSE(rx.decapsulate(esp).has_value());
 }
 
+// ESP output pinned to the bytes of the byte-wise AES / SHA-1 reference
+// code: one FNV-1a digest of ciphertext + ICV per HMAC key length, over
+// payloads that straddle every AES block and SHA-1 padding boundary of the
+// authenticated data (spi + seq + iv + ciphertext = 20 + len bytes).
+TEST(Ipsec, EncapsulateMatchesParentBytes) {
+  std::vector<std::uint8_t> aes_key(32);
+  for (std::size_t i = 0; i < aes_key.size(); ++i) {
+    aes_key[i] = static_cast<std::uint8_t>(i * 7 + 1);
+  }
+  const std::size_t payload_lens[] = {0,  1,  15, 16,  17,  35,
+                                      36, 43, 44, 100, 448, 1000};
+  const std::pair<std::size_t, std::uint64_t> cases[] = {
+      {1, 0x09734a4d44e308a8ULL},  {20, 0xc8a4b05d26f7466aULL},
+      {64, 0x493b7b8b09d797e6ULL}, {65, 0xf9f8c8eb1cef8027ULL},
+      {90, 0x0d14ad6302b64efdULL},
+  };
+  for (const auto& [key_len, expected] : cases) {
+    std::vector<std::uint8_t> hmac_key(key_len);
+    for (std::size_t i = 0; i < key_len; ++i) {
+      hmac_key[i] = static_cast<std::uint8_t>(i * 13 + key_len);
+    }
+    IpsecGateway gw(aes_key, hmac_key);
+    std::uint64_t fnv = 0xcbf29ce484222325ULL;
+    const auto mix = [&fnv](std::span<const std::uint8_t> bytes) {
+      for (const std::uint8_t b : bytes) fnv = (fnv ^ b) * 0x100000001b3ULL;
+    };
+    for (const std::size_t len : payload_lens) {
+      std::vector<std::uint8_t> plain(len);
+      for (std::size_t i = 0; i < len; ++i) {
+        plain[i] = static_cast<std::uint8_t>(i * 31 + len);
+      }
+      const auto esp = gw.encapsulate(plain);
+      mix(esp.ciphertext);
+      mix(esp.icv);
+    }
+    EXPECT_EQ(fnv, expected) << "hmac key length " << key_len << ": 0x"
+                             << std::hex << fnv;
+  }
+}
+
 }  // namespace
 }  // namespace ipipe::nf
