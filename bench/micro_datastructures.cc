@@ -4,6 +4,10 @@
 // code is cheap enough to simulate large runs).
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
+#include <string>
+#include <vector>
+
 #include "apps/dt/hashtable.h"
 #include "apps/nf/count_min.h"
 #include "apps/nf/ipsec.h"
@@ -11,6 +15,7 @@
 #include "apps/nf/maglev.h"
 #include "apps/nf/tcam.h"
 #include "apps/rkv/lsm.h"
+#include "apps/rkv/rkv_actors.h"
 #include "apps/rkv/skiplist.h"
 #include "apps/rta/regex.h"
 #include "common/rng.h"
@@ -114,6 +119,38 @@ void BM_SkipListGet(benchmark::State& state) {
 }
 BENCHMARK(BM_SkipListGet);
 
+// One memtable lifetime in RKV: insert 16 B keys with 448 B values until
+// MemtableActor would flush (RkvParams' default threshold), then clear().
+// Every node and value is a DMO, so this times the object table's alloc,
+// read, write and free at memtable scale.  Items are inserts.
+void BM_DmoMemtableCycle(benchmark::State& state) {
+  constexpr std::size_t kValueLen = 448;
+  const std::size_t entries =
+      rkv::RkvParams{}.memtable_flush_bytes / (kValueLen + 128) + 1;
+  Rng rng(11);
+  std::vector<std::string> keys(entries);
+  for (auto& key : keys) {
+    char buf[17];
+    std::snprintf(buf, sizeof buf, "%016llx",
+                  static_cast<unsigned long long>(rng.next()));
+    key = buf;
+  }
+  const std::vector<std::uint8_t> value(kValueLen, 0x5C);
+  test::FakeEnv env(1, 64 * MiB);
+  rkv::DmoSkipList list;
+  list.create(env);
+  for (auto _ : state) {
+    for (const auto& key : keys) {
+      benchmark::DoNotOptimize(list.insert(env, key, value));
+    }
+    list.clear(env);
+    benchmark::DoNotOptimize(list.size());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(entries));
+}
+BENCHMARK(BM_DmoMemtableCycle);
+
 void BM_ExtendibleHashPut(benchmark::State& state) {
   test::FakeEnv env(1, 512 * MiB);
   dt::DmoHashTable table;
@@ -189,15 +226,16 @@ BENCHMARK(BM_CountMinAdd);
 void BM_RegionAllocator(benchmark::State& state) {
   RegionAllocator alloc(0, 256 * MiB);
   Rng rng(7);
-  std::vector<std::uint64_t> live;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> live;  // addr, size
   for (auto _ : state) {
     if (live.size() > 1000 || (rng.bernoulli(0.4) && !live.empty())) {
       const std::size_t idx = rng.uniform_u64(live.size());
-      alloc.free(live[idx]);
+      alloc.free(live[idx].first, live[idx].second);
       live[idx] = live.back();
       live.pop_back();
-    } else if (const auto addr = alloc.alloc(16 + rng.uniform_u64(512))) {
-      live.push_back(*addr);
+    } else {
+      const std::uint64_t size = 16 + rng.uniform_u64(512);
+      if (const auto addr = alloc.alloc(size)) live.emplace_back(*addr, size);
     }
   }
 }

@@ -221,9 +221,10 @@ std::vector<SstEntry> merge_runs(
     }
     if (best == nullptr) break;
 
-    const SstEntry entry = (*best->run)[best->pos];
     // The winner is the newest run holding this key; advance every cursor
-    // past the key so shadowed duplicates are dropped.
+    // past the key so shadowed duplicates are dropped.  The runs do not
+    // change, so `entry` stays valid and is copied once, into `out`.
+    const SstEntry& entry = (*best->run)[best->pos];
     for (auto& c : cursors) {
       while (c.pos < c.run->size() && (*c.run)[c.pos].key == entry.key) {
         ++c.pos;

@@ -17,6 +17,7 @@
 #include <set>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "apps/rkv/lsm.h"
@@ -226,7 +227,7 @@ class ConsensusActor final : public Actor {
   // Bounded by params_.req_dedup_cap with FIFO eviction (req_order_
   // records insertion order) — retries are bounded in time, table
   // growth at million-client scale is not.
-  std::map<std::uint64_t, std::uint64_t> req_slot_;
+  std::unordered_map<std::uint64_t, std::uint64_t> req_slot_;
   std::deque<std::uint64_t> req_order_;
 
   // Sharded scale-out state (see RkvParams): current route epoch and

@@ -1,8 +1,10 @@
 #include "ipipe/dmo.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstring>
+#include <utility>
 
 namespace ipipe {
 namespace {
@@ -11,21 +13,25 @@ constexpr std::uint64_t align_up(std::uint64_t v, std::uint64_t a) noexcept {
   return (v + a - 1) & ~(a - 1);
 }
 
+/// The free-slot pool for an object of `size` bytes: its bit width.
+std::size_t size_class(std::uint32_t size) noexcept {
+  return static_cast<std::size_t>(std::bit_width(size));
+}
+
 }  // namespace
 
 RegionAllocator::RegionAllocator(std::uint64_t base, std::uint64_t size)
     : base_(base), size_(size) {
-  free_blocks_[base] = size;
+  if (size > 0) free_blocks_[base] = size;
 }
 
-std::optional<std::uint64_t> RegionAllocator::alloc(std::uint64_t size,
-                                                    std::uint64_t align) {
-  if (size == 0) size = 1;
-  const std::uint64_t need = align_up(size, align);
+std::optional<std::uint64_t> RegionAllocator::alloc(std::uint64_t size) {
+  if (size > size_) return std::nullopt;  // and padding cannot wrap
+  const std::uint64_t need = padded(size);
   for (auto it = free_blocks_.begin(); it != free_blocks_.end(); ++it) {
     const std::uint64_t addr = it->first;
     const std::uint64_t block = it->second;
-    const std::uint64_t aligned = align_up(addr, align);
+    const std::uint64_t aligned = align_up(addr, kAlign);
     const std::uint64_t slack = aligned - addr;
     if (block < slack + need) continue;
 
@@ -34,22 +40,27 @@ std::optional<std::uint64_t> RegionAllocator::alloc(std::uint64_t size,
     const std::uint64_t rest = block - slack - need;
     if (rest > 0) free_blocks_[aligned + need] = rest;
 
-    live_[aligned] = need;
     used_ += need;
     return aligned;
   }
   return std::nullopt;
 }
 
-bool RegionAllocator::free(std::uint64_t addr) {
-  const auto it = live_.find(addr);
-  if (it == live_.end()) return false;
-  std::uint64_t size = it->second;
-  live_.erase(it);
+bool RegionAllocator::free(std::uint64_t addr, std::uint64_t size) {
+  if (addr < base_ || addr - base_ >= size_ || size > size_) return false;
+  size = padded(size);  // cannot wrap: size <= size_
+  if (size > size_ - (addr - base_)) return false;
+  // A block that overlaps free space was never allocated, or was freed
+  // already: coalescing keeps every free byte inside one of these blocks.
+  auto next = free_blocks_.lower_bound(addr);
+  if (next != free_blocks_.end() && next->first < addr + size) return false;
+  if (next != free_blocks_.begin()) {
+    const auto prev = std::prev(next);
+    if (prev->first + prev->second > addr) return false;
+  }
   used_ -= size;
 
   // Coalesce with the following block.
-  auto next = free_blocks_.lower_bound(addr);
   if (next != free_blocks_.end() && addr + size == next->first) {
     size += next->second;
     next = free_blocks_.erase(next);
@@ -76,41 +87,42 @@ std::uint64_t RegionAllocator::largest_free_block() const noexcept {
 }
 
 void ObjectTable::register_actor(ActorId actor, std::uint64_t region_bytes) {
-  if (regions_.contains(actor)) return;
+  Region& region = regions_[actor];
+  if (region.registered_) return;
   const std::uint64_t nic_base = next_region_base_;
   const std::uint64_t host_base = next_region_base_ + 0xfc00000000ULL;
   next_region_base_ += align_up(region_bytes, 1 << 20) + (1 << 20);
-  regions_.emplace(actor, ActorRegion{RegionAllocator(nic_base, region_bytes),
-                                      RegionAllocator(host_base, region_bytes),
-                                      {}});
+  region.nic_ = RegionAllocator(nic_base, region_bytes);
+  region.host_ = RegionAllocator(host_base, region_bytes);
+  region.registered_ = true;
+  region.quota_ = quota_of(actor);
 }
 
 void ObjectTable::deregister_actor(ActorId actor) {
-  const auto it = regions_.find(actor);
-  if (it == regions_.end()) return;
-  QuotaGroup* quota = quota_of(actor);
-  for (const ObjId id : it->second.objects) {
-    if (quota != nullptr) {
-      const auto obj = objects_.find(id);
-      if (obj != objects_.end()) {
-        const std::uint64_t charge = quota_charge(obj->second.size);
-        quota->used -= std::min(quota->used, charge);
-      }
-    }
-    objects_.erase(id);
+  Region* region = registered_region(actor);
+  if (region == nullptr) return;
+  for (std::uint32_t slot = region->head_; slot != kNoSlot;) {
+    const std::uint32_t next = slots_[slot].next;
+    release_quota(*region, slots_[slot].rec.size);
+    release_slot(slot);
+    slot = next;
   }
-  regions_.erase(it);
+  *region = Region{};
   actor_quota_.erase(actor);
 }
 
 void ObjectTable::set_quota(ActorId actor, std::uint32_t group,
                             std::uint64_t cap_bytes) {
+  Region* region = registered_region(actor);
   if (group == 0) {
     actor_quota_.erase(actor);
+    if (region != nullptr) region->quota_ = nullptr;
     return;
   }
   actor_quota_[actor] = group;
-  quota_groups_[group].cap = cap_bytes;
+  QuotaGroup& quota = quota_groups_[group];
+  quota.cap = cap_bytes;
+  if (region != nullptr) region->quota_ = &quota;
 }
 
 std::uint64_t ObjectTable::quota_used(std::uint32_t group) const noexcept {
@@ -130,36 +142,101 @@ ObjectTable::QuotaGroup* ObjectTable::quota_of(ActorId actor) {
   return git == quota_groups_.end() ? nullptr : &git->second;
 }
 
+void ObjectTable::release_quota(const Region& region, std::uint32_t size) {
+  if (region.quota_ == nullptr) return;
+  const std::uint64_t charge = RegionAllocator::padded(size);
+  region.quota_->used -= std::min(region.quota_->used, charge);
+}
+
+ObjectTable::Region* ObjectTable::registered_region(ActorId actor) {
+  const auto it = regions_.find(actor);
+  return it != regions_.end() && it->second.registered_ ? &it->second : nullptr;
+}
+
+const ObjectTable::Region* ObjectTable::region(ActorId actor) const {
+  const auto it = regions_.find(actor);
+  return it == regions_.end() ? nullptr : &it->second;
+}
+
+const RegionAllocator* ObjectTable::allocator_of(ActorId actor,
+                                                 MemSide side) const {
+  const Region* r = region(actor);
+  return r != nullptr && r->registered_ ? &r->side(side) : nullptr;
+}
+
 bool ObjectTable::actor_registered(ActorId actor) const noexcept {
-  return regions_.contains(actor);
+  const Region* r = region(actor);
+  return r != nullptr && r->registered_;
+}
+
+std::uint32_t ObjectTable::take_slot(std::uint32_t size) {
+  auto& pool = free_slots_[size_class(size)];
+  if (!pool.empty()) {
+    const std::uint32_t slot = pool.back();
+    pool.pop_back();
+    return slot;
+  }
+  assert(slots_.size() < kNoSlot);  // slot + 1 must fit the low half
+  slots_.emplace_back();
+  return static_cast<std::uint32_t>(slots_.size() - 1);
+}
+
+void ObjectTable::release_slot(std::uint32_t slot) {
+  Slot& s = slots_[slot];
+  s.rec.id = kInvalidObj;
+  // A spent generation would wrap back to ids already handed out: retire
+  // the slot instead of pooling it.
+  if (s.generation == 0xFFFFFFFFu) {
+    s.rec.data = {};
+    return;
+  }
+  ++s.generation;
+  free_slots_[size_class(s.rec.size)].push_back(slot);
+}
+
+void ObjectTable::link(Region& region, std::uint32_t slot) {
+  Slot& s = slots_[slot];
+  s.prev = region.tail_;
+  s.next = kNoSlot;
+  (region.tail_ != kNoSlot ? slots_[region.tail_].next : region.head_) = slot;
+  region.tail_ = slot;
+  ++region.count_;
+}
+
+void ObjectTable::unlink(Region& region, std::uint32_t slot) {
+  const Slot& s = slots_[slot];
+  (s.prev != kNoSlot ? slots_[s.prev].next : region.head_) = s.next;
+  (s.next != kNoSlot ? slots_[s.next].prev : region.tail_) = s.prev;
+  --region.count_;
 }
 
 DmoStatus ObjectTable::alloc(ActorId actor, std::uint32_t size, MemSide side,
                              ObjId& out_id) {
   out_id = kInvalidObj;
-  const auto it = regions_.find(actor);
-  if (it == regions_.end()) return DmoStatus::kWrongOwner;
-  QuotaGroup* quota = quota_of(actor);
-  const std::uint64_t charge = quota_charge(size);
+  Region* region = registered_region(actor);
+  if (region == nullptr) return DmoStatus::kWrongOwner;
+  QuotaGroup* quota = region->quota_;
+  // The quota charge is the padded footprint: what the region loses.
+  const std::uint64_t charge = RegionAllocator::padded(size);
   if (quota != nullptr && quota->cap != 0 && quota->used + charge > quota->cap) {
     ++quota_denials_;
     return DmoStatus::kQuotaExceeded;
   }
-  auto addr = allocator(it->second, side).alloc(size);
+  const auto addr = region->side(side).alloc(size);
   if (!addr) return DmoStatus::kNoMemory;
   if (quota != nullptr) quota->used += charge;
 
-  const ObjId id = next_id_++;
-  DmoRecord rec;
-  rec.id = id;
-  rec.owner = actor;
-  rec.addr = *addr;
-  rec.size = size;
-  rec.side = side;
-  rec.data.assign(size, 0);
-  objects_.emplace(id, std::move(rec));
-  it->second.objects.push_back(id);
-  out_id = id;
+  const std::uint32_t slot = take_slot(size);
+  Slot& s = slots_[slot];
+  s.rec.id = (ObjId{s.generation} << 32) | (slot + 1);
+  s.rec.owner = actor;
+  s.rec.addr = *addr;
+  s.rec.size = size;
+  s.rec.side = side;
+  s.rec.data.assign(size, 0);  // reuses the pooled buffer
+  s.region = region;
+  link(*region, slot);
+  out_id = s.rec.id;
   return DmoStatus::kOk;
 }
 
@@ -176,16 +253,14 @@ DmoStatus ObjectTable::free(ActorId actor, ObjId id) {
   DmoRecord* rec = find_mut(id);
   if (rec == nullptr) return DmoStatus::kNoSuchObject;
   if (rec->owner != actor) return trap(actor, DmoStatus::kWrongOwner);
-  const auto region_it = regions_.find(actor);
-  assert(region_it != regions_.end());
-  allocator(region_it->second, rec->side).free(rec->addr);
-  if (QuotaGroup* quota = quota_of(actor); quota != nullptr) {
-    const std::uint64_t charge = quota_charge(rec->size);
-    quota->used -= std::min(quota->used, charge);
-  }
-  auto& objs = region_it->second.objects;
-  objs.erase(std::remove(objs.begin(), objs.end(), id), objs.end());
-  objects_.erase(id);
+  const std::uint32_t slot = slot_of(id);
+  Region& region = *slots_[slot].region;
+  const bool freed = region.side(rec->side).free(rec->addr, rec->size);
+  assert(freed);
+  (void)freed;
+  release_quota(region, rec->size);
+  unlink(region, slot);
+  release_slot(slot);
   return DmoStatus::kOk;
 }
 
@@ -205,7 +280,11 @@ DmoStatus ObjectTable::read(ActorId actor, ObjId id, std::uint32_t offset,
     ++wrong_side_hits_;
     return DmoStatus::kWrongSide;
   }
-  std::memcpy(out.data(), rec->data.data() + offset, out.size());
+  // A zero-byte object has no buffer: data() may be null, which the
+  // mem* functions do not accept even for a zero length.
+  if (!out.empty()) {
+    std::memcpy(out.data(), rec->data.data() + offset, out.size());
+  }
   return DmoStatus::kOk;
 }
 
@@ -222,7 +301,9 @@ DmoStatus ObjectTable::write(ActorId actor, ObjId id, std::uint32_t offset,
     ++wrong_side_hits_;
     return DmoStatus::kWrongSide;
   }
-  std::memcpy(rec->data.data() + offset, in.data(), in.size());
+  if (!in.empty()) {
+    std::memcpy(rec->data.data() + offset, in.data(), in.size());
+  }
   return DmoStatus::kOk;
 }
 
@@ -239,7 +320,7 @@ DmoStatus ObjectTable::memset(ActorId actor, ObjId id, std::uint8_t value,
     ++wrong_side_hits_;
     return DmoStatus::kWrongSide;
   }
-  std::memset(rec->data.data() + offset, value, len);
+  if (len > 0) std::memset(rec->data.data() + offset, value, len);
   return DmoStatus::kOk;
 }
 
@@ -272,11 +353,10 @@ DmoStatus ObjectTable::migrate(ActorId actor, ObjId id, MemSide to) {
   if (rec->owner != actor) return trap(actor, DmoStatus::kWrongOwner);
   if (rec->side == to) return DmoStatus::kOk;
 
-  const auto region_it = regions_.find(actor);
-  assert(region_it != regions_.end());
-  auto new_addr = allocator(region_it->second, to).alloc(rec->size);
+  Region& region = *slots_[slot_of(id)].region;
+  const auto new_addr = region.side(to).alloc(rec->size);
   if (!new_addr) return DmoStatus::kNoMemory;
-  allocator(region_it->second, rec->side).free(rec->addr);
+  region.side(rec->side).free(rec->addr, rec->size);
   rec->addr = *new_addr;
   rec->side = to;
   if (tracer_ != nullptr && tracer_->enabled()) {
@@ -289,16 +369,17 @@ DmoStatus ObjectTable::migrate(ActorId actor, ObjId id, MemSide to) {
 
 MigrateResult ObjectTable::migrate_all(ActorId actor, MemSide to) {
   MigrateResult result;
-  const auto region_it = regions_.find(actor);
-  if (region_it == regions_.end()) return result;
-  RegionAllocator& target = allocator(region_it->second, to);
-  for (const ObjId id : region_it->second.objects) {
-    DmoRecord* rec = find_mut(id);
-    if (rec == nullptr || rec->side == to) continue;
+  Region* region = registered_region(actor);
+  if (region == nullptr) return result;
+  const RegionAllocator& target = region->side(to);
+  for (std::uint32_t slot = region->head_; slot != kNoSlot;
+       slot = slots_[slot].next) {
+    const DmoRecord& rec = slots_[slot].rec;
+    if (rec.side == to) continue;
     const std::uint64_t target_used_before = target.bytes_used();
-    switch (migrate(actor, id, to)) {
+    switch (migrate(actor, rec.id, to)) {
       case DmoStatus::kOk:
-        result.payload_bytes += rec->size;
+        result.payload_bytes += rec.size;
         result.padded_bytes += target.bytes_used() - target_used_before;
         ++result.moved_objects;
         break;
@@ -324,13 +405,13 @@ MigrateResult ObjectTable::migrate_all(ActorId actor, MemSide to) {
 
 EvacResult ObjectTable::evacuate_all(ActorId actor, bool mirror) {
   EvacResult result;
-  const auto region_it = regions_.find(actor);
-  if (region_it == regions_.end()) return result;
-  for (const ObjId id : region_it->second.objects) {
-    DmoRecord* rec = find_mut(id);
-    if (rec == nullptr || rec->side == MemSide::kHost) continue;
-    auto new_addr = allocator(region_it->second, MemSide::kHost)
-                        .alloc(rec->size);
+  Region* region = registered_region(actor);
+  if (region == nullptr) return result;
+  for (std::uint32_t slot = region->head_; slot != kNoSlot;
+       slot = slots_[slot].next) {
+    DmoRecord* rec = &slots_[slot].rec;
+    if (rec->side == MemSide::kHost) continue;
+    const auto new_addr = region->host_.alloc(rec->size);
     if (!new_addr) {
       // Host region exhausted: the object cannot be rehomed.  It stays
       // marked NIC-side (unreachable) and the caller decides whether
@@ -338,7 +419,7 @@ EvacResult ObjectTable::evacuate_all(ActorId actor, bool mirror) {
       ++result.failed_objects;
       continue;
     }
-    allocator(region_it->second, MemSide::kNic).free(rec->addr);
+    region->nic_.free(rec->addr, rec->size);
     rec->addr = *new_addr;
     rec->side = MemSide::kHost;
     result.payload_bytes += rec->size;
@@ -361,35 +442,29 @@ EvacResult ObjectTable::evacuate_all(ActorId actor, bool mirror) {
 }
 
 const DmoRecord* ObjectTable::find(ObjId id) const {
-  const auto it = objects_.find(id);
-  return it == objects_.end() ? nullptr : &it->second;
+  const std::uint32_t slot = slot_of(id);
+  if (slot >= slots_.size()) return nullptr;
+  const DmoRecord& rec = slots_[slot].rec;
+  return rec.id == id ? &rec : nullptr;
 }
 
 DmoRecord* ObjectTable::find_mut(ObjId id) {
-  const auto it = objects_.find(id);
-  return it == objects_.end() ? nullptr : &it->second;
+  return const_cast<DmoRecord*>(std::as_const(*this).find(id));
 }
 
 std::uint64_t ObjectTable::actor_bytes(ActorId actor, MemSide side) const {
-  const auto it = regions_.find(actor);
-  if (it == regions_.end()) return 0;
-  const auto& region = it->second;
-  return side == MemSide::kNic ? region.nic_alloc.bytes_used()
-                               : region.host_alloc.bytes_used();
+  const Region* r = region(actor);
+  return r == nullptr ? 0 : r->side(side).bytes_used();
 }
 
 std::uint64_t ObjectTable::actor_object_count(ActorId actor) const {
-  const auto it = regions_.find(actor);
-  return it == regions_.end() ? 0 : it->second.objects.size();
+  const Region* r = region(actor);
+  return r == nullptr ? 0 : r->count_;
 }
 
 std::uint64_t ObjectTable::working_set(ActorId actor) const {
-  // O(1): the allocators track used bytes per side.  (Padded allocation
-  // sizes slightly overstate the working set; irrelevant for cost
-  // modeling.)  This runs on every DMO access, so it must stay cheap.
-  const auto it = regions_.find(actor);
-  if (it == regions_.end()) return 0;
-  return it->second.nic_alloc.bytes_used() + it->second.host_alloc.bytes_used();
+  const Region* r = region(actor);
+  return r == nullptr ? 0 : r->working_set();
 }
 
 }  // namespace ipipe

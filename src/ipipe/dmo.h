@@ -14,6 +14,7 @@
 // actor deregistration (the paper's TLB-trap path).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -35,16 +36,27 @@ using netsim::ActorId;
 enum class MemSide : std::uint8_t { kNic = 0, kHost = 1 };
 
 /// First-fit free-list allocator with immediate coalescing over a
-/// simulated address range.
+/// simulated address range.  Like a sized delete, a free names the size
+/// it allocated, so the allocator keeps no record of live blocks.
 class RegionAllocator {
  public:
+  /// Every block starts on and is padded to this granularity.
+  static constexpr std::uint64_t kAlign = 16;
+  /// Bytes an allocation of `size` occupies (a zero-byte one takes one
+  /// granule).
+  [[nodiscard]] static constexpr std::uint64_t padded(
+      std::uint64_t size) noexcept {
+    return ((size == 0 ? 1 : size) + kAlign - 1) & ~(kAlign - 1);
+  }
+
   RegionAllocator(std::uint64_t base, std::uint64_t size);
 
   /// Returns the allocated address or nullopt when no block fits.
-  [[nodiscard]] std::optional<std::uint64_t> alloc(std::uint64_t size,
-                                                   std::uint64_t align = 16);
-  /// Frees a previous allocation; returns false for unknown addresses.
-  bool free(std::uint64_t addr);
+  [[nodiscard]] std::optional<std::uint64_t> alloc(std::uint64_t size);
+  /// Frees the `size`-byte allocation at `addr`.  Returns false and
+  /// changes nothing when the block is not inside the region or overlaps
+  /// free space (an out-of-region or double free).
+  bool free(std::uint64_t addr, std::uint64_t size);
 
   [[nodiscard]] std::uint64_t bytes_used() const noexcept { return used_; }
   [[nodiscard]] std::uint64_t bytes_free() const noexcept { return size_ - used_; }
@@ -67,7 +79,6 @@ class RegionAllocator {
   std::uint64_t size_;
   std::uint64_t used_ = 0;
   std::map<std::uint64_t, std::uint64_t> free_blocks_;  // addr -> size
-  std::unordered_map<std::uint64_t, std::uint64_t> live_;  // addr -> padded size
 };
 
 /// Outcome of a checked DMO access.
@@ -118,8 +129,53 @@ struct EvacResult {
 /// Object table (one logical table spanning both sides, with per-object
 /// location, Figure 12-a).  The runtime consults `side` to decide
 /// whether an access is local; actors never observe raw addresses.
+///
+/// Every operation costs O(1) host work apart from the region allocator's
+/// free-list walk.  Records live in a slot vector, and an id is the pair
+/// (generation << 32 | slot + 1), so a lookup is one index and one
+/// compare, and a fresh table hands out 1, 2, 3, ...  Freeing a slot
+/// bumps its generation, which makes every earlier id of that slot miss;
+/// a slot whose generation is spent is retired, so an id never names a
+/// later object.  A freed slot keeps its payload buffer and waits in a
+/// pool for the next object of its size class, so steady-state churn
+/// allocates nothing.
 class ObjectTable {
+  struct QuotaGroup;
+  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
+
  public:
+  /// One actor's private memory: a region on each side of PCIe, its live
+  /// objects in allocation order (a list through the table's slots) and
+  /// its quota group.  The table never erases a region: deregistration
+  /// empties it in place, so a pointer from `region()` stays valid for
+  /// the table's lifetime and reads an empty working set once the actor
+  /// is gone.
+  class Region {
+   public:
+    /// Allocator bytes in use on both sides.  (Padded sizes slightly
+    /// overstate the working set; irrelevant for cost modeling.)
+    [[nodiscard]] std::uint64_t working_set() const noexcept {
+      return nic_.bytes_used() + host_.bytes_used();
+    }
+
+   private:
+    friend class ObjectTable;
+    [[nodiscard]] RegionAllocator& side(MemSide s) noexcept {
+      return s == MemSide::kNic ? nic_ : host_;
+    }
+    [[nodiscard]] const RegionAllocator& side(MemSide s) const noexcept {
+      return s == MemSide::kNic ? nic_ : host_;
+    }
+
+    RegionAllocator nic_{0, 0};
+    RegionAllocator host_{0, 0};
+    bool registered_ = false;
+    QuotaGroup* quota_ = nullptr;
+    std::uint32_t head_ = kNoSlot;  ///< oldest live object's slot
+    std::uint32_t tail_ = kNoSlot;  ///< newest live object's slot
+    std::uint64_t count_ = 0;
+  };
+
   /// Register an actor with a `region_bytes` private region on `side`.
   /// Each actor's region exists independently on both sides so objects
   /// can migrate; capacity is tracked per (actor, side).
@@ -171,7 +227,16 @@ class ObjectTable {
   /// (the firmware's heap is gone anyway).
   EvacResult evacuate_all(ActorId actor, bool mirror);
 
+  /// The live object `id`, or nullptr.  The pointer is valid until the
+  /// next alloc.
   [[nodiscard]] const DmoRecord* find(ObjId id) const;
+  /// `actor`'s region, registered or not, or nullptr when it never was:
+  /// resolve it once and read `working_set()` on every access.
+  [[nodiscard]] const Region* region(ActorId actor) const;
+  /// The allocator behind `actor`'s region on `side`, or nullptr when
+  /// the actor is not registered (fragmentation probes, tests).
+  [[nodiscard]] const RegionAllocator* allocator_of(ActorId actor,
+                                                    MemSide side) const;
   [[nodiscard]] std::uint64_t actor_bytes(ActorId actor, MemSide side) const;
   [[nodiscard]] std::uint64_t actor_object_count(ActorId actor) const;
   /// Total resident bytes across an actor's live objects (working set).
@@ -204,38 +269,43 @@ class ObjectTable {
   void set_tracer(trace::Tracer* tracer) noexcept { tracer_ = tracer; }
 
  private:
-  struct ActorRegion {
-    RegionAllocator nic_alloc;
-    RegionAllocator host_alloc;
-    std::vector<ObjId> objects;
-  };
-
   struct QuotaGroup {
     std::uint64_t cap = 0;
     std::uint64_t used = 0;
   };
 
-  /// Bytes an object of `size` charges against its quota group — the
-  /// padded allocator footprint, so quota accounting matches what the
-  /// region actually loses.
-  [[nodiscard]] static std::uint64_t quota_charge(std::uint32_t size) noexcept {
-    const std::uint64_t raw = size == 0 ? 1 : size;
-    return (raw + 15) & ~std::uint64_t{15};
+  struct Slot {
+    DmoRecord rec;  ///< rec.id == kInvalidObj while the slot is free
+    Region* region = nullptr;
+    std::uint32_t generation = 0;  ///< high half of the slot's next id
+    std::uint32_t prev = kNoSlot;  ///< allocation-order neighbours
+    std::uint32_t next = kNoSlot;
+  };
+
+  /// The slot an id names; kNoSlot for kInvalidObj.
+  [[nodiscard]] static std::uint32_t slot_of(ObjId id) noexcept {
+    return static_cast<std::uint32_t>(id) - 1;
   }
   [[nodiscard]] QuotaGroup* quota_of(ActorId actor);
-
+  [[nodiscard]] Region* registered_region(ActorId actor);
   DmoRecord* find_mut(ObjId id);
-  [[nodiscard]] RegionAllocator& allocator(ActorRegion& region, MemSide side) {
-    return side == MemSide::kNic ? region.nic_alloc : region.host_alloc;
-  }
+  /// A free slot for an object of `size` bytes (pooled or new).
+  std::uint32_t take_slot(std::uint32_t size);
+  /// Return a slot to its pool with its generation bumped, or retire it.
+  void release_slot(std::uint32_t slot);
+  void link(Region& region, std::uint32_t slot);
+  void unlink(Region& region, std::uint32_t slot);
+  /// Return `size` charged bytes to the region's quota group, if any.
+  static void release_quota(const Region& region, std::uint32_t size);
   /// Count an isolation trap and trace it.
   DmoStatus trap(ActorId actor, DmoStatus status) const;
 
-  std::unordered_map<ActorId, ActorRegion> regions_;
-  std::unordered_map<ObjId, DmoRecord> objects_;
+  std::unordered_map<ActorId, Region> regions_;
+  std::vector<Slot> slots_;
+  /// Free slots by size class (bit width of the last size), used LIFO.
+  std::array<std::vector<std::uint32_t>, 33> free_slots_;
   std::unordered_map<std::uint32_t, QuotaGroup> quota_groups_;
   std::unordered_map<ActorId, std::uint32_t> actor_quota_;
-  ObjId next_id_ = 1;
   mutable std::uint64_t traps_ = 0;
   mutable std::uint64_t wrong_side_hits_ = 0;
   std::uint64_t quota_denials_ = 0;

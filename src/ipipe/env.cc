@@ -97,7 +97,8 @@ std::uint32_t EnvBase::dmo_size(ObjId id) const {
 }
 
 std::uint64_t EnvBase::working_set() const {
-  return rt_.objects().working_set(ac_.id);
+  if (region_ == nullptr) region_ = rt_.objects().region(ac_.id);
+  return region_ != nullptr ? region_->working_set() : 0;
 }
 
 netsim::PacketPtr EnvBase::make_packet(NodeId dst, ActorId dst_actor,

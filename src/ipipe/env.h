@@ -85,6 +85,11 @@ class EnvBase : public ActorEnv {
 
   Runtime& rt_;
   ActorControl& ac_;
+
+ private:
+  /// The actor's DMO region, resolved on first use: every DMO access
+  /// charges against its working set.
+  mutable const ObjectTable::Region* region_ = nullptr;
 };
 
 /// What NIC-side and host-side execution share: cost hooks forward to

@@ -8,6 +8,7 @@ namespace ipipe::nic {
 CacheModel::CacheModel(std::vector<MemLevel> levels, std::uint32_t cache_line)
     : levels_(std::move(levels)), line_(cache_line) {
   assert(!levels_.empty());
+  memo_ns_ = access_ns(memo_ws_);
 }
 
 CacheModel CacheModel::for_nic(const NicConfig& cfg) {
@@ -23,7 +24,7 @@ CacheModel CacheModel::intel_host() {
                     64);
 }
 
-double CacheModel::expected_access_ns(std::uint64_t working_set) const noexcept {
+double CacheModel::access_ns(std::uint64_t working_set) const noexcept {
   // P(hit level i | missed all faster levels): with inclusive caches and a
   // random working set, the access resolves at the first level whose
   // capacity covers the line.  P(resolve at i) = min(1, C_i/W) - covered.

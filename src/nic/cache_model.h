@@ -32,8 +32,17 @@ class CacheModel {
   /// The paper's host server: Xeon E5-2680 v3 (Table 2 bottom row).
   [[nodiscard]] static CacheModel intel_host();
 
-  /// Expected latency of one random access within a working set.
-  [[nodiscard]] double expected_access_ns(std::uint64_t working_set) const noexcept;
+  /// Expected latency of one random access within a working set.  The
+  /// last answer is kept: a DMO access asks twice for the same set, and
+  /// the set changes only when the actor allocates or frees.
+  [[nodiscard]] double expected_access_ns(
+      std::uint64_t working_set) const noexcept {
+    if (working_set != memo_ws_) {
+      memo_ns_ = access_ns(working_set);
+      memo_ws_ = working_set;
+    }
+    return memo_ns_;
+  }
 
   /// Expected latency of `n` *dependent* accesses (pointer chase).
   [[nodiscard]] Ns chase_ns(std::uint64_t working_set, std::uint64_t n) const noexcept;
@@ -59,8 +68,14 @@ class CacheModel {
   }
 
  private:
+  [[nodiscard]] double access_ns(std::uint64_t working_set) const noexcept;
+
   std::vector<MemLevel> levels_;
   std::uint32_t line_;
+  // The expected_access_ns memo.  Unsynchronized: a model belongs to one
+  // device, and only that device's engine domain queries it.
+  mutable std::uint64_t memo_ws_ = 0;
+  mutable double memo_ns_ = 0.0;
   std::uint64_t accesses_ = 0;
   std::uint64_t llc_misses_ = 0;
 };

@@ -179,15 +179,14 @@ TEST(RegionAllocatorProperty, RandomChurnAgainstIntervalOracle) {
       std::advance(it, static_cast<std::ptrdiff_t>(
                            rng.uniform_u64(live.size())));
       oracle_used -= (it->second + 15) & ~15ull;
-      ASSERT_TRUE(alloc.free(it->first));
+      ASSERT_TRUE(alloc.free(it->first, it->second));
       live.erase(it);
     }
     ASSERT_EQ(alloc.bytes_used(), oracle_used);
   }
   // Free everything: the region coalesces back to one block.
   for (const auto& [addr, size] : live) {
-    (void)size;
-    ASSERT_TRUE(alloc.free(addr));
+    ASSERT_TRUE(alloc.free(addr, size));
   }
   EXPECT_EQ(alloc.bytes_used(), 0u);
   EXPECT_EQ(alloc.free_block_count(), 1u);
