@@ -75,7 +75,8 @@ BENCHMARK(BM_AesCtr)->Arg(64)->Arg(1024)->Arg(8192);
 
 // One ESP encapsulation (AES-256-CTR + HMAC-SHA1-96) of a payload of
 // range(0) bytes; 448 B is the ipsec stage's per-packet work in perfbench's
-// nf_chain workload.  Gated in CI by a floor in BENCH_sim.json.
+// nf_chain workload.  Gated in CI by a floor in BENCH_sim.json, set for the
+// portable SHA-1 (see the crypto_* context for the path that ran).
 void BM_IpsecEncapsulate(benchmark::State& state) {
   nf::IpsecGateway gw(std::vector<std::uint8_t>(32, 0x42),
                       std::vector<std::uint8_t>(20, 0x11));
@@ -288,4 +289,16 @@ BENCHMARK(BM_LsmGet);
 }  // namespace
 }  // namespace ipipe
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  // The crypto numbers depend on which path CPUID selected; record it in
+  // the context so every result says what produced it.
+  benchmark::AddCustomContext(
+      "crypto_aes_ctr", ipipe::crypto::hardware_aes() ? "aes-ni" : "portable t-table");
+  benchmark::AddCustomContext(
+      "crypto_sha1", ipipe::crypto::hardware_sha1() ? "sha-ni" : "portable");
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

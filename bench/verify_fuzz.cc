@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "common/trace.h"
+#include "verify/corpus.h"
 #include "verify/fuzz.h"
 
 using namespace ipipe;
@@ -74,22 +75,10 @@ verify::FuzzOptions base_options(const Options& opt, std::uint64_t seed,
   return fo;
 }
 
-const char* app_name(verify::FuzzApp app) {
-  switch (app) {
-    case verify::FuzzApp::kRkv:
-      return "rkv";
-    case verify::FuzzApp::kDt:
-      return "dt";
-    case verify::FuzzApp::kShard:
-      return "shard";
-  }
-  return "?";
-}
-
 void print_verdict(std::uint64_t seed, verify::FuzzApp app,
                    const verify::FuzzVerdict& v) {
   std::printf("seed=%llu app=%s %s", static_cast<unsigned long long>(seed),
-              app_name(app), v.ok ? "PASS" : "FAIL");
+              verify::app_name(app), v.ok ? "PASS" : "FAIL");
   if (app != verify::FuzzApp::kDt) {
     std::printf(" kv_ops=%llu completed=%llu states=%llu",
                 static_cast<unsigned long long>(v.kv_ops),
@@ -111,15 +100,12 @@ void write_minimized(const Options& opt, std::uint64_t seed,
   if (opt.out_dir.empty()) return;
   ::mkdir(opt.out_dir.c_str(), 0755);
   const std::string path = opt.out_dir + "/seed-" + std::to_string(seed) +
-                           "-" + app_name(app) + ".corpus";
+                           "-" + verify::app_name(app) + ".corpus";
+  verify::CorpusCase c{base_options(opt, seed, app, nullptr), true};
+  c.fo.plan_override = sr.plan;
   std::ofstream os(path);
-  os << "# minimized by verify_fuzz --seed=" << seed << "\n";
-  os << "app " << app_name(app) << "\n";
-  os << "seed " << seed << "\n";
-  os << "duration " << opt.duration_s << "\n";
-  os << "inject " << opt.inject << "\n";
-  os << "expect fail\n";
-  os << "plan:\n" << sr.plan.to_text();
+  os << "# minimized by verify_fuzz --seed=" << seed << "\n"
+     << verify::corpus_to_text(c);
   std::printf("minimized plan written to %s\n", path.c_str());
 }
 
@@ -136,7 +122,7 @@ bool run_one(const Options& opt, std::uint64_t seed, verify::FuzzApp app,
                 v.plan.size(), sr.plan.size());
     for (const auto& step : sr.steps) std::printf("  %s\n", step.c_str());
     std::printf("minimal reproducing plan (seed=%llu app=%s):\n%s",
-                static_cast<unsigned long long>(seed), app_name(app),
+                static_cast<unsigned long long>(seed), verify::app_name(app),
                 sr.plan.empty() ? "<empty: workload alone reproduces>\n"
                                 : sr.plan.to_text().c_str());
     write_minimized(opt, seed, app, sr);
@@ -146,67 +132,18 @@ bool run_one(const Options& opt, std::uint64_t seed, verify::FuzzApp app,
 
 // ---- corpus replay ---------------------------------------------------------
 
-struct CorpusCase {
-  std::string path;
-  verify::FuzzOptions fo;
-  bool expect_fail = false;
-};
-
-std::optional<CorpusCase> load_corpus(const std::string& path) {
+/// One tests/corpus file, or nullopt (with the reason on stderr).
+std::optional<verify::CorpusCase> load_corpus(const std::string& path) {
   std::ifstream is(path);
-  if (!is) return std::nullopt;
-  CorpusCase c;
-  c.path = path;
-  c.fo.chaos = true;
-  std::string line;
-  bool in_plan = false;
-  std::string plan_text;
-  while (std::getline(is, line)) {
-    if (in_plan) {
-      plan_text += line + "\n";
-      continue;
-    }
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream ls(line);
-    std::string kw;
-    ls >> kw;
-    if (kw == "app") {
-      std::string a;
-      ls >> a;
-      c.fo.app = a == "dt"      ? verify::FuzzApp::kDt
-                 : a == "shard" ? verify::FuzzApp::kShard
-                                : verify::FuzzApp::kRkv;
-    } else if (kw == "seed") {
-      ls >> c.fo.seed;
-    } else if (kw == "duration") {
-      ls >> c.fo.duration_s;
-    } else if (kw == "inject") {
-      std::string inj;
-      ls >> inj;
-      c.fo.inject_stale_reads = inj == "stale-read";
-      c.fo.inject_lost_abort = inj == "lost-abort";
-      c.fo.inject_stale_cache = inj == "stale-cache";
-    } else if (kw == "expect") {
-      std::string e;
-      ls >> e;
-      c.expect_fail = e == "fail";
-    } else if (kw == "plan:") {
-      in_plan = true;
-    } else {
-      std::fprintf(stderr, "%s: unknown corpus keyword '%s'\n", path.c_str(),
-                   kw.c_str());
-      return std::nullopt;
-    }
+  if (!is) {
+    std::fprintf(stderr, "%s: cannot read\n", path.c_str());
+    return std::nullopt;
   }
-  if (in_plan) {
-    std::string err;
-    auto plan = netsim::FaultPlan::parse(plan_text, &err);
-    if (!plan) {
-      std::fprintf(stderr, "%s: bad plan: %s\n", path.c_str(), err.c_str());
-      return std::nullopt;
-    }
-    c.fo.plan_override = std::move(*plan);
-  }
+  std::stringstream text;
+  text << is.rdbuf();
+  std::string err;
+  auto c = verify::parse_corpus(text.str(), &err);
+  if (!c) std::fprintf(stderr, "%s: %s\n", path.c_str(), err.c_str());
   return c;
 }
 

@@ -7,6 +7,11 @@
 
 #include "crypto/endian.h"
 
+#if defined(__x86_64__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
+
 namespace ipipe::crypto {
 namespace {
 
@@ -102,6 +107,78 @@ std::uint32_t sub_shift_mix(std::uint32_t a, std::uint32_t b, std::uint32_t c,
          std::rotr(kTe[(c >> 8) & 0xff], 16) ^ std::rotr(kTe[d & 0xff], 24);
 }
 
+#if defined(__x86_64__)
+
+bool cpu_has_aesni() noexcept {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  return __get_cpuid(1, &eax, &ebx, &ecx, &edx) != 0 && (ecx & bit_AES) != 0;
+}
+
+/// The counter block whose big-endian halves are `hi` and `lo`.
+__attribute__((target("aes"))) inline __m128i counter_block(
+    std::uint64_t hi, std::uint64_t lo) noexcept {
+  return _mm_set_epi64x(static_cast<long long>(__builtin_bswap64(lo)),
+                        static_cast<long long>(__builtin_bswap64(hi)));
+}
+
+__attribute__((target("aes"))) inline __m128i round_key(
+    const std::uint8_t* blocks, int round) noexcept {
+  return _mm_load_si128(reinterpret_cast<const __m128i*>(blocks + 16 * round));
+}
+
+/// CTR on AES-NI, eight counter blocks per pass while eight remain.  The
+/// 128-bit counter is two 64-bit halves; the low half carries into the
+/// high one.  A tail shorter than a block takes the head of one keystream
+/// block.
+__attribute__((target("aes"))) void ctr_aesni(
+    const std::uint8_t* keys, int rounds, std::array<std::uint8_t, 16> counter,
+    const std::uint8_t* in, std::uint8_t* out, std::size_t len) noexcept {
+  constexpr std::size_t kLanes = 8;
+  std::uint64_t hi = load_be64(counter.data());
+  std::uint64_t lo = load_be64(counter.data() + 8);
+  std::size_t off = 0;
+  for (; len - off >= kLanes * 16; off += kLanes * 16) {
+    __m128i b[kLanes];
+    const __m128i first = round_key(keys, 0);
+#pragma GCC unroll 8
+    for (std::size_t i = 0; i < kLanes; ++i) {
+      b[i] = _mm_xor_si128(counter_block(hi, lo), first);
+      if (++lo == 0) ++hi;
+    }
+    for (int r = 1; r < rounds; ++r) {
+      const __m128i k = round_key(keys, r);
+#pragma GCC unroll 8
+      for (std::size_t i = 0; i < kLanes; ++i) b[i] = _mm_aesenc_si128(b[i], k);
+    }
+    const __m128i last = round_key(keys, rounds);
+#pragma GCC unroll 8
+    for (std::size_t i = 0; i < kLanes; ++i) {
+      const auto* src = reinterpret_cast<const __m128i*>(in + off + 16 * i);
+      auto* dst = reinterpret_cast<__m128i*>(out + off + 16 * i);
+      _mm_storeu_si128(dst, _mm_xor_si128(_mm_loadu_si128(src),
+                                          _mm_aesenclast_si128(b[i], last)));
+    }
+  }
+  for (; off < len; off += 16) {
+    __m128i b = _mm_xor_si128(counter_block(hi, lo), round_key(keys, 0));
+    if (++lo == 0) ++hi;
+    for (int r = 1; r < rounds; ++r) b = _mm_aesenc_si128(b, round_key(keys, r));
+    b = _mm_aesenclast_si128(b, round_key(keys, rounds));
+    if (len - off >= 16) {
+      const auto* src = reinterpret_cast<const __m128i*>(in + off);
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(out + off),
+                       _mm_xor_si128(_mm_loadu_si128(src), b));
+    } else {
+      alignas(16) std::uint8_t keystream[16];
+      _mm_store_si128(reinterpret_cast<__m128i*>(keystream), b);
+      for (std::size_t i = 0; i < len - off; ++i)
+        out[off + i] = static_cast<std::uint8_t>(in[off + i] ^ keystream[i]);
+    }
+  }
+}
+
+#endif  // __x86_64__
+
 }  // namespace
 
 Aes::Aes(std::span<const std::uint8_t> key) {
@@ -128,6 +205,8 @@ Aes::Aes(std::span<const std::uint8_t> key) {
     }
     w[i] = w[i - nk] ^ temp;
   }
+  for (int i = 0; i < total_words; ++i)
+    store_be32(round_key_blocks_.data() + 4 * i, w[i]);
 }
 
 void Aes::encrypt_block(const std::uint8_t* in, std::uint8_t* out) const noexcept {
@@ -199,9 +278,33 @@ void Aes::decrypt_block(const std::uint8_t* in, std::uint8_t* out) const noexcep
   std::memcpy(out, s, 16);
 }
 
+bool hardware_aes() noexcept {
+#if defined(__x86_64__)
+  static const bool supported = cpu_has_aesni();
+  return supported;
+#else
+  return false;
+#endif
+}
+
 void aes_ctr_crypt(const Aes& aes, std::array<std::uint8_t, 16> counter,
                    std::span<const std::uint8_t> in,
                    std::span<std::uint8_t> out) noexcept {
+  assert(out.size() >= in.size());
+#if defined(__x86_64__)
+  if (hardware_aes()) {
+    ctr_aesni(aes.round_key_blocks_.data(), aes.rounds_, counter, in.data(),
+              out.data(), in.size());
+    return;
+  }
+#endif
+  detail::aes_ctr_crypt_portable(aes, counter, in, out);
+}
+
+void detail::aes_ctr_crypt_portable(const Aes& aes,
+                                    std::array<std::uint8_t, 16> counter,
+                                    std::span<const std::uint8_t> in,
+                                    std::span<std::uint8_t> out) noexcept {
   assert(out.size() >= in.size());
   std::uint8_t keystream[16];
   for (std::size_t offset = 0; offset < in.size(); offset += 16) {

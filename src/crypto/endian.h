@@ -1,4 +1,4 @@
-// Big-endian 32-bit loads and stores shared by AES and SHA-1.
+// Big-endian loads and stores shared by AES and SHA-1.
 #pragma once
 
 #include <cstdint>
@@ -10,6 +10,10 @@ inline std::uint32_t load_be32(const std::uint8_t* p) noexcept {
          (static_cast<std::uint32_t>(p[1]) << 16) |
          (static_cast<std::uint32_t>(p[2]) << 8) |
          static_cast<std::uint32_t>(p[3]);
+}
+
+inline std::uint64_t load_be64(const std::uint8_t* p) noexcept {
+  return (static_cast<std::uint64_t>(load_be32(p)) << 32) | load_be32(p + 4);
 }
 
 inline void store_be32(std::uint8_t* p, std::uint32_t v) noexcept {

@@ -1,14 +1,11 @@
 #include "netsim/chaos.h"
 
 #include <algorithm>
-#include <charconv>
-#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <limits>
 #include <sstream>
 #include <string_view>
-#include <type_traits>
 #include <utility>
 
 #include "common/exact_text.h"
@@ -97,19 +94,8 @@ constexpr std::pair<std::string_view, double FaultModel::*> kProbKnobs[] = {
 
 // ------------------------------------------------------- token helpers --
 
-/// The whole token as a T: an unsigned integer with no sign that fits, or
-/// a finite double.
-template <typename T>
-bool parse_num(std::string_view tok, T* out) {
-  const char* end = tok.data() + tok.size();
-  const auto [ptr, ec] = std::from_chars(tok.data(), end, *out);
-  if (ec != std::errc{} || ptr != end) return false;
-  if constexpr (std::is_floating_point_v<T>) return std::isfinite(*out);
-  return true;
-}
-
 bool parse_prob(std::string_view tok, double* out) {
-  return parse_num(tok, out) && *out >= 0.0 && *out <= 1.0;
+  return parse_exact(tok, out) && *out >= 0.0 && *out <= 1.0;
 }
 
 /// "250ms" / "3s" / "1500ns" / "2.5us": finite, non-negative, and it fits
@@ -121,13 +107,13 @@ bool parse_time(std::string_view tok, Ns* out) {
     if (!tok.ends_with(unit)) continue;
     const std::string_view num = tok.substr(0, tok.size() - unit.size());
     Ns whole = 0;
-    if (parse_num(num, &whole)) {
+    if (parse_exact(num, &whole)) {
       if (whole > std::numeric_limits<Ns>::max() / scale) return false;
       *out = whole * scale;
       return true;
     }
     double v = 0.0;
-    if (!parse_num(num, &v) || v < 0.0) return false;
+    if (!parse_exact(num, &v) || v < 0.0) return false;
     const double ns = v * static_cast<double>(scale);
     if (!(ns < 0x1p64)) return false;
     *out = static_cast<Ns>(ns);
@@ -141,7 +127,7 @@ bool parse_group(std::string_view tok, std::vector<NodeId>* out) {
   for (std::size_t start = 0;;) {
     const std::size_t comma = tok.find(',', start);
     NodeId node = 0;
-    if (!parse_num(tok.substr(start, comma - start), &node)) return false;
+    if (!parse_exact(tok.substr(start, comma - start), &node)) return false;
     out->push_back(node);
     if (comma == std::string_view::npos) return true;
     start = comma + 1;
@@ -176,7 +162,7 @@ std::string parse_directive(const std::vector<std::string>& t,
   if (const NodeVerb* v = node_verb(t[0])) {
     a->kind = v->kind;
     if (i >= t.size()) return fail("missing node");
-    if (!parse_num(t[i], &a->node)) return fail("bad node '" + t[i] + "'");
+    if (!parse_exact(t[i], &a->node)) return fail("bad node '" + t[i] + "'");
     ++i;
     if (v->arg == Arg::kRate) {
       const std::string* p = clause("rate");
@@ -185,7 +171,7 @@ std::string parse_directive(const std::vector<std::string>& t,
       }
     } else if (v->arg == Arg::kBank) {
       const std::string* b = clause("bank");
-      if (b == nullptr || !parse_num(*b, &a->bank)) {
+      if (b == nullptr || !parse_exact(*b, &a->bank)) {
         return fail("expected 'bank <b>'");
       }
     }

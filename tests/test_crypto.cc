@@ -183,6 +183,90 @@ TEST(Sha1, SplitAtEveryOffsetMatchesOneShot) {
   }
 }
 
+// SHA-1 on the portable compressor alone: FIPS 180-4 padding around
+// detail::sha1_compress_portable, the reference for the SHA-NI path.
+Sha1::Digest portable_sha1(std::span<const std::uint8_t> msg) {
+  std::array<std::uint32_t, 5> state = {0x67452301u, 0xEFCDAB89u, 0x98BADCFEu,
+                                        0x10325476u, 0xC3D2E1F0u};
+  std::vector<std::uint8_t> padded(msg.begin(), msg.end());
+  padded.push_back(0x80);
+  while (padded.size() % 64 != 56) padded.push_back(0);
+  const std::uint64_t bits = std::uint64_t{msg.size()} * 8;
+  for (int i = 7; i >= 0; --i) {
+    padded.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+  }
+  detail::sha1_compress_portable(state, padded.data(), padded.size() / 64);
+  Sha1::Digest digest;
+  for (std::size_t i = 0; i < 20; ++i) {
+    digest[i] = static_cast<std::uint8_t>(state[i / 4] >> (24 - 8 * (i % 4)));
+  }
+  return digest;
+}
+
+// RFC 2104 over portable_sha1.
+Sha1::Digest portable_hmac_sha1(std::span<const std::uint8_t> key,
+                                std::span<const std::uint8_t> msg) {
+  std::array<std::uint8_t, 64> key_block{};
+  if (key.size() > 64) {
+    const auto digest = portable_sha1(key);
+    std::copy(digest.begin(), digest.end(), key_block.begin());
+  } else {
+    std::copy(key.begin(), key.end(), key_block.begin());
+  }
+  std::vector<std::uint8_t> inner(64), outer(64);
+  for (std::size_t i = 0; i < 64; ++i) {
+    inner[i] = static_cast<std::uint8_t>(key_block[i] ^ 0x36);
+    outer[i] = static_cast<std::uint8_t>(key_block[i] ^ 0x5C);
+  }
+  inner.insert(inner.end(), msg.begin(), msg.end());
+  const auto inner_digest = portable_sha1(inner);
+  outer.insert(outer.end(), inner_digest.begin(), inner_digest.end());
+  return portable_sha1(outer);
+}
+
+TEST(Sha1, HardwareMatchesPortable) {
+  if (!hardware_sha1()) {
+    GTEST_SKIP() << "CPU lacks SHA-NI: Sha1 runs the portable path only";
+  }
+  ASSERT_EQ(to_hex(portable_sha1(bytes_of("abc"))),
+            "a9993e364706816aba3e25717850c26c9cd0d89d");
+  std::vector<std::uint8_t> msg(9 * 64 + 37);
+  std::uint32_t x = 0x2545F491u;
+  for (auto& b : msg) {
+    x = x * 1664525u + 1013904223u;
+    b = static_cast<std::uint8_t>(x >> 24);
+  }
+  // Runs of 1-9 whole blocks, each reaching the compressor in one call.
+  for (std::size_t blocks = 1; blocks <= 9; ++blocks) {
+    const std::span<const std::uint8_t> whole(msg.data(), blocks * 64);
+    Sha1 sha;
+    sha.update(whole);
+    ASSERT_EQ(sha.finalize(), portable_sha1(whole)) << "blocks=" << blocks;
+  }
+  // Every split of the longest message, and every split of every message
+  // up to three blocks.
+  for (std::size_t len = 0; len <= msg.size(); ++len) {
+    if (len > 3 * 64 && len < msg.size()) continue;
+    const std::span<const std::uint8_t> whole(msg.data(), len);
+    const auto expected = portable_sha1(whole);
+    for (std::size_t cut = 0; cut <= len; ++cut) {
+      Sha1 sha;
+      sha.update(whole.first(cut));
+      sha.update(whole.subspan(cut));
+      ASSERT_EQ(sha.finalize(), expected) << "len=" << len << " cut=" << cut;
+    }
+  }
+  for (const std::size_t key_len : {0u, 20u, 64u, 65u, 90u}) {
+    const std::span<const std::uint8_t> key(msg.data() + 100, key_len);
+    const HmacSha1 keyed(key);
+    for (const std::size_t len : {0u, 1u, 55u, 64u, 119u, 448u, 600u}) {
+      const std::span<const std::uint8_t> data(msg.data(), len);
+      ASSERT_EQ(keyed.mac(data), portable_hmac_sha1(key, data))
+          << "key_len=" << key_len << " len=" << len;
+    }
+  }
+}
+
 TEST(Aes, Fips197Aes128) {
   const auto key = from_hex("000102030405060708090a0b0c0d0e0f");
   const auto plain = from_hex("00112233445566778899aabbccddeeff");
@@ -321,6 +405,47 @@ TEST(Aes, CtrRoundTripArbitraryLength) {
   std::vector<std::uint8_t> back(plain.size());
   aes_ctr_crypt(aes, counter, cipher, back);
   EXPECT_EQ(plain, back);
+}
+
+TEST(Aes, CtrHardwareMatchesPortable) {
+  if (!hardware_aes()) {
+    GTEST_SKIP() << "CPU lacks AES-NI: aes_ctr_crypt runs the portable path only";
+  }
+  std::vector<std::uint8_t> plain(1000 + 1);
+  std::uint32_t x = 0x9E3779B9u;
+  for (auto& b : plain) {
+    x = x * 1664525u + 1013904223u;
+    b = static_cast<std::uint8_t>(x >> 24);
+  }
+  std::vector<std::array<std::uint8_t, 16>> counters(4);
+  counters[0][15] = 1;  // the IPSec gateway's block counter starts at 1
+  for (std::size_t i = 0; i < 16; ++i) counters[1][i] = plain[i + 500];
+  // Low 64 bits ...FFFF_FFF0: the carry reaches the high half at block 16.
+  for (std::size_t i = 0; i < 8; ++i) {
+    counters[2][i] = static_cast<std::uint8_t>(0x10 + i);
+  }
+  for (std::size_t i = 8; i < 16; ++i) counters[2][i] = 0xFF;
+  counters[2][15] = 0xF0;
+  counters[3].fill(0xFF);  // wraps to all zeros at block 1
+  for (const std::size_t key_len : {16u, 24u, 32u}) {
+    const std::span<const std::uint8_t> key(plain.data() + 700, key_len);
+    const Aes aes(key);
+    for (std::size_t c = 0; c < counters.size(); ++c) {
+      for (std::size_t len = 0; len <= 1000; ++len) {
+        // Input one byte off alignment.
+        const std::span<const std::uint8_t> in(plain.data() + 1, len);
+        std::vector<std::uint8_t> hw(len), ref(len);
+        aes_ctr_crypt(aes, counters[c], in, hw);
+        detail::aes_ctr_crypt_portable(aes, counters[c], in, ref);
+        ASSERT_EQ(hw, ref) << "key_len=" << key_len << " counter=" << c
+                           << " len=" << len;
+        std::vector<std::uint8_t> in_place(in.begin(), in.end());
+        aes_ctr_crypt(aes, counters[c], in_place, in_place);
+        ASSERT_EQ(in_place, ref) << "in place: key_len=" << key_len
+                                 << " counter=" << c << " len=" << len;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -2,12 +2,19 @@
 // checkers on hand-built histories (known-good and known-bad), the
 // mutation self-tests (seeded bugs must be CAUGHT), clean chaos seeds
 // (no false positives), and the fault-plan shrinker (deterministic,
-// small minimized plans).
+// small minimized plans), and the tests/corpus reader (strict on typos,
+// crash-free and round-tripping under mutation).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "text_mutator.h"
+#include "verify/corpus.h"
 #include "verify/fuzz.h"
 #include "verify/history.h"
 #include "verify/linearize.h"
@@ -314,6 +321,121 @@ TEST(VerifyFuzz, ShrinkIsDeterministicAndSmall) {
   const auto s2 = verify::shrink_fault_plan(opt, failing.plan);
   EXPECT_EQ(s1.plan.to_text(), s2.plan.to_text());
   EXPECT_EQ(s1.runs, s2.runs);
+}
+
+// ---------------------------------------------------------- corpus reader --
+
+std::vector<std::string> corpus_texts() {
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(IPIPE_CORPUS_DIR)) {
+    if (entry.path().extension() == ".corpus") files.push_back(entry.path());
+  }
+  std::sort(files.begin(), files.end());
+  std::vector<std::string> texts;
+  for (const auto& file : files) {
+    std::ifstream in(file);
+    std::stringstream text;
+    text << in.rdbuf();
+    texts.push_back(text.str());
+  }
+  return texts;
+}
+
+void ExpectSameCase(const verify::CorpusCase& a, const verify::CorpusCase& b,
+                    const std::string& context) {
+  EXPECT_EQ(a.fo.app, b.fo.app) << context;
+  EXPECT_EQ(a.fo.seed, b.fo.seed) << context;
+  EXPECT_EQ(a.fo.duration_s, b.fo.duration_s) << context;
+  EXPECT_EQ(a.fo.inject_stale_reads, b.fo.inject_stale_reads) << context;
+  EXPECT_EQ(a.fo.inject_lost_abort, b.fo.inject_lost_abort) << context;
+  EXPECT_EQ(a.fo.inject_stale_cache, b.fo.inject_stale_cache) << context;
+  EXPECT_EQ(a.expect_fail, b.expect_fail) << context;
+  ASSERT_EQ(a.fo.plan_override.has_value(), b.fo.plan_override.has_value())
+      << context;
+  if (a.fo.plan_override) {
+    EXPECT_EQ(a.fo.plan_override->to_text(), b.fo.plan_override->to_text())
+        << context;
+  }
+}
+
+TEST(CorpusReader, RejectsTyposAndMalformedValues) {
+  const std::string good =
+      "app shard\nseed 9\nduration 25\ninject stale-cache\nexpect fail\n"
+      "plan:\nnic-crash 0 at 4000000000ns for 1500000000ns\n";
+  const auto c = verify::parse_corpus(good);
+  ASSERT_TRUE(c.has_value());
+  EXPECT_EQ(c->fo.app, verify::FuzzApp::kShard);
+  EXPECT_TRUE(c->fo.inject_stale_cache);
+  EXPECT_TRUE(c->expect_fail);
+  ASSERT_TRUE(c->fo.plan_override.has_value());
+  EXPECT_EQ(c->fo.plan_override->size(), 1u);
+
+  // Each edit of `good` and the keyword its error must name.  The reader
+  // used to map the first three to rkv / no injection / pass and leave
+  // unparsable numbers at their defaults.
+  const std::pair<std::pair<std::string, std::string>, std::string> cases[] = {
+      {{"app shard", "app shrad"}, "app"},
+      {{"inject stale-cache", "inject stale-cash"}, "inject"},
+      {{"expect fail", "expect fial"}, "expect"},
+      {{"seed 9", "seed 9x"}, "seed"},
+      {{"seed 9", "seed -9"}, "seed"},
+      {{"seed 9", "seed nan"}, "seed"},
+      {{"seed 9", "seed 99999999999999999999"}, "seed"},
+      {{"seed 9", "seed"}, "seed"},
+      {{"duration 25", "duration 0"}, "duration"},
+      {{"duration 25", "duration -25"}, "duration"},
+      {{"duration 25", "duration 25.5"}, "duration"},
+      {{"duration 25", "duration inf"}, "duration"},
+      {{"duration 25", "duration 2e1"}, "duration"},
+      {{"duration 25", "duration 25 30"}, "duration"},
+      {{"duration 25", "durration 25"}, "durration"},
+      {{"app shard", "app shard\napp rkv"}, "app"},
+      {{"expect fail\n", ""}, "expect"},
+      {{"plan:", "plan: now"}, "plan:"},
+      {{"at 4000000000ns", "at 4000000000"}, "plan:"},
+  };
+  for (const auto& [edit, keyword] : cases) {
+    std::string text = good;
+    text.replace(text.find(edit.first), edit.first.size(), edit.second);
+    std::string error;
+    EXPECT_FALSE(verify::parse_corpus(text, &error).has_value()) << text;
+    EXPECT_NE(error.find(keyword), std::string::npos) << text << " -> " << error;
+  }
+}
+
+TEST(CorpusReader, MutatedCorporaNeverCrashAndRoundTrip) {
+  std::vector<std::string> seeds = corpus_texts();
+  ASSERT_GE(seeds.size(), 10u) << IPIPE_CORPUS_DIR;
+  for (const std::string& text : seeds) {
+    std::string error;
+    const auto c = verify::parse_corpus(text, &error);
+    ASSERT_TRUE(c.has_value()) << text << " -> " << error;
+    const auto again = verify::parse_corpus(verify::corpus_to_text(*c));
+    ASSERT_TRUE(again.has_value()) << verify::corpus_to_text(*c);
+    ExpectSameCase(*c, *again, text);
+  }
+
+  Rng rng(21);
+  std::size_t parsed = 0;
+  for (int i = 0; i < 4000; ++i) {
+    const std::string text = fuzztest::mutate(seeds[i % seeds.size()], rng);
+    std::string error;
+    const auto c = verify::parse_corpus(text, &error);
+    if (!c) {
+      EXPECT_FALSE(error.empty()) << text;
+      continue;
+    }
+    ++parsed;
+    const std::string printed = verify::corpus_to_text(*c);
+    const auto again = verify::parse_corpus(printed, &error);
+    ASSERT_TRUE(again.has_value()) << text << " -> " << printed << " -> " << error;
+    ExpectSameCase(*c, *again, text + " -> " + printed);
+    EXPECT_EQ(verify::corpus_to_text(*again), printed) << text;
+  }
+  // The mix must exercise both outcomes, not just the error path.
+  EXPECT_GT(parsed, 400u);
+  EXPECT_LT(parsed, 3600u);
 }
 
 }  // namespace
