@@ -18,6 +18,7 @@
 #include "harness/bench_util.h"
 #include "harness/rkv_durability.h"
 #include "harness/trace_opts.h"
+#include "testbed/rkv_deploy.h"
 
 using namespace ipipe;
 
@@ -68,7 +69,8 @@ int main(int argc, char** argv) {
     cluster.add_server(spec);
   }
   trace.apply(cluster);
-  const auto deps = bench::deploy_rkv_group(cluster, {0, 1, 2});
+  const auto deps = testbed::deploy_rkv_group(
+      cluster, {.replicas = {0, 1, 2}, .enable_failover = true});
 
   auto chaos = cluster.make_chaos();
   netsim::FaultPlan plan;

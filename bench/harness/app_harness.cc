@@ -5,6 +5,7 @@
 #include "apps/dt/dt_actors.h"
 #include "apps/rkv/rkv_actors.h"
 #include "apps/rta/rta_actors.h"
+#include "testbed/rkv_deploy.h"
 #include "workloads/app_workloads.h"
 
 namespace ipipe::bench {
@@ -119,14 +120,8 @@ RunResult run_app(const RunConfig& cfg) {
       break;
     }
     case App::kRkv: {
-      rkv::RkvParams params;
-      params.replicas = {0, 1, 2};
-      std::vector<rkv::RkvDeployment> deployments;
-      for (std::size_t i = 0; i < 3; ++i) {
-        params.self_index = i;
-        deployments.push_back(
-            rkv::deploy_rkv(cluster.server(i).runtime(), params));
-      }
+      const auto deployments =
+          testbed::deploy_rkv_group(cluster, {.replicas = {0, 1, 2}});
       workloads::KvWorkloadParams wl;
       wl.server = 0;
       wl.consensus_actor = deployments[0].consensus;

@@ -14,21 +14,6 @@ constexpr double kLinkGbps = 10.0;
 
 }  // namespace
 
-std::vector<rkv::RkvDeployment> deploy_rkv_group(
-    testbed::ParallelCluster& cluster, const std::vector<netsim::NodeId>& nodes) {
-  rkv::RkvParams params;
-  params.replicas = nodes;
-  params.enable_failover = true;
-  std::vector<rkv::RkvDeployment> deps;
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    params.self_index = i;
-    const auto d = rkv::deploy_rkv(cluster.server(nodes[i]).runtime(), params);
-    deps.push_back(d);
-    params.peer_consensus_actor = d.consensus;
-  }
-  return deps;
-}
-
 std::vector<std::uint8_t> tagged_value(std::uint64_t k) {
   return {static_cast<std::uint8_t>(k), static_cast<std::uint8_t>(k >> 8),
           static_cast<std::uint8_t>(k >> 16), 0xA5};

@@ -1,7 +1,8 @@
 // RKV durability kit shared by every chaos bench (chaos_recovery,
-// nic_failover, parallel_cluster and the chaos tests): deploy one
-// failover-enabled Paxos group, build the standard chaos schedule, and
-// prove that no acknowledged write is lost.
+// nic_failover, parallel_cluster and the chaos tests): the standard chaos
+// schedule for a failover-enabled Paxos group (deployed with
+// testbed::deploy_rkv_group), and the probe that proves no acknowledged
+// write is lost.
 //
 // The acked-write probe is one writer client issuing unique keys, each
 // logical op retried across kNotLeader redirects and abandoned requests
@@ -27,12 +28,6 @@
 #include "workloads/client.h"
 
 namespace ipipe::bench {
-
-/// Deploy one failover-enabled RKV group (RkvParams defaults otherwise) on
-/// `nodes`; nodes[0] is the initial leader and each replica's peer
-/// consensus actor chains to the previous one in node order.
-std::vector<rkv::RkvDeployment> deploy_rkv_group(
-    testbed::ParallelCluster& cluster, const std::vector<netsim::NodeId>& nodes);
 
 /// The standard chaos schedule for a 3-replica group on nodes 0..2: a
 /// guaranteed backbone (leader crash, partition, corrupting fabric) and a

@@ -25,6 +25,7 @@
 
 #include "harness/bench_util.h"
 #include "harness/rkv_durability.h"
+#include "testbed/rkv_deploy.h"
 #include "workloads/app_workloads.h"
 
 using namespace ipipe;
@@ -79,7 +80,8 @@ int main(int argc, char** argv) {
   }
 
   // ---- RKV group + acked-write probe -----------------------------------
-  const auto deps = bench::deploy_rkv_group(cluster, {0, 1, 2});
+  const auto deps = testbed::deploy_rkv_group(
+      cluster, {.replicas = {0, 1, 2}, .enable_failover = true});
   const ActorId echo_id =
       cluster.server(kEchoNode).runtime().register_actor(
           std::make_unique<bench::EchoActor>());

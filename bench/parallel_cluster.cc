@@ -23,6 +23,7 @@
 #include "common/trace.h"
 #include "harness/bench_util.h"
 #include "harness/rkv_durability.h"
+#include "testbed/rkv_deploy.h"
 #include "workloads/app_workloads.h"
 
 using namespace ipipe;
@@ -87,12 +88,13 @@ int main(int argc, char** argv) {
     for (int r = 0; r < kReplicas; ++r) {
       nodes.push_back(static_cast<netsim::NodeId>(g * kReplicas + r));
     }
-    const ActorId consensus = bench::deploy_rkv_group(cluster, nodes)[0].consensus;
+    const auto deps = testbed::deploy_rkv_group(
+        cluster, {.replicas = nodes, .enable_failover = true});
     groups.push_back(std::make_unique<bench::AckedWriteProbe>(
         cluster,
         bench::RkvProbeGroup{
             .nodes = std::move(nodes),
-            .consensus = consensus,
+            .consensus = deps[0].consensus,
             .key_prefix = "g" + std::to_string(g) + "k",
             .value =
                 [g](std::uint64_t k) {

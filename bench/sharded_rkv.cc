@@ -18,25 +18,23 @@
 //               [--groups=N] [--min-ops=N] [--max-events-per-op=X]
 //               [--wall-out=<path>] [--json-out=<path>]
 //
-// Exit codes: 0 ok; 2 correctness violation (stale read, lost acked
-// write, readback failure, or rebalance did not complete); 3 scale gate:
-// fewer ops sent than --min-ops (the run did not do its full work), or
-// more engine events per op sent than --max-events-per-op (idle
-// simulation work crept back); 4 SLO breach (cache hit rate < 50%
-// or p99 over the floor).
+// Exit codes: 0 ok; 1 unknown flag, malformed number or value out of
+// range; 2 correctness violation (stale read, lost acked write, readback
+// failure, or rebalance did not complete); 3 scale gate: fewer ops sent
+// than --min-ops (the run did not do its full work), or more engine
+// events per op sent than --max-events-per-op (idle simulation work
+// crept back); 4 SLO breach (cache hit rate < 50% or p99 over the floor).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
-#include <vector>
 
 #include "apps/rkv/hot_cache.h"
-#include "apps/rkv/rkv_actors.h"
+#include "common/exact_text.h"
 #include "harness/bench_util.h"
-#include "ipipe/shard.h"
 #include "netsim/chaos.h"
 #include "testbed/cluster.h"
+#include "testbed/rkv_deploy.h"
 #include "workloads/open_loop.h"
 
 using namespace ipipe;
@@ -61,25 +59,33 @@ int main(int argc, char** argv) {
   std::string wall_out;
   std::string json_out;
   for (int i = 1; i < argc; ++i) {
+    bool ok = true;
     if (const char* v = flag_value(argv[i], "--sim-threads")) {
-      const long n = std::strtol(v, nullptr, 10);
-      sim_threads = n > 1 ? static_cast<unsigned>(n) : 1;
+      ok = parse_exact(v, &sim_threads);
     } else if (const char* v = flag_value(argv[i], "--duration-s")) {
-      duration_s = std::strtod(v, nullptr);
+      ok = parse_exact(v, &duration_s);
     } else if (const char* v = flag_value(argv[i], "--seed")) {
-      seed = std::strtoull(v, nullptr, 10);
+      ok = parse_exact(v, &seed);
     } else if (const char* v = flag_value(argv[i], "--groups")) {
-      groups = static_cast<int>(std::strtol(v, nullptr, 10));
+      ok = parse_exact(v, &groups);
     } else if (const char* v = flag_value(argv[i], "--min-ops")) {
-      min_ops = std::strtoull(v, nullptr, 10);
+      ok = parse_exact(v, &min_ops);
     } else if (const char* v = flag_value(argv[i], "--max-events-per-op")) {
-      max_events_per_op = std::strtod(v, nullptr);
+      ok = parse_exact(v, &max_events_per_op);
     } else if (const char* v = flag_value(argv[i], "--wall-out")) {
       wall_out = v;
     } else if (const char* v = flag_value(argv[i], "--json-out")) {
       json_out = v;
+    } else {
+      std::fprintf(stderr, "sharded_rkv: unknown flag %s\n", argv[i]);
+      return 1;
+    }
+    if (!ok) {
+      std::fprintf(stderr, "sharded_rkv: malformed number in %s\n", argv[i]);
+      return 1;
     }
   }
+  sim_threads = std::max(sim_threads, 1u);
   if (duration_s < 5.0) {
     std::fprintf(stderr, "sharded_rkv: --duration-s must be >= 5\n");
     return 1;
@@ -106,46 +112,11 @@ int main(int argc, char** argv) {
     cluster.add_server(spec);
   }
 
-  // ---- ring + deployments -----------------------------------------------
-  shard::ShardRing ring(shards);
-  for (std::uint32_t g = 0; g < static_cast<std::uint32_t>(groups); ++g) {
-    ring.add_group(g);
-  }
-  const shard::RouteTable table = ring.table(/*epoch=*/1);
-
-  std::vector<workloads::ShardTarget> targets;
-  std::vector<rkv::RkvDeployment> deployments;
-  for (int g = 0; g < all_groups; ++g) {
-    rkv::RkvParams params;
-    params.replicas.clear();
-    for (int r = 0; r < kReplicas; ++r) {
-      params.replicas.push_back(static_cast<netsim::NodeId>(g * kReplicas + r));
-    }
-    params.enable_failover = true;
-    params.heartbeat_period = msec(100);
-    params.election_timeout_min = msec(250);
-    params.election_timeout_max = msec(450);
-    params.num_shards = shards;
-    params.shard_epoch = table.epoch;
-    params.owned_shards = table.shards_of(static_cast<std::uint32_t>(g));
-    params.enable_hot_cache = true;
-    workloads::ShardTarget target;
-    for (int r = 0; r < kReplicas; ++r) {
-      params.self_index = static_cast<std::size_t>(r);
-      const auto d = rkv::deploy_rkv(
-          cluster.server(static_cast<std::size_t>(g * kReplicas + r)).runtime(),
-          params);
-      params.peer_consensus_actor = d.consensus;
-      if (r == 0) {
-        target.consensus = d.consensus;
-        target.cache = d.hot_cache;
-      }
-      deployments.push_back(d);
-    }
-    target.replicas = params.replicas;
-    target.leader_hint = params.replicas[0];
-    targets.push_back(std::move(target));
-  }
+  // ---- groups + standby ---------------------------------------------------
+  const testbed::ShardedRkv rkv = testbed::deploy_sharded_rkv(
+      cluster, static_cast<std::uint32_t>(all_groups), kReplicas,
+      static_cast<std::uint32_t>(groups),
+      {.enable_failover = true, .num_shards = shards, .enable_hot_cache = true});
 
   // ---- the million-client open loop ---------------------------------------
   workloads::OpenLoopParams wp;
@@ -166,8 +137,8 @@ int main(int argc, char** argv) {
   // grant/copy/revoke rounds off the end of a 10s run).
   wp.max_retries = 6;
   auto& gen = cluster.add_open_loop(wp);
-  gen.set_groups(targets);
-  gen.set_route_table(table);
+  gen.set_groups(rkv.targets);
+  gen.set_route_table(rkv.table);
   gen.set_warmup(sec(duration_s * 0.1));
 
   // ---- chaos schedule -----------------------------------------------------
@@ -212,12 +183,11 @@ int main(int argc, char** argv) {
   gen.start(traffic_end);
   cluster.run_until(rebalance_at);
 
-  shard::ShardRing grown(shards);
-  for (std::uint32_t g = 0; g < static_cast<std::uint32_t>(all_groups); ++g) {
-    grown.add_group(g);
-  }
   bool rebalanced = false;
-  gen.start_rebalance(grown.table(/*epoch=*/2), [&] { rebalanced = true; });
+  gen.start_rebalance(
+      testbed::ring_table(shards, static_cast<std::uint32_t>(all_groups),
+                          /*epoch=*/2),
+      [&] { rebalanced = true; });
 
   cluster.run_until(traffic_end + sec(1));
   gen.issue_readback(wp.key_space);
@@ -263,7 +233,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(gen.latencies().p99()));
 
   std::uint64_t hits = 0, misses = 0, fills = 0, invals = 0, wipes = 0;
-  for (const auto& d : deployments) {
+  for (const auto& d : rkv.deployments) {
     if (d.cache == nullptr) continue;
     hits += d.cache->hits();
     misses += d.cache->misses();

@@ -14,15 +14,16 @@
 //
 // --inject arms one of the known-bug mutations (stale follower reads in
 // RKV, lost abort in DT, invalidation-dropping NIC cache in the sharded
-// RKV) as a checker self-test; with --expect-fail the driver exits 0
-// only when every run is caught.  --replay-corpus runs each *.corpus
-// file (tests/corpus/) and checks its recorded expectation.
+// RKV) as a checker self-test, and needs --app to name that app; with
+// --expect-fail verify_fuzz exits 0 only when every run is caught.
+// --replay-corpus runs each *.corpus file (tests/corpus/) and checks its
+// recorded expectation.  An unknown flag or value, or a malformed number,
+// exits 2.
 #include <dirent.h>
 #include <sys/stat.h>
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <optional>
@@ -30,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "common/exact_text.h"
 #include "common/trace.h"
 #include "verify/corpus.h"
 #include "verify/fuzz.h"
@@ -198,20 +200,20 @@ int main(int argc, char** argv) {
   std::string val;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
+    bool ok = true;
     if (parse_flag(arg, "--seeds", &val)) {
-      opt.seeds = std::strtoull(val.c_str(), nullptr, 10);
+      ok = parse_exact(val, &opt.seeds);
     } else if (parse_flag(arg, "--seed-base", &val)) {
-      opt.seed_base = std::strtoull(val.c_str(), nullptr, 10);
+      ok = parse_exact(val, &opt.seed_base);
     } else if (parse_flag(arg, "--seed", &val)) {
-      opt.seed_base = std::strtoull(val.c_str(), nullptr, 10);
+      ok = parse_exact(val, &opt.seed_base);
       opt.seeds = 1;
     } else if (parse_flag(arg, "--app", &val)) {
       opt.app = val;
     } else if (parse_flag(arg, "--duration-s", &val)) {
-      opt.duration_s =
-          static_cast<unsigned>(std::strtoul(val.c_str(), nullptr, 10));
+      ok = parse_exact(val, &opt.duration_s);
     } else if (parse_flag(arg, "--max-states", &val)) {
-      opt.max_states = std::strtoull(val.c_str(), nullptr, 10);
+      ok = parse_exact(val, &opt.max_states);
     } else if (parse_flag(arg, "--inject", &val)) {
       opt.inject = val;
     } else if (std::strcmp(arg, "--expect-fail") == 0) {
@@ -230,11 +232,29 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "unknown flag: %s\n", arg);
       return 2;
     }
+    if (!ok) {
+      std::fprintf(stderr, "malformed number: %s\n", arg);
+      return 2;
+    }
   }
-  if (opt.inject != "none" && opt.inject != "stale-read" &&
-      opt.inject != "lost-abort" && opt.inject != "stale-cache") {
-    std::fprintf(stderr, "bad --inject value: %s\n", opt.inject.c_str());
+  if (opt.app != "rkv" && opt.app != "dt" && opt.app != "shard" &&
+      opt.app != "mix") {
+    std::fprintf(stderr, "bad --app value: %s\n", opt.app.c_str());
     return 2;
+  }
+  if (opt.inject != "none") {
+    // An injection is wired into one app; under any other it would arm
+    // nothing and the run would pass unexamined.
+    const auto app = verify::inject_app(opt.inject);
+    if (!app) {
+      std::fprintf(stderr, "bad --inject value: %s\n", opt.inject.c_str());
+      return 2;
+    }
+    if (opt.app != verify::app_name(*app)) {
+      std::fprintf(stderr, "--inject=%s needs --app=%s\n", opt.inject.c_str(),
+                   verify::app_name(*app));
+      return 2;
+    }
   }
   if (opt.duration_s < 15) {
     std::fprintf(stderr, "--duration-s must be >= 15\n");

@@ -8,6 +8,7 @@
 
 #include "apps/rkv/rkv_actors.h"
 #include "testbed/cluster.h"
+#include "testbed/rkv_deploy.h"
 #include "workloads/app_workloads.h"
 
 using namespace ipipe;
@@ -17,15 +18,9 @@ int main() {
   for (int i = 0; i < 3; ++i) cluster.add_server(testbed::ServerSpec{});
 
   // Deploy the four RKV actors on every replica (same order everywhere so
-  // actor ids agree cluster-wide).
-  rkv::RkvParams params;
-  params.replicas = {0, 1, 2};
-  std::vector<rkv::RkvDeployment> nodes;
-  for (std::size_t i = 0; i < 3; ++i) {
-    params.self_index = i;
-    nodes.push_back(rkv::deploy_rkv(cluster.server(i).runtime(), params));
-    params.peer_consensus_actor = nodes.back().consensus;
-  }
+  // actor ids agree cluster-wide); node 0 starts as leader.
+  const auto nodes =
+      testbed::deploy_rkv_group(cluster, {.replicas = {0, 1, 2}});
   std::printf("deployed RKV: consensus=%u memtable=%u sst-read=%u compact=%u\n",
               nodes[0].consensus, nodes[0].memtable, nodes[0].sst_read,
               nodes[0].compaction);

@@ -53,11 +53,10 @@ struct ReplyTo {
 };
 
 struct RkvParams {
-  std::vector<netsim::NodeId> replicas;  ///< replicas[0] = initial leader
+  std::vector<netsim::NodeId> replicas = {};  ///< replicas[0] = initial leader
   std::size_t self_index = 0;
   ActorId peer_consensus_actor = 0;  ///< consensus actor id on every node
   std::uint64_t memtable_flush_bytes = 2 * MiB;
-  std::size_t shards = 1;
 
   // -- failover (off by default: no timers, no heartbeat traffic) --
   /// Leader heartbeats + follower election timeouts + crash-restart
@@ -98,7 +97,7 @@ struct RkvParams {
   /// Updated at runtime by Op::kShardCfg entries driven through the
   /// Paxos log (so every replica and any future leader converges).
   std::uint64_t shard_epoch = 0;
-  std::vector<std::uint32_t> owned_shards;
+  std::vector<std::uint32_t> owned_shards = {};
 
   // -- NIC-resident hot-key cache stage (see hot_cache.h) --
   bool enable_hot_cache = false;

@@ -14,20 +14,39 @@ namespace {
 constexpr std::pair<std::string_view, FuzzApp> kApps[] = {
     {"rkv", FuzzApp::kRkv}, {"dt", FuzzApp::kDt}, {"shard", FuzzApp::kShard}};
 
-/// The injections a case can arm; `inject none` arms nothing.
-constexpr std::pair<std::string_view, bool FuzzOptions::*> kInjects[] = {
-    {"stale-read", &FuzzOptions::inject_stale_reads},
-    {"lost-abort", &FuzzOptions::inject_lost_abort},
-    {"stale-cache", &FuzzOptions::inject_stale_cache}};
+/// The injections a case can arm, each wired into one app only; `inject
+/// none` arms nothing.
+struct Inject {
+  std::string_view name;
+  bool FuzzOptions::*flag;
+  FuzzApp app;
+};
+constexpr Inject kInjects[] = {
+    {"stale-read", &FuzzOptions::inject_stale_reads, FuzzApp::kRkv},
+    {"lost-abort", &FuzzOptions::inject_lost_abort, FuzzApp::kDt},
+    {"stale-cache", &FuzzOptions::inject_stale_cache, FuzzApp::kShard}};
+
+const Inject* find_inject(std::string_view name) {
+  const auto* it =
+      std::find_if(std::begin(kInjects), std::end(kInjects),
+                   [&](const Inject& i) { return i.name == name; });
+  return it == std::end(kInjects) ? nullptr : it;
+}
 
 std::string_view inject_name(const FuzzOptions& fo) {
-  for (const auto& [name, flag] : kInjects) {
-    if (fo.*flag) return name;
+  for (const Inject& i : kInjects) {
+    if (fo.*i.flag) return i.name;
   }
   return "none";
 }
 
 }  // namespace
+
+std::optional<FuzzApp> inject_app(std::string_view name) {
+  const Inject* i = find_inject(name);
+  if (i == nullptr) return std::nullopt;
+  return i->app;
+}
 
 const char* app_name(FuzzApp app) {
   for (const auto& [name, a] : kApps) {
@@ -43,6 +62,8 @@ std::optional<CorpusCase> parse_corpus(const std::string& text,
                                             "inject"};
   constexpr std::size_t kRequired = 4;
   bool seen[std::size(kKeywords)] = {};
+  const Inject* inject = nullptr;
+  int inject_line = 0;
   CorpusCase c;
   std::istringstream is(text);
   std::string line;
@@ -88,10 +109,10 @@ std::optional<CorpusCase> parse_corpus(const std::string& text,
       if (value != "pass" && value != "fail") return bad();
       c.expect_fail = value == "fail";
     } else if (value != "none") {
-      const auto* it = std::find_if(std::begin(kInjects), std::end(kInjects),
-                                    [&](const auto& i) { return i.first == value; });
-      if (it == std::end(kInjects)) return bad();
-      c.fo.*(it->second) = true;
+      inject = find_inject(value);
+      if (inject == nullptr) return bad();
+      inject_line = line_no;
+      c.fo.*inject->flag = true;
     }
   }
   for (std::size_t k = 0; k < kRequired; ++k) {
@@ -99,6 +120,11 @@ std::optional<CorpusCase> parse_corpus(const std::string& text,
       if (error != nullptr) *error = std::string(kKeywords[k]) + ": missing";
       return std::nullopt;
     }
+  }
+  if (inject != nullptr && inject->app != c.fo.app) {
+    line_no = inject_line;
+    return fail("inject: " + std::string(inject->name) +
+                " runs only under app " + app_name(inject->app));
   }
   return c;
 }

@@ -5,7 +5,8 @@
 //   app rkv|dt|shard
 //   seed <n>
 //   duration <seconds, > 0>
-//   inject none|stale-read|lost-abort|stale-cache   (optional)
+//   inject none|stale-read|lost-abort|stale-cache   (optional; must be
+//                                                    an injection of `app`)
 //   expect pass|fail
 //   plan:                                            (optional)
 //   <FaultPlan text, to the end of the file>
@@ -19,6 +20,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "verify/fuzz.h"
 
@@ -36,6 +38,10 @@ struct CorpusCase {
 
 /// Renders `c` so parse_corpus() reads back the same case.
 [[nodiscard]] std::string corpus_to_text(const CorpusCase& c);
+
+/// The app that runs injection `name` (stale-read: rkv, lost-abort: dt,
+/// stale-cache: shard); nullopt for "none" or an unknown name.
+[[nodiscard]] std::optional<FuzzApp> inject_app(std::string_view name);
 
 /// "rkv", "dt" or "shard".
 [[nodiscard]] const char* app_name(FuzzApp app);

@@ -8,8 +8,8 @@
 #include "apps/dt/dt_actors.h"
 #include "apps/rkv/rkv_actors.h"
 #include "common/rng.h"
-#include "ipipe/shard.h"
 #include "testbed/cluster.h"
+#include "testbed/rkv_deploy.h"
 #include "workloads/open_loop.h"
 
 namespace ipipe::verify {
@@ -34,6 +34,18 @@ std::vector<std::uint8_t> fuzz_value(std::uint64_t client,
           0x5A};
 }
 
+/// Adds `n` servers with every fuzz run's spec: a 5 ms management
+/// cadence and the NIC watchdog on (200 us heartbeats, 4 misses).
+void add_servers(ParallelCluster& cluster, std::size_t n) {
+  ServerSpec spec;
+  spec.ipipe.mgmt_period = msec(5);
+  spec.ipipe.nic_watchdog = true;
+  spec.ipipe.watchdog_heartbeat = usec(200);
+  spec.ipipe.watchdog_miss_limit = 4;
+  spec.ipipe.watchdog_probe_cap = msec(2);
+  for (std::size_t i = 0; i < n; ++i) cluster.add_server(spec);
+}
+
 void trace_verdict(const FuzzOptions& opt, const FuzzVerdict& v) {
   if (opt.tracer == nullptr || !opt.tracer->enabled()) return;
   opt.tracer->instant(
@@ -49,29 +61,11 @@ FuzzVerdict run_rkv(const FuzzOptions& opt, const netsim::FaultPlan& plan) {
   const Ns traffic_end = total - sec(5);
 
   ParallelCluster cluster(testbed::kTorLatency);
-  for (std::size_t i = 0; i < kNodes; ++i) {
-    ServerSpec spec;
-    spec.ipipe.mgmt_period = msec(5);
-    spec.ipipe.nic_watchdog = true;
-    spec.ipipe.watchdog_heartbeat = usec(200);
-    spec.ipipe.watchdog_miss_limit = 4;
-    spec.ipipe.watchdog_probe_cap = msec(2);
-    cluster.add_server(spec);
-  }
-  rkv::RkvParams params;
-  params.replicas = {0, 1, 2};
-  params.enable_failover = true;
-  params.heartbeat_period = msec(100);
-  params.election_timeout_min = msec(250);
-  params.election_timeout_max = msec(450);
-  params.inject_stale_reads = opt.inject_stale_reads;
-  std::vector<rkv::RkvDeployment> deps;
-  for (std::size_t i = 0; i < kNodes; ++i) {
-    params.self_index = i;
-    auto d = rkv::deploy_rkv(cluster.server(i).runtime(), params);
-    deps.push_back(d);
-    params.peer_consensus_actor = d.consensus;
-  }
+  add_servers(cluster, kNodes);
+  const auto deps = testbed::deploy_rkv_group(
+      cluster, {.replicas = {0, 1, 2},
+                .enable_failover = true,
+                .inject_stale_reads = opt.inject_stale_reads});
   auto chaos = cluster.make_chaos();
   chaos->execute(plan);
 
@@ -176,7 +170,7 @@ FuzzVerdict run_rkv(const FuzzOptions& opt, const netsim::FaultPlan& plan) {
 
 // --------------------------------------------------------- sharded RKV --
 
-constexpr std::size_t kShardGroups = 2;
+constexpr std::uint32_t kShardGroups = 2;
 constexpr std::size_t kShardReplicas = 3;
 constexpr std::size_t kShardNodes = kShardGroups * kShardReplicas;
 constexpr std::uint32_t kShardCount = 16;
@@ -200,52 +194,14 @@ FuzzVerdict run_shard(const FuzzOptions& opt, const netsim::FaultPlan& plan) {
   const Ns traffic_end = total - sec(5);
 
   ParallelCluster cluster(testbed::kTorLatency);
-  for (std::size_t i = 0; i < kShardNodes; ++i) {
-    ServerSpec spec;
-    spec.ipipe.mgmt_period = msec(5);
-    spec.ipipe.nic_watchdog = true;
-    spec.ipipe.watchdog_heartbeat = usec(200);
-    spec.ipipe.watchdog_miss_limit = 4;
-    spec.ipipe.watchdog_probe_cap = msec(2);
-    cluster.add_server(spec);
-  }
+  add_servers(cluster, kShardNodes);
 
-  shard::ShardRing ring(kShardCount);
-  for (std::uint32_t g = 0; g < kShardGroups; ++g) ring.add_group(g);
-  const shard::RouteTable table = ring.table(/*epoch=*/1);
-
-  std::vector<workloads::ShardTarget> targets;
-  for (std::size_t g = 0; g < kShardGroups; ++g) {
-    rkv::RkvParams params;
-    params.replicas.clear();
-    for (std::size_t r = 0; r < kShardReplicas; ++r) {
-      params.replicas.push_back(
-          static_cast<netsim::NodeId>(g * kShardReplicas + r));
-    }
-    params.enable_failover = true;
-    params.heartbeat_period = msec(100);
-    params.election_timeout_min = msec(250);
-    params.election_timeout_max = msec(450);
-    params.num_shards = kShardCount;
-    params.shard_epoch = table.epoch;
-    params.owned_shards = table.shards_of(static_cast<std::uint32_t>(g));
-    params.enable_hot_cache = true;
-    params.inject_stale_cache = opt.inject_stale_cache;
-    workloads::ShardTarget target;
-    for (std::size_t r = 0; r < kShardReplicas; ++r) {
-      params.self_index = r;
-      const auto d = rkv::deploy_rkv(
-          cluster.server(g * kShardReplicas + r).runtime(), params);
-      params.peer_consensus_actor = d.consensus;
-      if (r == 0) {
-        target.consensus = d.consensus;
-        target.cache = d.hot_cache;
-      }
-    }
-    target.replicas = params.replicas;
-    target.leader_hint = params.replicas[0];
-    targets.push_back(std::move(target));
-  }
+  const testbed::ShardedRkv rkv = testbed::deploy_sharded_rkv(
+      cluster, kShardGroups, kShardReplicas, kShardGroups,
+      {.enable_failover = true,
+       .num_shards = kShardCount,
+       .enable_hot_cache = true,
+       .inject_stale_cache = opt.inject_stale_cache});
 
   auto chaos = cluster.make_chaos();
   chaos->execute(plan);
@@ -264,8 +220,8 @@ FuzzVerdict run_shard(const FuzzOptions& opt, const netsim::FaultPlan& plan) {
   wp.retry_timeout = msec(80);
   wp.max_retries = 12;
   auto& gen = cluster.add_open_loop(wp);
-  gen.set_groups(targets);
-  gen.set_route_table(table);
+  gen.set_groups(rkv.targets);
+  gen.set_route_table(rkv.table);
   recorder.hook_rkv_openloop(gen);
 
   gen.start(traffic_end);
@@ -309,15 +265,7 @@ FuzzVerdict run_dt(const FuzzOptions& opt, const netsim::FaultPlan& plan) {
   const Ns traffic_end = total - sec(5);
 
   ParallelCluster cluster(testbed::kTorLatency);
-  for (std::size_t i = 0; i < kNodes; ++i) {
-    ServerSpec spec;
-    spec.ipipe.mgmt_period = msec(5);
-    spec.ipipe.nic_watchdog = true;
-    spec.ipipe.watchdog_heartbeat = usec(200);
-    spec.ipipe.watchdog_miss_limit = 4;
-    spec.ipipe.watchdog_probe_cap = msec(2);
-    cluster.add_server(spec);
-  }
+  add_servers(cluster, kNodes);
   dt::DtRecoveryParams rec;
   rec.enabled = true;
   rec.cluster = {0, 1, 2};

@@ -21,6 +21,7 @@
 #include "harness/rkv_durability.h"
 #include "netsim/chaos.h"
 #include "testbed/cluster.h"
+#include "testbed/rkv_deploy.h"
 #include "workloads/client.h"
 
 namespace ipipe::chaostest {
@@ -68,7 +69,8 @@ inline RkvChaosResult run_rkv_chaos(std::uint64_t seed, double total_secs) {
     spec.ipipe.mgmt_period = msec(5);
     cluster.add_server(spec);
   }
-  const auto deps = bench::deploy_rkv_group(cluster, {0, 1, 2});
+  const auto deps = testbed::deploy_rkv_group(
+      cluster, {.replicas = {0, 1, 2}, .enable_failover = true});
   auto chaos = cluster.make_chaos();
   chaos->execute(bench::rkv_chaos_plan(seed, total));
 

@@ -9,6 +9,7 @@
 #include "apps/rkv/rkv_actors.h"
 #include "apps/rta/rta_actors.h"
 #include "testbed/cluster.h"
+#include "testbed/rkv_deploy.h"
 #include "workloads/app_workloads.h"
 
 namespace ipipe {
@@ -26,14 +27,7 @@ struct RkvCluster {
       spec.mode = mode;
       cluster.add_server(spec);
     }
-    rkv::RkvParams params;
-    params.replicas = {0, 1, 2};
-    for (std::size_t i = 0; i < 3; ++i) {
-      params.self_index = i;
-      auto d = rkv::deploy_rkv(cluster.server(i).runtime(), params);
-      deployments.push_back(d);
-      params.peer_consensus_actor = d.consensus;
-    }
+    deployments = testbed::deploy_rkv_group(cluster, {.replicas = {0, 1, 2}});
   }
   std::vector<rkv::RkvDeployment> deployments;
 };
@@ -221,16 +215,8 @@ TEST(RkvCluster, MemtableFlushMovesDataToSstables) {
     ServerSpec spec;
     cluster.add_server(spec);
   }
-  rkv::RkvParams params;
-  params.replicas = {0, 1, 2};
-  params.memtable_flush_bytes = 8 * 1024;
-  std::vector<rkv::RkvDeployment> deployments;
-  for (std::size_t i = 0; i < 3; ++i) {
-    params.self_index = i;
-    auto d = rkv::deploy_rkv(cluster.server(i).runtime(), params);
-    deployments.push_back(d);
-    params.peer_consensus_actor = d.consensus;
-  }
+  const auto deployments = testbed::deploy_rkv_group(
+      cluster, {.replicas = {0, 1, 2}, .memtable_flush_bytes = 8 * 1024});
 
   std::uint64_t get_ok = 0;
   std::uint64_t get_total = 0;

@@ -22,6 +22,7 @@
 #include "fake_env.h"
 #include "netsim/chaos.h"
 #include "testbed/cluster.h"
+#include "testbed/rkv_deploy.h"
 #include "text_mutator.h"
 #include "verify/fuzz.h"
 #include "workloads/client.h"
@@ -513,18 +514,12 @@ TEST(RkvFailover, LeaderCrashLosesNoAckedWrite) {
 TEST(RkvFailover, SimultaneousCandidatesConvergeToOneLeader) {
   ParallelCluster cluster(kTorLatency);
   for (int i = 0; i < 3; ++i) cluster.add_server(ServerSpec{});
-  rkv::RkvParams params;
-  params.replicas = {0, 1, 2};
-  params.enable_failover = true;
-  params.heartbeat_period = msec(50);
-  params.election_timeout_min = msec(100);
-  params.election_timeout_max = msec(200);
-  std::vector<rkv::RkvDeployment> deps;
-  for (std::size_t i = 0; i < 3; ++i) {
-    params.self_index = i;
-    deps.push_back(rkv::deploy_rkv(cluster.server(i).runtime(), params));
-    params.peer_consensus_actor = deps.back().consensus;
-  }
+  const auto deps = testbed::deploy_rkv_group(
+      cluster, {.replicas = {0, 1, 2},
+                .enable_failover = true,
+                .heartbeat_period = msec(50),
+                .election_timeout_min = msec(100),
+                .election_timeout_max = msec(200)});
 
   // Both followers stand for election in the same instant: a split vote
   // the randomized (seeded per-replica) timeouts must untangle.

@@ -14,6 +14,7 @@
 #include "ipipe/shard.h"
 #include "netsim/chaos.h"
 #include "testbed/cluster.h"
+#include "testbed/rkv_deploy.h"
 #include "workloads/open_loop.h"
 
 namespace ipipe {
@@ -109,10 +110,8 @@ TEST(RequestId, RoundTripsNodeAndSequence) {
 TEST(RkvDedup, RequestTableStaysBounded) {
   ParallelCluster cluster(kTorLatency);
   cluster.add_server(ServerSpec{});
-  rkv::RkvParams params;
-  params.replicas = {0};
-  params.req_dedup_cap = 8;
-  const auto d = rkv::deploy_rkv(cluster.server(0).runtime(), params);
+  const auto d = testbed::deploy_rkv_group(
+      cluster, {.replicas = {0}, .req_dedup_cap = 8})[0];
 
   auto& client = cluster.add_client(
       10.0, [&](std::uint64_t seq, Rng&, netsim::PacketPool& pool) {
@@ -161,9 +160,11 @@ TEST(ClientGen, FireAndForgetInflightExpires) {
 
 // ------------------------------------------------ sharded deployments --
 
+constexpr std::uint32_t kShards = 16;
+
 struct ShardedOpts {
-  int groups = 2;
-  int replicas = 3;
+  std::uint32_t groups = 2;
+  std::size_t replicas = 3;
   bool cache = false;
   bool failover = true;
   std::uint32_t active_groups = 0;  ///< 0 = all groups on the ring
@@ -171,60 +172,25 @@ struct ShardedOpts {
   std::size_t cache_capacity = 32 * MiB;
 };
 
-struct ShardedRkv {
-  static constexpr std::uint32_t kShards = 16;
-
-  ShardedRkv(ParallelCluster& cluster, ShardedOpts opts) {
-    const int groups = opts.groups;
-    const int replicas = opts.replicas;
-    std::uint32_t active_groups = opts.active_groups;
-    if (active_groups == 0) active_groups = static_cast<std::uint32_t>(groups);
-    shard::ShardRing ring(kShards);
-    for (std::uint32_t g = 0; g < active_groups; ++g) ring.add_group(g);
-    table = ring.table(/*epoch=*/1);
-
-    for (int i = 0; i < groups * replicas; ++i) cluster.add_server(ServerSpec{});
-    for (int g = 0; g < groups; ++g) {
-      rkv::RkvParams params;
-      params.replicas.clear();
-      for (int r = 0; r < replicas; ++r) {
-        params.replicas.push_back(
-            static_cast<netsim::NodeId>(g * replicas + r));
-      }
-      params.enable_failover = opts.failover;
-      params.heartbeat_period = msec(50);
-      params.election_timeout_min = msec(150);
-      params.election_timeout_max = msec(250);
-      params.num_shards = kShards;
-      params.shard_epoch = table.epoch;
-      params.owned_shards = table.shards_of(static_cast<std::uint32_t>(g));
-      params.enable_hot_cache = opts.cache;
-      params.inject_stale_cache = opts.inject_stale_cache;
-      params.cache_capacity_bytes = opts.cache_capacity;
-      workloads::ShardTarget target;
-      for (int r = 0; r < replicas; ++r) {
-        params.self_index = static_cast<std::size_t>(r);
-        const auto d = rkv::deploy_rkv(
-            cluster.server(static_cast<std::size_t>(g * replicas + r))
-                .runtime(),
-            params);
-        params.peer_consensus_actor = d.consensus;
-        if (r == 0) {
-          target.consensus = d.consensus;
-          target.cache = opts.cache ? d.hot_cache : 0;
-        }
-        deployments.push_back(d);
-      }
-      target.replicas = params.replicas;
-      target.leader_hint = params.replicas[0];
-      targets.push_back(std::move(target));
-    }
+/// Adds the servers and deploys the groups with short failover timings,
+/// so elections settle inside the tests' sub-second fault windows.
+testbed::ShardedRkv deploy_sharded(ParallelCluster& cluster, ShardedOpts opts) {
+  for (std::size_t i = 0; i < opts.groups * opts.replicas; ++i) {
+    cluster.add_server(ServerSpec{});
   }
-
-  shard::RouteTable table;
-  std::vector<workloads::ShardTarget> targets;
-  std::vector<rkv::RkvDeployment> deployments;
-};
+  rkv::RkvParams base;
+  base.enable_failover = opts.failover;
+  base.heartbeat_period = msec(50);
+  base.election_timeout_min = msec(150);
+  base.election_timeout_max = msec(250);
+  base.num_shards = kShards;
+  base.enable_hot_cache = opts.cache;
+  base.inject_stale_cache = opts.inject_stale_cache;
+  base.cache_capacity_bytes = opts.cache_capacity;
+  return testbed::deploy_sharded_rkv(
+      cluster, opts.groups, opts.replicas,
+      opts.active_groups == 0 ? opts.groups : opts.active_groups, base);
+}
 
 workloads::OpenLoopParams small_population() {
   workloads::OpenLoopParams p;
@@ -242,8 +208,8 @@ workloads::OpenLoopParams small_population() {
 
 TEST(ShardedRkv, RoutesAcrossGroupsAndReadsBack) {
   ParallelCluster cluster(kTorLatency);
-  ShardedRkv rkv(cluster,
-                 {.groups = 2, .replicas = 1, .cache = false, .failover = false});
+  const auto rkv = deploy_sharded(
+      cluster, {.groups = 2, .replicas = 1, .cache = false, .failover = false});
   auto& gen = cluster.add_open_loop(small_population());
   gen.set_groups(rkv.targets);
   gen.set_route_table(rkv.table);
@@ -266,8 +232,8 @@ TEST(ShardedRkv, RoutesAcrossGroupsAndReadsBack) {
 
 TEST(ShardedRkv, WrongShardCarriesEpochAndIsRetriable) {
   ParallelCluster cluster(kTorLatency);
-  ShardedRkv rkv(cluster,
-                 {.groups = 2, .replicas = 1, .cache = false, .failover = false});
+  const auto rkv = deploy_sharded(
+      cluster, {.groups = 2, .replicas = 1, .cache = false, .failover = false});
   // Find a key owned by group 1 and ask group 0 for it.
   std::string stray;
   for (std::uint32_t k = 0; k < 64 && stray.empty(); ++k) {
@@ -313,11 +279,11 @@ TEST(ShardedRkv, HotCacheServesRepeatsAndInvalidatesOnWrite) {
   // A deliberately tiny cache: write-through keeps every written key
   // resident in a large cache (no misses, hence no fills), so eviction
   // pressure is what exercises the miss -> kCacheGet -> fill path here.
-  ShardedRkv rkv(cluster, {.groups = 1,
-                           .replicas = 3,
-                           .cache = true,
-                           .failover = true,
-                           .cache_capacity = 2 * KiB});
+  const auto rkv = deploy_sharded(cluster, {.groups = 1,
+                                           .replicas = 3,
+                                           .cache = true,
+                                           .failover = true,
+                                           .cache_capacity = 2 * KiB});
   auto params = small_population();
   params.get_fraction = 0.9;  // read-heavy: the cache should carry load
   auto& gen = cluster.add_open_loop(params);
@@ -339,11 +305,11 @@ TEST(ShardedRkv, CheckerCatchesInjectedStaleCache) {
   // Self-test of the online checker: a cache that drops invalidations
   // MUST produce observable stale reads under a read-heavy Zipf load.
   ParallelCluster cluster(kTorLatency);
-  ShardedRkv rkv(cluster, {.groups = 1,
-                           .replicas = 3,
-                           .cache = true,
-                           .failover = true,
-                           .inject_stale_cache = true});
+  const auto rkv = deploy_sharded(cluster, {.groups = 1,
+                                           .replicas = 3,
+                                           .cache = true,
+                                           .failover = true,
+                                           .inject_stale_cache = true});
   auto params = small_population();
   params.get_fraction = 0.8;
   params.key_space = 50;  // hot keys get rewritten while cached
@@ -390,11 +356,11 @@ TEST_P(ShardRebalanceMatrix, RebalanceSurvivesChaos) {
   ParallelCluster cluster(kTorLatency);
   // Two active groups plus a standby third group that the rebalance
   // brings onto the ring mid-run.
-  ShardedRkv rkv(cluster, {.groups = 3,
-                           .replicas = 3,
-                           .cache = param.cache,
-                           .failover = true,
-                           .active_groups = 2});
+  const auto rkv = deploy_sharded(cluster, {.groups = 3,
+                                           .replicas = 3,
+                                           .cache = param.cache,
+                                           .failover = true,
+                                           .active_groups = 2});
 
   auto params = small_population();
   params.max_retries = 12;
@@ -425,10 +391,9 @@ TEST_P(ShardRebalanceMatrix, RebalanceSurvivesChaos) {
   cluster.run_until(msec(800));
 
   // Grow the ring to three groups while the fault window is open.
-  shard::ShardRing ring(ShardedRkv::kShards);
-  for (std::uint32_t g = 0; g < 3; ++g) ring.add_group(g);
   bool rebalanced = false;
-  gen.start_rebalance(ring.table(/*epoch=*/2), [&] { rebalanced = true; });
+  gen.start_rebalance(testbed::ring_table(kShards, 3, /*epoch=*/2),
+                      [&] { rebalanced = true; });
   cluster.run_until(sec(3) + sec(2));
 
   EXPECT_TRUE(rebalanced);

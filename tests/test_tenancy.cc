@@ -17,6 +17,7 @@
 #include "nfp/nic_pool.h"
 #include "nic/traffic_manager.h"
 #include "testbed/cluster.h"
+#include "testbed/rkv_deploy.h"
 #include "workloads/app_workloads.h"
 #include "workloads/client.h"
 
@@ -429,15 +430,8 @@ struct RkvTenantRun {
 RkvTenantRun run_rkv_tenant_scenario(bool with_aggressor) {
   ParallelCluster cluster(kTorLatency);
   for (int i = 0; i < 3; ++i) cluster.add_server(ServerSpec{});
-  std::vector<rkv::RkvDeployment> deployments;
-  rkv::RkvParams params;
-  params.replicas = {0, 1, 2};
-  for (std::size_t i = 0; i < 3; ++i) {
-    params.self_index = i;
-    auto d = rkv::deploy_rkv(cluster.server(i).runtime(), params);
-    deployments.push_back(d);
-    params.peer_consensus_actor = d.consensus;
-  }
+  const auto deployments =
+      testbed::deploy_rkv_group(cluster, {.replicas = {0, 1, 2}});
 
   Runtime& rt = cluster.server(0).runtime();
   TenantConfig victim_cfg;

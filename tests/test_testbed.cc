@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
+#include "apps/rkv/rkv_actors.h"
+#include "harness/bench_util.h"
 #include "testbed/cluster.h"
 #include "testbed/echo_firmware.h"
+#include "testbed/rkv_deploy.h"
 #include "workloads/app_workloads.h"
 
 namespace ipipe::testbed {
@@ -98,6 +104,82 @@ TEST(Cluster, ClientNodeIdsStartAtBase) {
   auto& c1 = cluster.add_client(10.0, workloads::echo_workload(wl));
   EXPECT_EQ(c0.node(), ParallelCluster::kClientBase);
   EXPECT_EQ(c1.node(), ParallelCluster::kClientBase + 1);
+}
+
+// ------------------------------------------------------- RKV deployment --
+
+const rkv::ConsensusActor* consensus_on(ParallelCluster& cluster,
+                                        netsim::NodeId node, ActorId id) {
+  return dynamic_cast<const rkv::ConsensusActor*>(
+      cluster.server(node).runtime().find_actor(id));
+}
+
+TEST(RkvDeploy, GroupAgreesOnActorIdsAndLeadsFromReplicaZero) {
+  ParallelCluster cluster(kTorLatency);
+  for (int i = 0; i < 6; ++i) cluster.add_server(ServerSpec{});
+  const auto deps = deploy_rkv_group(cluster, {.replicas = {3, 4, 5}});
+
+  ASSERT_EQ(deps.size(), 3u);
+  for (const auto& d : deps) {
+    EXPECT_EQ(d.consensus, deps[0].consensus);
+    EXPECT_EQ(d.memtable, deps[0].memtable);
+    EXPECT_EQ(d.sst_read, deps[0].sst_read);
+    EXPECT_EQ(d.compaction, deps[0].compaction);
+  }
+  for (netsim::NodeId node = 0; node < 6; ++node) {
+    const auto* c = consensus_on(cluster, node, deps[0].consensus);
+    ASSERT_EQ(c != nullptr, node >= 3) << "node " << node;
+    if (c != nullptr) {
+      EXPECT_EQ(c->is_leader(), node == 3) << "node " << node;
+    }
+  }
+}
+
+TEST(RkvDeploy, GroupRejectsReplicasWhoseActorIdsDiffer) {
+  ParallelCluster cluster(kTorLatency);
+  for (int i = 0; i < 3; ++i) cluster.add_server(ServerSpec{});
+  // An extra actor on node 1 shifts every id the group registers there.
+  cluster.server(1).runtime().register_actor(
+      std::make_unique<bench::EchoActor>());
+  EXPECT_THROW(
+      static_cast<void>(deploy_rkv_group(cluster, {.replicas = {0, 1, 2}})),
+      std::logic_error);
+}
+
+TEST(RkvDeploy, ShardedRingSplitsShardsAndLeavesStandbyEmpty) {
+  ParallelCluster cluster(kTorLatency);
+  for (int i = 0; i < 9; ++i) cluster.add_server(ServerSpec{});
+  const ShardedRkv s = deploy_sharded_rkv(
+      cluster, /*groups=*/3, /*replicas=*/3, /*on_ring=*/2,
+      {.num_shards = 16, .enable_hot_cache = true});
+
+  EXPECT_EQ(s.table.epoch, 1u);
+  ASSERT_EQ(s.targets.size(), 3u);
+  std::vector<int> owners(16, 0);  // groups owning each shard
+  for (std::uint32_t g = 0; g < 3; ++g) {
+    const auto& t = s.targets[g];
+    const netsim::NodeId first = 3 * g;
+    EXPECT_EQ(t.replicas,
+              (std::vector<netsim::NodeId>{first, first + 1, first + 2}));
+    EXPECT_EQ(t.leader_hint, t.replicas[0]);
+    EXPECT_EQ(t.consensus, s.deployments[first].consensus);
+    EXPECT_NE(t.cache, 0u);
+    EXPECT_EQ(t.cache, s.deployments[first].hot_cache);
+    const auto want = s.table.shards_of(g);
+    EXPECT_EQ(want.empty(), g == 2) << "group " << g;
+    for (const netsim::NodeId node : t.replicas) {
+      const auto* c = consensus_on(cluster, node, t.consensus);
+      ASSERT_NE(c, nullptr);
+      EXPECT_EQ(c->shard_epoch(), 1u);
+      EXPECT_EQ(std::vector<std::uint32_t>(c->owned_shards().begin(),
+                                           c->owned_shards().end()),
+                want) << "node " << node;
+    }
+    for (const std::uint32_t shard : want) ++owners[shard];
+  }
+  EXPECT_EQ(owners, std::vector<int>(16, 1));
+  // The grown ring a rebalance installs gives the standby a share.
+  EXPECT_FALSE(ring_table(16, 3, /*epoch=*/2).shards_of(2).empty());
 }
 
 }  // namespace

@@ -394,6 +394,13 @@ TEST(CorpusReader, RejectsTyposAndMalformedValues) {
       {{"expect fail\n", ""}, "expect"},
       {{"plan:", "plan: now"}, "plan:"},
       {{"at 4000000000ns", "at 4000000000"}, "plan:"},
+      // An injection is wired into one app; under another it arms nothing.
+      {{"app shard", "app rkv"}, "line 4: inject: stale-cache"},
+      {{"app shard", "app dt"}, "line 4: inject: stale-cache"},
+      {{"inject stale-cache", "inject stale-read"},
+       "line 4: inject: stale-read"},
+      {{"inject stale-cache", "inject lost-abort"},
+       "line 4: inject: lost-abort"},
   };
   for (const auto& [edit, keyword] : cases) {
     std::string text = good;
