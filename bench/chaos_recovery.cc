@@ -9,12 +9,12 @@
 //                  [--plan-file=<path> | --plan="<directives>"]
 //                  [--trace-out=<json>] [--trace-txt=<txt>]
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/exact_text.h"
 #include "harness/bench_util.h"
 #include "harness/rkv_durability.h"
 #include "harness/trace_opts.h"
@@ -35,10 +35,11 @@ int main(int argc, char** argv) {
   const bench::TraceOpts trace = bench::parse_trace_opts(argc, argv);
 
   for (int i = 1; i < argc; ++i) {
+    bool ok = true;
     if (const char* v = bench::flag_value(argv[i], "--seed")) {
-      seed = std::strtoull(v, nullptr, 10);
+      ok = parse_exact(v, &seed);
     } else if (const char* v = bench::flag_value(argv[i], "--duration-s")) {
-      duration_s = std::strtod(v, nullptr);
+      ok = parse_exact(v, &duration_s);
     } else if (const char* v = bench::flag_value(argv[i], "--plan")) {
       plan_text = v;
     } else if (const char* v = bench::flag_value(argv[i], "--plan-file")) {
@@ -50,6 +51,15 @@ int main(int argc, char** argv) {
       std::ostringstream buf;
       buf << in.rdbuf();
       plan_text = buf.str();
+    } else if (bench::flag_value(argv[i], "--trace-out") == nullptr &&
+               bench::flag_value(argv[i], "--trace-txt") == nullptr) {
+      std::fprintf(stderr, "chaos_recovery: unknown flag %s\n", argv[i]);
+      return 1;
+    }
+    if (!ok) {
+      std::fprintf(stderr, "chaos_recovery: malformed number in %s\n",
+                   argv[i]);
+      return 1;
     }
   }
   if (duration_s < 60.0) {

@@ -182,15 +182,15 @@ void BM_MultiDomainChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_MultiDomainChurn)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
-// A 96-domain star, the shape of a sharded cluster behind one switch:
-// four leaves tick and send to the hub, the hub forwards each message to
-// the next active leaf, and the other 91 leaves stay idle.  Every round
-// moves a handful of handoffs, so the engine's per-round bookkeeping, not
-// the events, sets the rate; an all-sources drain makes it O(D^2) per
-// round.  One thread: the rate is pure per-round cost, no barrier.
-constexpr std::uint32_t kSparseDomains = 96;
+// A star of state.range(0) domains (96, 512), the shape of a sharded
+// cluster behind one switch: four leaves spread over the star tick and
+// send to the hub, the hub forwards each message to the next active leaf,
+// and the other leaves stay idle.  Every round moves a handful of
+// handoffs, so the engine's per-round bookkeeping, not the events, sets
+// the rate: an all-sources drain makes it O(D^2) per round, a full scan
+// of the domains O(D).  One thread: the rate is pure per-round cost, no
+// barrier.
 constexpr std::uint32_t kSparseHub = 0;
-constexpr std::uint32_t kSparseActive[] = {1, 32, 64, 95};
 constexpr Ns kSparseHorizon = usec(200);
 constexpr Ns kSparseLookahead = usec(1);
 
@@ -209,22 +209,26 @@ struct SparseLeaf {
 };
 
 void BM_SparseManyDomains(benchmark::State& state) {
+  const auto domains = static_cast<std::uint32_t>(state.range(0));
+  // Leaves 1, D/3, 2D/3 and D-1: 1, 32, 64 and 95 at D = 96.
+  const std::uint32_t active[] = {1, domains / 3, 2 * domains / 3,
+                                  domains - 1};
+  constexpr std::size_t kActive = std::size(active);
   std::uint64_t events = 0;
   for (auto _ : state) {
     sim::ParallelSimulation psim;
-    for (std::uint32_t d = 0; d < kSparseDomains; ++d) {
+    for (std::uint32_t d = 0; d < domains; ++d) {
       psim.add_domain("star" + std::to_string(d));
     }
-    for (std::uint32_t d = 0; d < kSparseDomains; ++d) {
+    for (std::uint32_t d = 0; d < domains; ++d) {
       if (d == kSparseHub) continue;
       psim.set_lookahead(d, kSparseHub, kSparseLookahead);
       psim.set_lookahead(kSparseHub, d, kSparseLookahead);
     }
     std::vector<std::unique_ptr<SparseLeaf>> leaves;
-    constexpr std::size_t kActive = std::size(kSparseActive);
     for (std::size_t i = 0; i < kActive; ++i) {
-      leaves.push_back(std::make_unique<SparseLeaf>(SparseLeaf{
-          psim, kSparseActive[i], kSparseActive[(i + 1) % kActive]}));
+      leaves.push_back(std::make_unique<SparseLeaf>(
+          SparseLeaf{psim, active[i], active[(i + 1) % kActive]}));
       SparseLeaf* leaf = leaves.back().get();
       psim.domain(leaf->d).schedule_at(i * 61, [leaf] { leaf->tick(); });
     }
@@ -234,7 +238,7 @@ void BM_SparseManyDomains(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
 }
-BENCHMARK(BM_SparseManyDomains);
+BENCHMARK(BM_SparseManyDomains)->Arg(96)->Arg(512);
 
 // ---- End-to-end --------------------------------------------------------
 

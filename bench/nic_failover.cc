@@ -15,14 +15,15 @@
 //   nic_failover [--sim-threads=N] [--duration-s=S] [--seed=N]
 //                [--p99-factor=F]
 //
-// Exit codes: 0 ok, 2 lost acked writes, 3 read-back verification failed
-// (corrupt value or incomplete), 4 degraded p99 exceeded
-// --p99-factor x the healthy baseline.
+// Exit codes: 0 ok, 1 unknown flag or malformed number, 2 lost acked
+// writes, 3 read-back verification failed (corrupt value or incomplete),
+// 4 degraded p99 exceeded --p99-factor x the healthy baseline.
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 
+#include "common/exact_text.h"
 #include "harness/bench_util.h"
 #include "harness/rkv_durability.h"
 #include "testbed/rkv_deploy.h"
@@ -47,17 +48,25 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 1;
   double p99_factor = 50.0;
   for (int i = 1; i < argc; ++i) {
+    bool ok = true;
     if (const char* v = flag_value(argv[i], "--sim-threads")) {
-      const long n = std::strtol(v, nullptr, 10);
-      sim_threads = n > 1 ? static_cast<unsigned>(n) : 1;
+      ok = parse_exact(v, &sim_threads);
     } else if (const char* v = flag_value(argv[i], "--duration-s")) {
-      duration_s = std::strtod(v, nullptr);
+      ok = parse_exact(v, &duration_s);
     } else if (const char* v = flag_value(argv[i], "--seed")) {
-      seed = std::strtoull(v, nullptr, 10);
+      ok = parse_exact(v, &seed);
     } else if (const char* v = flag_value(argv[i], "--p99-factor")) {
-      p99_factor = std::strtod(v, nullptr);
+      ok = parse_exact(v, &p99_factor);
+    } else {
+      std::fprintf(stderr, "nic_failover: unknown flag %s\n", argv[i]);
+      return 1;
+    }
+    if (!ok) {
+      std::fprintf(stderr, "nic_failover: malformed number in %s\n", argv[i]);
+      return 1;
     }
   }
+  sim_threads = std::max(sim_threads, 1u);
   if (duration_s < 12.0) {
     std::fprintf(stderr, "nic_failover: --duration-s must be >= 12\n");
     return 1;

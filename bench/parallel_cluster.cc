@@ -10,16 +10,18 @@
 //   parallel_cluster [--sim-threads=N] [--duration-s=S] [--seed=N]
 //                    [--min-events=N] [--wall-out=<path>]
 //
-// Exit codes: 0 ok, 2 lost acked writes, 3 fewer events than --min-events.
+// Exit codes: 0 ok, 1 unknown flag or malformed number, 2 lost acked
+// writes, 3 fewer events than --min-events.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/exact_text.h"
 #include "common/trace.h"
 #include "harness/bench_util.h"
 #include "harness/rkv_durability.h"
@@ -49,19 +51,28 @@ int main(int argc, char** argv) {
   std::uint64_t min_events = 0;
   std::string wall_out;
   for (int i = 1; i < argc; ++i) {
+    bool ok = true;
     if (const char* v = flag_value(argv[i], "--sim-threads")) {
-      const long n = std::strtol(v, nullptr, 10);
-      sim_threads = n > 1 ? static_cast<unsigned>(n) : 1;
+      ok = parse_exact(v, &sim_threads);
     } else if (const char* v = flag_value(argv[i], "--duration-s")) {
-      duration_s = std::strtod(v, nullptr);
+      ok = parse_exact(v, &duration_s);
     } else if (const char* v = flag_value(argv[i], "--seed")) {
-      seed = std::strtoull(v, nullptr, 10);
+      ok = parse_exact(v, &seed);
     } else if (const char* v = flag_value(argv[i], "--min-events")) {
-      min_events = std::strtoull(v, nullptr, 10);
+      ok = parse_exact(v, &min_events);
     } else if (const char* v = flag_value(argv[i], "--wall-out")) {
       wall_out = v;
+    } else {
+      std::fprintf(stderr, "parallel_cluster: unknown flag %s\n", argv[i]);
+      return 1;
+    }
+    if (!ok) {
+      std::fprintf(stderr, "parallel_cluster: malformed number in %s\n",
+                   argv[i]);
+      return 1;
     }
   }
+  sim_threads = std::max(sim_threads, 1u);
   if (duration_s < 1.0) {
     std::fprintf(stderr, "parallel_cluster: --duration-s must be >= 1\n");
     return 1;

@@ -22,12 +22,26 @@
 //   * Cross-domain sends go through per-(src,dst) handoff rings.  A ring
 //     is written only by its producer during the execute phase and read
 //     only by its consumer during the drain phase; the round barrier
-//     separates the phases, so the rings need no locks at all.  A post
-//     that makes a ring non-empty also sets the source's bit in the
-//     destination's inbox (one cache line per destination and producing
-//     worker), so a drain visits only the rings written this round, and
-//     a domain re-reads its queue head only when it executed events or
-//     received handoffs.  A round costs what it delivers, not D^2.
+//     separates the phases, so the rings need no locks at all.
+//   * A round costs what is pending in it, not the domain count D.  A
+//     domain is pending when its next event is at or before the run's
+//     `until`; only a pending domain can execute or stall.  Per-worker
+//     bitmaps track them, so gmin (taken once, by the last worker into
+//     the barrier) and each worker's execute loop visit pending domains
+//     only.  Every pending event sits at or after gmin, so
+//     W(d) <= gmin + reach(d), where reach(d), fixed by the topology, is
+//     the least min-in-lookahead(s) + lookahead(s, d) over d's in-edges:
+//     a domain whose next event is at or past that bound has an empty
+//     window and is counted as stalled without W(d) being computed.  For
+//     the rest, W(d) folds only in-edges from pending sources (an idle
+//     source's term lies past until + 1, the run's own cap).  A post
+//     that makes a ring non-empty sets the source's bit in the
+//     destination's inbox row, and a post or an execute marks the
+//     destination in the worker's touched row; the drain visits only
+//     touched domains and only their flagged rings.  What is left of D
+//     is a scan of D/64 bitmap words per phase.  Every domain still takes
+//     part in every round (`windows` counts rounds), so the counters mean
+//     what they meant under a full scan.
 //   * Determinism is non-negotiable: drained handoffs are inserted into
 //     the destination queue sorted by (timestamp, source domain id,
 //     per-pair sequence), and per-domain execution is single-threaded, so
@@ -173,24 +187,35 @@ class ParallelSimulation {
     std::uint64_t next_seq = 0;
     std::uint64_t drained_below = 0;  ///< seqs < this have left the ring
   };
+  /// A domain's queue and its cold state.  What the round loop reads for
+  /// every domain lives in the flat arrays below.
   struct DomainState {
     Simulation sim;
     std::string name;
-    DomainStats stats;
-    std::uint64_t executed_base = 0;  ///< sim.executed() at engine attach
-    unsigned worker = 0;              ///< worker that executes and drains it
-    bool ran = false;                 ///< executed events this round
-    /// In-edges (src domain, lookahead), built by finalize().
-    std::vector<std::pair<DomainId, Ns>> in_edges;
+    DomainStats stats;  ///< stats() fills in events, windows and stalls
+    unsigned worker = 0;  ///< worker that executes and drains it
+  };
+  struct InEdge {
+    DomainId src;
+    Ns la;
+  };
+  /// One cache line of a bitmap row.  Rows are whole lines, so no two
+  /// writers ever share one.
+  struct alignas(64) BitLine {
+    std::uint64_t words[8];
   };
 
   [[nodiscard]] Ring& ring(DomainId src, DomainId dst) {
     return rings_[src * domains_.size() + dst];
   }
+  [[nodiscard]] std::uint64_t* row(std::vector<BitLine>& rows, std::size_t i) {
+    return rows[i * bit_lines_].words;
+  }
   void finalize();
   [[nodiscard]] Ns window_end(DomainId d, Ns gmin) const;
-  void execute_domain(DomainId d, Ns bound_cap, Ns until, Ns gmin);
-  void drain_domain(DomainId d);
+  void begin_round(Ns last);
+  void run_domain(DomainId d, Ns bound, unsigned w);
+  void drain_domain(DomainId d, unsigned w, Ns last);
   void worker_loop(unsigned w, Ns until);
   Ns run_windowed(Ns until);
   Ns run_sequential(Ns until);
@@ -204,13 +229,45 @@ class ParallelSimulation {
   std::vector<std::unique_ptr<DomainState>> domains_;
   std::vector<Edge> edges_;          ///< as declared; folded by finalize()
   std::vector<Ring> rings_;          ///< flat [src * D + dst]
-  std::vector<Ns> lookahead_;        ///< flat [src * D + dst], ~0 = no edge
-  std::vector<Ns> next_ts_;          ///< published at each round barrier
-  std::vector<std::vector<DomainId>> assignment_;  ///< worker -> domains
+  std::vector<Ns> lookahead_;        ///< flat [dst * D + src], ~0 = no edge
+
+  // Round state, one slot per domain.  next_ts_ is published at each
+  // round barrier by the domain's worker; stalled_ is written only by
+  // that worker; the rest is fixed by finalize().
+  std::vector<Ns> next_ts_;
+  std::vector<Ns> reach_;  ///< W(d) <= gmin + reach_[d]
+  std::vector<std::uint64_t> stalled_;
+  std::vector<std::uint32_t> in_begin_;  ///< d's in-edges: [d], [d + 1]
+  std::vector<InEdge> in_edges_;
+
+  // Bitmap rows of bit_words_ words, padded to bit_lines_ cache lines.
+  //  * pending_, row w: the domains of worker w with an event at or
+  //    before `until`.  Written by w for the domains it drains.
+  //  * pending_all_, one row: the union, taken by begin_round.
+  //  * inbox_, row (dst * workers_ + w): bit s set when ring (s, dst)
+  //    went non-empty in worker w's execute phase.  Read and cleared by
+  //    dst's worker in the drain phase.
+  //  * touched_, row w: bit d set when worker w ran d or posted into it.
+  //    Read by every worker in the drain phase; cleared by w after the
+  //    next barrier.
+  //  * owned_, row w: the domains worker w executes and drains.
+  // The round barrier orders every write before every read, as it does
+  // for the rings.
+  std::vector<BitLine> pending_;
+  std::vector<BitLine> pending_all_;
+  std::vector<BitLine> inbox_;
+  std::vector<BitLine> touched_;
+  std::vector<BitLine> owned_;
+  std::size_t bit_words_ = 0;  ///< ceil(D / 64)
+  std::size_t bit_lines_ = 0;  ///< ceil(bit_words_ / 8)
+
   struct Barrier;
   std::unique_ptr<Barrier> barrier_;
-  /// Scratch used by drain_domain; indexed per domain so drains from
-  /// different workers never share.
+  unsigned workers_ = 1;  ///< of the current run
+  // Published by begin_round at each round barrier.
+  Ns gmin_ = 0;
+  std::size_t npending_ = 0;  ///< bits in pending_all_
+  /// Per-worker drain scratch.
   struct DrainRef {
     Ns when;
     DomainId src;
@@ -218,27 +275,11 @@ class ParallelSimulation {
     Handoff* h;
   };
   std::vector<std::vector<DrainRef>> drain_scratch_;
-  std::vector<std::vector<DomainId>> written_scratch_;  ///< per domain, too
-  /// Written-ring bitmaps: one row of `inbox_words_` words per
-  /// (destination, producing worker), bit `s` set when ring (s, dst) went
-  /// non-empty.  Rows are padded to whole cache lines; a row is written
-  /// only by its worker during the execute phase and read and cleared
-  /// only by the destination's worker during the drain phase, so the
-  /// round barrier orders every access, as it does for the rings.
-  struct alignas(64) InboxLine {
-    std::uint64_t words[8];
-  };
-  std::vector<InboxLine> inbox_;
-  std::size_t inbox_words_ = 0;  ///< words per row: ceil(D / 64)
-  std::size_t inbox_lines_ = 0;  ///< cache lines per row
-  [[nodiscard]] std::uint64_t* inbox_row(DomainId dst, unsigned w) {
-    return inbox_[(dst * assignment_.size() + w) * inbox_lines_].words;
-  }
+  std::vector<std::vector<DomainId>> written_scratch_;
 
   unsigned threads_ = 1;
   bool finalized_ = false;
   bool has_zero_lookahead_ = false;
-  bool running_ = false;
   std::uint64_t rounds_ = 0;
 };
 

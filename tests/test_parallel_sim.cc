@@ -4,6 +4,7 @@
 // and PeriodicTask ownership migrating across domains.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -460,6 +461,163 @@ TEST(ParallelSim, PeriodicTaskMigratesAcrossDomains) {
     ps.run(3000);
     EXPECT_EQ(ticks_a, 10) << "threads=" << threads;  // 50..500
     EXPECT_EQ(ticks_b, 9) << "threads=" << threads;   // 651..1051
+  }
+}
+
+// Engine counters of one run of a seeded random topology.  `per_domain`
+// digests every domain's (windows, stalled_windows, handoffs_in,
+// handoffs_out), so a single moved counter changes it.
+struct EngineCounters {
+  std::uint64_t rounds = 0;
+  std::uint64_t executed = 0;
+  std::uint64_t stalled = 0;    ///< summed over domains
+  std::uint64_t handoffs = 0;   ///< summed handoffs_in
+  std::uint64_t cancelled = 0;  ///< summed handoffs_cancelled
+  std::uint64_t per_domain = 0;
+};
+
+std::uint64_t splitmix64(std::uint64_t& s) {
+  std::uint64_t z = (s += 0x9e3779b97f4a7c15ULL);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
+// A 97-domain star (hub 0; the last leaf has no in-edge, so nothing can
+// wake it) or a 40-domain random mesh, with per-edge lookaheads drawn
+// from [50, 800) ns.  Every third star leaf and every fourth mesh domain
+// stays idle unless a message reaches it.  Active domains tick at random
+// intervals and send to a random out-neighbour; a receiver forwards up
+// to three hops.  One send in eight is cancelled in the posting event,
+// one in eight from a later local event, which may lose the race with
+// the drain.  Each domain draws from its own generator, so the run is a
+// pure function of (seed, topology) at any thread count.  The run is
+// split in two to carry the counters across run() calls.
+EngineCounters run_random_topology(std::uint64_t seed, bool mesh,
+                                   unsigned threads) {
+  const DomainId kD = mesh ? 40 : 97;
+  constexpr Ns kHorizon = 200'000;
+  ParallelSimulation ps;
+  for (DomainId d = 0; d < kD; ++d) ps.add_domain("t" + std::to_string(d));
+  std::uint64_t g = seed;
+  std::vector<std::vector<DomainId>> out(kD);
+  std::vector<Ns> la(std::size_t{kD} * kD, ~Ns{0});
+  auto edge = [&](DomainId s, DomainId d) {
+    const Ns l = 50 + splitmix64(g) % 750;
+    ps.set_lookahead(s, d, l);
+    la[s * kD + d] = std::min(la[s * kD + d], l);
+    out[s].push_back(d);
+  };
+  if (mesh) {
+    for (DomainId s = 0; s < kD; ++s) {
+      for (int k = 0; k < 3; ++k) {
+        const auto d = static_cast<DomainId>(
+            (s + 1 + splitmix64(g) % (kD - 1)) % kD);
+        edge(s, d);
+      }
+    }
+  } else {
+    for (DomainId leaf = 1; leaf < kD; ++leaf) {
+      edge(leaf, 0);
+      if (leaf + 1 < kD) edge(0, leaf);
+    }
+  }
+  ps.set_threads(threads);
+
+  struct Node {
+    ParallelSimulation& ps;
+    const std::vector<std::vector<DomainId>>& out;
+    const std::vector<Ns>& la;
+    const std::vector<std::unique_ptr<Node>>& nodes;
+    DomainId d;
+    DomainId domains;
+    std::uint64_t rng;
+    std::uint64_t next() { return splitmix64(rng); }
+    void send(int hops) {
+      const std::vector<DomainId>& to = out[d];
+      if (to.empty()) return;
+      Simulation& s = ps.domain(d);
+      const DomainId dst = to[next() % to.size()];
+      const Ns when = s.now() + la[d * domains + dst] + next() % 400;
+      Node* peer = nodes[dst].get();
+      const HandoffId h =
+          ps.post(dst, when, [peer, hops] { peer->receive(hops); });
+      switch (next() % 8) {
+        case 0:
+          ps.cancel_handoff(h);
+          break;
+        case 1:
+          s.schedule(next() % 600, [this, h] { ps.cancel_handoff(h); });
+          break;
+        default:
+          break;
+      }
+    }
+    void receive(int hops) {
+      if (hops > 0 && next() % 4 != 0) send(hops - 1);
+    }
+    void tick() {
+      Simulation& s = ps.domain(d);
+      if (s.now() >= kHorizon) return;
+      send(3);
+      s.schedule(200 + next() % 3000, [this] { tick(); });
+    }
+  };
+  std::vector<std::unique_ptr<Node>> nodes;
+  for (DomainId d = 0; d < kD; ++d) {
+    nodes.push_back(std::make_unique<Node>(
+        Node{ps, out, la, nodes, d, kD, seed * 1000 + d}));
+  }
+  for (DomainId d = 0; d < kD; ++d) {
+    const bool idle = mesh ? d % 4 == 0 : d == 0 || d % 3 == 0;
+    if (idle) continue;
+    Node* n = nodes[d].get();
+    ps.domain(d).schedule_at(n->next() % 1000, [n] { n->tick(); });
+  }
+  ps.run(kHorizon / 2);
+  ps.run(kHorizon + 5000);
+
+  EngineCounters c;
+  c.rounds = ps.rounds();
+  c.executed = ps.executed();
+  c.per_domain = 1469598103934665603ULL;
+  for (DomainId d = 0; d < kD; ++d) {
+    const DomainStats s = ps.stats(d);
+    c.stalled += s.stalled_windows;
+    c.handoffs += s.handoffs_in;
+    c.cancelled += s.handoffs_cancelled;
+    for (const std::uint64_t v :
+         {s.windows, s.stalled_windows, s.handoffs_in, s.handoffs_out}) {
+      c.per_domain = fnv1a(c.per_domain, v);
+    }
+  }
+  return c;
+}
+
+TEST(ParallelSim, RandomTopologyCountersArePinned) {
+  // Rounds, events and every per-domain counter, pinned to values
+  // measured with a round loop that visits every domain in every round;
+  // skipping idle domains must not move them, at any thread count.
+  struct Case {
+    bool mesh;
+    EngineCounters want;
+  };
+  const Case cases[] = {
+      {false, {1031, 24664, 55249, 14909, 2516, 0x9d2ab9aa7ab85d3eULL}},
+      {true, {819, 11443, 17192, 6904, 1213, 0x6c7ff5f3a59641c4ULL}},
+  };
+  for (const Case& k : cases) {
+    for (const unsigned threads : {1u, 2u, 4u}) {
+      const EngineCounters got = run_random_topology(23, k.mesh, threads);
+      const std::string where = std::string(k.mesh ? "mesh" : "star") +
+                                " threads=" + std::to_string(threads);
+      EXPECT_EQ(got.rounds, k.want.rounds) << where;
+      EXPECT_EQ(got.executed, k.want.executed) << where;
+      EXPECT_EQ(got.stalled, k.want.stalled) << where;
+      EXPECT_EQ(got.handoffs, k.want.handoffs) << where;
+      EXPECT_EQ(got.cancelled, k.want.cancelled) << where;
+      EXPECT_EQ(got.per_domain, k.want.per_domain) << where;
+    }
   }
 }
 
