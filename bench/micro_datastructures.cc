@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -151,6 +152,107 @@ void BM_DmoMemtableCycle(benchmark::State& state) {
                           static_cast<std::int64_t>(entries));
 }
 BENCHMARK(BM_DmoMemtableCycle);
+
+// One RKV write through a three-replica group: the leader's
+// ConsensusActor takes a client PUT (16 B key, 448 B value) and the
+// frames each replica's actors send are carried to their destinations
+// until the leader's memtable acks it.  Each replica runs a
+// ConsensusActor and a MemtableActor on their own FakeEnvs, flushing at
+// 256 KiB as perfbench's rkv_write does (flush batches are dropped), so
+// this times the write path's host cost: decoding, encoding and copying
+// the value at every hop, the Paxos log, the DMO skip-list insert and
+// the flush encode.  The group is rebuilt untimed every kGroupPuts
+// writes to bound the log.  Items are acked PUTs.
+void BM_RkvPaxosPut(benchmark::State& state) {
+  constexpr std::size_t kReplicas = 3;
+  constexpr std::size_t kValueLen = 448;
+  constexpr std::uint64_t kGroupPuts = 8192;
+  constexpr ActorId kConsensus = 7;
+  constexpr ActorId kMemtable = 9;
+  struct Replica {
+    explicit Replica(const rkv::RkvParams& params)
+        : cons_env(kConsensus),
+          mem_env(kMemtable),
+          cons(params, kMemtable),
+          mem(params, /*sst_read=*/11, /*compaction=*/12) {
+      mem.init(mem_env);
+    }
+    test::FakeEnv cons_env;
+    test::FakeEnv mem_env;
+    rkv::ConsensusActor cons;
+    rkv::MemtableActor mem;
+  };
+  std::vector<std::unique_ptr<Replica>> group;
+  const auto build = [&] {
+    group.clear();
+    rkv::RkvParams params;
+    params.replicas = {0, 1, 2};
+    params.peer_consensus_actor = kConsensus;
+    params.memtable_flush_bytes = 256 * 1024;
+    for (std::size_t r = 0; r < kReplicas; ++r) {
+      params.self_index = r;
+      group.push_back(std::make_unique<Replica>(params));
+    }
+  };
+  build();
+
+  Rng rng(12);
+  rkv::ClientReq req;
+  req.op = rkv::Op::kPut;
+  req.value.assign(kValueLen, 0x5C);
+  netsim::Packet pkt;
+  std::vector<test::FakeEnv::Sent> frames;
+  std::uint64_t puts = 0;
+  std::int64_t acked = 0;
+  for (auto _ : state) {
+    if (puts++ == kGroupPuts) {
+      state.PauseTiming();
+      build();
+      puts = 1;
+      state.ResumeTiming();
+    }
+    char key[17];
+    std::snprintf(key, sizeof key, "%016llx",
+                  static_cast<unsigned long long>(rng.uniform_u64(100'000)));
+    req.key = key;
+    pkt.src = 100;
+    pkt.src_actor = 5;
+    pkt.msg_type = rkv::kClientPut;
+    pkt.request_id = puts;
+    pkt.payload = req.encode();
+    group[0]->cons.handle(group[0]->cons_env, pkt);
+
+    // Carry frames until every actor is idle.  A batch is swapped out
+    // before delivery, so handlers append to an empty list.
+    for (bool moved = true; moved;) {
+      moved = false;
+      for (std::size_t r = 0; r < kReplicas; ++r) {
+        Replica& from = *group[r];
+        frames.swap(from.cons_env.sent);
+        for (auto& f : frames) {
+          pkt.src = static_cast<netsim::NodeId>(r);
+          pkt.src_actor = kConsensus;
+          pkt.msg_type = f.type;
+          pkt.payload = std::move(f.payload);
+          if (f.is_local) {
+            from.mem.handle(from.mem_env, pkt);
+          } else {
+            Replica& to = *group[f.node];
+            to.cons.handle(to.cons_env, pkt);
+          }
+          moved = true;
+        }
+        frames.clear();
+        for (const auto& f : from.mem_env.sent) {
+          if (f.type == rkv::kClientReply) ++acked;
+        }
+        from.mem_env.sent.clear();
+      }
+    }
+  }
+  state.SetItemsProcessed(acked);
+}
+BENCHMARK(BM_RkvPaxosPut);
 
 void BM_ExtendibleHashPut(benchmark::State& state) {
   test::FakeEnv env(1, 512 * MiB);

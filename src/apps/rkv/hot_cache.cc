@@ -144,11 +144,8 @@ void HotKeyCacheActor::on_get(ActorEnv& env, const netsim::Packet& req) {
   // else: retransmit of an in-flight miss — re-forward, keep the first
   // pending entry (first reply wins, duplicates are dropped upstream).
 
-  wire::Writer w;
   const ReplyTo via{env.node(), env.self(), req.request_id, req.created_at};
-  via.encode(w);
-  w.put_str(creq->key);
-  env.local_send(consensus_, kCacheGet, w.take());
+  env.local_send(consensus_, kCacheGet, KeyReadView::encode(via, creq->key));
 }
 
 void HotKeyCacheActor::on_reply(ActorEnv& env, const netsim::Packet& req) {

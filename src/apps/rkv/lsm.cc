@@ -4,6 +4,72 @@
 #include <cassert>
 
 namespace ipipe::rkv {
+namespace {
+
+/// One sorted input of a merge.  `owned` is the same run when nobody
+/// else reads it, so its entries may be moved out; null when pinned.
+struct MergeRun {
+  const std::vector<SstEntry>* entries = nullptr;
+  std::vector<SstEntry>* owned = nullptr;
+};
+
+/// K-way merge of sorted runs, newest first, preferring the newest run
+/// on key ties and dropping shadowed entries (and tombstones when
+/// `drop_tombstones`).  Each surviving entry is moved out of an owned
+/// run or copied from a pinned one, once, into the result.
+std::vector<SstEntry> merge(const std::vector<MergeRun>& newest_first,
+                            bool drop_tombstones) {
+  struct Cursor {
+    const MergeRun* run;
+    std::size_t pos = 0;
+    std::size_t age;  // lower = newer
+  };
+  std::vector<Cursor> cursors;
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < newest_first.size(); ++i) {
+    const auto& run = newest_first[i];
+    if (!run.entries->empty()) cursors.push_back({&run, 0, i});
+    total += run.entries->size();
+  }
+
+  std::vector<SstEntry> out;
+  out.reserve(total);
+  while (true) {
+    const Cursor* best = nullptr;
+    for (const auto& c : cursors) {
+      if (c.pos >= c.run->entries->size()) continue;
+      const auto& key = (*c.run->entries)[c.pos].key;
+      if (best == nullptr) {
+        best = &c;
+        continue;
+      }
+      const auto& best_key = (*best->run->entries)[best->pos].key;
+      if (key < best_key || (key == best_key && c.age < best->age)) best = &c;
+    }
+    if (best == nullptr) break;
+
+    // The winner is the newest run holding this key; advance every cursor
+    // past the key so shadowed duplicates are dropped, then take the
+    // winner (it is still intact while the cursors compare against it).
+    const std::size_t at = best->pos;
+    const SstEntry& entry = (*best->run->entries)[at];
+    for (auto& c : cursors) {
+      while (c.pos < c.run->entries->size() &&
+             (*c.run->entries)[c.pos].key == entry.key) {
+        ++c.pos;
+      }
+    }
+    if (drop_tombstones && entry.tombstone) continue;
+    if (best->run->owned != nullptr) {
+      out.push_back(std::move((*best->run->owned)[at]));
+    } else {
+      out.push_back(entry);
+    }
+  }
+  return out;
+}
+
+}  // namespace
 
 SsTable::SsTable(std::vector<SstEntry> entries) : entries_(std::move(entries)) {
   assert(std::is_sorted(entries_.begin(), entries_.end(),
@@ -13,7 +79,7 @@ SsTable::SsTable(std::vector<SstEntry> entries) : entries_(std::move(entries)) {
   for (const auto& e : entries_) bytes_ += e.key.size() + e.value.size() + 1;
 }
 
-const SstEntry* SsTable::get(const std::string& key, LookupStats* stats) const {
+const SstEntry* SsTable::get(std::string_view key, LookupStats* stats) const {
   std::size_t lo = 0;
   std::size_t hi = entries_.size();
   std::size_t probes = 0;
@@ -36,10 +102,10 @@ LsmTree::LsmTree() : LsmTree(Config{}) {}
 void LsmTree::add_l0(std::vector<SstEntry> sorted_entries) {
   if (sorted_entries.empty()) return;
   levels_[0].insert(levels_[0].begin(),
-                    std::make_shared<const SsTable>(std::move(sorted_entries)));
+                    std::make_shared<SsTable>(std::move(sorted_entries)));
 }
 
-std::optional<std::vector<std::uint8_t>> LsmTree::get(const std::string& key,
+std::optional<std::vector<std::uint8_t>> LsmTree::get(std::string_view key,
                                                       GetStats* stats) const {
   GetStats local;
   for (const auto& level : levels_) {
@@ -71,9 +137,14 @@ std::uint64_t LsmTree::compact_level(std::size_t level) {
   if (level + 1 >= levels_.size()) return 0;
   ++compactions_;
 
-  std::vector<const std::vector<SstEntry>*> runs;
-  for (const auto& t : levels_[level]) runs.push_back(&t->entries());
-  for (const auto& t : levels_[level + 1]) runs.push_back(&t->entries());
+  // Only the tree holds a table with use_count() == 1: its entries can
+  // be moved out, because the table is dropped below.
+  std::vector<MergeRun> runs;
+  for (const std::size_t l : {level, level + 1}) {
+    for (const auto& t : levels_[l]) {
+      runs.push_back({&t->entries_, t.use_count() == 1 ? &t->entries_ : nullptr});
+    }
+  }
 
   const bool bottom = (level + 2 == levels_.size()) ||
                       (levels_.size() > level + 2 &&
@@ -81,7 +152,7 @@ std::uint64_t LsmTree::compact_level(std::size_t level) {
                                        static_cast<std::ptrdiff_t>(level) + 2,
                                    levels_.end(),
                                    [](const auto& l) { return l.empty(); }));
-  auto merged = merge_runs(runs, bottom);
+  auto merged = merge(runs, bottom);
 
   std::uint64_t bytes = 0;
   for (const auto& e : merged) bytes += e.key.size() + e.value.size() + 1;
@@ -89,8 +160,7 @@ std::uint64_t LsmTree::compact_level(std::size_t level) {
   levels_[level].clear();
   levels_[level + 1].clear();
   if (!merged.empty()) {
-    levels_[level + 1].push_back(
-        std::make_shared<const SsTable>(std::move(merged)));
+    levels_[level + 1].push_back(std::make_shared<SsTable>(std::move(merged)));
   }
   return bytes;
 }
@@ -195,46 +265,10 @@ std::uint64_t LsmTree::total_bytes() const {
 std::vector<SstEntry> merge_runs(
     std::vector<const std::vector<SstEntry>*> newest_first,
     bool drop_tombstones) {
-  // K-way merge preferring the newest run on key ties.
-  struct Cursor {
-    const std::vector<SstEntry>* run;
-    std::size_t pos = 0;
-    std::size_t age;  // lower = newer
-  };
-  std::vector<Cursor> cursors;
-  for (std::size_t i = 0; i < newest_first.size(); ++i) {
-    if (!newest_first[i]->empty()) cursors.push_back({newest_first[i], 0, i});
-  }
-
-  std::vector<SstEntry> out;
-  while (true) {
-    const Cursor* best = nullptr;
-    for (const auto& c : cursors) {
-      if (c.pos >= c.run->size()) continue;
-      const auto& key = (*c.run)[c.pos].key;
-      if (best == nullptr) {
-        best = &c;
-        continue;
-      }
-      const auto& best_key = (*best->run)[best->pos].key;
-      if (key < best_key || (key == best_key && c.age < best->age)) best = &c;
-    }
-    if (best == nullptr) break;
-
-    // The winner is the newest run holding this key; advance every cursor
-    // past the key so shadowed duplicates are dropped.  The runs do not
-    // change, so `entry` stays valid and is copied once, into `out`.
-    const SstEntry& entry = (*best->run)[best->pos];
-    for (auto& c : cursors) {
-      while (c.pos < c.run->size() && (*c.run)[c.pos].key == entry.key) {
-        ++c.pos;
-      }
-    }
-    if (!(drop_tombstones && entry.tombstone)) {
-      out.push_back(entry);
-    }
-  }
-  return out;
+  std::vector<MergeRun> runs;
+  runs.reserve(newest_first.size());
+  for (const auto* run : newest_first) runs.push_back({run, nullptr});
+  return merge(runs, drop_tombstones);
 }
 
 }  // namespace ipipe::rkv

@@ -7,10 +7,10 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace ipipe::rkv {
@@ -30,7 +30,7 @@ class SsTable {
   struct LookupStats {
     std::size_t probes = 0;
   };
-  [[nodiscard]] const SstEntry* get(const std::string& key,
+  [[nodiscard]] const SstEntry* get(std::string_view key,
                                     LookupStats* stats = nullptr) const;
 
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
@@ -42,6 +42,8 @@ class SsTable {
   [[nodiscard]] const std::string& max_key() const { return entries_.back().key; }
 
  private:
+  friend class LsmTree;  // compaction moves entries out of unpinned tables
+
   std::vector<SstEntry> entries_;
   std::uint64_t bytes_ = 0;
 };
@@ -79,9 +81,10 @@ class LsmScanner {
 };
 
 /// Leveled LSM structure.  Level L holds at most base_bytes * growth^L.
-/// Tables are immutable and reference-counted: readers (gets in flight,
-/// LsmScanner snapshots) keep a table alive after compaction drops it
-/// from the tree.
+/// Tables are immutable while shared and reference-counted: readers
+/// (LsmScanner snapshots) keep a table alive after compaction drops it
+/// from the tree.  Compaction moves the entries out of tables that only
+/// the tree holds and copies them from tables a scanner pins.
 class LsmTree {
  public:
   struct Config {
@@ -103,7 +106,7 @@ class LsmTree {
   };
   /// Search newest-to-oldest, L0 downwards.  Honors tombstones.
   [[nodiscard]] std::optional<std::vector<std::uint8_t>> get(
-      const std::string& key, GetStats* stats = nullptr) const;
+      std::string_view key, GetStats* stats = nullptr) const;
 
   /// Run compactions until all level size limits hold.  Returns bytes
   /// merged (cost accounting).
@@ -127,7 +130,7 @@ class LsmTree {
 
   Config cfg_;
   // levels_[0] = newest first; tables shared with in-flight scanners.
-  std::vector<std::vector<std::shared_ptr<const SsTable>>> levels_;
+  std::vector<std::vector<std::shared_ptr<SsTable>>> levels_;
   std::uint64_t compactions_ = 0;
 };
 

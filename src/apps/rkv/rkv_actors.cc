@@ -11,47 +11,46 @@
 namespace ipipe::rkv {
 namespace {
 
-/// [op u8][ReplyTo][key][value] — the operation driven through Paxos and
-/// applied to the memtable.
-std::vector<std::uint8_t> encode_op(Op op, const ReplyTo& reply,
-                                    std::string_view key,
-                                    std::span<const std::uint8_t> value) {
-  wire::Writer w;
-  w.put(static_cast<std::uint8_t>(op));
-  reply.encode(w);
-  w.put_str(key);
-  w.put_bytes(std::vector<std::uint8_t>(value.begin(), value.end()));
-  return w.take();
-}
-
-struct DecodedOp {
-  Op op = Op::kGet;
-  ReplyTo reply;
-  std::string key;
-  std::vector<std::uint8_t> value;
-};
-
-std::optional<DecodedOp> decode_op(std::span<const std::uint8_t> data) {
-  wire::Reader r(data);
-  DecodedOp out;
-  std::uint8_t op = 0;
-  if (!r.get(op) || !ReplyTo::decode(r, out.reply) || !r.get_str(out.key) ||
-      !r.get_bytes(out.value)) {
-    return std::nullopt;
-  }
-  out.op = static_cast<Op>(op);
-  return out;
-}
-
 ReplyTo reply_to_of(const netsim::Packet& req) {
   return ReplyTo{req.src, req.src_actor, req.request_id, req.created_at};
 }
 
 void send_client_reply(ActorEnv& env, const ReplyTo& to, Status status,
-                       std::vector<std::uint8_t> value = {}) {
-  const netsim::Packet fake = to.as_request();
-  env.reply(fake, kClientReply, ClientReply{status, std::move(value)}.encode());
+                       wire::Bytes value = {}) {
+  env.reply(to.as_request(), kClientReply, ClientReply::encode(status, value));
 }
+
+/// The encoded ReplyTo{}: a follower's apply carries it, so the memtable
+/// never replies to a client on its behalf.
+const std::vector<std::uint8_t>& blank_route() {
+  static const std::vector<std::uint8_t> bytes = [] {
+    wire::Writer w(ReplyTo::kWireSize);
+    ReplyTo{}.encode(w);
+    return w.take();
+  }();
+  return bytes;
+}
+
+/// Writes a memtable walk as the kFlushBatch payload: [n u32], then per
+/// entry [tombstone u8][key str][value bytes], each value read from its
+/// DMO straight into the payload.
+struct FlushBatchSink {
+  wire::Writer w;
+  std::uint32_t n = 0;
+  std::size_t mark = 0;
+
+  std::span<std::uint8_t> value(std::string_view key, std::uint32_t len,
+                                bool tombstone) {
+    mark = w.size();
+    ++n;
+    w.put(static_cast<std::uint8_t>(tombstone ? 1 : 0)).put_str(key);
+    return w.put_bytes_in_place(len);
+  }
+  void drop() {
+    w.truncate(mark);
+    --n;
+  }
+};
 
 }  // namespace
 
@@ -175,10 +174,8 @@ void ConsensusActor::on_tick(ActorEnv& env) {
 }
 
 void ConsensusActor::send_heartbeats(ActorEnv& env) {
-  PaxosMsg hb;
-  hb.ballot = ballot_;
-  hb.slot = next_apply_;  // commit watermark: every slot below is chosen
-  broadcast(env, kHeartbeat, hb);
+  // Commit watermark: every slot below next_apply_ is chosen.
+  broadcast(env, kHeartbeat, PaxosMsg::encode(ballot_, next_apply_, 0, {}));
 }
 
 void ConsensusActor::redrive_stuck_slots(ActorEnv& env) {
@@ -190,14 +187,14 @@ void ConsensusActor::redrive_stuck_slots(ActorEnv& env) {
   // heartbeat cadence: same-ballot phase-2 re-sends are idempotent and
   // ack_mask dedups repeat replies.
   for (std::uint64_t s = next_apply_; s < next_slot_; ++s) {
-    const auto it = log_.find(s);
-    if (it == log_.end() || !it->second.chosen) propose_slot(env, s);
+    const LogEntry* entry = log_.find(s);
+    if (entry == nullptr || !entry->chosen) propose_slot(env, s);
   }
 }
 
 void ConsensusActor::on_heartbeat(ActorEnv& env, const netsim::Packet& req) {
   charge_log_op(env);
-  const auto msg = PaxosMsg::decode(req.payload);
+  const auto msg = PaxosView::decode(req.payload);
   if (!msg) return;
   // A stale leader's heartbeat is ignored; it deposes itself when the
   // real leader's (higher-ballot) heartbeat reaches it.
@@ -208,22 +205,18 @@ void ConsensusActor::on_heartbeat(ActorEnv& env, const netsim::Packet& req) {
   last_leader_contact_ = env.now();
   // Ack the heartbeat: the leader's read lease is a majority of these
   // acks younger than election_timeout_min.
-  PaxosMsg ack;
-  ack.ballot = msg->ballot;
-  ack.slot = next_apply_;
-  env.reply(req, kHeartbeatAck, ack.encode());
+  env.reply(req, kHeartbeatAck,
+            PaxosMsg::encode(msg->ballot, next_apply_, 0, {}));
   // The leader's chosen prefix extends past ours: pull the gap.
   if (msg->slot > next_apply_) {
-    PaxosMsg ask;
-    ask.ballot = msg->ballot;
-    ask.slot = next_apply_;
-    env.reply(req, kCatchupReq, ask.encode());
+    env.reply(req, kCatchupReq,
+              PaxosMsg::encode(msg->ballot, next_apply_, 0, {}));
   }
 }
 
 void ConsensusActor::on_heartbeat_ack(ActorEnv& env, const netsim::Packet& req) {
   charge_log_op(env);
-  const auto msg = PaxosMsg::decode(req.payload);
+  const auto msg = PaxosView::decode(req.payload);
   if (!msg || !leader_ || msg->ballot != ballot_) return;  // stale ack
   for (std::size_t i = 0; i < params_.replicas.size(); ++i) {
     if (params_.replicas[i] == req.src) {
@@ -279,12 +272,11 @@ void ConsensusActor::maybe_grant_lease(ActorEnv& env) {
 
 void ConsensusActor::on_cache_get(ActorEnv& env, const netsim::Packet& req) {
   charge_log_op(env);
-  wire::Reader r(req.payload);
-  ReplyTo reply;
-  std::string key;
-  if (!ReplyTo::decode(r, reply) || !r.get_str(key)) return;
+  const auto get = KeyReadView::decode(req.payload);
+  if (!get) return;
+  const ReplyTo& reply = get->reply;
 
-  if (!owns_key(key)) {
+  if (!owns_key(get->key)) {
     wire::Writer w;
     w.put(epoch_);
     send_client_reply(env, reply, Status::kWrongShard, w.take());
@@ -297,7 +289,7 @@ void ConsensusActor::on_cache_get(ActorEnv& env, const netsim::Packet& req) {
         hint.push_back(
             static_cast<std::uint8_t>(promised_ % params_.replicas.size()));
       }
-      send_client_reply(env, reply, Status::kNotLeader, std::move(hint));
+      send_client_reply(env, reply, Status::kNotLeader, hint);
       return;
     }
     if (!has_read_lease(env.now())) {
@@ -305,10 +297,10 @@ void ConsensusActor::on_cache_get(ActorEnv& env, const netsim::Packet& req) {
       return;
     }
   }
-  wire::Writer w;
-  reply.encode(w);
-  w.put_str(key);
-  env.local_send(memtable_, kMemGet, w.take());
+  // Same [ReplyTo][key] layout: forward the parsed bytes.
+  env.local_send(memtable_, kMemGet,
+                 {req.payload.begin(),
+                  req.payload.begin() + static_cast<std::ptrdiff_t>(get->size)});
 }
 
 bool ConsensusActor::has_read_lease(Ns now) const {
@@ -330,15 +322,15 @@ bool ConsensusActor::has_read_lease(Ns now) const {
 
 void ConsensusActor::on_catchup_req(ActorEnv& env, const netsim::Packet& req) {
   charge_log_op(env);
-  const auto msg = PaxosMsg::decode(req.payload);
+  const auto msg = PaxosView::decode(req.payload);
   if (!msg) return;
   CatchupMsg batch;
   batch.watermark = next_apply_;
   std::uint64_t s = msg->slot;
   while (batch.entries.size() < params_.catchup_batch) {
-    const auto it = log_.find(s);
-    if (it == log_.end() || !it->second.chosen) break;
-    batch.entries.push_back({s, it->second.value});
+    const LogEntry* entry = log_.find(s);
+    if (entry == nullptr || !entry->chosen) break;
+    batch.entries.push_back({s, entry->value});
     ++s;
   }
   env.mem(std::max<std::uint64_t>(log_.size() * 96, 4096),
@@ -348,26 +340,22 @@ void ConsensusActor::on_catchup_req(ActorEnv& env, const netsim::Packet& req) {
 
 void ConsensusActor::on_catchup_batch(ActorEnv& env, const netsim::Packet& req) {
   charge_log_op(env);
-  auto msg = CatchupMsg::decode(req.payload);
+  const auto msg = CatchupMsg::decode(req.payload);
   if (!msg) return;
   const std::uint64_t before = next_apply_;
-  for (auto& e : msg->entries) {
-    learn_entry(e.slot, promised_, std::move(e.value));
-  }
+  for (const auto& e : msg->entries) learn_entry(e.slot, promised_, e.value);
   apply_ready(env);
   // Still behind and making progress: chain the next request.
   if (msg->watermark > next_apply_ && next_apply_ > before) {
-    PaxosMsg more;
-    more.ballot = promised_;
-    more.slot = next_apply_;
-    env.reply(req, kCatchupReq, more.encode());
+    env.reply(req, kCatchupReq,
+              PaxosMsg::encode(promised_, next_apply_, 0, {}));
   }
 }
 
 void ConsensusActor::learn_entry(std::uint64_t slot, std::uint64_t ballot,
-                                 std::vector<std::uint8_t> value) {
+                                 wire::Bytes value) {
   LogEntry& entry = log_[slot];
-  entry.value = std::move(value);
+  entry.value.assign(value.begin(), value.end());
   entry.ballot = std::max(entry.ballot, ballot);
   if (!entry.chosen) {
     entry.chosen = true;
@@ -378,7 +366,7 @@ void ConsensusActor::learn_entry(std::uint64_t slot, std::uint64_t ballot,
 
 void ConsensusActor::on_client(ActorEnv& env, const netsim::Packet& req) {
   charge_log_op(env);
-  const auto creq = ClientReq::decode(req.payload);
+  const auto creq = ClientReqView::decode(req.payload);
   if (!creq) return;
   const ReplyTo reply = reply_to_of(req);
 
@@ -394,10 +382,7 @@ void ConsensusActor::on_client(ActorEnv& env, const netsim::Packet& req) {
   if (creq->op == Op::kGet && params_.inject_stale_reads) {
     // Injected bug (verification self-test): serve the read from the
     // local applied state with no leadership, lease, or catch-up check.
-    wire::Writer w;
-    reply.encode(w);
-    w.put_str(creq->key);
-    env.local_send(memtable_, kMemGet, w.take());
+    env.local_send(memtable_, kMemGet, KeyReadView::encode(reply, creq->key));
     return;
   }
 
@@ -409,7 +394,7 @@ void ConsensusActor::on_client(ActorEnv& env, const netsim::Packet& req) {
       hint.push_back(
           static_cast<std::uint8_t>(promised_ % params_.replicas.size()));
     }
-    send_client_reply(env, reply, Status::kNotLeader, std::move(hint));
+    send_client_reply(env, reply, Status::kNotLeader, hint);
     return;
   }
 
@@ -422,10 +407,7 @@ void ConsensusActor::on_client(ActorEnv& env, const netsim::Packet& req) {
       return;
     }
     // Linearizable read served by the leaseholder's applied state.
-    wire::Writer w;
-    reply.encode(w);
-    w.put_str(creq->key);
-    env.local_send(memtable_, kMemGet, w.take());
+    env.local_send(memtable_, kMemGet, KeyReadView::encode(reply, creq->key));
     return;
   }
 
@@ -434,8 +416,8 @@ void ConsensusActor::on_client(ActorEnv& env, const netsim::Packet& req) {
   if (req.request_id != 0) {
     const auto it = req_slot_.find(req.request_id);
     if (it != req_slot_.end()) {
-      const auto ls = log_.find(it->second);
-      if (ls != log_.end() && ls->second.applied) {
+      const LogEntry* entry = log_.find(it->second);
+      if (entry != nullptr && entry->applied) {
         send_client_reply(env, reply, Status::kOk);
       }
       // else: still being driven — the apply path will reply.
@@ -445,7 +427,7 @@ void ConsensusActor::on_client(ActorEnv& env, const netsim::Packet& req) {
 
   // Drive the write through a Paxos instance.
   const std::uint64_t slot = next_slot_++;
-  log_[slot].value = encode_op(creq->op, reply, creq->key, creq->value);
+  log_[slot].value = OpView::encode(creq->op, reply, creq->key, creq->value);
   remember_request(req.request_id, slot);
   propose_slot(env, slot);
 }
@@ -454,11 +436,8 @@ void ConsensusActor::propose_slot(ActorEnv& env, std::uint64_t slot) {
   LogEntry& entry = log_[slot];
   entry.ballot = ballot_;
   entry.ack_mask = 1u << params_.self_index;  // self
-  PaxosMsg accept;
-  accept.ballot = ballot_;
-  accept.slot = slot;
-  accept.value = entry.value;  // may be empty: a hole-filling no-op
-  broadcast(env, kPaxosAccept, accept);
+  // The value may be empty: a hole-filling no-op.
+  broadcast(env, kPaxosAccept, PaxosMsg::encode(ballot_, slot, 0, entry.value));
 
   if (static_cast<unsigned>(std::popcount(entry.ack_mask)) >= majority()) {
     entry.chosen = true;  // single-replica degenerate case
@@ -468,21 +447,27 @@ void ConsensusActor::propose_slot(ActorEnv& env, std::uint64_t slot) {
 }
 
 void ConsensusActor::broadcast(ActorEnv& env, std::uint16_t type,
-                               const PaxosMsg& msg) {
+                               std::vector<std::uint8_t> payload) {
   // Replicas deploy their actors in the same order, so the consensus
   // actor id is identical cluster-wide; our own id is the default peer
   // address (§5.1 deployment symmetry).
   const ActorId peer =
       params_.peer_consensus_actor != 0 ? params_.peer_consensus_actor : id();
+  // Encoded once: the last peer takes the payload, the others a copy.
+  std::size_t peers_left = params_.replicas.size() - 1;
   for (std::size_t i = 0; i < params_.replicas.size(); ++i) {
     if (i == params_.self_index) continue;
-    env.send(params_.replicas[i], peer, type, msg.encode());
+    if (--peers_left == 0) {
+      env.send(params_.replicas[i], peer, type, std::move(payload));
+    } else {
+      env.send(params_.replicas[i], peer, type, payload);
+    }
   }
 }
 
 void ConsensusActor::on_prepare(ActorEnv& env, const netsim::Packet& req) {
   charge_log_op(env);
-  const auto msg = PaxosMsg::decode(req.payload);
+  const auto msg = PaxosView::decode(req.payload);
   if (!msg) return;
   if (msg->ballot <= promised_) return;  // stale candidacy: no vote
   promised_ = msg->ballot;
@@ -495,11 +480,10 @@ void ConsensusActor::on_prepare(ActorEnv& env, const netsim::Packet& req) {
   PromiseMsg promise;
   promise.ballot = msg->ballot;
   promise.next_slot = next_slot_;
-  for (auto it = log_.lower_bound(msg->slot); it != log_.end(); ++it) {
-    if (it->second.value.empty() && !it->second.chosen) continue;
-    promise.accepted.push_back(
-        {it->first, it->second.ballot, it->second.value});
-  }
+  log_.for_each_from(msg->slot, [&](std::uint64_t slot, const LogEntry& e) {
+    if (e.value.empty() && !e.chosen) return;
+    promise.accepted.push_back({slot, e.ballot, e.value});
+  });
   env.mem(std::max<std::uint64_t>(log_.size() * 96, 4096),
           promise.accepted.size() + 1);
   env.reply(req, kPaxosPromise, promise.encode());
@@ -545,7 +529,7 @@ void ConsensusActor::become_leader(ActorEnv& env) {
 
 void ConsensusActor::on_accept(ActorEnv& env, const netsim::Packet& req) {
   charge_log_op(env);
-  const auto msg = PaxosMsg::decode(req.payload);
+  const auto msg = PaxosView::decode(req.payload);
   if (!msg) return;
   if (msg->ballot < promised_) return;  // stale leader
   promised_ = msg->ballot;
@@ -556,22 +540,19 @@ void ConsensusActor::on_accept(ActorEnv& env, const netsim::Packet& req) {
   LogEntry& entry = log_[msg->slot];
   if (!entry.chosen) {
     entry.ballot = msg->ballot;
-    entry.value = msg->value;
+    entry.value.assign(msg->value.begin(), msg->value.end());
   }
   next_slot_ = std::max(next_slot_, msg->slot + 1);
 
-  PaxosMsg ack;
-  ack.ballot = msg->ballot;
-  ack.slot = msg->slot;
-  env.reply(req, kPaxosAccepted, ack.encode());
+  env.reply(req, kPaxosAccepted, PaxosMsg::encode(msg->ballot, msg->slot, 0, {}));
 }
 
 void ConsensusActor::on_accepted(ActorEnv& env, const netsim::Packet& req) {
   charge_log_op(env);
-  const auto msg = PaxosMsg::decode(req.payload);
+  const auto msg = PaxosView::decode(req.payload);
   if (!msg || !leader_ || msg->ballot != ballot_) return;
-  const auto it = log_.find(msg->slot);
-  if (it == log_.end() || it->second.chosen) return;
+  LogEntry* entry = log_.find(msg->slot);
+  if (entry == nullptr || entry->chosen) return;
   std::size_t idx = params_.replicas.size();
   for (std::size_t i = 0; i < params_.replicas.size(); ++i) {
     if (params_.replicas[i] == req.src) {
@@ -580,25 +561,21 @@ void ConsensusActor::on_accepted(ActorEnv& env, const netsim::Packet& req) {
     }
   }
   if (idx >= params_.replicas.size()) return;  // not a group member
-  it->second.ack_mask |= 1u << idx;
-  if (static_cast<unsigned>(std::popcount(it->second.ack_mask)) >=
-      majority()) {
-    it->second.chosen = true;
+  entry->ack_mask |= 1u << idx;
+  if (static_cast<unsigned>(std::popcount(entry->ack_mask)) >= majority()) {
+    entry->chosen = true;
     ++chosen_;
-    PaxosMsg learn;
-    learn.ballot = ballot_;
-    learn.slot = msg->slot;
-    learn.value = it->second.value;
-    broadcast(env, kPaxosLearn, learn);
+    broadcast(env, kPaxosLearn,
+              PaxosMsg::encode(ballot_, msg->slot, 0, entry->value));
     apply_ready(env);
   }
 }
 
 void ConsensusActor::on_learn(ActorEnv& env, const netsim::Packet& req) {
   charge_log_op(env);
-  auto msg = PaxosMsg::decode(req.payload);
+  const auto msg = PaxosView::decode(req.payload);
   if (!msg) return;
-  learn_entry(msg->slot, msg->ballot, std::move(msg->value));
+  learn_entry(msg->slot, msg->ballot, msg->value);
   apply_ready(env);
 }
 
@@ -613,10 +590,8 @@ void ConsensusActor::start_election(ActorEnv& env) {
   election_ballot_ = ballot_;
   voters_.clear();
   ++elections_started_;
-  PaxosMsg prep;
-  prep.ballot = ballot_;
-  prep.slot = next_apply_;  // our applied watermark: report entries above
-  broadcast(env, kPaxosPrepare, prep);
+  // Our applied watermark: peers report accepted entries above it.
+  broadcast(env, kPaxosPrepare, PaxosMsg::encode(ballot_, next_apply_, 0, {}));
   if (params_.replicas.size() == 1) become_leader(env);
 }
 
@@ -625,13 +600,13 @@ void ConsensusActor::apply_ready(ActorEnv& env) {
   // machine (the memtable actor).  Only the entry's reply routing on the
   // leader triggers a client reply.
   while (true) {
-    const auto it = log_.find(next_apply_);
-    if (it == log_.end() || !it->second.chosen || it->second.applied) break;
-    it->second.applied = true;
+    LogEntry* entry = log_.find(next_apply_);
+    if (entry == nullptr || !entry->chosen || entry->applied) break;
+    entry->applied = true;
     const std::uint64_t slot = next_apply_;
     ++next_apply_;
 
-    auto op = decode_op(it->second.value);
+    auto op = OpView::decode(entry->value);
     if (!op) continue;
     // Record the request -> slot mapping on every replica (before the
     // follower blanks the route) so whoever leads next dedups retries.
@@ -651,7 +626,10 @@ void ConsensusActor::apply_ready(ActorEnv& env) {
         num_shards_cfg_ = view->num_shards;
         owned_.clear();
         owned_.insert(view->owned.begin(), view->owned.end());
-        if (cache_ != 0) env.local_send(cache_, kShardUpdate, op->value);
+        if (cache_ != 0) {
+          env.local_send(cache_, kShardUpdate,
+                         {op->value.begin(), op->value.end()});
+        }
       }
       if (op->reply.node != 0 || op->reply.request_id != 0) {
         send_client_reply(env, op->reply, Status::kOk);
@@ -663,19 +641,24 @@ void ConsensusActor::apply_ready(ActorEnv& env) {
       // Write-through invalidation BEFORE the memtable apply that acks
       // the client: FIFO mailboxes then guarantee any read issued after
       // the ack sees this update first (never-stale contract).
-      wire::Writer inval;
+      wire::Writer inval(1 + wire::str_size(op->key.size()) +
+                         wire::bytes_size(op->value.size()));
       inval.put(static_cast<std::uint8_t>(op->op));
       inval.put_str(op->key);
       inval.put_bytes(op->value);
       env.local_send(cache_, kCacheInval, inval.take());
     }
 
-    wire::Writer w;
-    w.put(static_cast<std::uint8_t>(op->op));
-    op->reply.encode(w);
-    w.put_str(op->key);
-    w.put_bytes(op->value);
-    env.local_send(memtable_, kApplyOp, w.take());
+    // The memtable applies the stored op bytes (the parsed prefix); a
+    // follower's copy carries a blank route, so nobody replies twice.
+    std::vector<std::uint8_t> apply(
+        entry->value.begin(),
+        entry->value.begin() + static_cast<std::ptrdiff_t>(op->size));
+    if (!leader_) {
+      std::copy(blank_route().begin(), blank_route().end(),
+                apply.begin() + OpView::kReplyOffset);
+    }
+    env.local_send(memtable_, kApplyOp, std::move(apply));
   }
 }
 
@@ -683,7 +666,7 @@ void ConsensusActor::apply_ready(ActorEnv& env) {
 
 void MemtableActor::handle(ActorEnv& env, const netsim::Packet& req) {
   if (req.msg_type == kApplyOp) {
-    auto op = decode_op(req.payload);
+    const auto op = OpView::decode(req.payload);
     if (!op) return;
     const bool tombstone = op->op == Op::kDel;
     env.compute(400);
@@ -699,41 +682,40 @@ void MemtableActor::handle(ActorEnv& env, const netsim::Packet& req) {
   }
 
   if (req.msg_type == kMemGet) {
-    wire::Reader r(req.payload);
-    ReplyTo reply;
-    std::string key;
-    if (!ReplyTo::decode(r, reply) || !r.get_str(key)) return;
+    const auto get = KeyReadView::decode(req.payload);
+    if (!get) return;
     env.compute(300);
-    const auto result = list_.get(env, key);
+    const auto result = list_.get(env, get->key);
     if (result) {
       if (result->tombstone) {
-        send_client_reply(env, reply, Status::kNotFound);
+        send_client_reply(env, get->reply, Status::kNotFound);
       } else {
-        send_client_reply(env, reply, Status::kOk, result->value);
+        send_client_reply(env, get->reply, Status::kOk, result->value);
       }
       return;
     }
-    // Miss: forward to the SSTable read actor on the host.
-    wire::Writer w;
-    reply.encode(w);
-    w.put_str(key);
-    env.local_send(sst_read_, kSstGet, w.take());
+    // Miss: forward the parsed [ReplyTo][key] bytes to the SSTable read
+    // actor on the host.
+    env.local_send(sst_read_, kSstGet,
+                   {req.payload.begin(),
+                    req.payload.begin() + static_cast<std::ptrdiff_t>(get->size)});
     return;
   }
 }
 
 void MemtableActor::flush(ActorEnv& env) {
   ++flushes_;
-  auto entries = list_.scan_all(env);
-  wire::Writer w;
-  w.put(static_cast<std::uint32_t>(entries.size()));
-  for (auto& [key, value, tombstone] : entries) {
-    w.put(static_cast<std::uint8_t>(tombstone ? 1 : 0));
-    w.put_str(key);
-    w.put_bytes(value);
-  }
-  env.compute(static_cast<double>(entries.size()) * 50.0);
-  env.local_send(compaction_, kFlushBatch, w.take());
+  // Sized for the longest key, so the payload is allocated once.
+  FlushBatchSink sink{wire::Writer(
+      sizeof(std::uint32_t) +
+      list_.size() * (1 + wire::str_size(DmoSkipList::kKeyLen) +
+                      wire::bytes_size(0)) +
+      list_.value_bytes())};
+  sink.w.put(std::uint32_t{0});  // entry count, set after the walk
+  list_.scan(env, sink);
+  sink.w.put_at(0, sink.n);
+  env.compute(static_cast<double>(sink.n) * 50.0);
+  env.local_send(compaction_, kFlushBatch, sink.w.take());
   list_.clear(env);
 }
 
@@ -741,13 +723,12 @@ void MemtableActor::flush(ActorEnv& env) {
 
 void SstReadActor::handle(ActorEnv& env, const netsim::Packet& req) {
   if (req.msg_type != kSstGet) return;
-  wire::Reader r(req.payload);
-  ReplyTo reply;
-  std::string key;
-  if (!ReplyTo::decode(r, reply) || !r.get_str(key)) return;
+  const auto get = KeyReadView::decode(req.payload);
+  if (!get) return;
+  const ReplyTo& reply = get->reply;
 
   LsmTree::GetStats stats;
-  const auto value = lsm_->get(key, &stats);
+  const auto value = lsm_->get(get->key, &stats);
   // Binary-search probes over host-resident tables + storage access tax.
   env.mem(std::max<std::uint64_t>(lsm_->total_bytes(), 4096),
           stats.probes + 2 * stats.tables_probed);
@@ -772,11 +753,13 @@ void CompactionActor::handle(ActorEnv& env, const netsim::Packet& req) {
   std::uint64_t bytes = 0;
   for (std::uint32_t i = 0; i < n; ++i) {
     std::uint8_t tombstone = 0;
-    SstEntry e;
-    if (!r.get(tombstone) || !r.get_str(e.key) || !r.get_bytes(e.value)) break;
-    e.tombstone = tombstone != 0;
-    bytes += e.key.size() + e.value.size();
-    entries.push_back(std::move(e));
+    std::string_view key;
+    wire::Bytes value;
+    if (!r.get(tombstone) || !r.get_str(key) || !r.get_bytes(value)) break;
+    bytes += key.size() + value.size();
+    entries.push_back(SstEntry{std::string(key),
+                               {value.begin(), value.end()},
+                               tombstone != 0});
   }
   std::sort(entries.begin(), entries.end(),
             [](const SstEntry& a, const SstEntry& b) { return a.key < b.key; });

@@ -12,8 +12,8 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <string_view>
@@ -30,6 +30,9 @@ namespace ipipe::rkv {
 /// Reply-routing information carried inside operations so that whichever
 /// actor finishes a request can respond to the client directly.
 struct ReplyTo {
+  static constexpr std::size_t kWireSize = 2 * sizeof(std::uint32_t) +
+                                           2 * sizeof(std::uint64_t);
+
   std::uint32_t node = 0;
   std::uint32_t actor = netsim::kForwardOnly;
   std::uint64_t request_id = 0;
@@ -49,6 +52,67 @@ struct ReplyTo {
     pkt.request_id = request_id;
     pkt.created_at = created_at;
     return pkt;
+  }
+};
+
+/// [op u8][ReplyTo][key str][value bytes]: a write driven through Paxos.
+/// The log stores these bytes, and kApplyOp carries them to the memtable.
+struct OpView {
+  /// Offset of the ReplyTo route inside the encoded op.
+  static constexpr std::size_t kReplyOffset = 1;
+
+  Op op = Op::kGet;
+  ReplyTo reply;
+  std::string_view key;
+  wire::Bytes value;
+  std::size_t size = 0;  ///< bytes parsed: a prefix of the input
+
+  [[nodiscard]] static std::vector<std::uint8_t> encode(Op op,
+                                                        const ReplyTo& reply,
+                                                        std::string_view key,
+                                                        wire::Bytes value) {
+    wire::Writer w(kReplyOffset + ReplyTo::kWireSize +
+                   wire::str_size(key.size()) + wire::bytes_size(value.size()));
+    w.put(static_cast<std::uint8_t>(op));
+    reply.encode(w);
+    w.put_str(key).put_bytes(value);
+    return w.take();
+  }
+  [[nodiscard]] static std::optional<OpView> decode(wire::Bytes data) {
+    wire::Reader r(data);
+    OpView v;
+    std::uint8_t op = 0;
+    if (!r.get(op) || !ReplyTo::decode(r, v.reply) || !r.get_str(v.key) ||
+        !r.get_bytes(v.value)) {
+      return std::nullopt;
+    }
+    v.op = static_cast<Op>(op);
+    v.size = r.pos();
+    return v;
+  }
+};
+
+/// [ReplyTo][key str]: a read on its way to the memtable (kMemGet), the
+/// SSTable reader (kSstGet) or, from the hot-key cache, to consensus
+/// (kCacheGet).
+struct KeyReadView {
+  ReplyTo reply;
+  std::string_view key;
+  std::size_t size = 0;  ///< bytes parsed: a prefix of the input
+
+  [[nodiscard]] static std::vector<std::uint8_t> encode(const ReplyTo& reply,
+                                                        std::string_view key) {
+    wire::Writer w(ReplyTo::kWireSize + wire::str_size(key.size()));
+    reply.encode(w);
+    w.put_str(key);
+    return w.take();
+  }
+  [[nodiscard]] static std::optional<KeyReadView> decode(wire::Bytes data) {
+    wire::Reader r(data);
+    KeyReadView v;
+    if (!ReplyTo::decode(r, v.reply) || !r.get_str(v.key)) return std::nullopt;
+    v.size = r.pos();
+    return v;
   }
 };
 
@@ -161,6 +225,46 @@ class ConsensusActor final : public Actor {
     std::uint32_t ack_mask = 0;
     bool chosen = false;
     bool applied = false;
+    bool present = false;  ///< the slot has an entry (SlotLog)
+  };
+
+  /// The Paxos log, indexed by slot.  The leader hands slots out densely
+  /// from 0, so a deque replaces a tree node per slot.  A follower that
+  /// missed accepts has absent slots (holes); size() counts present
+  /// entries only, as the working-set charges expect.
+  class SlotLog {
+   public:
+    /// The entry at `slot`, made present (default) when absent.
+    LogEntry& operator[](std::uint64_t slot) {
+      if (slot >= slots_.size()) slots_.resize(slot + 1);
+      LogEntry& e = slots_[slot];
+      if (!e.present) {
+        e.present = true;
+        ++present_;
+      }
+      return e;
+    }
+    /// The entry at `slot`, or nullptr when absent.
+    [[nodiscard]] LogEntry* find(std::uint64_t slot) {
+      if (slot >= slots_.size() || !slots_[slot].present) return nullptr;
+      return &slots_[slot];
+    }
+    /// Present slots at or above `from`, ascending: fn(slot, entry).
+    template <typename Fn>
+    void for_each_from(std::uint64_t from, Fn&& fn) const {
+      for (std::uint64_t s = from; s < slots_.size(); ++s) {
+        if (slots_[s].present) fn(s, slots_[s]);
+      }
+    }
+    [[nodiscard]] std::size_t size() const noexcept { return present_; }
+    void clear() {
+      slots_.clear();
+      present_ = 0;
+    }
+
+   private:
+    std::deque<LogEntry> slots_;
+    std::size_t present_ = 0;
   };
 
   void on_client(ActorEnv& env, const netsim::Packet& req);
@@ -182,12 +286,13 @@ class ConsensusActor final : public Actor {
   void start_election(ActorEnv& env);
   void become_leader(ActorEnv& env);
   void learn_entry(std::uint64_t slot, std::uint64_t ballot,
-                   std::vector<std::uint8_t> value);
+                   wire::Bytes value);
   void send_heartbeats(ActorEnv& env);
   void redrive_stuck_slots(ActorEnv& env);
   void propose_slot(ActorEnv& env, std::uint64_t slot);
   void apply_ready(ActorEnv& env);
-  void broadcast(ActorEnv& env, std::uint16_t type, const PaxosMsg& msg);
+  void broadcast(ActorEnv& env, std::uint16_t type,
+                 std::vector<std::uint8_t> payload);
   [[nodiscard]] unsigned majority() const {
     return static_cast<unsigned>(params_.replicas.size() / 2 + 1);
   }
@@ -203,7 +308,7 @@ class ConsensusActor final : public Actor {
   std::uint64_t next_slot_ = 0;
   std::uint64_t next_apply_ = 0;
   std::uint64_t chosen_ = 0;
-  std::map<std::uint64_t, LogEntry> log_;
+  SlotLog log_;
 
   // Election bookkeeping: votes only count for the ballot this candidacy
   // opened, each voter at most once (stale-ballot / duplicate promises

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "apps/common/wire.h"
@@ -96,26 +97,60 @@ struct ShardView {
   }
 };
 
+/// Client request: [op u8][key str][value bytes].
+struct ClientReqView {
+  Op op = Op::kGet;
+  std::string_view key;
+  wire::Bytes value;
+
+  [[nodiscard]] static std::optional<ClientReqView> decode(wire::Bytes data) {
+    wire::Reader r(data);
+    ClientReqView v;
+    std::uint8_t op = 0;
+    if (!r.get(op) || !r.get_str(v.key) || !r.get_bytes(v.value)) {
+      return std::nullopt;
+    }
+    v.op = static_cast<Op>(op);
+    return v;
+  }
+};
+
 struct ClientReq {
   Op op = Op::kGet;
   std::string key;
   std::vector<std::uint8_t> value;
 
-  [[nodiscard]] std::vector<std::uint8_t> encode() const {
-    wire::Writer w;
+  [[nodiscard]] static std::vector<std::uint8_t> encode(Op op,
+                                                        std::string_view key,
+                                                        wire::Bytes value) {
+    wire::Writer w(1 + wire::str_size(key.size()) +
+                   wire::bytes_size(value.size()));
     w.put(static_cast<std::uint8_t>(op)).put_str(key).put_bytes(value);
     return w.take();
   }
-  [[nodiscard]] static std::optional<ClientReq> decode(
-      std::span<const std::uint8_t> data) {
+  [[nodiscard]] std::vector<std::uint8_t> encode() const {
+    return encode(op, key, value);
+  }
+  [[nodiscard]] static std::optional<ClientReq> decode(wire::Bytes data) {
+    const auto v = ClientReqView::decode(data);
+    if (!v) return std::nullopt;
+    return ClientReq{v->op, std::string(v->key),
+                     {v->value.begin(), v->value.end()}};
+  }
+};
+
+/// Client reply: [status u8][value bytes].
+struct ClientReplyView {
+  Status status = Status::kOk;
+  wire::Bytes value;
+
+  [[nodiscard]] static std::optional<ClientReplyView> decode(wire::Bytes data) {
     wire::Reader r(data);
-    ClientReq req;
-    std::uint8_t op = 0;
-    if (!r.get(op) || !r.get_str(req.key) || !r.get_bytes(req.value)) {
-      return std::nullopt;
-    }
-    req.op = static_cast<Op>(op);
-    return req;
+    ClientReplyView v;
+    std::uint8_t status = 0;
+    if (!r.get(status) || !r.get_bytes(v.value)) return std::nullopt;
+    v.status = static_cast<Status>(status);
+    return v;
   }
 };
 
@@ -123,43 +158,61 @@ struct ClientReply {
   Status status = Status::kOk;
   std::vector<std::uint8_t> value;
 
-  [[nodiscard]] std::vector<std::uint8_t> encode() const {
-    wire::Writer w;
+  [[nodiscard]] static std::vector<std::uint8_t> encode(Status status,
+                                                        wire::Bytes value) {
+    wire::Writer w(1 + wire::bytes_size(value.size()));
     w.put(static_cast<std::uint8_t>(status)).put_bytes(value);
     return w.take();
   }
-  [[nodiscard]] static std::optional<ClientReply> decode(
-      std::span<const std::uint8_t> data) {
-    wire::Reader r(data);
-    ClientReply rep;
-    std::uint8_t status = 0;
-    if (!r.get(status) || !r.get_bytes(rep.value)) return std::nullopt;
-    rep.status = static_cast<Status>(status);
-    return rep;
+  [[nodiscard]] std::vector<std::uint8_t> encode() const {
+    return encode(status, value);
+  }
+  [[nodiscard]] static std::optional<ClientReply> decode(wire::Bytes data) {
+    const auto v = ClientReplyView::decode(data);
+    if (!v) return std::nullopt;
+    return ClientReply{v->status, {v->value.begin(), v->value.end()}};
   }
 };
 
-/// Paxos wire payloads: [ballot u64][slot u64][op-payload].
+/// Paxos wire payloads: [ballot u64][slot u64][origin_req u64][value bytes].
+struct PaxosView {
+  std::uint64_t ballot = 0;
+  std::uint64_t slot = 0;
+  std::uint64_t origin_req = 0;
+  wire::Bytes value;
+
+  [[nodiscard]] static std::optional<PaxosView> decode(wire::Bytes data) {
+    wire::Reader r(data);
+    PaxosView v;
+    if (!r.get(v.ballot) || !r.get(v.slot) || !r.get(v.origin_req) ||
+        !r.get_bytes(v.value)) {
+      return std::nullopt;
+    }
+    return v;
+  }
+};
+
 struct PaxosMsg {
   std::uint64_t ballot = 0;
   std::uint64_t slot = 0;
   std::uint64_t origin_req = 0;  ///< client request id being driven
   std::vector<std::uint8_t> value;
 
-  [[nodiscard]] std::vector<std::uint8_t> encode() const {
-    wire::Writer w;
+  [[nodiscard]] static std::vector<std::uint8_t> encode(
+      std::uint64_t ballot, std::uint64_t slot, std::uint64_t origin_req,
+      wire::Bytes value) {
+    wire::Writer w(3 * sizeof(std::uint64_t) + wire::bytes_size(value.size()));
     w.put(ballot).put(slot).put(origin_req).put_bytes(value);
     return w.take();
   }
-  [[nodiscard]] static std::optional<PaxosMsg> decode(
-      std::span<const std::uint8_t> data) {
-    wire::Reader r(data);
-    PaxosMsg m;
-    if (!r.get(m.ballot) || !r.get(m.slot) || !r.get(m.origin_req) ||
-        !r.get_bytes(m.value)) {
-      return std::nullopt;
-    }
-    return m;
+  [[nodiscard]] std::vector<std::uint8_t> encode() const {
+    return encode(ballot, slot, origin_req, value);
+  }
+  [[nodiscard]] static std::optional<PaxosMsg> decode(wire::Bytes data) {
+    const auto v = PaxosView::decode(data);
+    if (!v) return std::nullopt;
+    return PaxosMsg{v->ballot, v->slot, v->origin_req,
+                    {v->value.begin(), v->value.end()}};
   }
 };
 
@@ -179,7 +232,11 @@ struct PromiseMsg {
   std::vector<Entry> accepted;
 
   [[nodiscard]] std::vector<std::uint8_t> encode() const {
-    wire::Writer w;
+    std::size_t size = 2 * sizeof(std::uint64_t) + sizeof(std::uint32_t);
+    for (const auto& e : accepted) {
+      size += 2 * sizeof(std::uint64_t) + wire::bytes_size(e.value.size());
+    }
+    wire::Writer w(size);
     w.put(ballot).put(next_slot);
     w.put(static_cast<std::uint32_t>(accepted.size()));
     for (const auto& e : accepted) {
@@ -219,7 +276,11 @@ struct CatchupMsg {
   std::vector<Entry> entries;
 
   [[nodiscard]] std::vector<std::uint8_t> encode() const {
-    wire::Writer w;
+    std::size_t size = sizeof(std::uint64_t) + sizeof(std::uint32_t);
+    for (const auto& e : entries) {
+      size += sizeof(std::uint64_t) + wire::bytes_size(e.value.size());
+    }
+    wire::Writer w(size);
     w.put(watermark);
     w.put(static_cast<std::uint32_t>(entries.size()));
     for (const auto& e : entries) w.put(e.slot).put_bytes(e.value);

@@ -136,23 +136,18 @@ std::optional<DmoSkipList::GetResult> DmoSkipList::get(
 
 std::vector<std::tuple<std::string, std::vector<std::uint8_t>, bool>>
 DmoSkipList::scan_all(ActorEnv& env) const {
-  std::vector<std::tuple<std::string, std::vector<std::uint8_t>, bool>> out;
-  if (head_ == kInvalidObj) return out;
-  Node cur;
-  if (!env.dmo_get(head_, cur)) return out;
-  ObjId next_id = cur.forward[0];
-  while (next_id != kInvalidObj) {
-    Node node;
-    if (!env.dmo_get(next_id, node)) break;
-    std::vector<std::uint8_t> value(node.value_len);
-    if (node.value != kInvalidObj && node.value_len > 0) {
-      if (!env.dmo_read(node.value, 0, value)) break;
+  struct Sink {
+    std::vector<std::tuple<std::string, std::vector<std::uint8_t>, bool>> out;
+    std::span<std::uint8_t> value(std::string_view key, std::uint32_t len,
+                                  bool tombstone) {
+      return std::get<1>(out.emplace_back(std::string(key),
+                                          std::vector<std::uint8_t>(len),
+                                          tombstone));
     }
-    out.emplace_back(std::string(node_key(node)), std::move(value),
-                     node.tombstone != 0);
-    next_id = node.forward[0];
-  }
-  return out;
+    void drop() { out.pop_back(); }
+  } sink;
+  scan(env, sink);
+  return std::move(sink.out);
 }
 
 void DmoSkipList::clear(ActorEnv& env) {

@@ -49,7 +49,14 @@ class DmoSkipList {
   [[nodiscard]] std::optional<GetResult> get(ActorEnv& env,
                                              std::string_view key) const;
 
-  /// In-order scan of all entries (for memtable flush).
+  /// In-order walk over every entry (a memtable flush).  For each entry
+  /// `sink.value(key, len, tombstone)` returns a `len`-byte buffer that
+  /// the value is read into; when that read fails, `sink.drop()`
+  /// discards the entry and the walk ends.
+  template <typename Sink>
+  void scan(ActorEnv& env, Sink& sink) const;
+
+  /// In-order copy of all entries: scan() into tuples.
   [[nodiscard]] std::vector<std::tuple<std::string, std::vector<std::uint8_t>, bool>>
   scan_all(ActorEnv& env) const;
 
@@ -82,5 +89,25 @@ class DmoSkipList {
   std::size_t size_ = 0;
   std::uint64_t value_bytes_ = 0;
 };
+
+template <typename Sink>
+void DmoSkipList::scan(ActorEnv& env, Sink& sink) const {
+  if (head_ == kInvalidObj) return;
+  Node cur;
+  if (!env.dmo_get(head_, cur)) return;
+  ObjId next_id = cur.forward[0];
+  while (next_id != kInvalidObj) {
+    Node node;
+    if (!env.dmo_get(next_id, node)) return;
+    const std::span<std::uint8_t> value =
+        sink.value(node_key(node), node.value_len, node.tombstone != 0);
+    if (node.value != kInvalidObj && node.value_len > 0 &&
+        !env.dmo_read(node.value, 0, value)) {
+      sink.drop();
+      return;
+    }
+    next_id = node.forward[0];
+  }
+}
 
 }  // namespace ipipe::rkv

@@ -17,21 +17,24 @@ std::string make_key(std::uint64_t id, std::uint32_t len) {
 
 ClientGen::MakeReq kv_workload(KvWorkloadParams params) {
   auto zipf = std::make_shared<ZipfDist>(params.num_keys, params.zipf_theta);
-  return [params, zipf](std::uint64_t /*seq*/, Rng& rng,
-                        netsim::PacketPool& pool) {
+  // `value` is the generator's own scratch: each PUT refills it and the
+  // request is encoded from it in one exact-size allocation.
+  return [params, zipf, value = std::vector<std::uint8_t>()](
+             std::uint64_t /*seq*/, Rng& rng,
+             netsim::PacketPool& pool) mutable {
     auto pkt = pool.make();
     pkt->dst = params.server;
     pkt->dst_actor = params.consensus_actor;
     pkt->frame_size = params.frame_size;
 
-    rkv::ClientReq req;
-    req.key = make_key((*zipf)(rng), params.key_len);
+    const std::string key = make_key((*zipf)(rng), params.key_len);
     const bool is_read = rng.uniform() < params.read_fraction;
+    rkv::Op op = rkv::Op::kGet;
+    value.clear();
     if (is_read) {
-      req.op = rkv::Op::kGet;
       pkt->msg_type = rkv::kClientGet;
     } else {
-      req.op = rkv::Op::kPut;
+      op = rkv::Op::kPut;
       pkt->msg_type = rkv::kClientPut;
       // Value fills the frame after headers and key (§5.1: "the value
       // size increases with the packet size").
@@ -39,10 +42,10 @@ ClientGen::MakeReq kv_workload(KvWorkloadParams params) {
           netsim::kHeaderBytes + params.key_len + 16;
       const std::uint32_t vlen =
           params.frame_size > overhead ? params.frame_size - overhead : 16;
-      req.value.assign(vlen, static_cast<std::uint8_t>(rng.next() & 0xFF));
+      value.assign(vlen, static_cast<std::uint8_t>(rng.next() & 0xFF));
     }
-    pkt->payload = req.encode();
-    pkt->flow = static_cast<std::uint32_t>(std::hash<std::string>{}(req.key));
+    pkt->payload = rkv::ClientReq::encode(op, key, value);
+    pkt->flow = static_cast<std::uint32_t>(std::hash<std::string>{}(key));
     return pkt;
   };
 }

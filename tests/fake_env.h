@@ -37,7 +37,10 @@ class FakeEnv : public ActorEnv {
 
   void charge(Ns t) override { charged_ += t; }
   void compute(double units) override { charged_ += static_cast<Ns>(units); }
-  void mem(std::uint64_t, std::uint64_t n) override { mem_accesses_ += n; }
+  void mem(std::uint64_t ws, std::uint64_t n) override {
+    mem_accesses_ += n;
+    last_mem_ws_ = ws;
+  }
   void stream(std::uint64_t, std::uint64_t bytes) override {
     streamed_ += bytes;
   }
@@ -109,6 +112,8 @@ class FakeEnv : public ActorEnv {
   [[nodiscard]] ObjectTable& table() { return table_; }
   [[nodiscard]] Ns charged() const { return charged_; }
   [[nodiscard]] std::uint64_t mem_accesses() const { return mem_accesses_; }
+  /// Working set named by the latest mem() charge.
+  [[nodiscard]] std::uint64_t last_mem_ws() const { return last_mem_ws_; }
 
   std::vector<Sent> sent;
   std::vector<Timer> timers;
@@ -121,6 +126,7 @@ class FakeEnv : public ActorEnv {
   Ns now_ = 0;
   Ns charged_ = 0;
   std::uint64_t mem_accesses_ = 0;
+  std::uint64_t last_mem_ws_ = 0;
   std::uint64_t streamed_ = 0;
   std::uint64_t accel_items_ = 0;
 };
