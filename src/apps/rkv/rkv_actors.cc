@@ -72,8 +72,7 @@ void ConsensusActor::init(ActorEnv& env) {
 void ConsensusActor::reset(ActorEnv& env) {
   (void)env;
   log_.clear();
-  req_slot_.clear();
-  req_order_.clear();
+  requests_.clear();
   lease_granted_until_ = 0;
   // Shard config falls back to the deployment baseline; Op::kShardCfg
   // entries re-apply through catch-up and bring us forward again.
@@ -234,17 +233,7 @@ bool ConsensusActor::owns_key(std::string_view key) const {
 
 void ConsensusActor::remember_request(std::uint64_t request_id,
                                       std::uint64_t slot) {
-  if (request_id == 0) return;
-  const auto [it, inserted] = req_slot_.emplace(request_id, slot);
-  if (!inserted) {
-    it->second = slot;
-    return;
-  }
-  req_order_.push_back(request_id);
-  while (req_slot_.size() > params_.req_dedup_cap && !req_order_.empty()) {
-    req_slot_.erase(req_order_.front());
-    req_order_.pop_front();
-  }
+  if (request_id != 0) requests_.remember(request_id, slot);
 }
 
 void ConsensusActor::maybe_grant_lease(ActorEnv& env) {
@@ -414,9 +403,8 @@ void ConsensusActor::on_client(ActorEnv& env, const netsim::Packet& req) {
   // Dedup: a retransmitted write that is already in the log must not
   // consume a second slot (exactly-once apply).
   if (req.request_id != 0) {
-    const auto it = req_slot_.find(req.request_id);
-    if (it != req_slot_.end()) {
-      const LogEntry* entry = log_.find(it->second);
+    if (const std::uint64_t* slot = requests_.find(req.request_id)) {
+      const LogEntry* entry = log_.find(*slot);
       if (entry != nullptr && entry->applied) {
         send_client_reply(env, reply, Status::kOk);
       }

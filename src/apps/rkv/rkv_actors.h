@@ -17,10 +17,10 @@
 #include <set>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "apps/rkv/lsm.h"
+#include "apps/rkv/request_table.h"
 #include "apps/rkv/rkv_messages.h"
 #include "apps/rkv/skiplist.h"
 #include "ipipe/runtime.h"
@@ -203,7 +203,12 @@ class ConsensusActor final : public Actor {
     return owned_;
   }
   [[nodiscard]] std::size_t dedup_size() const noexcept {
-    return req_slot_.size();
+    return requests_.size();
+  }
+  /// The slot a client request was proposed in, while remembered.
+  [[nodiscard]] const std::uint64_t* dedup_slot(
+      std::uint64_t request_id) const noexcept {
+    return requests_.find(request_id);
   }
   [[nodiscard]] std::uint64_t ballot() const noexcept { return ballot_; }
   [[nodiscard]] std::uint64_t chosen_count() const noexcept { return chosen_; }
@@ -328,11 +333,9 @@ class ConsensusActor final : public Actor {
 
   // Client request dedup: request id -> slot it was proposed in, rebuilt
   // from the log on recovery, so retried writes never double-apply.
-  // Bounded by params_.req_dedup_cap with FIFO eviction (req_order_
-  // records insertion order) — retries are bounded in time, table
-  // growth at million-client scale is not.
-  std::unordered_map<std::uint64_t, std::uint64_t> req_slot_;
-  std::deque<std::uint64_t> req_order_;
+  // Bounded by params_.req_dedup_cap with FIFO eviction — retries are
+  // bounded in time, table growth at million-client scale is not.
+  RequestTable requests_{params_.req_dedup_cap};
 
   // Sharded scale-out state (see RkvParams): current route epoch and
   // owned shard set, mutated only by applied Op::kShardCfg entries.

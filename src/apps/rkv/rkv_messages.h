@@ -208,12 +208,6 @@ struct PaxosMsg {
   [[nodiscard]] std::vector<std::uint8_t> encode() const {
     return encode(ballot, slot, origin_req, value);
   }
-  [[nodiscard]] static std::optional<PaxosMsg> decode(wire::Bytes data) {
-    const auto v = PaxosView::decode(data);
-    if (!v) return std::nullopt;
-    return PaxosMsg{v->ballot, v->slot, v->origin_req,
-                    {v->value.begin(), v->value.end()}};
-  }
 };
 
 /// Phase-1b promise: beyond the ballot acknowledgement the acceptor

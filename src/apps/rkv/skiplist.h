@@ -29,12 +29,6 @@ class DmoSkipList {
 
   /// Create the head node (call once from the owning actor's init).
   void create(ActorEnv& env);
-  /// Re-attach to an existing list (after migration; ids are stable).
-  void attach(ObjId head, std::size_t size, std::uint64_t bytes) {
-    head_ = head;
-    size_ = size;
-    value_bytes_ = bytes;
-  }
 
   /// Insert or update.  A tombstone insert records a deletion marker
   /// (LSM-style delete).  Returns false on DMO exhaustion.

@@ -1,7 +1,7 @@
 #include "ipipe/channel.h"
 
 #include <algorithm>
-#include <cassert>
+#include <array>
 #include <cstring>
 
 #include "crypto/crc32.h"
@@ -9,56 +9,22 @@
 namespace ipipe {
 namespace {
 
-template <typename T>
-void put(std::vector<std::uint8_t>& out, T value) {
-  const auto* p = reinterpret_cast<const std::uint8_t*>(&value);
-  out.insert(out.end(), p, p + sizeof(T));
-}
+using Header = std::array<std::uint8_t, ChannelMsg::kHeaderBytes>;
 
 template <typename T>
-[[nodiscard]] bool get(std::span<const std::uint8_t> in, std::size_t& off,
-                       T& value) {
-  if (off + sizeof(T) > in.size()) return false;
-  std::memcpy(&value, in.data() + off, sizeof(T));
-  off += sizeof(T);
-  return true;
+void put(std::uint8_t*& out, T value) {
+  std::memcpy(out, &value, sizeof(T));
+  out += sizeof(T);
 }
 
-}  // namespace
-
-ChannelMsg ChannelMsg::from_packet(const netsim::Packet& pkt) {
-  ChannelMsg msg;
-  msg.dst_actor = pkt.dst_actor;
-  msg.src_actor = pkt.src_actor;
-  msg.msg_type = pkt.msg_type;
-  msg.src_node = pkt.src;
-  msg.dst_node = pkt.dst;
-  msg.flow = pkt.flow;
-  msg.request_id = pkt.request_id;
-  msg.created_at = pkt.created_at;
-  msg.frame_size = pkt.frame_size;
-  msg.payload = pkt.payload;
-  return msg;
+template <typename T>
+void get(const std::uint8_t*& in, T& value) {
+  std::memcpy(&value, in, sizeof(T));
+  in += sizeof(T);
 }
 
-netsim::PacketPtr ChannelMsg::to_packet(netsim::PacketPool& pool) const {
-  auto pkt = pool.make();
-  pkt->dst_actor = dst_actor;
-  pkt->src_actor = src_actor;
-  pkt->msg_type = msg_type;
-  pkt->src = src_node;
-  pkt->dst = dst_node;
-  pkt->flow = flow;
-  pkt->request_id = request_id;
-  pkt->created_at = created_at;
-  pkt->frame_size = frame_size;
-  pkt->payload = payload;
-  return pkt;
-}
-
-std::vector<std::uint8_t> serialize(const ChannelMsg& msg) {
-  std::vector<std::uint8_t> out;
-  out.reserve(ChannelMsg::kHeaderBytes + msg.payload.size());
+void encode_header(const ChannelMsg& msg, Header& hdr) {
+  std::uint8_t* out = hdr.data();
   put(out, msg.dst_actor);
   put(out, msg.src_actor);
   put(out, msg.msg_type);
@@ -71,73 +37,137 @@ std::vector<std::uint8_t> serialize(const ChannelMsg& msg) {
   put(out, msg.frame_size);
   put(out, msg.seq);
   put(out, static_cast<std::uint32_t>(msg.payload.size()));
-  out.insert(out.end(), msg.payload.begin(), msg.payload.end());
-  return out;
 }
 
-std::optional<ChannelMsg> parse_msg(std::span<const std::uint8_t> bytes) {
+}  // namespace
+
+ChannelMsg ChannelMsg::from_packet(netsim::Packet pkt) {
   ChannelMsg msg;
-  std::size_t off = 0;
-  std::uint32_t payload_len = 0;
-  if (!get(bytes, off, msg.dst_actor) || !get(bytes, off, msg.src_actor) ||
-      !get(bytes, off, msg.msg_type) ||
-      !get(bytes, off, msg.flags) || !get(bytes, off, msg.src_node) ||
-      !get(bytes, off, msg.dst_node) || !get(bytes, off, msg.flow) ||
-      !get(bytes, off, msg.request_id) || !get(bytes, off, msg.created_at) ||
-      !get(bytes, off, msg.frame_size) || !get(bytes, off, msg.seq) ||
-      !get(bytes, off, payload_len)) {
-    return std::nullopt;
-  }
-  if (off + payload_len > bytes.size()) return std::nullopt;
-  msg.payload.assign(bytes.begin() + static_cast<std::ptrdiff_t>(off),
-                     bytes.begin() + static_cast<std::ptrdiff_t>(off + payload_len));
+  msg.dst_actor = pkt.dst_actor;
+  msg.src_actor = pkt.src_actor;
+  msg.msg_type = pkt.msg_type;
+  msg.src_node = pkt.src;
+  msg.dst_node = pkt.dst;
+  msg.flow = pkt.flow;
+  msg.request_id = pkt.request_id;
+  msg.created_at = pkt.created_at;
+  msg.frame_size = pkt.frame_size;
+  msg.payload = std::move(pkt.payload);
   return msg;
 }
 
-ChannelRing::ChannelRing(std::size_t capacity) : buf_(capacity, 0) {}
+netsim::PacketPtr ChannelMsg::to_packet(netsim::PacketPool& pool) && {
+  auto pkt = pool.make();
+  pkt->dst_actor = dst_actor;
+  pkt->src_actor = src_actor;
+  pkt->msg_type = msg_type;
+  pkt->src = src_node;
+  pkt->dst = dst_node;
+  pkt->flow = flow;
+  pkt->request_id = request_id;
+  pkt->created_at = created_at;
+  pkt->frame_size = frame_size;
+  pkt->payload = std::move(payload);
+  return pkt;
+}
+
+FrameView FrameView::sub(std::size_t off, std::size_t len) const noexcept {
+  if (off >= head.size()) return {tail.subspan(off - head.size(), len), {}};
+  const std::size_t in_head = std::min(len, head.size() - off);
+  return {head.subspan(off, in_head), tail.first(len - in_head)};
+}
+
+void FrameView::append_to(std::vector<std::uint8_t>& out) const {
+  out.reserve(out.size() + size());
+  out.insert(out.end(), head.begin(), head.end());
+  out.insert(out.end(), tail.begin(), tail.end());
+}
+
+bool operator==(const FrameView& view,
+                std::span<const std::uint8_t> bytes) noexcept {
+  const auto tail_at =
+      bytes.begin() + static_cast<std::ptrdiff_t>(view.head.size());
+  return view.size() == bytes.size() &&
+         std::equal(view.head.begin(), view.head.end(), bytes.begin()) &&
+         std::equal(view.tail.begin(), view.tail.end(), tail_at);
+}
+
+std::optional<ChannelMsg> parse_frame(const FrameView& body) {
+  if (body.size() < ChannelMsg::kHeaderBytes) return std::nullopt;
+  Header hdr;
+  const FrameView fields = body.sub(0, hdr.size());
+  std::copy(fields.head.begin(), fields.head.end(), hdr.begin());
+  std::copy(fields.tail.begin(), fields.tail.end(),
+            hdr.begin() + static_cast<std::ptrdiff_t>(fields.head.size()));
+
+  ChannelMsg msg;
+  std::uint32_t payload_len = 0;
+  const std::uint8_t* in = hdr.data();
+  get(in, msg.dst_actor);
+  get(in, msg.src_actor);
+  get(in, msg.msg_type);
+  get(in, msg.flags);
+  get(in, msg.src_node);
+  get(in, msg.dst_node);
+  get(in, msg.flow);
+  get(in, msg.request_id);
+  get(in, msg.created_at);
+  get(in, msg.frame_size);
+  get(in, msg.seq);
+  get(in, payload_len);
+  if (payload_len > body.size() - hdr.size()) return std::nullopt;
+  body.sub(hdr.size(), payload_len).append_to(msg.payload);
+  return msg;
+}
+
+ChannelRing::ChannelRing(std::size_t capacity)
+    : capacity_(capacity),
+      buf_(std::make_unique_for_overwrite<std::uint8_t[]>(capacity)) {}
 
 std::size_t ChannelRing::producer_free() const noexcept {
-  return buf_.size() - (write_pos_ - acked_read_pos_);
+  return capacity_ - (write_pos_ - acked_read_pos_);
 }
 
 // Callers never move more than the ring holds, so a copy wraps at most
 // once: one segment up to the end of the buffer, one from its start.
 void ChannelRing::write_bytes(std::span<const std::uint8_t> bytes) {
   if (bytes.empty()) return;  // an empty span may carry no pointer
-  const std::size_t at = write_pos_ % buf_.size();
-  const std::size_t head = std::min(bytes.size(), buf_.size() - at);
-  std::memcpy(buf_.data() + at, bytes.data(), head);
-  std::memcpy(buf_.data(), bytes.data() + head, bytes.size() - head);
+  const std::size_t at = write_pos_ % capacity_;
+  const std::size_t head = std::min(bytes.size(), capacity_ - at);
+  std::memcpy(buf_.get() + at, bytes.data(), head);
+  std::memcpy(buf_.get(), bytes.data() + head, bytes.size() - head);
   write_pos_ += bytes.size();
 }
 
 void ChannelRing::read_bytes(std::span<std::uint8_t> out) {
-  if (out.empty()) return;  // an empty span may carry no pointer
-  const std::size_t at = read_pos_ % buf_.size();
-  const std::size_t head = std::min(out.size(), buf_.size() - at);
-  std::memcpy(out.data(), buf_.data() + at, head);
-  std::memcpy(out.data() + head, buf_.data(), out.size() - head);
+  const std::size_t at = read_pos_ % capacity_;
+  const std::size_t head = std::min(out.size(), capacity_ - at);
+  std::memcpy(out.data(), buf_.get() + at, head);
+  std::memcpy(out.data() + head, buf_.get(), out.size() - head);
   read_pos_ += out.size();
 }
 
-bool ChannelRing::push(std::span<const std::uint8_t> body) {
-  const std::size_t frame = 8 + body.size();  // [len u32][crc u32][body]
+bool ChannelRing::push(std::span<const std::uint8_t> body,
+                       std::span<const std::uint8_t> more) {
+  const std::size_t len = body.size() + more.size();
+  const std::size_t frame = 8 + len;  // [len u32][crc u32][body][more]
   if (frame > producer_free()) return false;
 
-  const std::uint32_t len = static_cast<std::uint32_t>(body.size());
-  const std::uint32_t crc = crypto::crc32(body);
+  const std::uint32_t len32 = static_cast<std::uint32_t>(len);
+  const std::uint32_t crc = crypto::crc32(more, crypto::crc32(body));
   std::uint8_t hdr[8];
-  std::memcpy(hdr, &len, 4);
+  std::memcpy(hdr, &len32, 4);
   std::memcpy(hdr + 4, &crc, 4);
   write_bytes(hdr);
   write_bytes(body);
+  write_bytes(more);
   ++pushed_;
   ++in_ring_;
   return true;
 }
 
-std::optional<std::vector<std::uint8_t>> ChannelRing::pop(
-    bool* corrupt, std::size_t* discarded) {
+std::optional<FrameView> ChannelRing::pop(bool* corrupt,
+                                          std::size_t* discarded) {
   if (corrupt) *corrupt = false;
   if (discarded) *discarded = 0;
   const std::size_t avail = write_pos_ - read_pos_;
@@ -153,7 +183,7 @@ std::optional<std::vector<std::uint8_t>> ChannelRing::pop(
   // A corrupt `len` desyncs the byte stream: frame boundaries after it
   // cannot be trusted.  Recover by discarding every unread byte; the
   // reliability layer redelivers the lost frames.
-  if (len > avail - 8 || len + 8 > buf_.size()) {
+  if (len > avail - 8 || len + 8 > capacity_) {
     const std::uint64_t lost = in_ring_;
     ++framing_errors_;
     popped_ += lost;
@@ -165,13 +195,15 @@ std::optional<std::vector<std::uint8_t>> ChannelRing::pop(
     return std::nullopt;
   }
 
-  std::vector<std::uint8_t> body(len);
-  read_bytes(body);
+  const std::size_t at = read_pos_ % capacity_;
+  const std::size_t head = std::min<std::size_t>(len, capacity_ - at);
+  const FrameView body{{buf_.get() + at, head}, {buf_.get(), len - head}};
+  read_pos_ += len;
   consumed_unacked_ += 8 + len;
   ++popped_;
   if (in_ring_ > 0) --in_ring_;
 
-  if (crypto::crc32(body) != crc) {
+  if (crypto::crc32(body.tail, crypto::crc32(body.head)) != crc) {
     ++crc_failures_;
     if (corrupt) *corrupt = true;
     if (discarded) *discarded = 1;
@@ -206,20 +238,21 @@ void MessageChannel::maybe_inject_fault(Dir& dir, std::size_t frame_start,
 
 std::optional<Ns> MessageChannel::try_push(Dir& dir, const ChannelMsg& msg) {
   if (link_down_) return std::nullopt;  // PCIe flap: nothing crosses
-  const auto body = serialize(msg);
+  Header hdr;
+  encode_header(msg, hdr);
+  const std::size_t body_len = hdr.size() + msg.payload.size();
   const std::size_t frame_start = dir.ring.write_pos();
-  if (!dir.ring.push(body)) return std::nullopt;
-  maybe_inject_fault(dir, frame_start, body.size());
+  if (!dir.ring.push(hdr, msg.payload)) return std::nullopt;
+  maybe_inject_fault(dir, frame_start, body_len);
 
   dir.stats.ring_high_watermark =
       std::max(dir.stats.ring_high_watermark, dir.ring.occupied());
 
   // The message body crosses PCIe as one non-blocking DMA write; it is
   // only poppable on the far side once the transfer completes.
-  const Ns post = dma_.nonblocking_write(
-      static_cast<std::uint32_t>(body.size() + 8), nullptr);
-  const Ns visible = sim_.now() + dma_.blocking_write_latency(
-                                      static_cast<std::uint32_t>(body.size() + 8));
+  const auto frame_bytes = static_cast<std::uint32_t>(body_len + 8);
+  const Ns post = dma_.nonblocking_write(frame_bytes, nullptr);
+  const Ns visible = sim_.now() + dma_.blocking_write_latency(frame_bytes);
   dir.vis.push_back(Pending{visible, msg.seq});
   // Always schedule the visibility edge so pollers (and tests) running the
   // event loop observe the message without an external timer.
@@ -278,21 +311,26 @@ void MessageChannel::arm_retry(Dir& dir) {
 void MessageChannel::flush_pending(Dir& dir) {
   bool progressed = false;
   while (!dir.pending.empty()) {
-    Parked& head = dir.pending.front();
-    if (!try_push(dir, head.msg)) break;
+    const Parked& head = dir.pending.front();
+    Retained& copy = *retained_of(dir, head.seq);
+    if (!try_push(dir, copy.msg)) break;
     progressed = true;
+    copy.parked = false;
     ++dir.stats.sent;
     if (head.is_retransmit) {
       ++dir.stats.retransmits;
       if (tracing()) {
         tracer_->instant(trace::Cat::kChannel, "chan_retransmit", tid_of(dir),
-                         head.msg.dst_actor,
+                         copy.msg.dst_actor,
                          {"seq", static_cast<double>(head.seq)});
       }
     }
     dir.stats.queue_delay.add(sim_.now() - head.queued_at);
     dir.pending.pop_front();
   }
+  // A retransmit can outlive its message's delivery (a duplicate); the
+  // copy it held back goes now.
+  if (progressed) release_retained(dir);
   if (dir.pending.empty()) {
     dir.backoff = 0;
     note_backpressure_end(dir);
@@ -313,51 +351,61 @@ void MessageChannel::schedule_retransmit(Dir& dir, std::uint64_t seq) {
   sim_.schedule(tuning_.nack_delay, [this, &dir, seq] {
     if (seq < dir.next_deliver) return;            // delivered meanwhile
     if (dir.reorder.count(seq) != 0) return;       // already received
-    for (const Parked& p : dir.pending) {
-      if (p.seq == seq) return;                    // already queued
-    }
-    for (const Retained& r : dir.retained) {
-      if (r.seq != seq) continue;
-      // Jump the queue: the receiver is head-of-line blocked on this seq
-      // (the reorder buffer fixes up delivery order regardless).
-      note_backpressure_start(dir);
-      dir.pending.push_front(Parked{seq, r.msg, sim_.now(), true});
-      dir.stats.pending_high_watermark =
-          std::max(dir.stats.pending_high_watermark, dir.pending.size());
-      flush_pending(dir);
-      return;
-    }
+    Retained* copy = retained_of(dir, seq);
+    if (copy == nullptr) return;
+    if (copy->parked) return;                      // already queued
+    // Jump the queue: the receiver is head-of-line blocked on this seq
+    // (the reorder buffer fixes up delivery order regardless).
+    note_backpressure_start(dir);
+    copy->parked = true;
+    dir.pending.push_front(Parked{seq, sim_.now(), true});
+    dir.stats.pending_high_watermark =
+        std::max(dir.stats.pending_high_watermark, dir.pending.size());
+    flush_pending(dir);
   });
 }
 
+MessageChannel::Retained* MessageChannel::retained_of(
+    Dir& dir, std::uint64_t seq) noexcept {
+  if (dir.retained.empty()) return nullptr;
+  const std::uint64_t first = dir.retained.front().msg.seq;
+  if (seq < first || seq - first >= dir.retained.size()) return nullptr;
+  return &dir.retained[static_cast<std::size_t>(seq - first)];
+}
+
 void MessageChannel::release_retained(Dir& dir) {
-  while (!dir.retained.empty() && dir.retained.front().seq < dir.next_deliver) {
+  while (!dir.retained.empty() &&
+         dir.retained.front().msg.seq < dir.next_deliver &&
+         !dir.retained.front().parked) {
     dir.retained.pop_front();
   }
 }
 
 SendTicket MessageChannel::send_or_queue(Dir& dir, ChannelMsg msg) {
   msg.seq = dir.next_seq++;
-  dir.retained.push_back(Retained{msg.seq, msg});
+  dir.retained.push_back(Retained{std::move(msg)});
+  Retained& copy = dir.retained.back();
 
   if (dir.pending.empty()) {
-    if (const auto cost = try_push(dir, msg)) {
+    if (const auto cost = try_push(dir, copy.msg)) {
       ++dir.stats.sent;
       return SendTicket{SendOutcome::kSent, *cost};
     }
   }
   // Ring full (or earlier messages already parked): preserve FIFO order
   // by appending to the pending queue — never drop.
+  const std::uint64_t seq = copy.msg.seq;
   if (tracing()) {
     tracer_->instant(trace::Cat::kChannel, "chan_queued", tid_of(dir),
-                     msg.dst_actor,
+                     copy.msg.dst_actor,
                      {"pending", static_cast<double>(dir.pending.size() + 1)},
-                     {"seq", static_cast<double>(msg.seq)});
+                     {"seq", static_cast<double>(seq)});
   }
   ++dir.stats.queued;
   ++dir.stats.drops_avoided;
   note_backpressure_start(dir);
-  dir.pending.push_back(Parked{msg.seq, std::move(msg), sim_.now(), false});
+  copy.parked = true;
+  dir.pending.push_back(Parked{seq, sim_.now(), false});
   dir.stats.pending_high_watermark =
       std::max(dir.stats.pending_high_watermark, dir.pending.size());
   arm_retry(dir);
@@ -383,7 +431,9 @@ std::optional<ChannelMsg> MessageChannel::poll(Dir& dir) {
 
   bool corrupt = false;
   std::size_t discarded = 0;
-  auto body = dir.ring.pop(&corrupt, &discarded);
+  // The body is a view into the ring, parsed below before anything can
+  // push over it.
+  const auto body = dir.ring.pop(&corrupt, &discarded);
   // Lazy header-pointer sync back to the producer.
   if (dir.ring.unacked() > dir.ring.capacity() / 2) dir.ring.ack();
 
@@ -417,7 +467,7 @@ std::optional<ChannelMsg> MessageChannel::poll(Dir& dir) {
   const std::uint64_t frame_seq = dir.vis.front().seq;
   dir.vis.pop_front();
 
-  auto msg = parse_msg(*body);
+  auto msg = parse_frame(*body);
   if (!msg) {
     // CRC-clean but unparseable should not happen; treat as corrupt so
     // the message is still redelivered rather than lost.
@@ -446,12 +496,12 @@ bool MessageChannel::has_data(const Dir& dir) const noexcept {
   return !dir.vis.empty() && dir.vis.front().visible_at <= sim_.now();
 }
 
-SendTicket MessageChannel::send_or_queue_to_host(const ChannelMsg& msg) {
-  return send_or_queue(to_host_, msg);
+SendTicket MessageChannel::send_or_queue_to_host(ChannelMsg msg) {
+  return send_or_queue(to_host_, std::move(msg));
 }
 
-SendTicket MessageChannel::send_or_queue_to_nic(const ChannelMsg& msg) {
-  return send_or_queue(to_nic_, msg);
+SendTicket MessageChannel::send_or_queue_to_nic(ChannelMsg msg) {
+  return send_or_queue(to_nic_, std::move(msg));
 }
 
 std::optional<ChannelMsg> MessageChannel::host_poll() { return poll(to_host_); }
@@ -482,15 +532,17 @@ void MessageChannel::reset() {
 }
 
 std::vector<ChannelMsg> MessageChannel::fence_for_nic_failure() {
-  // Retained copies are exactly the host->NIC messages the NIC never
-  // consumed (release_retained prunes them the moment delivery
-  // progresses), already in sequence order.  Out-of-order redeliveries
-  // sitting in the NIC-side reorder buffer were never handed to an actor
-  // either, but each still has its retained copy, so the retained queue
-  // alone is the complete undelivered set.
+  // Retained copies from next_deliver on are exactly the host->NIC
+  // messages the NIC never consumed (release_retained prunes the others
+  // as delivery progresses, unless a parked duplicate still needs one),
+  // already in sequence order.  Out-of-order redeliveries sitting in the
+  // NIC-side reorder buffer were never handed to an actor either, but
+  // each still has its retained copy, so the retained queue alone is the
+  // complete undelivered set.
   std::vector<ChannelMsg> undelivered;
   undelivered.reserve(to_nic_.retained.size());
   for (Retained& r : to_nic_.retained) {
+    if (r.msg.seq < to_nic_.next_deliver) continue;
     undelivered.push_back(std::move(r.msg));
   }
   reset();

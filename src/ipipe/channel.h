@@ -16,16 +16,26 @@
 // receiver reorders out-of-sequence redeliveries, so `send_or_queue`
 // never loses a message and per-destination ordering is preserved.
 //
-// This implementation is real: bytes are serialized into an actual ring,
+// This implementation is real: bytes are written into an actual ring,
 // wrap-around and checksum verification happen on real data (tests inject
 // corruption), and only the *timing* (PCIe transfer, poll intervals) is
 // simulated.
+//
+// Copy rule: a message's payload is copied twice on its way across, once
+// into the ring (straight after its header, no staging buffer) and once
+// out of it, into the message the receiver polls.  Everything else moves
+// it: a sent packet's payload moves into the channel, the sender's
+// retransmission copy is the one owned copy until delivery, and a polled
+// message's payload moves into the packet the runtime dispatches.  The
+// ring's storage is not zero-filled, so a ring costs memory only for the
+// bytes its producer has reached.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -56,9 +66,11 @@ struct ChannelMsg {
   std::uint64_t seq = 0;
   std::vector<std::uint8_t> payload;
 
-  [[nodiscard]] static ChannelMsg from_packet(const netsim::Packet& pkt);
-  /// Rebuild a Packet from this message, drawing from `pool`.
-  [[nodiscard]] netsim::PacketPtr to_packet(netsim::PacketPool& pool) const;
+  /// The message carrying `pkt`; the payload moves in.
+  [[nodiscard]] static ChannelMsg from_packet(netsim::Packet pkt);
+  /// Rebuild a Packet from this message, drawing from `pool`; the payload
+  /// moves out.
+  [[nodiscard]] netsim::PacketPtr to_packet(netsim::PacketPool& pool) &&;
 
   /// Serialized wire size (header + payload), for DMA cost accounting.
   [[nodiscard]] std::uint32_t wire_bytes() const noexcept {
@@ -67,10 +79,30 @@ struct ChannelMsg {
   static constexpr std::uint32_t kHeaderBytes = 56;
 };
 
-/// Serialize / parse (parse returns nullopt on malformed input).
-[[nodiscard]] std::vector<std::uint8_t> serialize(const ChannelMsg& msg);
-[[nodiscard]] std::optional<ChannelMsg> parse_msg(
-    std::span<const std::uint8_t> bytes);
+/// A frame body where it lies in a ChannelRing: `head`, then `tail` when
+/// the body wraps past the end of the ring's storage (empty otherwise).
+/// The bytes stay valid until the ring's next push.
+struct FrameView {
+  std::span<const std::uint8_t> head;
+  std::span<const std::uint8_t> tail;
+
+  [[nodiscard]] std::size_t size() const noexcept {
+    return head.size() + tail.size();
+  }
+  /// Body bytes [off, off + len); the range must lie within size().
+  [[nodiscard]] FrameView sub(std::size_t off, std::size_t len) const noexcept;
+  /// Append the body's bytes to `out`.
+  void append_to(std::vector<std::uint8_t>& out) const;
+
+  friend bool operator==(const FrameView& view,
+                         std::span<const std::uint8_t> bytes) noexcept;
+};
+
+/// Parse a frame body in place: the header fields, then one copy of the
+/// payload.  nullopt on malformed input.  The body is the message's
+/// ChannelMsg::kHeaderBytes header (its fields in declaration order, then
+/// the payload length, in host byte order) followed by the payload.
+[[nodiscard]] std::optional<ChannelMsg> parse_frame(const FrameView& body);
 
 /// Unidirectional SPSC ring with framing ([len][crc][body]) and lazy
 /// consumer-progress acknowledgement.
@@ -78,17 +110,20 @@ class ChannelRing {
  public:
   explicit ChannelRing(std::size_t capacity);
 
-  /// Producer: append one framed message.  Fails (false) when the
-  /// producer's *conservative* free-space view cannot fit it.
-  bool push(std::span<const std::uint8_t> body);
+  /// Producer: append one framed message whose body is `body` followed by
+  /// `more`.  Fails (false) when the producer's *conservative* free-space
+  /// view cannot fit it.
+  bool push(std::span<const std::uint8_t> body,
+            std::span<const std::uint8_t> more = {});
 
   /// Consumer: pop the next message; verifies the checksum.  Returns
   /// nullopt when empty.  `corrupt` is set when one or more frames were
   /// consumed and discarded; `discarded` (optional) receives how many.
   /// A corrupt `len` field desyncs the byte stream — the ring recovers by
   /// skipping every unread byte and reporting all skipped frames lost.
-  std::optional<std::vector<std::uint8_t>> pop(bool* corrupt = nullptr,
-                                               std::size_t* discarded = nullptr);
+  /// The returned view points into the ring (see FrameView).
+  std::optional<FrameView> pop(bool* corrupt = nullptr,
+                               std::size_t* discarded = nullptr);
 
   /// Consumer-side: bytes consumed since the last ack.  The channel sends
   /// an ack message once this exceeds capacity/2 (§3.5).
@@ -104,7 +139,7 @@ class ChannelRing {
     in_ring_ = 0;
   }
 
-  [[nodiscard]] std::size_t capacity() const noexcept { return buf_.size(); }
+  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   /// Producer's conservative view of free bytes.
   [[nodiscard]] std::size_t producer_free() const noexcept;
   /// Bytes actually occupied (written, not yet read).
@@ -119,9 +154,13 @@ class ChannelRing {
     return framing_errors_;
   }
 
-  /// Test hook: flip a bit inside the ring storage.
+  /// Test hooks: flip a bit inside the ring storage / read a stored byte
+  /// (positions are logical, reduced mod capacity).
   void corrupt_byte(std::size_t pos, std::uint8_t xor_mask) {
-    buf_[pos % buf_.size()] ^= xor_mask;
+    buf_[pos % capacity_] ^= xor_mask;
+  }
+  [[nodiscard]] std::uint8_t byte_at(std::size_t pos) const {
+    return buf_[pos % capacity_];
   }
   [[nodiscard]] std::size_t write_pos() const noexcept { return write_pos_; }
   [[nodiscard]] std::size_t read_pos() const noexcept { return read_pos_; }
@@ -130,7 +169,10 @@ class ChannelRing {
   void write_bytes(std::span<const std::uint8_t> bytes);
   void read_bytes(std::span<std::uint8_t> out);
 
-  std::vector<std::uint8_t> buf_;
+  std::size_t capacity_;
+  /// Not zero-filled: untouched pages cost no memory (see the file
+  /// header).  Only written bytes are ever read.
+  std::unique_ptr<std::uint8_t[]> buf_;
   // Logical (monotonically increasing) positions, reduced mod capacity.
   std::size_t write_pos_ = 0;       // producer
   std::size_t read_pos_ = 0;        // consumer
@@ -188,8 +230,8 @@ class MessageChannel {
   // ---- the only send interface ------------------------------------------
   /// NIC -> host / host -> NIC.  Never loses the message: a full ring
   /// parks it in the pending queue and a scheduled retry redelivers.
-  SendTicket send_or_queue_to_host(const ChannelMsg& msg);
-  SendTicket send_or_queue_to_nic(const ChannelMsg& msg);
+  SendTicket send_or_queue_to_host(ChannelMsg msg);
+  SendTicket send_or_queue_to_nic(ChannelMsg msg);
 
   /// Receive sides (nullopt when nothing is visible yet).  Sequence
   /// numbers are enforced: out-of-order redeliveries are buffered and
@@ -259,15 +301,18 @@ class MessageChannel {
     Ns visible_at;
     std::uint64_t seq;
   };
+  /// A frame waiting for ring space; its bytes are its Retained entry's.
   struct Parked {
     std::uint64_t seq;
-    ChannelMsg msg;
     Ns queued_at;
     bool is_retransmit;
   };
+  /// The sender's copy of a sent message (msg.seq is its sequence
+  /// number).  Pruned once delivered, except that an entry a Parked frame
+  /// still needs stays until that frame is pushed.
   struct Retained {
-    std::uint64_t seq;
     ChannelMsg msg;
+    bool parked = false;
   };
 
   /// All state for one direction (producer + consumer + reliability).
@@ -280,7 +325,9 @@ class MessageChannel {
     // Producer-side reliability state.
     std::uint64_t next_seq = 0;
     std::deque<Parked> pending;     ///< waiting for ring space
-    std::deque<Retained> retained;  ///< sent, not yet delivered
+    /// Sent, not yet delivered (see Retained): consecutive sequence
+    /// numbers, so a seq indexes it (retained_of).
+    std::deque<Retained> retained;
     Ns backoff = 0;
     bool retry_armed = false;
     bool backpressure_active = false;
@@ -307,6 +354,9 @@ class MessageChannel {
   /// the wake notification.  Returns the core-side post cost, nullopt if
   /// the ring cannot take the frame.
   std::optional<Ns> try_push(Dir& dir, const ChannelMsg& msg);
+  /// `dir`'s retained entry for `seq`, nullptr when there is none.
+  [[nodiscard]] static Retained* retained_of(Dir& dir,
+                                             std::uint64_t seq) noexcept;
   SendTicket send_or_queue(Dir& dir, ChannelMsg msg);
   std::optional<ChannelMsg> poll(Dir& dir);
   [[nodiscard]] bool has_data(const Dir& dir) const noexcept;
@@ -318,7 +368,8 @@ class MessageChannel {
   void schedule_retransmit(Dir& dir, std::uint64_t seq);
   void note_backpressure_start(Dir& dir);
   void note_backpressure_end(Dir& dir);
-  /// Consumer progressed to `next_deliver`: release retained copies.
+  /// Consumer progressed to `next_deliver`: release retained copies no
+  /// parked frame needs.
   void release_retained(Dir& dir);
   void maybe_inject_fault(Dir& dir, std::size_t frame_start,
                           std::size_t body_len);

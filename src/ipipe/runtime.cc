@@ -831,7 +831,8 @@ void Runtime::emergency_evacuate(std::vector<ChannelMsg> undelivered) {
   // destinations buffer them and serve them after the replay window.
   for (ChannelMsg& m : undelivered) {
     if (m.dst_actor == kWatchdogActor) continue;  // stale heartbeats
-    deliver_local(m.dst_actor, m.to_packet(pool_), MemSide::kHost);
+    const ActorId dst = m.dst_actor;
+    deliver_local(dst, std::move(m).to_packet(pool_), MemSide::kHost);
   }
   const Ns replay =
       static_cast<Ns>(replay_bytes) * kEvacReplayNsPerKb / 1024 +
@@ -1096,7 +1097,8 @@ bool Runtime::advance_migration(nic::NicExecContext& ctx) {
           // Reliable path: a full ring parks the message inside the
           // channel (retransmitted with backoff) instead of stalling the
           // migration's phase 4 on a bounced buffer.
-          ctx.charge(send_or_queue(MemSide::kNic, ChannelMsg::from_packet(*pkt)));
+          ctx.charge(send_or_queue(MemSide::kNic,
+                                   ChannelMsg::from_packet(std::move(*pkt))));
         } else {
           ctx.defer([this, p = std::move(pkt)]() mutable {
             nic_.tm().push(std::move(p));
@@ -1184,7 +1186,7 @@ bool Runtime::fcfs_run(nic::NicExecContext& ctx, unsigned core) {
         }
         return true;
       }
-      auto pkt = msg->to_packet(pool_);
+      auto pkt = std::move(*msg).to_packet(pool_);
       pkt->nic_arrival = sim_.now();
       dispatch_nic(ctx, std::move(pkt), pkt_start);
       return true;
@@ -1295,13 +1297,16 @@ void Runtime::execute_on_nic(nic::NicExecContext& ctx, ActorControl& ac,
 
 void Runtime::forward_to_host(nic::NicExecContext& ctx, netsim::PacketPtr pkt) {
   ctx.charge(cfg_.channel_handling_ns);
-  ctx.charge(send_or_queue(MemSide::kNic, ChannelMsg::from_packet(*pkt)));
+  ctx.charge(send_or_queue(MemSide::kNic,
+                           ChannelMsg::from_packet(std::move(*pkt))));
 }
 
-Ns Runtime::send_or_queue(MemSide from, const ChannelMsg& msg) {
+Ns Runtime::send_or_queue(MemSide from, ChannelMsg msg) {
+  const ActorId dst = msg.dst_actor;
+  const std::uint32_t wire_bytes = msg.wire_bytes();
   const SendTicket ticket = from == MemSide::kNic
-                                ? channel_.send_or_queue_to_host(msg)
-                                : channel_.send_or_queue_to_nic(msg);
+                                ? channel_.send_or_queue_to_host(std::move(msg))
+                                : channel_.send_or_queue_to_nic(std::move(msg));
   Ns cost = ticket.cost;
   if (ticket.outcome == SendOutcome::kBackpressured) {
     // The pending queue is over its cap: charge a stall so the producer
@@ -1311,8 +1316,8 @@ Ns Runtime::send_or_queue(MemSide from, const ChannelMsg& msg) {
   // Tenant channel budget: traffic destined to a tenant's actor charges
   // that tenant's token bucket, and an over-budget tenant pays a
   // sender-side stall — the shared PCIe rings stay available to others.
-  if (TenantState* t = tenant_of(msg.dst_actor); t != nullptr) {
-    cost += t->chan_charge(msg.wire_bytes(), sim_.now());
+  if (TenantState* t = tenant_of(dst); t != nullptr) {
+    cost += t->chan_charge(wire_bytes, sim_.now());
   }
   return cost;
 }
@@ -1907,7 +1912,7 @@ bool Runtime::host_run_once(hostsim::HostExecContext& ctx, unsigned core) {
         }
         return true;
       }
-      auto pkt = msg->to_packet(pool_);
+      auto pkt = std::move(*msg).to_packet(pool_);
       ctx.charge_rx(pkt->frame_size);
       pkt->nic_arrival = sim_.now();
       ActorControl* ac = control(pkt->dst_actor);
@@ -1972,7 +1977,8 @@ void Runtime::serve_on_host(hostsim::HostExecContext& ctx, ActorControl& ac,
   if (ac.loc == ActorLoc::kNic) {
     // Stale: bounce back to the NIC (reliably — a full ring must not eat
     // the request).
-    ctx.charge(send_or_queue(MemSide::kHost, ChannelMsg::from_packet(*pkt)));
+    ctx.charge(send_or_queue(MemSide::kHost,
+                             ChannelMsg::from_packet(std::move(*pkt))));
     return;
   }
   execute_on_host(ctx, ac, std::move(pkt));
@@ -2022,7 +2028,7 @@ void Runtime::deliver_local(ActorId dst, netsim::PacketPtr msg, MemSide from) {
     // Crossing PCIe: go through the (reliable) message channel.  The
     // sender's core slice has already retired, so the post cost cannot be
     // charged — but the message can no longer be silently dropped either.
-    (void)send_or_queue(from, ChannelMsg::from_packet(*msg));
+    (void)send_or_queue(from, ChannelMsg::from_packet(std::move(*msg)));
     return;
   }
 

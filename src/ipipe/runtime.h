@@ -384,7 +384,7 @@ class Runtime {
   /// The single reliable cross-PCIe send path: every channel message goes
   /// through here and is either sent or parked for retransmit — never
   /// dropped.  Returns the core-side cost to charge.
-  Ns send_or_queue(MemSide from, const ChannelMsg& msg);
+  Ns send_or_queue(MemSide from, ChannelMsg msg);
   /// Auto-scaling primitives (exposed for regression tests): retiring
   /// refuses to drop the last DRR core while DRR mailboxes hold work.
   void spawn_drr_core();

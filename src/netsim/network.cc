@@ -57,7 +57,9 @@ void Network::corrupt_payload(Packet& pkt) {
 }
 
 // ---------------------------------------------------------------------------
-// The frame takes three hops, each owned by one domain.
+// The frame takes three hops, each owned by one domain.  send() looks both
+// ports up once; the destination's entry rides along with the frame
+// (ports are never erased, and unordered_map entries never move).
 // ---------------------------------------------------------------------------
 
 // Hop 1, on the source's domain: serialize on the uplink (the source
@@ -78,17 +80,18 @@ void Network::send(PacketPtr pkt) {
   const Ns tx_start = std::max(now, src_port.tx_busy_until);
   const Ns tx_done = tx_start + wire_time(pkt->frame_size, src_port.gbps);
   src_port.tx_busy_until = tx_done;
-  psim_.post(switch_domain_, tx_done + switch_in_,
-              [this, p = std::move(pkt)]() mutable {
-                switch_hop(std::move(p));
-              });
+  auto hop = [this, dst = &dst_it->second, p = std::move(pkt)]() mutable {
+    switch_hop(std::move(p), *dst);
+  };
+  static_assert(sizeof(hop) <= InlineFn::kInlineBytes);
+  psim_.post(switch_domain_, tx_done + switch_in_, std::move(hop));
 }
 
 // Hop 2, on the switch domain: partition and fault decisions.  All fault
 // randomness draws from the switch-owned RNG here; the canonical handoff
 // drain order makes the draw sequence — and so every fault outcome — a
 // pure function of the workload, independent of thread count.
-void Network::switch_hop(PacketPtr pkt) {
+void Network::switch_hop(PacketPtr pkt, PortState& dst) {
   if (pair_blocked(pkt->src, pkt->dst)) {
     dropped_partition_.fetch_add(1, std::memory_order_relaxed);
     return;
@@ -108,45 +111,38 @@ void Network::switch_hop(PacketPtr pkt) {
     const bool corrupt_dup =
         faults_.corrupt_prob > 0.0 && rng_.bernoulli(faults_.corrupt_prob);
     if (corrupt_dup) corrupt_payload(*copy);
-    post_to_dst(std::move(copy), jitter, corrupt_dup);
+    post_to_dst(std::move(copy), dst, jitter, corrupt_dup);
   }
   const bool corrupt =
       faults_.corrupt_prob > 0.0 && rng_.bernoulli(faults_.corrupt_prob);
   if (corrupt) corrupt_payload(*pkt);
-  post_to_dst(std::move(pkt), jitter, corrupt);
+  post_to_dst(std::move(pkt), dst, jitter, corrupt);
 }
 
-void Network::post_to_dst(PacketPtr pkt, Ns jitter, bool corrupt) {
-  const auto it = ports_.find(pkt->dst);
-  if (it == ports_.end()) {
-    dropped_node_down_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  const sim::DomainId dst_domain = it->second.domain;
-  psim_.post(dst_domain, sim_.now() + switch_out_ + jitter,
-              [this, corrupt, p = std::move(pkt)]() mutable {
-                arrive(std::move(p), corrupt);
-              });
+void Network::post_to_dst(PacketPtr pkt, PortState& dst, Ns jitter,
+                          bool corrupt) {
+  auto hop = [this, &dst, corrupt, p = std::move(pkt)]() mutable {
+    arrive(std::move(p), dst, corrupt);
+  };
+  static_assert(sizeof(hop) <= InlineFn::kInlineBytes);
+  psim_.post(dst.domain, sim_.now() + switch_out_ + jitter, std::move(hop));
 }
 
 // Hop 3, on the destination's domain: the up/down check and rx
 // serialization use destination-owned state, then the frame delivers (or
 // the FCS check eats a corrupted one) once its downlink time is paid.
-void Network::arrive(PacketPtr pkt, bool corrupt) {
-  const auto it = ports_.find(pkt->dst);
-  if (it == ports_.end() || !it->second.up || it->second.ep == nullptr) {
+void Network::arrive(PacketPtr pkt, PortState& port, bool corrupt) {
+  if (!port.up || port.ep == nullptr) {
     dropped_node_down_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  PortState& port = it->second;
   sim::Simulation& dsim = psim_.domain(port.domain);
   const Ns now = dsim.now();
   const Ns rx_start = std::max(now, port.rx_busy_until);
   const Ns rx_done = rx_start + wire_time(pkt->frame_size, port.gbps);
   port.rx_busy_until = rx_done;
-  dsim.schedule_at(rx_done, [this, corrupt, p = std::move(pkt)]() mutable {
-    const auto dit = ports_.find(p->dst);
-    if (dit == ports_.end() || !dit->second.up || dit->second.ep == nullptr) {
+  auto deliver = [this, &port, corrupt, p = std::move(pkt)]() mutable {
+    if (!port.up || port.ep == nullptr) {
       dropped_node_down_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
@@ -155,9 +151,11 @@ void Network::arrive(PacketPtr pkt, bool corrupt) {
       return;
     }
     frames_delivered_.fetch_add(1, std::memory_order_relaxed);
-    p->nic_arrival = psim_.domain(dit->second.domain).now();
-    dit->second.ep->receive(std::move(p));
-  });
+    p->nic_arrival = psim_.domain(port.domain).now();
+    port.ep->receive(std::move(p));
+  };
+  static_assert(sizeof(deliver) <= InlineFn::kInlineBytes);
+  dsim.schedule_at(rx_done, std::move(deliver));
 }
 
 }  // namespace ipipe::netsim

@@ -187,10 +187,11 @@ class Network {
 
   /// Flip one random payload bit (corrupt_prob fault path).
   void corrupt_payload(Packet& pkt);
-  /// Hops 2 and 3 (hop 1 is send(); see file header).
-  void switch_hop(PacketPtr pkt);
-  void post_to_dst(PacketPtr pkt, Ns jitter, bool corrupt);
-  void arrive(PacketPtr pkt, bool corrupt);
+  /// Hops 2 and 3 (hop 1 is send(); see file header).  `dst` is the
+  /// frame's destination port, looked up once by send().
+  void switch_hop(PacketPtr pkt, PortState& dst);
+  void post_to_dst(PacketPtr pkt, PortState& dst, Ns jitter, bool corrupt);
+  void arrive(PacketPtr pkt, PortState& port, bool corrupt);
 
   sim::Simulation& sim_;  ///< the switch domain's queue
   sim::ParallelSimulation& psim_;

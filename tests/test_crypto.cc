@@ -74,6 +74,39 @@ TEST(Crc32, SlicedMatchesBitwiseAtEveryLengthAndAlignment) {
   }
 }
 
+// The PCLMULQDQ folding against the slicing-by-8 reference: every length
+// across the fold's 64-byte minimum, its 16-byte blocks and its tail, at
+// every start offset within a 16-byte lane, fresh and chained.
+TEST(Crc32, HardwareMatchesPortable) {
+  if (!hardware_crc32()) GTEST_SKIP() << "CPU lacks PCLMULQDQ";
+  std::vector<std::uint8_t> buf(4096 + 16);
+  std::uint32_t x = 0x2545F491u;
+  for (auto& b : buf) {
+    x ^= x << 13;
+    x ^= x >> 17;
+    x ^= x << 5;
+    b = static_cast<std::uint8_t>(x);
+  }
+  std::uint32_t chained = 0;
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t len = 0; len <= 4096; ++len) {
+      const std::span<const std::uint8_t> data(buf.data() + offset, len);
+      for (const std::uint32_t seed : {0u, 0xFFFFFFFFu, chained}) {
+        ASSERT_EQ(crc32(data, seed), detail::crc32_portable(data, seed))
+            << "offset=" << offset << " len=" << len << " seed=" << seed;
+      }
+      chained = crc32(data, chained);
+    }
+  }
+  // A buffer split anywhere chains to the CRC of the whole.
+  const std::span<const std::uint8_t> whole(buf.data(), 4096);
+  const std::uint32_t expect = detail::crc32_portable(whole);
+  for (std::size_t cut = 0; cut <= whole.size(); cut += 7) {
+    ASSERT_EQ(crc32(whole.subspan(cut), crc32(whole.first(cut))), expect)
+        << "cut=" << cut;
+  }
+}
+
 TEST(Md5, Rfc1321Vectors) {
   EXPECT_EQ(to_hex(Md5::hash({})), "d41d8cd98f00b204e9800998ecf8427e");
   EXPECT_EQ(to_hex(Md5::hash(bytes_of("a"))),

@@ -4,9 +4,11 @@
 // {none, leader crash, nic-crash, partition} x {cache on, cache off}.
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <map>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "apps/rkv/hot_cache.h"
@@ -113,29 +115,116 @@ TEST(RkvDedup, RequestTableStaysBounded) {
   const auto d = testbed::deploy_rkv_group(
       cluster, {.replicas = {0}, .req_dedup_cap = 8})[0];
 
+  const auto put = [&](netsim::PacketPool& pool, const std::string& key) {
+    auto pkt = pool.make();
+    pkt->dst = 0;
+    pkt->dst_actor = d.consensus;
+    pkt->msg_type = rkv::kClientPut;
+    pkt->frame_size = 256;
+    rkv::ClientReq req;
+    req.op = rkv::Op::kPut;
+    req.key = key;
+    req.value = {1, 2, 3};
+    pkt->payload = req.encode();
+    return pkt;
+  };
   auto& client = cluster.add_client(
       10.0, [&](std::uint64_t seq, Rng&, netsim::PacketPool& pool) {
         if (seq > 100) return netsim::PacketPtr{};
-        auto pkt = pool.make();
-        pkt->dst = 0;
-        pkt->dst_actor = d.consensus;
-        pkt->msg_type = rkv::kClientPut;
-        pkt->frame_size = 256;
-        rkv::ClientReq req;
-        req.op = rkv::Op::kPut;
-        req.key = "k" + std::to_string(seq);
-        req.value = {1, 2, 3};
-        pkt->payload = req.encode();
-        return pkt;
+        return put(pool, "k" + std::to_string(seq));
       });
+  std::vector<std::uint64_t> ids;
+  client.set_on_issue(
+      [&](const netsim::Packet& pkt) { ids.push_back(pkt.request_id); });
   client.start_closed_loop(1, sec(1));
   cluster.run_until(msec(500));
   EXPECT_EQ(client.completed(), 100u);
+  ASSERT_EQ(ids.size(), 100u);
 
   auto* cons = dynamic_cast<rkv::ConsensusActor*>(
       cluster.server(0).runtime().find_actor(d.consensus));
   ASSERT_NE(cons, nullptr);
   EXPECT_LE(cons->dedup_size(), 8u);  // FIFO-evicted, not grown to 100
+  // First-insert order: exactly the last eight requests survive, each
+  // with the slot it was proposed in.
+  ASSERT_EQ(cons->dedup_size(), 8u);
+  for (std::size_t i = 0; i < 92; ++i) {
+    EXPECT_EQ(cons->dedup_slot(ids[i]), nullptr) << "request " << i;
+  }
+  const std::uint64_t* last = cons->dedup_slot(ids[99]);
+  ASSERT_NE(last, nullptr);
+  for (std::size_t i = 92; i < 100; ++i) {
+    const std::uint64_t* slot = cons->dedup_slot(ids[i]);
+    ASSERT_NE(slot, nullptr) << "request " << i;
+    EXPECT_EQ(*slot + (99 - i), *last) << "request " << i;
+  }
+
+  // A retry of the first (evicted) request is proposed afresh and
+  // re-inserted as the newest entry, evicting the oldest survivor.
+  const std::uint64_t retried = ids[0];
+  cluster.client_sim().schedule_at(msec(500) + usec(1), [&] {
+    auto pkt = put(cluster.net().pool(), "k1");
+    pkt->src = client.node();
+    pkt->request_id = retried;
+    pkt->created_at = cluster.client_sim().now();
+    cluster.net().send(std::move(pkt));
+  });
+  cluster.run_until(msec(600));
+  EXPECT_EQ(cons->dedup_size(), 8u);
+  const std::uint64_t* again = cons->dedup_slot(retried);
+  ASSERT_NE(again, nullptr);
+  EXPECT_EQ(*again, *last + 1);
+  EXPECT_EQ(cons->dedup_slot(ids[92]), nullptr);
+  for (std::size_t i = 93; i < 100; ++i) {
+    EXPECT_NE(cons->dedup_slot(ids[i]), nullptr) << "request " << i;
+  }
+}
+
+// The table against the map-plus-FIFO it replaced, under random inserts,
+// in-place updates and re-inserts of evicted ids, at caps around its
+// power-of-two growth steps.
+TEST(RkvDedup, TableMatchesMapWithFifoEviction) {
+  for (const std::size_t cap : {0u, 1u, 3u, 8u, 10u, 100u, 1000u}) {
+    rkv::RequestTable table(cap);
+    std::unordered_map<std::uint64_t, std::uint64_t> model;
+    std::deque<std::uint64_t> order;
+    Rng rng(0xDED0 + cap);
+    for (int op = 0; op < 20'000; ++op) {
+      // Ids from a range a few times the cap: hits, misses and re-inserts.
+      const std::uint64_t id =
+          workloads::RequestId::make(1000 + rng.uniform_u64(3),
+                                     rng.uniform_u64(3 * cap + 4));
+      const std::uint64_t slot = rng.next();
+      table.remember(id, slot);
+      if (const auto [it, fresh] = model.emplace(id, slot); !fresh) {
+        it->second = slot;
+      } else {
+        order.push_back(id);
+        while (model.size() > cap) {
+          model.erase(order.front());
+          order.pop_front();
+        }
+      }
+      ASSERT_EQ(table.size(), model.size()) << "cap=" << cap << " op=" << op;
+      const std::uint64_t probe =
+          workloads::RequestId::make(1000 + rng.uniform_u64(3),
+                                     rng.uniform_u64(3 * cap + 4));
+      const auto it = model.find(probe);
+      const std::uint64_t* got = table.find(probe);
+      ASSERT_EQ(got != nullptr, it != model.end())
+          << "cap=" << cap << " op=" << op;
+      if (got != nullptr) {
+        ASSERT_EQ(*got, it->second);
+      }
+    }
+    for (const std::uint64_t id : order) {
+      ASSERT_NE(table.find(id), nullptr);
+      EXPECT_EQ(*table.find(id), model.at(id));
+    }
+    table.clear();
+    EXPECT_EQ(table.size(), 0u);
+    for (const std::uint64_t id : order) EXPECT_EQ(table.find(id), nullptr);
+  }
 }
 
 TEST(ClientGen, FireAndForgetInflightExpires) {
