@@ -12,7 +12,6 @@ using namespace ipipe;
 
 int main() {
   const auto cfg = nic::liquidio_cn2350();
-  const hostsim::HostConfig host;
   const auto bluefield = nic::bluefield_1m332a();  // RDMA timing reference
 
   std::printf(
@@ -34,11 +33,11 @@ int main() {
     // Host DPDK: descriptor ring + PCIe doorbell + copy costs, plus the
     // DMA transfer to/from host memory.
     const double dpdk_send =
-        (host.tx_base_ns + host.tx_per_byte_ns * payload + 1450.0 +
+        (hostsim::kTxBaseNs + hostsim::kTxPerByteNs * payload + 1450.0 +
          payload * 8.0 / cfg.dma.write_gbps) /
         1000.0;
     const double dpdk_recv =
-        (host.rx_base_ns + host.rx_per_byte_ns * payload + 1500.0 +
+        (hostsim::kRxBaseNs + hostsim::kRxPerByteNs * payload + 1500.0 +
          payload * 8.0 / cfg.dma.read_gbps) /
         1000.0;
     // Host RDMA two-sided verbs.

@@ -8,6 +8,8 @@
 #include <string_view>
 #include <thread>
 
+#include "common/exact_text.h"
+
 namespace ipipe::bench {
 
 namespace {
@@ -29,12 +31,11 @@ SweepOpts parse_sweep_opts(int argc, char** argv) {
   SweepOpts opts;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg(argv[i]);
+    bool ok = true;
     if (arg.rfind("--jobs=", 0) == 0) {
-      const long n = std::strtol(argv[i] + 7, nullptr, 10);
-      opts.jobs = n > 1 ? static_cast<unsigned>(n) : 1;
+      ok = parse_exact(arg.substr(7), &opts.jobs);
     } else if (arg.rfind("--sim-threads=", 0) == 0) {
-      const long n = std::strtol(argv[i] + 14, nullptr, 10);
-      opts.sim_threads = n > 1 ? static_cast<unsigned>(n) : 1;
+      ok = parse_exact(arg.substr(14), &opts.sim_threads);
     } else if (arg.rfind("--bench-json=", 0) == 0) {
       opts.bench_json = std::string(arg.substr(13));
     } else if (arg == "--help") {
@@ -53,7 +54,13 @@ SweepOpts parse_sweep_opts(int argc, char** argv) {
           "benches may add their own flags.\n");
       std::exit(0);
     }
+    if (!ok) {
+      std::fprintf(stderr, "%s: malformed number in %s\n", argv[0], argv[i]);
+      std::exit(1);
+    }
   }
+  opts.jobs = std::max(opts.jobs, 1u);
+  opts.sim_threads = std::max(opts.sim_threads, 1u);
   // Keep the total OS-thread demand at or below the machine when both axes
   // are in play: they multiply, and oversubscribing both at once only adds
   // scheduler noise to wall-time numbers.  Plain --jobs oversubscription

@@ -45,7 +45,9 @@ struct SweepOpts {
 
 /// Scan argv for --jobs=N / --sim-threads=N / --bench-json=<path>.
 /// Unknown arguments are ignored so benches keep their own flag handling.
-/// `--help` prints the shared harness flags and exits.
+/// A --jobs or --sim-threads value that is not a whole unsigned decimal
+/// prints a line on stderr and exits 1; 0 reads as 1.  `--help` prints
+/// the shared harness flags and exits.
 ///
 /// Both parallelism axes are deterministic (sweep points share no state;
 /// the parallel engine is thread-count invariant), but they multiply:

@@ -159,7 +159,7 @@ void BM_MultiDomainChurn(benchmark::State& state) {
   for (auto _ : state) {
     sim::ParallelSimulation psim;
     for (std::uint32_t d = 0; d < kChurnDomains; ++d) {
-      psim.add_domain("churn" + std::to_string(d));
+      psim.add_domain();
     }
     for (std::uint32_t s = 0; s < kChurnDomains; ++s) {
       for (std::uint32_t t = 0; t < kChurnDomains; ++t) {
@@ -218,7 +218,7 @@ void BM_SparseManyDomains(benchmark::State& state) {
   for (auto _ : state) {
     sim::ParallelSimulation psim;
     for (std::uint32_t d = 0; d < domains; ++d) {
-      psim.add_domain("star" + std::to_string(d));
+      psim.add_domain();
     }
     for (std::uint32_t d = 0; d < domains; ++d) {
       if (d == kSparseHub) continue;

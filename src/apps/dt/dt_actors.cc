@@ -181,35 +181,30 @@ void ParticipantActor::handle(ActorEnv& env, const netsim::Packet& req) {
       return;
     }
     case kCommit: {
+      // The coordinator always sends the version target; a commit
+      // without one is malformed and dropped.
       std::vector<std::uint8_t> value;
       std::uint32_t target = 0;
-      if (!r.get_bytes(value)) return;
-      const bool has_target = r.get(target);
+      if (!r.get_bytes(value) || !r.get(target)) return;
       const auto lock_it = locks_.find(key);
       const bool ours = lock_it != locks_.end() &&
                         lock_it->second.node == req.src &&
                         lock_it->second.txn == txn;
-      if (!has_target) {
-        // Legacy commit (no version target): non-idempotent bump.
-        store_.commit(env, key, value);
+      const auto rec = store_.get(env, key);
+      if (!rec || rec->version < target) {
+        // First (or replayed-after-participant-crash) application.
+        // Preserve a lock some other txn legitimately holds.
+        const bool other_lock = lock_it != locks_.end() && !ours;
+        store_.commit_at(env, key, value, target, other_lock);
         if (ours) locks_.erase(lock_it);
-      } else {
-        const auto rec = store_.get(env, key);
-        if (!rec || rec->version < target) {
-          // First (or replayed-after-participant-crash) application.
-          // Preserve a lock some other txn legitimately holds.
-          const bool other_lock = lock_it != locks_.end() && !ours;
-          store_.commit_at(env, key, value, target, other_lock);
-          if (ours) locks_.erase(lock_it);
-          if (observer_.on_apply) {
-            observer_.on_apply(env.now(), txn, key, target,
-                               std::span<const std::uint8_t>(value));
-          }
-        } else if (ours) {
-          // Duplicate of an already-applied commit: just release.
-          store_.unlock(env, key);
-          locks_.erase(lock_it);
+        if (observer_.on_apply) {
+          observer_.on_apply(env.now(), txn, key, target,
+                             std::span<const std::uint8_t>(value));
         }
+      } else if (ours) {
+        // Duplicate of an already-applied commit: just release.
+        store_.unlock(env, key);
+        locks_.erase(lock_it);
       }
       wire::Writer w;
       w.put(txn).put(idx);
@@ -302,7 +297,7 @@ void CoordinatorActor::init(ActorEnv& env) {
   wire::Writer w;
   w.put(std::uint64_t{0});
   env.local_send(log_actor_, kLogReplayReq, w.take());
-  env.schedule_self(recovery_.retry_period, kTxnTick);
+  env.schedule_self(kTxnRetryPeriod, kTxnTick);
 }
 
 void CoordinatorActor::reset(ActorEnv& env) {
@@ -675,7 +670,7 @@ void CoordinatorActor::abort(ActorEnv& env, std::uint64_t txn_id,
   // The decision is final: tell the client now, then release any locks we
   // did acquire.  With recovery enabled the unlocks are retransmitted
   // until every participant acknowledged (no dangling locks on a lossy
-  // fabric); legacy deployments keep fire-and-forget.
+  // fabric); without it (the paper-figure DT rows) each is sent once.
   emit_outcome(env, txn_id, txn, status);
   reply_client(env, txn, status);
   for (std::size_t i = 0; i < txn.request.writes.size(); ++i) {
@@ -879,7 +874,7 @@ void CoordinatorActor::on_tick(ActorEnv& env) {
     if (env.now() - txn.phase_started < recovery_.retry_timeout) continue;
     const bool bounded =
         txn.phase == Phase::kReadLock || txn.phase == Phase::kValidate;
-    if (bounded && txn.retries >= recovery_.max_phase12_retries) {
+    if (bounded && txn.retries >= kMaxPhase12Retries) {
       // Participants stopped answering pre-commit-point: give up cleanly
       // (the abort path below still retransmits the unlocks forever).
       abort(env, id, txn, TxnStatus::kError);
@@ -894,7 +889,7 @@ void CoordinatorActor::on_tick(ActorEnv& env) {
     send_recover_locks(env, node);
   }
 
-  env.schedule_self(recovery_.retry_period, kTxnTick);
+  env.schedule_self(kTxnRetryPeriod, kTxnTick);
 }
 
 // ------------------------------------------------------------- deployment --

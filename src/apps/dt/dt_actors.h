@@ -127,8 +127,6 @@ class ParticipantActor final : public Actor {
 
   [[nodiscard]] std::uint64_t region_bytes() const override { return 16 * MiB; }
   [[nodiscard]] const DmoHashTable& store() const noexcept { return store_; }
-  /// Direct (test) access for seeding data.
-  DmoHashTable& store_mut() noexcept { return store_; }
   /// Records currently lock-held (the "no dangling locks" invariant).
   [[nodiscard]] std::size_t locked_count() const noexcept {
     return locks_.size();
@@ -174,16 +172,19 @@ class LogActor final : public Actor {
   std::map<std::uint64_t, std::vector<std::uint8_t>> records_;
 };
 
+/// Coordinator recovery sweep-timer granularity.
+inline constexpr Ns kTxnRetryPeriod = msec(5);
+/// Phase 1/2 retransmits before the coordinator gives up and aborts
+/// (commit and abort phases retransmit forever — the 2PC decision is
+/// final).
+inline constexpr unsigned kMaxPhase12Retries = 8;
+
 /// Recovery / retransmission knobs for the coordinator.  Disabled by
-/// default: legacy deployments keep fire-and-forget semantics with no
-/// timers.
+/// default: each 2PC message is sent once and no timer runs, which is
+/// how the paper-figure DT rows (fig13, fig14_15) are measured.
 struct DtRecoveryParams {
   bool enabled = false;
-  Ns retry_period = msec(5);   ///< sweep-timer granularity
   Ns retry_timeout = msec(2);  ///< per-phase silence before retransmit
-  /// Phase 1/2 retransmits before giving up and aborting (commit and
-  /// abort phases retransmit forever — the 2PC decision is final).
-  unsigned max_phase12_retries = 8;
   /// Every node hosting a participant (for the recover-locks broadcast).
   std::vector<netsim::NodeId> cluster;
 

@@ -174,21 +174,6 @@ bool DmoHashTable::unlock(ActorEnv& env, std::string_view key) {
   return env.dmo_put(id, bucket);
 }
 
-bool DmoHashTable::commit(ActorEnv& env, std::string_view key,
-                          std::span<const std::uint8_t> value) {
-  if (value.size() > kInlineValue) return false;
-  ObjId id;
-  Bucket bucket;
-  int idx;
-  if (!load_bucket(env, key, id, bucket, idx) || idx < 0) return false;
-  Entry& e = bucket.entries[idx];
-  e.value_len = static_cast<std::uint16_t>(value.size());
-  std::memcpy(e.value, value.data(), value.size());
-  ++e.version;
-  e.locked = 0;
-  return env.dmo_put(id, bucket);
-}
-
 bool DmoHashTable::commit_at(ActorEnv& env, std::string_view key,
                              std::span<const std::uint8_t> value,
                              std::uint32_t target, bool leave_locked) {

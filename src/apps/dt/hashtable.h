@@ -49,11 +49,8 @@ class DmoHashTable {
                                                   std::string_view key);
   bool unlock(ActorEnv& env, std::string_view key);
 
-  /// Commit a locked record: write value, bump version, release lock.
-  bool commit(ActorEnv& env, std::string_view key,
-              std::span<const std::uint8_t> value);
-
-  /// Idempotent commit to an explicit version (2PC recovery replay):
+  /// Idempotent 2PC commit to an explicit version (`target`, one past
+  /// the version the lock saw; replays after a crash land on it again):
   /// writes value, sets version = `target` and releases the lock (unless
   /// `leave_locked`).  Creates the record when absent, so a participant
   /// that lost its store can still converge on the committed state.

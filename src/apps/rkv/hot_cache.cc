@@ -29,7 +29,7 @@ void HotKeyCacheActor::release_gen(const std::string& key) {
 }
 
 void HotKeyCacheActor::wipe() {
-  cache_ = nf::KvCache(params_.buckets, params_.capacity_bytes);
+  cache_ = nf::KvCache(kHotCacheBuckets, params_.capacity_bytes);
   pending_.clear();
   pending_order_.clear();
   miss_gen_.clear();
@@ -131,7 +131,7 @@ void HotKeyCacheActor::on_get(ActorEnv& env, const netsim::Packet& req) {
     pf.fillable = true;
     pending_.emplace(req.request_id, std::move(pf));
     pending_order_.push_back(req.request_id);
-    while (pending_.size() > params_.pending_cap && !pending_order_.empty()) {
+    while (pending_.size() > kHotCachePendingCap && !pending_order_.empty()) {
       const std::uint64_t old = pending_order_.front();
       pending_order_.pop_front();
       const auto it = pending_.find(old);

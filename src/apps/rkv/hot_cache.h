@@ -44,8 +44,13 @@
 
 namespace ipipe::rkv {
 
+/// Hash buckets of the cache's KvCache.
+inline constexpr std::size_t kHotCacheBuckets = 4096;
+/// In-flight miss bookkeeping cap (pending fills FIFO-evicted past this;
+/// a dropped pending only costs a fill, never freshness).
+inline constexpr std::size_t kHotCachePendingCap = 1 << 16;
+
 struct HotCacheParams {
-  std::size_t buckets = 4096;
   std::size_t capacity_bytes = 32 * MiB;
   /// Serve hits only under a consensus-granted lease.  Off for static
   /// (no-failover) deployments where the leader can never change.
@@ -60,9 +65,6 @@ struct HotCacheParams {
   /// stale-cache bug the linearizability checker must catch.  Never
   /// enable outside verify tests.
   bool inject_stale_cache = false;
-  /// In-flight miss bookkeeping cap (pending fills FIFO-evicted past
-  /// this; a dropped pending only costs a fill, never freshness).
-  std::size_t pending_cap = 1 << 16;
 };
 
 class HotKeyCacheActor final : public Actor {
@@ -70,7 +72,7 @@ class HotKeyCacheActor final : public Actor {
   explicit HotKeyCacheActor(HotCacheParams params)
       : Actor("rkv-hot-cache"),
         params_(std::move(params)),
-        cache_(params_.buckets, params_.capacity_bytes),
+        cache_(kHotCacheBuckets, params_.capacity_bytes),
         owned_(params_.owned_shards.begin(), params_.owned_shards.end()),
         num_shards_(params_.num_shards),
         epoch_(params_.epoch) {}

@@ -93,7 +93,8 @@ void ConsensusActor::reset(ActorEnv& env) {
     ballot_ = 0;
     promised_ = 0;
   } else {
-    // Legacy static-leader deployments restart into their configured role.
+    // Static-leader deployments (no failover: the paper-figure RKV rows,
+    // perfbench rkv_write) restart into their configured role.
     leader_ = params_.self_index == 0;
     ballot_ = leader_ ? params_.replicas.size() + params_.self_index : 0;
     promised_ = 0;
@@ -316,7 +317,7 @@ void ConsensusActor::on_catchup_req(ActorEnv& env, const netsim::Packet& req) {
   CatchupMsg batch;
   batch.watermark = next_apply_;
   std::uint64_t s = msg->slot;
-  while (batch.entries.size() < params_.catchup_batch) {
+  while (batch.entries.size() < kCatchupEntries) {
     const LogEntry* entry = log_.find(s);
     if (entry == nullptr || !entry->chosen) break;
     batch.entries.push_back({s, entry->value});
@@ -793,10 +794,10 @@ RkvDeployment deploy_rkv(Runtime& rt, RkvParams params) {
   }
 
   if (params.enable_hot_cache) {
-    // Registered last so legacy deployments keep their actor ids; wired
-    // to consensus both ways before any traffic can arrive.
+    // Registered last so the other actors keep the ids a cache-less
+    // deployment gives them; wired to consensus both ways before any
+    // traffic can arrive.
     HotCacheParams cp;
-    cp.buckets = params.cache_buckets;
     cp.capacity_bytes = params.cache_capacity_bytes;
     cp.require_lease = params.enable_failover;
     cp.num_shards = params.num_shards;

@@ -116,6 +116,9 @@ struct KeyReadView {
   }
 };
 
+/// Chosen log entries per catch-up frame.
+inline constexpr std::size_t kCatchupEntries = 64;
+
 struct RkvParams {
   std::vector<netsim::NodeId> replicas = {};  ///< replicas[0] = initial leader
   std::size_t self_index = 0;
@@ -124,10 +127,13 @@ struct RkvParams {
 
   // -- failover (off by default: no timers, no heartbeat traffic) --
   /// Leader heartbeats + follower election timeouts + crash-restart
-  /// catch-up.  Required for the chaos harness; legacy deployments keep
-  /// the static leader.  With failover on, the leader only serves reads
-  /// while it holds a read lease: heartbeat acks from a majority within
-  /// the last election_timeout_min.  A leader stranded in a minority
+  /// catch-up.  Required for the chaos harness.  Off, replica 0 is the
+  /// static leader and no heartbeat crosses the fabric: the paper-figure
+  /// RKV rows (fig13, fig14_15, fig17) and perfbench `rkv_write`'s
+  /// digests and `vt_*` values are measured that way.  With failover
+  /// on, the leader only serves reads while it holds a read lease:
+  /// heartbeat acks from a majority within the last
+  /// election_timeout_min.  A leader stranded in a minority
   /// partition loses the lease before any peer can elect a replacement,
   /// so it can never serve a read that a newer leader's write has
   /// overtaken.  Without the lease it replies kNotLeader and the client
@@ -138,7 +144,6 @@ struct RkvParams {
   /// randomized backoff that breaks split votes.  Seeded per replica.
   Ns election_timeout_min = msec(250);
   Ns election_timeout_max = msec(450);
-  std::size_t catchup_batch = 64;  ///< chosen entries per catch-up frame
 
   /// Fault injection for the verification harness' mutation self-test:
   /// serve kClientGet from the local applied state regardless of
@@ -165,7 +170,6 @@ struct RkvParams {
 
   // -- NIC-resident hot-key cache stage (see hot_cache.h) --
   bool enable_hot_cache = false;
-  std::size_t cache_buckets = 4096;
   std::size_t cache_capacity_bytes = 32 * MiB;
   /// Verification mutation self-test: the cache drops invalidations.
   bool inject_stale_cache = false;
@@ -413,8 +417,10 @@ struct RkvDeployment {
   ActorId sst_read = 0;
   ActorId compaction = 0;
   /// Hot-key cache stage (params.enable_hot_cache): registered LAST so
-  /// legacy deployments keep their actor ids.  `cache` stays valid for
-  /// the runtime's lifetime (the runtime owns the actor).
+  /// the four actors above keep the ids a cache-less deployment gives
+  /// them (the paper-figure RKV rows and perfbench `rkv_write` run
+  /// without the cache).  `cache` stays valid for the runtime's
+  /// lifetime (the runtime owns the actor).
   ActorId hot_cache = 0;
   HotKeyCacheActor* cache = nullptr;
   std::shared_ptr<LsmTree> lsm;

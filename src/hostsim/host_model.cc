@@ -6,29 +6,26 @@ HostExecContext::HostExecContext(HostModel& host, unsigned core)
     : ExecContext(host.sim(), host.cache(), core), host_(host) {}
 
 void HostExecContext::charge_cycles(double cycles) noexcept {
-  charge(static_cast<Ns>(cycles / host_.config().freq_ghz));
+  charge(static_cast<Ns>(cycles / kHostFreqGhz));
 }
 
 void HostExecContext::charge_rx(std::uint32_t frame_size) noexcept {
-  const auto& cfg = host_.config();
-  charge(static_cast<Ns>(cfg.rx_base_ns + cfg.rx_per_byte_ns * frame_size));
+  charge(static_cast<Ns>(kRxBaseNs + kRxPerByteNs * frame_size));
 }
 
 void HostExecContext::charge_tx(std::uint32_t frame_size) noexcept {
-  const auto& cfg = host_.config();
-  charge(static_cast<Ns>(cfg.tx_base_ns + cfg.tx_per_byte_ns * frame_size));
+  charge(static_cast<Ns>(kTxBaseNs + kTxPerByteNs * frame_size));
 }
 
 void HostExecContext::flush() {
   for (auto& pkt : tx_queue_) host_.nic().host_tx(std::move(pkt));
 }
 
-HostModel::HostModel(sim::Simulation& sim, HostConfig cfg, nic::NicModel& nic)
+HostModel::HostModel(sim::Simulation& sim, nic::NicModel& nic)
     : sim_(sim),
-      cfg_(cfg),
       nic_(nic),
       cache_(nic::CacheModel::intel_host()),
-      cores_(sim, *this, cfg.cores) {
+      cores_(sim, *this, kHostCores) {
   nic_.set_host_rx([this](netsim::PacketPtr pkt) { rx_push(std::move(pkt)); });
 }
 

@@ -22,17 +22,16 @@
 
 namespace ipipe::hostsim {
 
-struct HostConfig {
-  unsigned cores = 12;       ///< E5-2680 v3: 12 cores @2.5GHz (paper §2.2.1)
-  double freq_ghz = 2.5;
-  /// Kernel-bypass (DPDK) per-frame receive cost on a host core,
-  /// calibrated against the paper's Fig. 6 DPDK measurements.
-  double rx_base_ns = 1450.0;
-  double rx_per_byte_ns = 0.30;
-  /// Per-frame transmit cost (descriptor + doorbell + copy).
-  double tx_base_ns = 1250.0;
-  double tx_per_byte_ns = 0.25;
-};
+/// The paper's one host (§2.2.1): an E5-2680 v3, 12 cores at 2.5 GHz.
+inline constexpr unsigned kHostCores = 12;
+inline constexpr double kHostFreqGhz = 2.5;
+/// Kernel-bypass (DPDK) per-frame receive cost on a host core,
+/// calibrated against the paper's Fig. 6 DPDK measurements.
+inline constexpr double kRxBaseNs = 1450.0;
+inline constexpr double kRxPerByteNs = 0.30;
+/// Per-frame transmit cost (descriptor + doorbell + copy).
+inline constexpr double kTxBaseNs = 1250.0;
+inline constexpr double kTxPerByteNs = 0.25;
 
 class HostModel;
 class HostRuntime;
@@ -67,7 +66,7 @@ class HostRuntime {
 
 class HostModel {
  public:
-  HostModel(sim::Simulation& sim, HostConfig cfg, nic::NicModel& nic);
+  HostModel(sim::Simulation& sim, nic::NicModel& nic);
 
   HostModel(const HostModel&) = delete;
   HostModel& operator=(const HostModel&) = delete;
@@ -96,7 +95,6 @@ class HostModel {
   }
   void wake_core_at(unsigned core, Ns when) { cores_.wake_core_at(core, when); }
 
-  [[nodiscard]] const HostConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] nic::NicModel& nic() noexcept { return nic_; }
   [[nodiscard]] nic::CacheModel& cache() noexcept { return cache_; }
   [[nodiscard]] sim::Simulation& sim() noexcept { return sim_; }
@@ -114,7 +112,6 @@ class HostModel {
 
  private:
   sim::Simulation& sim_;
-  HostConfig cfg_;
   nic::NicModel& nic_;
   nic::CacheModel cache_;
   nic::CoreEngine<HostRuntime, HostExecContext> cores_;

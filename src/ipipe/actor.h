@@ -167,10 +167,6 @@ class ActorEnv {
 
   // ---- typed DMO convenience helpers -------------------------------------
   template <typename T>
-  [[nodiscard]] ObjId dmo_alloc_typed() {
-    return dmo_alloc(sizeof(T));
-  }
-  template <typename T>
   [[nodiscard]] bool dmo_get(ObjId id, T& out) {
     return dmo_read(id, 0, std::span<std::uint8_t>(
                                reinterpret_cast<std::uint8_t*>(&out), sizeof(T)));

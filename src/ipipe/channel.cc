@@ -290,11 +290,12 @@ void MessageChannel::arm_retry(Dir& dir) {
   if (dir.retry_armed) return;
   dir.retry_armed = true;
   dir.backoff = dir.backoff == 0
-                    ? tuning_.retry_base
+                    ? kChanRetryBase
                     : std::min(dir.backoff * 2, tuning_.retry_cap);
-  // Deterministic seeded jitter on top of the capped exponential backoff:
-  // after a long outage heals, channels that parked frames at the same
-  // time would otherwise all retry at the same instant.
+  // Deterministic seeded jitter on top of the capped exponential backoff.
+  // Every channel with the same jitter_seed draws the same sequence, so
+  // this spreads one direction's retries but not those of channels that
+  // parked frames during the same outage.
   Ns delay = dir.backoff;
   if (tuning_.retry_jitter > 0.0) {
     const auto span =
@@ -348,7 +349,7 @@ void MessageChannel::schedule_retransmit(Dir& dir, std::uint64_t seq) {
   }
   // Model the consumer->producer NACK crossing PCIe before the producer
   // can react.
-  sim_.schedule(tuning_.nack_delay, [this, &dir, seq] {
+  sim_.schedule(kChanNackDelay, [this, &dir, seq] {
     if (seq < dir.next_deliver) return;            // delivered meanwhile
     if (dir.reorder.count(seq) != 0) return;       // already received
     Retained* copy = retained_of(dir, seq);
@@ -409,7 +410,7 @@ SendTicket MessageChannel::send_or_queue(Dir& dir, ChannelMsg msg) {
   dir.stats.pending_high_watermark =
       std::max(dir.stats.pending_high_watermark, dir.pending.size());
   arm_retry(dir);
-  const bool over_cap = dir.pending.size() > tuning_.pending_cap;
+  const bool over_cap = dir.pending.size() > kChanPendingCap;
   return SendTicket{over_cap ? SendOutcome::kBackpressured : SendOutcome::kQueued,
                     0};
 }

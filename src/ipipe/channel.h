@@ -187,19 +187,23 @@ class ChannelRing {
   std::uint64_t framing_errors_ = 0;
 };
 
+/// First pending-queue flush backoff.
+inline constexpr Ns kChanRetryBase = usec(2);
+/// Simulated consumer->producer NACK latency.
+inline constexpr Ns kChanNackDelay = usec(2);
+/// Pending-queue length past which the direction reports backpressure
+/// high-watermark pressure (sends are still accepted — never dropped).
+inline constexpr std::size_t kChanPendingCap = 256;
+
 /// Tuning for the channel reliability layer.
 struct ChannelTuning {
-  Ns retry_base = usec(2);   ///< first pending-queue flush backoff
   Ns retry_cap = usec(128);  ///< exponential backoff ceiling
-  Ns nack_delay = usec(2);   ///< simulated consumer->producer NACK latency
-  /// Pending-queue length past which the direction reports backpressure
-  /// high-watermark pressure (sends are still accepted — never dropped).
-  std::size_t pending_cap = 256;
-  /// Fraction of the current backoff added as deterministic seeded jitter
-  /// to each retry delay.  Without it, every sender that parked frames
-  /// during the same outage retries in synchronized bursts when the
-  /// outage heals (visible as ring-peak spikes); with it, retries from
-  /// independent channels de-correlate while staying replay-identical.
+  /// Fraction of the current backoff added as deterministic seeded
+  /// jitter to each retry delay, so one direction's retries do not land
+  /// on exact doublings of kChanRetryBase.  The draws depend on
+  /// `jitter_seed` alone: channels built with the same seed (every
+  /// Runtime builds its channel with the default) draw the same
+  /// sequence, so their retries are not de-correlated from each other.
   double retry_jitter = 0.25;
   std::uint64_t jitter_seed = 0xB0FF5EEDULL;
 };

@@ -225,8 +225,7 @@ void NicEnv::accel(nic::AccelKind kind, std::uint32_t bytes,
 // --------------------------------------------------------------- HostEnv --
 
 void HostEnv::compute(double units) {
-  const auto& host_cfg = rt_.host().config();
-  ctx_.charge(static_cast<Ns>(units / (kHostIpc * host_cfg.freq_ghz)));
+  ctx_.charge(static_cast<Ns>(units / (kHostIpc * hostsim::kHostFreqGhz)));
 }
 
 void HostEnv::accel(nic::AccelKind kind, std::uint32_t bytes,

@@ -303,18 +303,10 @@ int Runtime::classify_ingress(netsim::Packet& pkt) {
       ++t->stats.throttle_drops;
       return -1;
     }
-    if (!t->cfg.allowed_src.empty() &&
-        std::find(t->cfg.allowed_src.begin(), t->cfg.allowed_src.end(),
-                  pkt.src) == t->cfg.allowed_src.end()) {
-      ++t->stats.filter_drops;
-      t->note_violation(now);
-      mgmt_kick();  // the escalation ladder runs on the management core
-      return -1;
-    }
     if (!t->ingress_admit(pkt.frame_size, now)) {
       ++t->stats.policer_drops;
       t->note_violation(now);
-      mgmt_kick();
+      mgmt_kick();  // the escalation ladder runs on the management core
       return -1;
     }
   }

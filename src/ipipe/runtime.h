@@ -57,7 +57,9 @@ struct IPipeConfig {
   /// Healthy interval after which an actor's restart-episode counter
   /// decays back to zero, so a long-lived actor that crashed months of
   /// virtual time ago is not one fault away from permanent quarantine.
-  /// 0 keeps the legacy behavior: episodes never decay.
+  /// 0: episodes never decay.  Every supervised bench (chaos_recovery,
+  /// nic_failover, parallel_cluster, sharded_rkv, perfbench `shard_rkv`)
+  /// runs with 0, and their digests are pinned on it.
   Ns supervise_restart_decay = 0;
 
   /// NIC device failure handling (chaos `nic-crash` / `nic-reset` /
@@ -369,9 +371,6 @@ class Runtime {
   void set_engine(sim::ParallelSimulation* psim, sim::DomainId domain) {
     engine_ = psim;
     engine_domain_ = domain;
-  }
-  [[nodiscard]] sim::DomainId engine_domain() const noexcept {
-    return engine_domain_;
   }
 
   // ---- internals shared with env/adapters (not for applications) -----------

@@ -27,14 +27,14 @@ void refill(double& tokens, Ns& last, double rate_bps, std::uint64_t burst,
 TenantState::TenantState(TenantId tid, TenantConfig config)
     : id(tid), cfg(std::move(config)) {
   // Buckets start full: a tenant may burst immediately after creation.
-  ingress_tokens = static_cast<double>(cfg.ingress_burst_bytes);
+  ingress_tokens = static_cast<double>(kIngressBurstBytes);
   chan_tokens = static_cast<double>(cfg.chan_burst_bytes);
 }
 
 bool TenantState::ingress_admit(std::uint64_t bytes, Ns now) {
   if (cfg.ingress_rate_bps <= 0.0) return true;
   refill(ingress_tokens, ingress_refill_at, cfg.ingress_rate_bps,
-         cfg.ingress_burst_bytes, now);
+         kIngressBurstBytes, now);
   const auto need = static_cast<double>(bytes);
   if (ingress_tokens < need) return false;
   ingress_tokens -= need;

@@ -2,12 +2,12 @@
 //
 // A tenant is the unit of isolation a cloud operator leases: a virtual
 // function with its own ingress queue pair (a weighted traffic class in
-// the hardware TM, fed through a MAC/flow filter and an ingress
-// policer), a group of actors whose DMO footprint and channel bandwidth
-// are capped, and a PF<->VF control mailbox.  The runtime enforces the
-// caps at the three shared chokepoints — TM admission, send_or_queue(),
-// and DMO allocation — so an aggressor tenant saturates only its own
-// budget and the damage stays attributable in its counters.
+// the hardware TM, fed through an ingress policer), a group of actors
+// whose DMO footprint and channel bandwidth are capped, and a PF<->VF
+// control mailbox.  The runtime enforces the caps at the three shared
+// chokepoints — TM admission, send_or_queue(), and DMO allocation — so
+// an aggressor tenant saturates only its own budget and the damage
+// stays attributable in its counters.
 //
 // Escalation ladder: repeated violations (policer/queue/quota hits)
 // within a window first *throttle* the tenant — its DRR actors stop
@@ -33,6 +33,9 @@ namespace ipipe {
 using TenantId = std::uint16_t;
 constexpr TenantId kNoTenant = 0;
 
+/// Depth of every tenant's ingress policer bucket.
+inline constexpr std::uint64_t kIngressBurstBytes = 64 * KiB;
+
 struct TenantConfig {
   std::string name;
 
@@ -41,9 +44,9 @@ struct TenantConfig {
   /// contention.  Also the tenant's TM traffic-class weight.
   double drr_weight = 1.0;
 
-  /// Ingress policer (leaky bucket over frame bytes). 0 = unlimited.
+  /// Ingress policer (leaky bucket over frame bytes, kIngressBurstBytes
+  /// deep). 0 = unlimited.
   double ingress_rate_bps = 0.0;
-  std::uint64_t ingress_burst_bytes = 64 * KiB;
   /// Depth of the tenant's TM traffic class (its RX queue pair).
   std::size_t rx_queue_cap = 1024;
 
@@ -68,10 +71,6 @@ struct TenantConfig {
   Ns throttle_window = msec(1);
   /// Throttle episodes before the tenant is quarantined. 0 = never.
   std::uint32_t quarantine_after = 0;
-
-  /// Ingress source filter (the VF's MAC/flow filter): when non-empty,
-  /// only frames from these nodes reach the tenant's queue.
-  std::vector<netsim::NodeId> allowed_src;
 };
 
 /// PF<->VF control mailbox verbs.
@@ -100,7 +99,7 @@ struct TenantStats {
   std::uint64_t admitted_bytes = 0;
   std::uint64_t policer_drops = 0;   ///< ingress rate limit exceeded
   std::uint64_t queue_drops = 0;     ///< tenant RX class tail-dropped
-  std::uint64_t filter_drops = 0;    ///< MAC/flow filter or quarantine
+  std::uint64_t filter_drops = 0;    ///< arrived while quarantined
   std::uint64_t throttle_drops = 0;  ///< dropped while throttled
   std::uint64_t chan_bytes = 0;
   std::uint64_t chan_throttle_stalls = 0;

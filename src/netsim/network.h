@@ -40,6 +40,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <stdexcept>
 #include <unordered_map>
 #include <vector>
 
@@ -70,10 +71,10 @@ struct FaultModel {
 class Network {
  public:
   /// `switch_domain` must be a dedicated domain (it runs the switch
-  /// events and owns the fault state).  `switch_latency` should be >= 2 ns
-  /// so both half-latencies (the edge lookaheads) stay nonzero — a
-  /// rack-scale value in the microseconds gives the engine wide safe
-  /// windows.
+  /// events and owns the fault state).  `switch_latency` must be >= 2 ns
+  /// so both half-latencies (the edge lookaheads) are nonzero; a smaller
+  /// value throws std::invalid_argument.  A rack-scale value in the
+  /// microseconds gives the engine wide safe windows.
   Network(sim::ParallelSimulation& psim, sim::DomainId switch_domain,
           Ns switch_latency = 300 /*ns*/)
       : sim_(psim.domain(switch_domain)),
@@ -82,7 +83,12 @@ class Network {
         pool_(PacketPool::local()),
         switch_in_(switch_latency / 2),
         switch_out_(switch_latency - switch_latency / 2),
-        rng_(0xFAB51Cull) {}
+        rng_(0xFAB51Cull) {
+    if (switch_in_ == 0) {
+      throw std::invalid_argument(
+          "Network: switch latency below 2 ns leaves a zero lookahead");
+    }
+  }
 
   /// Attach `ep` as `node` with a full-duplex link of `gbps`.  `domain`
   /// names the engine domain that owns the endpoint (rx state and

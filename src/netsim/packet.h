@@ -125,7 +125,6 @@ class PacketPool {
                : static_cast<double>(reused()) / static_cast<double>(allocs_);
   }
   [[nodiscard]] std::size_t free_size() const noexcept { return free_.size(); }
-  void set_max_free(std::size_t n) noexcept { max_free_ = n; }
 
   /// Serialize make()/recycle() with a spinlock so the pool may be shared
   /// by the parallel engine's workers.  Flip before the workers start.
@@ -139,8 +138,10 @@ class PacketPool {
   }
   void unlock() noexcept { lock_.clear(std::memory_order_release); }
 
+  /// Freelist bound: frames recycled past it are deleted.
+  static constexpr std::size_t kMaxFree = 8192;
+
   std::vector<Packet*> free_;
-  std::size_t max_free_ = 8192;
   std::uint64_t allocs_ = 0;
   std::uint64_t fresh_ = 0;
   bool concurrent_ = false;

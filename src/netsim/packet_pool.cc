@@ -76,7 +76,7 @@ PacketPtr PacketPool::make(const Packet& src) {
 void PacketPool::recycle(Packet* p) noexcept {
   if (p == nullptr) return;
   if (concurrent_) lock();
-  if (free_.size() >= max_free_) {
+  if (free_.size() >= kMaxFree) {
     if (concurrent_) unlock();
     delete p;
     return;

@@ -86,7 +86,6 @@ class AcceleratorBank {
     }
     return false;
   }
-  void clear_failures() noexcept { failed_.fill(false); }
 
  private:
   std::array<AccelTiming, kNumAccelKinds> timings_;

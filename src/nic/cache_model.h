@@ -60,7 +60,6 @@ class CacheModel {
 
   [[nodiscard]] std::uint64_t accesses() const noexcept { return accesses_; }
   [[nodiscard]] std::uint64_t llc_misses() const noexcept { return llc_misses_; }
-  void reset_counters() noexcept { accesses_ = llc_misses_ = 0; }
 
   [[nodiscard]] std::uint32_t cache_line() const noexcept { return line_; }
   [[nodiscard]] const std::vector<MemLevel>& levels() const noexcept {

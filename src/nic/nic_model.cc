@@ -24,14 +24,6 @@ void NicExecContext::charge_nstack(std::uint32_t frame_size) noexcept {
   charge(static_cast<Ns>(cfg.nstack_base_ns + cfg.nstack_per_byte_ns * frame_size));
 }
 
-void NicExecContext::dma_read_blocking(std::uint32_t bytes) noexcept {
-  charge(nic_.dma().blocking_read_latency(bytes));
-}
-
-void NicExecContext::dma_write_blocking(std::uint32_t bytes) noexcept {
-  charge(nic_.dma().blocking_write_latency(bytes));
-}
-
 void NicExecContext::flush() {
   for (auto& pkt : tx_queue_) nic_.wire_tx(std::move(pkt));
   for (auto& pkt : host_queue_) nic_.deliver_to_host(std::move(pkt));

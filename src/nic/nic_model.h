@@ -47,9 +47,6 @@ class NicExecContext : public ExecContext {
   void charge_forwarding(std::uint32_t frame_size) noexcept;
   /// Charge the NIC-side hardware-assisted send/recv primitive (Fig. 6).
   void charge_nstack(std::uint32_t frame_size) noexcept;
-  /// Charge a blocking DMA read/write of `bytes` to/from host memory.
-  void dma_read_blocking(std::uint32_t bytes) noexcept;
-  void dma_write_blocking(std::uint32_t bytes) noexcept;
 
   /// Deliver a frame to the host (DMA write + host RX ring) at retirement.
   void to_host(netsim::PacketPtr pkt) { host_queue_.push_back(std::move(pkt)); }

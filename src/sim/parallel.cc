@@ -4,6 +4,7 @@
 #include <atomic>
 #include <bit>
 #include <cassert>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 
@@ -72,11 +73,9 @@ struct ParallelSimulation::Barrier {
 ParallelSimulation::ParallelSimulation() = default;
 ParallelSimulation::~ParallelSimulation() = default;
 
-DomainId ParallelSimulation::add_domain(std::string name) {
+DomainId ParallelSimulation::add_domain() {
   assert(!finalized_ && "all domains must be added before the first run()");
-  auto dom = std::make_unique<DomainState>();
-  dom->name = std::move(name);
-  domains_.push_back(std::move(dom));
+  domains_.push_back(std::make_unique<DomainState>());
   stalled_.push_back(0);
   return static_cast<DomainId>(domains_.size() - 1);
 }
@@ -85,8 +84,12 @@ void ParallelSimulation::set_lookahead(DomainId src, DomainId dst,
                                        Ns lookahead) {
   assert(!finalized_ && "lookahead edges must be declared before run()");
   assert(src < domains_.size() && dst < domains_.size() && src != dst);
+  if (lookahead == 0) {
+    throw std::invalid_argument(
+        "ParallelSimulation::set_lookahead: zero lookahead admits no safe "
+        "window");
+  }
   edges_.push_back(Edge{src, dst, lookahead});
-  if (lookahead == 0) has_zero_lookahead_ = true;
 }
 
 Ns ParallelSimulation::lookahead(DomainId src, DomainId dst) const {
@@ -147,18 +150,15 @@ HandoffId ParallelSimulation::post(DomainId dst, Ns when, EventFn fn) {
     return HandoffId{};
   }
 #ifndef NDEBUG
-  if (!has_zero_lookahead_) {
-    const Ns la = lookahead_[dst * domains_.size() + src];
-    assert(la != kNsMax &&
-           "cross-domain post on an edge with no declared lookahead");
-    assert(when >= domains_[src]->sim.now() + la &&
-           "handoff violates the conservative lookahead contract");
-  }
+  const Ns la = lookahead_[dst * domains_.size() + src];
+  assert(la != kNsMax &&
+         "cross-domain post on an edge with no declared lookahead");
+  assert(when >= domains_[src]->sim.now() + la &&
+         "handoff violates the conservative lookahead contract");
 #endif
   Ring& r = ring(src, dst);
-  // Windowed runs drain only the domains and rings flagged here; the
-  // sequential fallback drains after every event and keeps no bitmaps.
-  if (r.items.empty() && !has_zero_lookahead_) {
+  // The drain visits only the domains and rings flagged here.
+  if (r.items.empty()) {
     const unsigned w = domains_[src]->worker;
     row(inbox_, dst * workers_ + w)[src / 64] |= bit(src);
     row(touched_, w)[dst / 64] |= bit(dst);
@@ -362,7 +362,9 @@ void ParallelSimulation::worker_loop(unsigned w, Ns until) {
   }
 }
 
-Ns ParallelSimulation::run_windowed(Ns until) {
+Ns ParallelSimulation::run(Ns until) {
+  finalize();
+  if (domains_.empty()) return 0;
   const auto D = static_cast<DomainId>(domains_.size());
   for (DomainId d = 0; d < D; ++d) {
     next_ts_[d] = domains_[d]->sim.next_event_time();
@@ -399,59 +401,6 @@ Ns ParallelSimulation::run_windowed(Ns until) {
     if (s.now() > reached) reached = s.now();
   }
   return reached;
-}
-
-Ns ParallelSimulation::run_sequential(Ns until) {
-  // Zero-lookahead fallback: no window can be proven safe, so interleave
-  // domains one event at a time by (timestamp, domain id) and drain
-  // handoffs immediately after each event.  Deterministic by
-  // construction; identical for every thread count (all counts land
-  // here on such topologies).
-  const auto D = static_cast<DomainId>(domains_.size());
-  for (;;) {
-    DomainId best = kNoDomain;
-    Ns bt = kNsMax;
-    for (DomainId d = 0; d < D; ++d) {
-      const Ns t = domains_[d]->sim.next_event_time();
-      if (t < bt) {
-        bt = t;
-        best = d;
-      }
-    }
-    if (best == kNoDomain || bt > until) break;
-    tls_current = {this, best};
-    domains_[best]->sim.step(bt);
-    tls_current = {nullptr, kNoDomain};
-    for (DomainId d = 0; d < D; ++d) {
-      if (d == best) continue;
-      Ring& r = ring(best, d);
-      if (r.items.empty()) continue;
-      DomainState& dst = *domains_[d];
-      if (r.items.size() > dst.stats.ring_high_watermark) {
-        dst.stats.ring_high_watermark = r.items.size();
-      }
-      for (Handoff& h : r.items) {
-        if (!h.fn) continue;
-        dst.sim.schedule_at(h.when, std::move(h.fn));
-        ++dst.stats.handoffs_in;
-      }
-      r.drained_below = r.next_seq;
-      r.items.clear();
-    }
-  }
-  Ns reached = 0;
-  for (DomainId d = 0; d < D; ++d) {
-    Simulation& s = domains_[d]->sim;
-    if (until != kNsMax && s.now() < until) s.advance_to(until);
-    if (s.now() > reached) reached = s.now();
-  }
-  return reached;
-}
-
-Ns ParallelSimulation::run(Ns until) {
-  finalize();
-  if (domains_.empty()) return 0;
-  return has_zero_lookahead_ ? run_sequential(until) : run_windowed(until);
 }
 
 std::uint64_t ParallelSimulation::executed() const noexcept {

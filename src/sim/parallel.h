@@ -48,10 +48,8 @@
 //     the complete event order is a pure function of the inputs — byte-
 //     identical for any `--sim-threads=N`, including N=1 (which runs the
 //     same window protocol inline).
-//   * A topology edge with zero lookahead makes windowed execution
-//     unable to guarantee safety; run() then falls back to a sequential
-//     multiplexer that interleaves domains by (timestamp, domain id) —
-//     still deterministic, just not parallel.
+//   * Every edge carries a nonzero lookahead: a zero-lookahead edge
+//     admits no safe window, so set_lookahead() rejects it.
 //
 // The engine reports per-domain counters (events executed, window-sync
 // stalls, handoff-ring occupancy, effective lookahead) so parallel-
@@ -60,7 +58,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/units.h"
@@ -105,7 +102,7 @@ class ParallelSimulation {
 
   /// Register a new domain; returns its id (0, 1, 2, ...).  All domains
   /// must be added before the first run().
-  DomainId add_domain(std::string name = {});
+  DomainId add_domain();
 
   /// The domain's own event queue.  Components belonging to the domain
   /// are constructed against this Simulation and never see the engine.
@@ -116,22 +113,13 @@ class ParallelSimulation {
   [[nodiscard]] std::size_t domain_count() const noexcept {
     return domains_.size();
   }
-  [[nodiscard]] const std::string& domain_name(DomainId d) const {
-    return domains_[d]->name;
-  }
 
   /// Declare that events posted from `src` into `dst` always carry at
   /// least `lookahead` ns of delay (the minimum cross-domain latency on
-  /// that edge).  Repeated calls keep the minimum.  A zero lookahead is
-  /// accepted but forces the sequential fallback.
+  /// that edge).  Repeated calls keep the minimum.  Throws
+  /// std::invalid_argument on a zero lookahead.
   void set_lookahead(DomainId src, DomainId dst, Ns lookahead);
   [[nodiscard]] Ns lookahead(DomainId src, DomainId dst) const;
-
-  /// True when the topology contains a zero-lookahead edge and run()
-  /// will use the sequential multiplexer instead of windowed execution.
-  [[nodiscard]] bool sequential_fallback() const noexcept {
-    return has_zero_lookahead_;
-  }
 
   /// Worker threads used by run() (clamped to the domain count).  1 runs
   /// the identical window protocol inline — same event order, no pool.
@@ -191,7 +179,6 @@ class ParallelSimulation {
   /// every domain lives in the flat arrays below.
   struct DomainState {
     Simulation sim;
-    std::string name;
     DomainStats stats;  ///< stats() fills in events, windows and stalls
     unsigned worker = 0;  ///< worker that executes and drains it
   };
@@ -217,8 +204,6 @@ class ParallelSimulation {
   void run_domain(DomainId d, Ns bound, unsigned w);
   void drain_domain(DomainId d, unsigned w, Ns last);
   void worker_loop(unsigned w, Ns until);
-  Ns run_windowed(Ns until);
-  Ns run_sequential(Ns until);
 
   struct Edge {
     DomainId src;
@@ -279,7 +264,6 @@ class ParallelSimulation {
 
   unsigned threads_ = 1;
   bool finalized_ = false;
-  bool has_zero_lookahead_ = false;
   std::uint64_t rounds_ = 0;
 };
 

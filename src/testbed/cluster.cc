@@ -39,7 +39,7 @@ ServerNode::ServerNode(sim::Simulation& sim, netsim::Network& net,
   } else {
     nic_ = std::make_unique<nic::NicModel>(sim, spec_.nic, net, id);
   }
-  host_ = std::make_unique<hostsim::HostModel>(sim, spec_.host, *nic_);
+  host_ = std::make_unique<hostsim::HostModel>(sim, *nic_);
   runtime_ = std::make_unique<Runtime>(sim, *nic_, *host_,
                                        config_for_mode(spec_.mode, spec_.ipipe));
 }
@@ -80,8 +80,7 @@ double ServerNode::nic_cores_used() const {
 
 ServerNode& ParallelCluster::add_server(ServerSpec spec) {
   const auto id = static_cast<netsim::NodeId>(servers_.size());
-  const sim::DomainId d = psim_.add_domain("server" + std::to_string(id));
-  server_domains_.push_back(d);
+  const sim::DomainId d = psim_.add_domain();
   // The node's components self-attach to the fabric; route their port to
   // the new domain.
   net_.set_attach_domain(d);

@@ -49,7 +49,6 @@ enum class Mode { kIPipe, kDpdk, kFloem, kHostIPipe };
 
 struct ServerSpec {
   nic::NicConfig nic = nic::liquidio_cn2350();
-  hostsim::HostConfig host;
   Mode mode = Mode::kIPipe;
   IPipeConfig ipipe;
 };
@@ -111,8 +110,8 @@ inline constexpr Ns kTorLatency = 300;
 /// every attached component joins.
 struct BareFabric {
   explicit BareFabric(Ns switch_latency = kTorLatency)
-      : switch_domain(engine.add_domain("switch")),
-        node_domain(engine.add_domain("nodes")),
+      : switch_domain(engine.add_domain()),
+        node_domain(engine.add_domain()),
         net(engine, switch_domain, switch_latency) {
     net.set_attach_domain(node_domain);
   }
@@ -149,8 +148,8 @@ struct BareFabric {
 class ParallelCluster {
  public:
   explicit ParallelCluster(Ns switch_latency = 2000)
-      : switch_dom_(psim_.add_domain("switch")),
-        client_dom_(psim_.add_domain("clients")),
+      : switch_dom_(psim_.add_domain()),
+        client_dom_(psim_.add_domain()),
         net_(psim_, switch_dom_, switch_latency) {
     // Every component arena-allocates from the constructing thread's
     // pool; engine workers recycle frames concurrently.
@@ -178,9 +177,6 @@ class ParallelCluster {
   [[nodiscard]] sim::Simulation& client_sim() noexcept {
     return psim_.domain(client_dom_);
   }
-  [[nodiscard]] sim::DomainId server_domain(std::size_t i) const {
-    return server_domains_[i];
-  }
   [[nodiscard]] ServerNode& server(std::size_t i) { return *servers_[i]; }
   [[nodiscard]] std::size_t server_count() const noexcept {
     return servers_.size();
@@ -206,7 +202,6 @@ class ParallelCluster {
   sim::DomainId client_dom_;
   netsim::Network net_;
   bool topology_frozen_ = false;
-  std::vector<sim::DomainId> server_domains_;
   std::vector<std::unique_ptr<ServerNode>> servers_;
   std::vector<std::unique_ptr<workloads::ClientGen>> clients_;
   std::vector<std::unique_ptr<workloads::OpenLoopGen>> open_loops_;

@@ -29,11 +29,10 @@ class EchoFirmware final : public nic::NicFirmware {
     return true;
   }
 
-  void set_extra_processing(Ns t) noexcept { extra_processing_ = t; }
   [[nodiscard]] std::uint64_t echoed() const noexcept { return echoed_; }
 
  private:
-  Ns extra_processing_;
+  const Ns extra_processing_;
   std::uint64_t echoed_ = 0;
 };
 

@@ -147,8 +147,6 @@ class HistoryRecorder {
 
   [[nodiscard]] const KvHistory& kv() const noexcept { return kv_; }
   [[nodiscard]] const DtHistory& dt() const noexcept { return dt_; }
-  [[nodiscard]] KvHistory& kv_mut() noexcept { return kv_; }
-  [[nodiscard]] DtHistory& dt_mut() noexcept { return dt_; }
 
  private:
   void record_kv_issue(const netsim::Packet& pkt);

@@ -65,13 +65,13 @@ ClientGen::MakeReq txn_workload(TxnWorkloadParams params) {
         params.frame_size > overhead ? params.frame_size - overhead : 16,
         dt::DmoHashTable::kInlineValue);
 
-    for (unsigned i = 0; i < params.reads; ++i) {
+    for (unsigned i = 0; i < kTxnReads; ++i) {
       dt::TxnRead r;
       r.node = params.participants[rng.uniform_u64(params.participants.size())];
       r.key = make_key(rng.uniform_u64(params.num_keys), 16);
       txn.reads.push_back(std::move(r));
     }
-    for (unsigned i = 0; i < params.writes; ++i) {
+    for (unsigned i = 0; i < kTxnWrites; ++i) {
       dt::TxnWrite w;
       w.node = params.participants[rng.uniform_u64(params.participants.size())];
       w.key = make_key(rng.uniform_u64(params.num_keys), 16);
@@ -87,7 +87,7 @@ ClientGen::MakeReq rta_workload(RtaWorkloadParams params) {
   // Synthetic tweet vocabulary: a mix of words that do / don't match the
   // default filter patterns.
   auto vocab = std::make_shared<std::vector<std::string>>();
-  for (std::size_t i = 0; i < params.vocabulary; ++i) {
+  for (std::size_t i = 0; i < kRtaVocabulary; ++i) {
     switch (i % 5) {
       case 0:
         vocab->push_back("running" + std::to_string(i));

@@ -32,23 +32,27 @@ struct KvWorkloadParams {
 /// Returns a ClientGen::MakeReq closure generating RKV requests.
 [[nodiscard]] ClientGen::MakeReq kv_workload(KvWorkloadParams params);
 
+/// Read and write set sizes of every generated DT transaction.
+inline constexpr unsigned kTxnReads = 2;
+inline constexpr unsigned kTxnWrites = 1;
+
 struct TxnWorkloadParams {
   netsim::NodeId coordinator = 0;
   netsim::ActorId coordinator_actor = 0;
   std::vector<netsim::NodeId> participants;
   std::uint32_t frame_size = 512;
   std::uint64_t num_keys = 100'000;
-  unsigned reads = 2;
-  unsigned writes = 1;
 };
 
 [[nodiscard]] ClientGen::MakeReq txn_workload(TxnWorkloadParams params);
+
+/// Words in the synthetic tweet vocabulary.
+inline constexpr std::size_t kRtaVocabulary = 4096;
 
 struct RtaWorkloadParams {
   netsim::NodeId worker = 0;
   netsim::ActorId filter_actor = 0;
   std::uint32_t frame_size = 512;
-  std::size_t vocabulary = 4096;
 };
 
 [[nodiscard]] ClientGen::MakeReq rta_workload(RtaWorkloadParams params);

@@ -68,8 +68,10 @@ class ClientGen : public netsim::Endpoint {
     double backoff = 2.0;       ///< timeout multiplier per retry
     Ns cap = sec(2);            ///< backoff ceiling
   };
-  /// Off by default: legacy workloads stay fire-and-forget (a lost reply
-  /// simply never completes).
+  /// Off by default: a lost reply simply never completes.  Every
+  /// paper-figure bench's clients run that way, so their latency and
+  /// throughput rows carry no retransmits; only the chaos, failover and
+  /// durability benches turn retries on.
   void enable_retries(RetryPolicy policy) {
     retry_ = policy;
     retries_on_ = true;

@@ -42,7 +42,7 @@ OpenLoopGen::OpenLoopGen(sim::Simulation& sim, netsim::Network& net,
   assert(params_.value_len >= kCheckerHeader &&
          "value too small for the checker header");
   assert(static_cast<std::uint64_t>(self_) <= RequestId::kMaxNode);
-  net_.attach(self_, *this, params_.link_gbps);
+  net_.attach(self_, *this, kOpenLoopLinkGbps);
 }
 
 OpenLoopGen::~OpenLoopGen() { net_.detach(self_); }
@@ -257,7 +257,7 @@ void OpenLoopGen::on_retry_timeout(std::uint64_t rid, unsigned attempt) {
   ++retransmits_;
   rec.cur_timeout = std::min<Ns>(
       static_cast<Ns>(static_cast<double>(rec.cur_timeout) *
-                      params_.retry_backoff),
+                      kOpenLoopRetryBackoff),
       params_.retry_cap);
   // From the second timeout on, walk the replica set: the hinted leader
   // may be crashed, and any live replica will redirect us properly.
@@ -357,7 +357,7 @@ void OpenLoopGen::receive(netsim::PacketPtr pkt) {
       ShardTarget& g = groups_[rec.group];
       if (idx < g.replicas.size()) g.leader_hint = g.replicas[idx];
     }
-    if (rec.redirects < params_.max_redirects &&
+    if (rec.redirects < kMaxRedirects &&
         rec.group < groups_.size()) {
       ++rec.redirects;
       rec.copy.dst = groups_[rec.group].leader_hint;
@@ -373,7 +373,7 @@ void OpenLoopGen::receive(netsim::PacketPtr pkt) {
     // leader still catching up on the config entry) — leave the retry
     // timer to re-drive it.
     if ((rec.kind == Kind::kGet || rec.kind == Kind::kPut) &&
-        rec.redirects < params_.max_redirects) {
+        rec.redirects < kMaxRedirects) {
       const std::uint32_t group = table_.group_of(rec.shard);
       if (group != rec.group && group < groups_.size()) {
         ++rec.redirects;

@@ -77,6 +77,14 @@ struct ShardTarget {
   netsim::NodeId leader_hint = 0;
 };
 
+/// Link speed of the population's endpoint.
+inline constexpr double kOpenLoopLinkGbps = 100.0;
+/// Retry timeout multiplier per retransmit.
+inline constexpr double kOpenLoopRetryBackoff = 2.0;
+/// Immediate re-steers per op on kNotLeader/kWrongShard before backing
+/// off to the retry timer (bounds redirect ping-pong).
+inline constexpr unsigned kMaxRedirects = 16;
+
 struct OpenLoopParams {
   std::uint64_t clients = 1'000'000;  ///< logical client population
   double rate_rps = 20'000.0;         ///< aggregate arrival rate (midline)
@@ -89,15 +97,10 @@ struct OpenLoopParams {
   double diurnal_amplitude = 0.0;  ///< rate swing fraction in [0, 1)
   Ns diurnal_period = sec(20);
   std::uint64_t seed = 42;
-  double link_gbps = 100.0;
 
   Ns retry_timeout = msec(80);
   unsigned max_retries = 8;
-  double retry_backoff = 2.0;
   Ns retry_cap = msec(800);
-  /// Immediate re-steers per op on kNotLeader/kWrongShard before backing
-  /// off to the retry timer (bounds redirect ping-pong).
-  unsigned max_redirects = 16;
 };
 
 class OpenLoopGen : public netsim::Endpoint {
@@ -119,9 +122,6 @@ class OpenLoopGen : public netsim::Endpoint {
   /// `done` fires after the new table is adopted and queued ops replay.
   void start_rebalance(shard::RouteTable next,
                        std::function<void()> done = {});
-  [[nodiscard]] bool rebalance_active() const noexcept {
-    return rphase_ != RebalPhase::kIdle;
-  }
   [[nodiscard]] std::uint64_t rebalances_done() const noexcept {
     return rebalances_done_;
   }

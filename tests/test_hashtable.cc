@@ -2,6 +2,8 @@
 
 #include <unordered_map>
 
+#include "apps/common/wire.h"
+#include "apps/dt/dt_actors.h"
 #include "apps/dt/hashtable.h"
 #include "fake_env.h"
 
@@ -88,12 +90,61 @@ TEST(DmoHashTable, CommitWritesBumpsAndUnlocks) {
   DmoHashTable table;
   table.create(env);
   EXPECT_TRUE(table.put(env, "k", val("old")));
-  ASSERT_TRUE(table.lock(env, "k").has_value());
-  EXPECT_TRUE(table.commit(env, "k", val("new")));
+  const auto locked = table.lock(env, "k");
+  ASSERT_TRUE(locked.has_value());
+  EXPECT_EQ(*locked, 1u);
+  // The coordinator's target: one past the version the lock saw.
+  EXPECT_TRUE(table.commit_at(env, "k", val("new"), *locked + 1));
   const auto r = table.get(env, "k");
   EXPECT_EQ(r->value, val("new"));
   EXPECT_EQ(r->version, 2u);
   EXPECT_FALSE(r->locked);
+}
+
+TEST(DtParticipant, CommitWithoutTargetIsDropped) {
+  // The coordinator always appends the version target; a kCommit
+  // without one is malformed: no write, no unlock, no ack.
+  test::FakeEnv env;
+  ParticipantActor part;
+  part.init(env);
+  auto msg = [](std::uint16_t type, std::vector<std::uint8_t> payload) {
+    netsim::Packet pkt;
+    pkt.src = 7;
+    pkt.msg_type = type;
+    pkt.payload = std::move(payload);
+    return pkt;
+  };
+  auto head = [] {
+    wire::Writer w;
+    w.put(std::uint64_t{1}).put(std::uint8_t{0}).put_str("k");
+    return w;
+  };
+  part.handle(env, msg(kLock, head().take()));
+  ASSERT_EQ(part.locked_count(), 1u);
+  const std::size_t sent = env.sent.size();
+
+  part.handle(env, msg(kCommit, head().put_bytes(val("new")).take()));
+  auto r = part.store().get(env, "k");
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->version, 0u);
+  EXPECT_TRUE(r->value.empty());
+  EXPECT_TRUE(r->locked);
+  EXPECT_EQ(part.locked_count(), 1u);
+  EXPECT_EQ(env.sent.size(), sent);
+
+  // The same commit with its target applies, unlocks and acks.
+  part.handle(env, msg(kCommit, head()
+                                    .put_bytes(val("new"))
+                                    .put(std::uint32_t{1})
+                                    .take()));
+  r = part.store().get(env, "k");
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->version, 1u);
+  EXPECT_EQ(r->value, val("new"));
+  EXPECT_FALSE(r->locked);
+  EXPECT_EQ(part.locked_count(), 0u);
+  ASSERT_EQ(env.sent.size(), sent + 1);
+  EXPECT_EQ(env.sent.back().type, kCommitAck);
 }
 
 TEST(DmoHashTable, MatchesUnorderedMapOracle) {

@@ -53,7 +53,7 @@ TEST(Network, TimingMatchesStoreAndForward) {
 }
 
 TEST(Network, UplinkContentionSerializes) {
-  BareFabric f(0);
+  BareFabric f(300);
   Network& net = f.net;
   Sink a;
   Sink b;
@@ -63,8 +63,10 @@ TEST(Network, UplinkContentionSerializes) {
   for (int i = 0; i < n; ++i) net.send(make_pkt(1, 2, 1500));
   f.run();
   ASSERT_EQ(b.received.size(), static_cast<std::size_t>(n));
-  // Last delivery = n serializations on the uplink + 1 on the downlink.
-  const Ns expected = n * wire_time(1500, 10.0) + wire_time(1500, 10.0);
+  // Last delivery = n serializations on the uplink + 300ns switch + 1
+  // on the downlink.
+  const Ns expected =
+      n * wire_time(1500, 10.0) + 300 + wire_time(1500, 10.0);
   EXPECT_EQ(f.sim().now(), expected);
 }
 

@@ -343,7 +343,7 @@ struct HostCores : CoreRig {
   static netsim::PacketPtr take(Context& ctx) { return ctx.host().rx_pop(); }
 
   // Constructed after the base, so the host takes over the RX ring.
-  hostsim::HostModel host{fabric.sim(), hostsim::HostConfig{}, nic};
+  hostsim::HostModel host{fabric.sim(), nic};
 };
 
 /// A program whose work item is a test-supplied function of the call

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -150,10 +151,14 @@ TEST(ParallelCluster, EngineCountersReachMetricsSnapshots) {
   EXPECT_GT(last.eng_lookahead_ns, 0u);
 }
 
-TEST(ParallelCluster, ZeroSwitchLatencyFallsBackToSequential) {
-  // A 0ns switch gives the fabric edges no lookahead: the engine must
-  // refuse to window and run the deterministic sequential multiplexer.
-  testbed::ParallelCluster cluster(/*switch_latency=*/0);
+TEST(ParallelCluster, SubTwoNanosecondSwitchIsRejected) {
+  // Below 2 ns one switch half-latency, and so one fabric lookahead, is
+  // zero: the cluster refuses the topology at construction.
+  EXPECT_THROW(testbed::ParallelCluster{0}, std::invalid_argument);
+  EXPECT_THROW(testbed::ParallelCluster{1}, std::invalid_argument);
+
+  // 2 ns is the smallest switch that windows; it still serves traffic.
+  testbed::ParallelCluster cluster(/*switch_latency=*/2);
   auto& server = cluster.add_server(testbed::ServerSpec{});
   const ActorId id = server.runtime().register_actor(std::make_unique<Echo>());
   workloads::EchoWorkloadParams wl;
@@ -165,7 +170,7 @@ TEST(ParallelCluster, ZeroSwitchLatencyFallsBackToSequential) {
   client.start_closed_loop(2, msec(2));
   cluster.set_threads(8);
   cluster.run_until(msec(3));
-  EXPECT_TRUE(cluster.engine().sequential_fallback());
+  EXPECT_EQ(cluster.engine().lookahead(0, 2), 1u);
   EXPECT_GT(client.completed(), 10u);
 }
 

@@ -1,12 +1,13 @@
 // Unit tests for the conservative parallel event engine (sim/parallel.h):
 // window safety, cross-domain handoff ordering and cancellation, the
-// zero-lookahead sequential fallback, thread-count-invariant determinism,
+// rejection of zero-lookahead edges, thread-count-invariant determinism,
 // and PeriodicTask ownership migrating across domains.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -29,8 +30,8 @@ std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
 
 TEST(ParallelSim, SetupPostUsesFastPathAndRuns) {
   ParallelSimulation ps;
-  const DomainId a = ps.add_domain("a");
-  const DomainId b = ps.add_domain("b");
+  const DomainId a = ps.add_domain();
+  const DomainId b = ps.add_domain();
   ps.set_lookahead(a, b, 100);
   ps.set_lookahead(b, a, 100);
 
@@ -49,8 +50,8 @@ TEST(ParallelSim, SetupPostUsesFastPathAndRuns) {
 
 TEST(ParallelSim, CrossDomainHandoffDeliversAtRequestedTime) {
   ParallelSimulation ps;
-  const DomainId a = ps.add_domain("a");
-  const DomainId b = ps.add_domain("b");
+  const DomainId a = ps.add_domain();
+  const DomainId b = ps.add_domain();
   ps.set_lookahead(a, b, 100);
   ps.set_lookahead(b, a, 100);
 
@@ -71,8 +72,8 @@ TEST(ParallelSim, CrossDomainHandoffDeliversAtRequestedTime) {
 
 TEST(ParallelSim, CancelInFlightHandoffBeforeDrain) {
   ParallelSimulation ps;
-  const DomainId a = ps.add_domain("a");
-  const DomainId b = ps.add_domain("b");
+  const DomainId a = ps.add_domain();
+  const DomainId b = ps.add_domain();
   // Wide windows: both of a's events land in the same round, so the
   // cancel reaches the ring before the barrier drains it.
   ps.set_lookahead(a, b, 10'000);
@@ -93,8 +94,8 @@ TEST(ParallelSim, CancelInFlightHandoffBeforeDrain) {
 
 TEST(ParallelSim, CancelAfterDrainFailsLikeAPacketOnTheWire) {
   ParallelSimulation ps;
-  const DomainId a = ps.add_domain("a");
-  const DomainId b = ps.add_domain("b");
+  const DomainId a = ps.add_domain();
+  const DomainId b = ps.add_domain();
   // Narrow windows: b ticks every 50ns, so a's post at t=100 is drained
   // at a barrier well before a's cancel at t=400 executes.
   ps.set_lookahead(a, b, 50);
@@ -131,9 +132,9 @@ TEST(ParallelSim, SameTimestampCrossDomainOrderIsSourceIdOrder) {
   // by source domain id regardless of thread schedule.
   for (const unsigned threads : {1u, 2u, 4u}) {
     ParallelSimulation ps;
-    const DomainId a = ps.add_domain("a");
-    const DomainId b = ps.add_domain("b");
-    const DomainId c = ps.add_domain("c");
+    const DomainId a = ps.add_domain();
+    const DomainId b = ps.add_domain();
+    const DomainId c = ps.add_domain();
     for (DomainId s : {a, b}) {
       ps.set_lookahead(s, c, 100);
       ps.set_lookahead(c, s, 100);
@@ -165,7 +166,7 @@ std::vector<std::pair<DomainId, int>> run_wide_fan_in(unsigned threads) {
   constexpr DomainId kD = 72;
   constexpr DomainId kDst = 71;
   ParallelSimulation ps;
-  for (DomainId d = 0; d < kD; ++d) ps.add_domain("w" + std::to_string(d));
+  for (DomainId d = 0; d < kD; ++d) ps.add_domain();
   const std::vector<DomainId> sources = {70, 64, 63, 0};
   for (const DomainId s : sources) {
     ps.set_lookahead(s, kDst, 1000);
@@ -211,8 +212,8 @@ TEST(ParallelSim, FanInAcrossInboxWordBoundaryIsCanonical) {
 TEST(ParallelSim, RingWithOnlyCancelledItemsIsClearedAndReusable) {
   for (const unsigned threads : {1u, 2u}) {
     ParallelSimulation ps;
-    const DomainId a = ps.add_domain("a");
-    const DomainId b = ps.add_domain("b");
+    const DomainId a = ps.add_domain();
+    const DomainId b = ps.add_domain();
     ps.set_lookahead(a, b, 10'000);
     ps.set_lookahead(b, a, 10'000);
     ps.set_threads(threads);
@@ -248,9 +249,9 @@ TEST(ParallelSim, IdleDomainWokenOnlyByHandoffRunsOnTime) {
   // run is split so the second half starts from a fresh worker count.
   for (const unsigned threads : {1u, 2u, 4u}) {
     ParallelSimulation ps;
-    const DomainId a = ps.add_domain("a");
-    const DomainId b = ps.add_domain("b");
-    ps.add_domain("idle");
+    const DomainId a = ps.add_domain();
+    const DomainId b = ps.add_domain();
+    ps.add_domain();
     ps.set_lookahead(a, b, 20);
     ps.set_lookahead(b, a, 20);
     ps.set_threads(threads);
@@ -296,7 +297,7 @@ std::uint64_t run_ring_digest(unsigned threads, std::uint64_t* executed) {
   constexpr DomainId kD = 8;
   constexpr Ns kHorizon = 50'000;
   ParallelSimulation ps;
-  for (DomainId d = 0; d < kD; ++d) ps.add_domain("r" + std::to_string(d));
+  for (DomainId d = 0; d < kD; ++d) ps.add_domain();
   for (DomainId s = 0; s < kD; ++s) {
     for (DomainId d = 0; d < kD; ++d) {
       if (s != d) ps.set_lookahead(s, d, 300);
@@ -353,56 +354,63 @@ TEST(ParallelSim, RingWorkloadIsThreadCountInvariant) {
   }
 }
 
-TEST(ParallelSim, ZeroLookaheadForcesSequentialFallback) {
+TEST(ParallelSim, ZeroLookaheadEdgeIsRejected) {
+  // A zero-lookahead edge admits no safe window: it is refused when
+  // declared, and the edge set stays as it was.
   ParallelSimulation ps;
-  const DomainId a = ps.add_domain("a");
-  const DomainId b = ps.add_domain("b");
-  ps.set_lookahead(a, b, 0);  // e.g. a same-rack PCIe hop modeled as 0ns
-  ps.set_lookahead(b, a, 100);
-  ps.set_threads(8);
-  EXPECT_TRUE(ps.sequential_fallback());
+  const DomainId a = ps.add_domain();
+  const DomainId b = ps.add_domain();
+  ps.set_lookahead(a, b, 50);
+  EXPECT_THROW(ps.set_lookahead(a, b, 0), std::invalid_argument);
+  EXPECT_THROW(ps.set_lookahead(b, a, 0), std::invalid_argument);
+  EXPECT_EQ(ps.lookahead(a, b), 50u);
+  EXPECT_EQ(ps.lookahead(b, a), ~Ns{0});
 
-  // Interleaving is by (timestamp, domain id) and cross-domain posts may
-  // land with zero delay.
-  std::vector<int> order;
+  ps.set_lookahead(b, a, 50);
+  bool fired = false;
   ps.domain(a).schedule_at(10, [&] {
-    order.push_back(0);
-    ps.post(b, 10, [&] { order.push_back(1); });
+    ps.post(b, 60, [&] { fired = true; });
   });
-  ps.domain(b).schedule_at(10, [&] { order.push_back(2); });
   ps.run(100);
-  ASSERT_EQ(order.size(), 3u);
-  EXPECT_EQ(order[0], 0);  // (10, a) before (10, b)
-  EXPECT_EQ(order[1], 2);  // b's own event was queued first at t=10
-  EXPECT_EQ(order[2], 1);  // the zero-delay handoff arrives behind it
-  EXPECT_EQ(ps.executed(), 3u);
+  EXPECT_TRUE(fired);
+  EXPECT_EQ(ps.stats(b).effective_lookahead, 50u);
 }
 
-TEST(ParallelSim, SequentialFallbackDrainsRingsImmediately) {
+TEST(ParallelSim, OneNanosecondLookaheadRunsWindowed) {
+  // The smallest legal edge: a handoff posted at t lands at t + 1 behind
+  // the destination's own event at t, and a cancel in the posting
+  // event wins because the ring is only drained at the barrier.
   ParallelSimulation ps;
-  const DomainId a = ps.add_domain("a");
-  const DomainId b = ps.add_domain("b");
-  ps.set_lookahead(a, b, 0);
-  EXPECT_TRUE(ps.sequential_fallback());
+  const DomainId a = ps.add_domain();
+  const DomainId b = ps.add_domain();
+  ps.set_lookahead(a, b, 1);
+  ps.set_lookahead(b, a, 1);
+  ps.set_threads(2);
 
-  bool fired = false;
-  bool cancel_result = true;
-  HandoffId h;
+  std::vector<std::pair<Ns, int>> at_b;  // touched only by b's events
+  bool cancelled_fired = false;
+  bool cancel_result = false;
   ps.domain(a).schedule_at(10, [&] {
-    h = ps.post(b, 500, [&] { fired = true; });
+    ps.post(b, 11, [&] { at_b.emplace_back(ps.domain(b).now(), 1); });
+    const HandoffId h = ps.post(b, 500, [&] { cancelled_fired = true; });
+    cancel_result = ps.cancel_handoff(h);
   });
-  // In fallback mode the ring is drained right after the posting event,
-  // so even an immediately-following cancel is already too late.
-  ps.domain(a).schedule_at(11, [&] { cancel_result = ps.cancel_handoff(h); });
+  ps.domain(b).schedule_at(10, [&] {
+    at_b.emplace_back(ps.domain(b).now(), 0);
+  });
   ps.run(1000);
-  EXPECT_TRUE(fired);
-  EXPECT_FALSE(cancel_result);
+  const std::vector<std::pair<Ns, int>> want = {{10, 0}, {11, 1}};
+  EXPECT_EQ(at_b, want);
+  EXPECT_TRUE(cancel_result);
+  EXPECT_FALSE(cancelled_fired);
+  EXPECT_EQ(ps.executed(), 3u);
+  EXPECT_EQ(ps.stats(b).handoffs_in, 1u);
 }
 
 TEST(ParallelSim, StallCounterSeesWaitingDomain) {
   ParallelSimulation ps;
-  const DomainId a = ps.add_domain("a");
-  const DomainId b = ps.add_domain("b");
+  const DomainId a = ps.add_domain();
+  const DomainId b = ps.add_domain();
   ps.set_lookahead(a, b, 10);
   ps.set_lookahead(b, a, 10);
   // a ticks densely; b has one far-future event it cannot reach until
@@ -428,8 +436,8 @@ TEST(ParallelSim, PeriodicTaskMigratesAcrossDomains) {
   // task resumes on b.  Tick counts must be exact and thread-invariant.
   for (const unsigned threads : {1u, 4u}) {
     ParallelSimulation ps;
-    const DomainId a = ps.add_domain("a");
-    const DomainId b = ps.add_domain("b");
+    const DomainId a = ps.add_domain();
+    const DomainId b = ps.add_domain();
     ps.set_lookahead(a, b, 100);
     ps.set_lookahead(b, a, 100);
     ps.set_threads(threads);
@@ -498,7 +506,7 @@ EngineCounters run_random_topology(std::uint64_t seed, bool mesh,
   const DomainId kD = mesh ? 40 : 97;
   constexpr Ns kHorizon = 200'000;
   ParallelSimulation ps;
-  for (DomainId d = 0; d < kD; ++d) ps.add_domain("t" + std::to_string(d));
+  for (DomainId d = 0; d < kD; ++d) ps.add_domain();
   std::uint64_t g = seed;
   std::vector<std::vector<DomainId>> out(kD);
   std::vector<Ns> la(std::size_t{kD} * kD, ~Ns{0});
@@ -623,13 +631,12 @@ TEST(ParallelSim, RandomTopologyCountersArePinned) {
 
 TEST(ParallelSim, RepeatedLookaheadKeepsMinimum) {
   ParallelSimulation ps;
-  const DomainId a = ps.add_domain("a");
-  const DomainId b = ps.add_domain("b");
+  const DomainId a = ps.add_domain();
+  const DomainId b = ps.add_domain();
   ps.set_lookahead(a, b, 500);
   ps.set_lookahead(a, b, 200);
   ps.set_lookahead(a, b, 900);
   EXPECT_EQ(ps.lookahead(a, b), 200u);
-  EXPECT_FALSE(ps.sequential_fallback());
 }
 
 }  // namespace
