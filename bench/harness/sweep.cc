@@ -44,9 +44,10 @@ SweepOpts parse_sweep_opts(int argc, char** argv) {
           "shared harness flags:\n"
           "  --jobs=N         run N sweep points concurrently (default 1);\n"
           "                   stdout stays byte-identical to --jobs=1\n"
-          "  --sim-threads=N  parallel event-engine workers per sim point\n"
-          "                   (default 1); results are byte-identical for\n"
-          "                   any N\n"
+          "  --sim-threads=N  at most N parallel event-engine workers per\n"
+          "                   sim point (default 1; an epoch runs on one\n"
+          "                   worker when that is measured to be cheaper);\n"
+          "                   results are byte-identical for any N\n"
           "  --bench-json=P   write a machine-readable perf baseline to P\n"
           "  --help           this text\n"
           "when --sim-threads > 1, jobs x sim-threads is clamped to\n"

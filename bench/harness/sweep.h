@@ -39,7 +39,7 @@ void fill_perf(PointPerf& perf, testbed::ParallelCluster& cluster);
 
 struct SweepOpts {
   unsigned jobs = 1;          ///< --jobs=N worker threads (1 = sequential)
-  unsigned sim_threads = 1;   ///< --sim-threads=N engine workers per point
+  unsigned sim_threads = 1;   ///< --sim-threads=N: at most N engine workers per point
   std::string bench_json;     ///< --bench-json=<path>, empty = no emission
 };
 

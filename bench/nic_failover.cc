@@ -15,6 +15,10 @@
 //   nic_failover [--sim-threads=N] [--duration-s=S] [--seed=N]
 //                [--p99-factor=F]
 //
+// --sim-threads=N runs the engine on at most N workers (also bounded by
+// the host's hardware threads); each epoch of rounds runs on one worker
+// or on all of them, whichever is measured to cost less per event.
+//
 // Exit codes: 0 ok, 1 unknown flag or malformed number, 2 lost acked
 // writes, 3 read-back verification failed (corrupt value or incomplete),
 // 4 degraded p99 exceeded --p99-factor x the healthy baseline.

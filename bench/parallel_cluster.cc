@@ -10,6 +10,10 @@
 //   parallel_cluster [--sim-threads=N] [--duration-s=S] [--seed=N]
 //                    [--min-events=N] [--wall-out=<path>]
 //
+// --sim-threads=N runs the engine on at most N workers (also bounded by
+// the host's hardware threads); each epoch of rounds runs on one worker
+// or on all of them, whichever is measured to cost less per event.
+//
 // Exit codes: 0 ok, 1 unknown flag or malformed number, 2 lost acked
 // writes, 3 fewer events than --min-events.
 #include <algorithm>

@@ -18,6 +18,10 @@
 //               [--groups=N] [--min-ops=N] [--max-events-per-op=X]
 //               [--wall-out=<path>] [--json-out=<path>]
 //
+// --sim-threads=N runs the engine on at most N workers (also bounded by
+// the host's hardware threads); each epoch of rounds runs on one worker
+// or on all of them, whichever is measured to cost less per event.
+//
 // Exit codes: 0 ok; 1 unknown flag, malformed number or value out of
 // range; 2 correctness violation (stale read, lost acked write, readback
 // failure, or rebalance did not complete); 3 scale gate: fewer ops sent

@@ -65,14 +65,19 @@ bool MaglevTable::populate() {
   // into an abort in debug builds and an infinite loop in release.
   if (alive_count() == 0) return false;
 
-  // Per-backend permutation parameters (offset, skip), Maglev §3.4.
-  std::vector<std::size_t> offset(n);
+  // Per-backend permutation (offset + j * skip) mod m, Maglev §3.4.
+  // pos[i] is backend i's next preference; skip < m, so one subtraction
+  // keeps each step inside the table.
+  std::vector<std::size_t> pos(n);
   std::vector<std::size_t> skip(n);
-  std::vector<std::size_t> next(n, 0);
   for (std::size_t i = 0; i < n; ++i) {
-    offset[i] = hash_str(backends_[i], 0xA11CE) % m;
+    pos[i] = hash_str(backends_[i], 0xA11CE) % m;
     skip[i] = hash_str(backends_[i], 0xB0B) % (m - 1) + 1;
   }
+  auto advance = [m](std::size_t c, std::size_t step) {
+    c += step;
+    return c >= m ? c - m : c;
+  };
 
   std::size_t filled = 0;
   while (filled < m) {
@@ -80,13 +85,10 @@ bool MaglevTable::populate() {
       if (!alive_[i]) continue;
       // Find this backend's next preferred empty slot.  m is prime so
       // the permutation visits every slot and the scan terminates.
-      std::size_t c = (offset[i] + next[i] * skip[i]) % m;
-      while (entries_[c] != kNoBackend) {
-        ++next[i];
-        c = (offset[i] + next[i] * skip[i]) % m;
-      }
+      std::size_t c = pos[i];
+      while (entries_[c] != kNoBackend) c = advance(c, skip[i]);
       entries_[c] = i;
-      ++next[i];
+      pos[i] = advance(c, skip[i]);
       ++filled;
     }
   }

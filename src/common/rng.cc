@@ -1,5 +1,7 @@
 #include "common/rng.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numbers>
 
@@ -92,13 +94,30 @@ ZipfDist::ZipfDist(std::uint64_t n, double theta) : n_(n) {
     sum += 1.0 / std::pow(static_cast<double>(i + 1), theta);
     cdf_[i] = sum;
   }
-  for (auto& v : cdf_) v /= sum;
+  // 4096 buckets keep the guide in 32 KiB and cut a search at n = 10^5
+  // to a handful of entries; a smaller n gets one bucket per entry.  The
+  // guide fills in the normalizing pass: bucket b takes the first index
+  // whose value reaches b/B (exact: B is a power of two), and a bucket
+  // no value reaches takes n - 1, where the plain search ends too.
+  const std::uint64_t buckets =
+      std::bit_ceil(std::clamp<std::uint64_t>(n, 1, 4096));
+  const double width = 1.0 / static_cast<double>(buckets);
+  guide_.assign(buckets + 1, n == 0 ? 0 : n - 1);
+  std::uint64_t b = 0;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    cdf_[i] /= sum;
+    for (; b <= buckets && cdf_[i] >= static_cast<double>(b) * width; ++b) {
+      guide_[b] = i;
+    }
+  }
 }
 
-std::uint64_t ZipfDist::operator()(Rng& rng) const noexcept {
-  const double u = rng.uniform();
-  // Binary search for the first cdf entry >= u.
-  std::uint64_t lo = 0, hi = n_ - 1;
+std::uint64_t ZipfDist::at(double u) const noexcept {
+  // u lies in [b/B, (b+1)/B), so the first cdf entry >= u lies in
+  // [guide_[b], guide_[b + 1]]; binary-search that range.
+  const auto b = static_cast<std::size_t>(
+      u * static_cast<double>(guide_.size() - 1));
+  std::uint64_t lo = guide_[b], hi = guide_[b + 1];
   while (lo < hi) {
     const std::uint64_t mid = lo + (hi - lo) / 2;
     if (cdf_[mid] < u) {

@@ -18,6 +18,13 @@ void Network::attach(NodeId node, Endpoint& ep, double gbps,
   } else if (!existing) {
     port.domain = attach_domain_;
   }
+  add_counters(port.domain);
+}
+
+void Network::add_counters(sim::DomainId d) {
+  while (counters_.size() <= d) {
+    counters_.push_back(std::make_unique<Counters>());
+  }
 }
 
 void Network::detach(NodeId node) {
@@ -67,11 +74,15 @@ void Network::corrupt_payload(Packet& pkt) {
 // domain after the ingress half-latency.
 void Network::send(PacketPtr pkt) {
   assert(pkt != nullptr);
-  frames_sent_.fetch_add(1, std::memory_order_relaxed);
   const auto src_it = ports_.find(pkt->src);
   const auto dst_it = ports_.find(pkt->dst);
+  // A frame from an unattached source has no sender's block; the
+  // switch's takes it (a config error, so sharing its line is harmless).
+  Counters& mine = counters(src_it != ports_.end() ? src_it->second.domain
+                                                   : switch_domain_);
+  bump(mine.sent);
   if (src_it == ports_.end() || dst_it == ports_.end()) {
-    dropped_unknown_endpoint_.fetch_add(1, std::memory_order_relaxed);
+    bump(mine.unknown_endpoint);
     LOG_DEBUG("drop: unknown endpoint %u -> %u", pkt->src, pkt->dst);
     return;
   }
@@ -93,11 +104,11 @@ void Network::send(PacketPtr pkt) {
 // pure function of the workload, independent of thread count.
 void Network::switch_hop(PacketPtr pkt, PortState& dst) {
   if (pair_blocked(pkt->src, pkt->dst)) {
-    dropped_partition_.fetch_add(1, std::memory_order_relaxed);
+    bump(counters(switch_domain_).partition);
     return;
   }
   if (faults_.drop_prob > 0.0 && rng_.bernoulli(faults_.drop_prob)) {
-    dropped_fault_.fetch_add(1, std::memory_order_relaxed);
+    bump(counters(switch_domain_).fault);
     return;
   }
   const bool duplicate =
@@ -133,7 +144,7 @@ void Network::post_to_dst(PacketPtr pkt, PortState& dst, Ns jitter,
 // the FCS check eats a corrupted one) once its downlink time is paid.
 void Network::arrive(PacketPtr pkt, PortState& port, bool corrupt) {
   if (!port.up || port.ep == nullptr) {
-    dropped_node_down_.fetch_add(1, std::memory_order_relaxed);
+    bump(counters(port.domain).node_down);
     return;
   }
   sim::Simulation& dsim = psim_.domain(port.domain);
@@ -142,15 +153,16 @@ void Network::arrive(PacketPtr pkt, PortState& port, bool corrupt) {
   const Ns rx_done = rx_start + wire_time(pkt->frame_size, port.gbps);
   port.rx_busy_until = rx_done;
   auto deliver = [this, &port, corrupt, p = std::move(pkt)]() mutable {
+    Counters& mine = counters(port.domain);
     if (!port.up || port.ep == nullptr) {
-      dropped_node_down_.fetch_add(1, std::memory_order_relaxed);
+      bump(mine.node_down);
       return;
     }
     if (corrupt) {
-      dropped_corrupt_.fetch_add(1, std::memory_order_relaxed);
+      bump(mine.corrupt);
       return;
     }
-    frames_delivered_.fetch_add(1, std::memory_order_relaxed);
+    bump(mine.delivered);
     p->nic_arrival = psim_.domain(port.domain).now();
     port.ep->receive(std::move(p));
   };

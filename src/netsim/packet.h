@@ -90,8 +90,10 @@ using PacketPtr = std::unique_ptr<Packet, PacketDeleter>;
 /// serves one simulation (the thread-local `local()` pool is the default
 /// arena, so sweep workers each recycle independently).  A parallel
 /// cluster shares one pool across its engine workers and flips it to
-/// `set_concurrent(true)`, which guards make()/recycle() with a spinlock
-/// (uncontended in practice: a domain usually recycles what it made).
+/// `set_concurrent(true)`, which guards make()/recycle() with a spinlock.
+/// A frame is made on its sender's domain and retired on its receiver's,
+/// so the two ends of a frame usually take the lock from different
+/// workers.
 /// In concurrent mode `hit_rate()` depends on wall-clock interleaving,
 /// so deterministic output must not print it.  A pool must outlive every
 /// packet it produced; `local()` trivially satisfies this.

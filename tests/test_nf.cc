@@ -194,6 +194,78 @@ TEST(Maglev, MinimalDisruptionOnBackendFailure) {
   }
 }
 
+// Maglev's fill with the permutation written out as
+// (offset + j * skip) % m on every probe, the textbook formula.
+std::vector<std::size_t> maglev_reference(
+    const std::vector<std::string>& backends, const std::vector<bool>& alive,
+    std::size_t m) {
+  auto hash = [](const std::string& s, std::uint64_t salt) {
+    std::uint64_t h = 1469598103934665603ULL ^ salt;
+    for (const char c : s) {
+      h ^= static_cast<std::uint8_t>(c);
+      h *= 1099511628211ULL;
+    }
+    return h;
+  };
+  const std::size_t n = backends.size();
+  std::vector<std::size_t> entries(m, MaglevTable::kNoBackend);
+  std::vector<std::size_t> offset(n), skip(n), next(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    offset[i] = hash(backends[i], 0xA11CE) % m;
+    skip[i] = hash(backends[i], 0xB0B) % (m - 1) + 1;
+  }
+  std::size_t filled = 0;
+  while (filled < m) {
+    for (std::size_t i = 0; i < n && filled < m; ++i) {
+      if (!alive[i]) continue;
+      std::size_t c = (offset[i] + next[i] * skip[i]) % m;
+      while (entries[c] != MaglevTable::kNoBackend) {
+        ++next[i];
+        c = (offset[i] + next[i] * skip[i]) % m;
+      }
+      entries[c] = i;
+      ++next[i];
+      ++filled;
+    }
+  }
+  return entries;
+}
+
+void expect_maglev_matches(const MaglevTable& t,
+                           const std::vector<std::string>& backends,
+                           const std::vector<bool>& alive) {
+  const std::size_t m = t.table_size();
+  const std::vector<std::size_t> want = maglev_reference(backends, alive, m);
+  std::size_t mismatches = 0;
+  for (std::size_t slot = 0; slot < m; ++slot) {
+    if (t.lookup(slot) != want[slot]) ++mismatches;
+  }
+  EXPECT_EQ(mismatches, 0u) << "m=" << m << " backends=" << backends.size();
+}
+
+TEST(Maglev, FillMatchesModuloFormula) {
+  // Prime sizes (small, near the 65537 default and between) and backend
+  // counts from one to more than the smallest table's share allows.
+  for (const std::size_t m : {2u, 3u, 101u, 4099u, 65537u}) {
+    for (const int n : {1, 2, 7, 10, 33}) {
+      std::vector<std::string> backends;
+      for (int i = 0; i < n; ++i) backends.push_back("be" + std::to_string(i));
+      MaglevTable t(backends, m);
+      ASSERT_EQ(t.table_size(), m);
+      std::vector<bool> alive(backends.size(), true);
+      expect_maglev_matches(t, backends, alive);
+      // Refills after failures, down to one live backend.
+      for (int dead = 0; dead + 1 < n && dead < 3; ++dead) {
+        const auto idx = static_cast<std::size_t>((dead * 5) % n);
+        if (!alive[idx]) continue;
+        (void)t.remove_backend(idx);
+        alive[idx] = false;
+        expect_maglev_matches(t, backends, alive);
+      }
+    }
+  }
+}
+
 TEST(LeakyBucket, EnforcesRate) {
   LeakyBucket bucket(8e6 /*1MB/s*/, 2000, 10'000);
   Ns now = 0;
