@@ -34,8 +34,6 @@ SweepOpts parse_sweep_opts(int argc, char** argv) {
     bool ok = true;
     if (arg.rfind("--jobs=", 0) == 0) {
       ok = parse_exact(arg.substr(7), &opts.jobs);
-    } else if (arg.rfind("--sim-threads=", 0) == 0) {
-      ok = parse_exact(arg.substr(14), &opts.sim_threads);
     } else if (arg.rfind("--bench-json=", 0) == 0) {
       opts.bench_json = std::string(arg.substr(13));
     } else if (arg == "--help") {
@@ -44,14 +42,8 @@ SweepOpts parse_sweep_opts(int argc, char** argv) {
           "shared harness flags:\n"
           "  --jobs=N         run N sweep points concurrently (default 1);\n"
           "                   stdout stays byte-identical to --jobs=1\n"
-          "  --sim-threads=N  at most N parallel event-engine workers per\n"
-          "                   sim point (default 1; an epoch runs on one\n"
-          "                   worker when that is measured to be cheaper);\n"
-          "                   results are byte-identical for any N\n"
           "  --bench-json=P   write a machine-readable perf baseline to P\n"
           "  --help           this text\n"
-          "when --sim-threads > 1, jobs x sim-threads is clamped to\n"
-          "hardware_concurrency (jobs is reduced first) with a warning;\n"
           "benches may add their own flags.\n");
       std::exit(0);
     }
@@ -61,31 +53,6 @@ SweepOpts parse_sweep_opts(int argc, char** argv) {
     }
   }
   opts.jobs = std::max(opts.jobs, 1u);
-  opts.sim_threads = std::max(opts.sim_threads, 1u);
-  // Keep the total OS-thread demand at or below the machine when both axes
-  // are in play: they multiply, and oversubscribing both at once only adds
-  // scheduler noise to wall-time numbers.  Plain --jobs oversubscription
-  // (sim-threads=1) stays allowed — it predates the engine axis and is
-  // harmless.  Results are unaffected either way.
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (hw > 0 && opts.sim_threads > 1) {
-    const unsigned product = opts.jobs * opts.sim_threads;
-    if (product > hw && opts.jobs > 1) {
-      const unsigned clamped =
-          std::max(1u, hw / std::max(1u, opts.sim_threads));
-      std::fprintf(stderr,
-                   "sweep: --jobs=%u x --sim-threads=%u exceeds %u hardware "
-                   "threads; clamping --jobs to %u\n",
-                   opts.jobs, opts.sim_threads, hw, clamped);
-      opts.jobs = clamped;
-    }
-    if (opts.sim_threads > hw) {
-      std::fprintf(stderr,
-                   "sweep: --sim-threads=%u exceeds %u hardware threads; "
-                   "keeping it (deterministic, but expect no extra speedup)\n",
-                   opts.sim_threads, hw);
-    }
-  }
   return opts;
 }
 

@@ -39,24 +39,15 @@ void fill_perf(PointPerf& perf, testbed::ParallelCluster& cluster);
 
 struct SweepOpts {
   unsigned jobs = 1;          ///< --jobs=N worker threads (1 = sequential)
-  unsigned sim_threads = 1;   ///< --sim-threads=N: at most N engine workers per point
   std::string bench_json;     ///< --bench-json=<path>, empty = no emission
 };
 
-/// Scan argv for --jobs=N / --sim-threads=N / --bench-json=<path>.
+/// Scan argv for --jobs=N / --bench-json=<path>.
 /// Unknown arguments are ignored so benches keep their own flag handling.
-/// A --jobs or --sim-threads value that is not a whole unsigned decimal
-/// prints a line on stderr and exits 1; 0 reads as 1.  `--help` prints
-/// the shared harness flags and exits.
-///
-/// Both parallelism axes are deterministic (sweep points share no state;
-/// the parallel engine is thread-count invariant), but they multiply:
-/// jobs x sim_threads OS threads run at once.  When sim_threads > 1 and
-/// the product exceeds hardware_concurrency the runner clamps `jobs` down
-/// (keeping the requested sim_threads) and warns on stderr; plain --jobs
-/// oversubscription stays allowed, and a sim_threads value that
-/// alone exceeds the machine is kept, with a warning, since
-/// oversubscription changes wall time only, never results.
+/// A --jobs value that is not a whole unsigned decimal prints a line on
+/// stderr and exits 1; 0 reads as 1.  `--help` prints the shared harness
+/// flags and exits.  Sweep points share no state, so --jobs changes wall
+/// time only, never results.
 [[nodiscard]] SweepOpts parse_sweep_opts(int argc, char** argv);
 
 class SweepRunner {

@@ -7,17 +7,11 @@
 // consensus group never loses its leader and no election storm follows a
 // device failure.
 //
-// stdout is a pure function of (--seed, --duration-s) — byte-identical
-// for every --sim-threads value — and ends with FNV digests of the chaos
-// event log and the workload results so CI can diff whole runs as one
-// line.
+// stdout is a pure function of (--seed, --duration-s) and ends with FNV
+// digests of the chaos event log and the workload results so CI can diff
+// whole runs as one line.
 //
-//   nic_failover [--sim-threads=N] [--duration-s=S] [--seed=N]
-//                [--p99-factor=F]
-//
-// --sim-threads=N runs the engine on at most N workers (also bounded by
-// the host's hardware threads); each epoch of rounds runs on one worker
-// or on all of them, whichever is measured to cost less per event.
+//   nic_failover [--duration-s=S] [--seed=N] [--p99-factor=F]
 //
 // Exit codes: 0 ok, 1 unknown flag or malformed number, 2 lost acked
 // writes, 3 read-back verification failed (corrupt value or incomplete),
@@ -47,15 +41,12 @@ constexpr int kEchoNode = kReplicas;   // node 3: latency probe target
 }  // namespace
 
 int main(int argc, char** argv) {
-  unsigned sim_threads = 1;
   double duration_s = 12.0;
   std::uint64_t seed = 1;
   double p99_factor = 50.0;
   for (int i = 1; i < argc; ++i) {
     bool ok = true;
-    if (const char* v = flag_value(argv[i], "--sim-threads")) {
-      ok = parse_exact(v, &sim_threads);
-    } else if (const char* v = flag_value(argv[i], "--duration-s")) {
+    if (const char* v = flag_value(argv[i], "--duration-s")) {
       ok = parse_exact(v, &duration_s);
     } else if (const char* v = flag_value(argv[i], "--seed")) {
       ok = parse_exact(v, &seed);
@@ -70,7 +61,6 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  sim_threads = std::max(sim_threads, 1u);
   if (duration_s < 12.0) {
     std::fprintf(stderr, "nic_failover: --duration-s must be >= 12\n");
     return 1;
@@ -80,7 +70,6 @@ int main(int argc, char** argv) {
   const Ns verify_at = write_end + msec(500);
 
   testbed::ParallelCluster cluster;
-  cluster.set_threads(sim_threads);
   for (int i = 0; i <= kEchoNode; ++i) {
     testbed::ServerSpec spec;
     spec.ipipe.supervise = true;
@@ -142,7 +131,7 @@ int main(int argc, char** argv) {
 
   cluster.run_until(total);
 
-  // ---- Deterministic report (identical for every --sim-threads) --------
+  // ---- Deterministic report ----------------------------------------------
   std::printf("# nic_failover seed=%llu duration=%.0fs\n",
               static_cast<unsigned long long>(seed), duration_s);
   std::fputs(chaos->event_log_text().c_str(), stdout);

@@ -1,18 +1,13 @@
 // Parallel-engine acceptance driver: a 16-node rack (4 replicated-KV
 // groups of 3 replicas + 4 echo servers) under a chaos schedule, executed
 // on the sharded conservative engine.  stdout is a pure function of
-// (--seed, --duration-s) — byte-identical for every --sim-threads value —
-// and ends with FNV digests of the chaos event log, an exported runtime
-// trace, and every workload result, so CI can diff whole runs as one
-// line.  Wall-clock time goes to stderr (and --wall-out=<path> as JSON)
-// for the scaling assertion.
+// (--seed, --duration-s) and ends with FNV digests of the chaos event
+// log, an exported runtime trace, and every workload result, so CI can
+// diff whole runs as one line.  Wall-clock time goes to stderr (and
+// --wall-out=<path> as JSON).
 //
-//   parallel_cluster [--sim-threads=N] [--duration-s=S] [--seed=N]
-//                    [--min-events=N] [--wall-out=<path>]
-//
-// --sim-threads=N runs the engine on at most N workers (also bounded by
-// the host's hardware threads); each epoch of rounds runs on one worker
-// or on all of them, whichever is measured to cost less per event.
+//   parallel_cluster [--duration-s=S] [--seed=N] [--min-events=N]
+//                    [--wall-out=<path>]
 //
 // Exit codes: 0 ok, 1 unknown flag or malformed number, 2 lost acked
 // writes, 3 fewer events than --min-events.
@@ -49,16 +44,13 @@ constexpr int kServers = kRkvServers + kEchoServers;
 }  // namespace
 
 int main(int argc, char** argv) {
-  unsigned sim_threads = 1;
   double duration_s = 10.0;
   std::uint64_t seed = 1;
   std::uint64_t min_events = 0;
   std::string wall_out;
   for (int i = 1; i < argc; ++i) {
     bool ok = true;
-    if (const char* v = flag_value(argv[i], "--sim-threads")) {
-      ok = parse_exact(v, &sim_threads);
-    } else if (const char* v = flag_value(argv[i], "--duration-s")) {
+    if (const char* v = flag_value(argv[i], "--duration-s")) {
       ok = parse_exact(v, &duration_s);
     } else if (const char* v = flag_value(argv[i], "--seed")) {
       ok = parse_exact(v, &seed);
@@ -76,7 +68,6 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  sim_threads = std::max(sim_threads, 1u);
   if (duration_s < 1.0) {
     std::fprintf(stderr, "parallel_cluster: --duration-s must be >= 1\n");
     return 1;
@@ -85,7 +76,6 @@ int main(int argc, char** argv) {
   const Ns write_end = total - sec(duration_s * 0.2);
 
   testbed::ParallelCluster cluster;
-  cluster.set_threads(sim_threads);
   for (int i = 0; i < kServers; ++i) {
     testbed::ServerSpec spec;
     spec.ipipe.supervise = i < kRkvServers;
@@ -179,7 +169,7 @@ int main(int argc, char** argv) {
                                     wall_start)
           .count();
 
-  // ---- Deterministic report (identical for every --sim-threads) --------
+  // ---- Deterministic report ----------------------------------------------
   const std::uint64_t events = cluster.engine().executed();
   std::printf("# parallel_cluster seed=%llu duration=%.0fs servers=%d\n",
               static_cast<unsigned long long>(seed), duration_s, kServers);
@@ -234,19 +224,17 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(trace_digest),
               static_cast<unsigned long long>(results));
 
-  // Wall-clock numbers are thread-count-dependent by design: stderr only.
+  // Wall-clock numbers vary run to run: stderr only.
   std::fprintf(stderr,
-               "parallel_cluster: sim-threads=%u wall=%.3fs events=%llu "
-               "(%.2fM events/s)\n",
-               sim_threads, wall_s, static_cast<unsigned long long>(events),
+               "parallel_cluster: wall=%.3fs events=%llu (%.2fM events/s)\n",
+               wall_s, static_cast<unsigned long long>(events),
                wall_s > 0 ? static_cast<double>(events) / wall_s / 1e6 : 0.0);
   if (!wall_out.empty()) {
     std::FILE* f = std::fopen(wall_out.c_str(), "w");
     if (f != nullptr) {
       std::fprintf(f,
-                   "{\"threads\": %u, \"wall_seconds\": %.6f, "
-                   "\"events\": %llu}\n",
-                   sim_threads, wall_s,
+                   "{\"wall_seconds\": %.6f, \"events\": %llu}\n",
+                   wall_s,
                    static_cast<unsigned long long>(events));
       std::fclose(f);
     }

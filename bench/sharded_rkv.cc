@@ -7,20 +7,16 @@
 // -> grant -> copy -> revoke) while a chaos schedule crashes replicas,
 // kills the cache-bearing NICs, and partitions a leader.
 //
-// stdout is a pure function of (--seed, --duration-s, --groups) —
-// byte-identical for every --sim-threads value — and ends with FNV
-// digests of the chaos event log, every workload counter, and the full
-// per-key acked-floor table, so CI diffs a whole run as one line.
+// stdout is a pure function of (--seed, --duration-s, --groups) and ends
+// with FNV digests of the chaos event log, every workload counter, and
+// the full per-key acked-floor table, so CI diffs a whole run as one
+// line.
 // Wall-clock goes to stderr (and --wall-out as JSON); --json-out writes
 // the deterministic headline metrics (the checked-in BENCH_shard.json).
 //
-//   sharded_rkv [--sim-threads=N] [--duration-s=S] [--seed=N]
-//               [--groups=N] [--min-ops=N] [--max-events-per-op=X]
-//               [--wall-out=<path>] [--json-out=<path>]
-//
-// --sim-threads=N runs the engine on at most N workers (also bounded by
-// the host's hardware threads); each epoch of rounds runs on one worker
-// or on all of them, whichever is measured to cost less per event.
+//   sharded_rkv [--duration-s=S] [--seed=N] [--groups=N] [--min-ops=N]
+//               [--max-events-per-op=X] [--wall-out=<path>]
+//               [--json-out=<path>]
 //
 // Exit codes: 0 ok; 1 unknown flag, malformed number or value out of
 // range; 2 correctness violation (stale read, lost acked write, readback
@@ -54,7 +50,6 @@ constexpr int kReplicas = 3;
 }  // namespace
 
 int main(int argc, char** argv) {
-  unsigned sim_threads = 1;
   double duration_s = 10.0;
   std::uint64_t seed = 1;
   int groups = 8;
@@ -64,9 +59,7 @@ int main(int argc, char** argv) {
   std::string json_out;
   for (int i = 1; i < argc; ++i) {
     bool ok = true;
-    if (const char* v = flag_value(argv[i], "--sim-threads")) {
-      ok = parse_exact(v, &sim_threads);
-    } else if (const char* v = flag_value(argv[i], "--duration-s")) {
+    if (const char* v = flag_value(argv[i], "--duration-s")) {
       ok = parse_exact(v, &duration_s);
     } else if (const char* v = flag_value(argv[i], "--seed")) {
       ok = parse_exact(v, &seed);
@@ -89,7 +82,6 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  sim_threads = std::max(sim_threads, 1u);
   if (duration_s < 5.0) {
     std::fprintf(stderr, "sharded_rkv: --duration-s must be >= 5\n");
     return 1;
@@ -109,7 +101,6 @@ int main(int argc, char** argv) {
   const Ns rebalance_at = total * 3 / 10;
 
   testbed::ParallelCluster cluster;
-  cluster.set_threads(sim_threads);
   for (int i = 0; i < servers; ++i) {
     testbed::ServerSpec spec;
     spec.ipipe.supervise = true;
@@ -201,7 +192,7 @@ int main(int argc, char** argv) {
                                     wall_start)
           .count();
 
-  // ---- deterministic report (identical for every --sim-threads) ----------
+  // ---- deterministic report ----------------------------------------------
   const std::uint64_t events = cluster.engine().executed();
   const double events_per_op =
       static_cast<double>(events) /
@@ -285,7 +276,7 @@ int main(int argc, char** argv) {
     results = fnv1a_u64(results, v);
   }
   // The whole acked-floor table: any divergence in commit order or copy
-  // fidelity across thread counts lands in this digest.
+  // fidelity lands in this digest.
   std::uint64_t floors = kFnvBasis;
   for (std::uint32_t k = 0; k < wp.key_space; ++k) {
     floors = fnv1a_u64(floors, gen.key_floor(k));
@@ -297,19 +288,17 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(results),
               static_cast<unsigned long long>(floors));
 
-  // Wall-clock is thread-count-dependent by design: stderr only.
+  // Wall-clock varies run to run: stderr only.
   std::fprintf(stderr,
-               "sharded_rkv: sim-threads=%u wall=%.3fs events=%llu "
-               "(%.2fM events/s)\n",
-               sim_threads, wall_s, static_cast<unsigned long long>(events),
+               "sharded_rkv: wall=%.3fs events=%llu (%.2fM events/s)\n",
+               wall_s, static_cast<unsigned long long>(events),
                wall_s > 0 ? static_cast<double>(events) / wall_s / 1e6 : 0.0);
   if (!wall_out.empty()) {
     std::FILE* f = std::fopen(wall_out.c_str(), "w");
     if (f != nullptr) {
       std::fprintf(f,
-                   "{\"threads\": %u, \"wall_seconds\": %.6f, "
-                   "\"events\": %llu}\n",
-                   sim_threads, wall_s,
+                   "{\"wall_seconds\": %.6f, \"events\": %llu}\n",
+                   wall_s,
                    static_cast<unsigned long long>(events));
       std::fclose(f);
     }

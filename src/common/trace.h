@@ -166,7 +166,7 @@ struct Snapshot {
   std::uint64_t eng_stalled_windows = 0;  ///< rounds with an empty window
   std::uint64_t eng_handoffs_in = 0;      ///< cross-domain events received
   std::uint64_t eng_handoffs_out = 0;     ///< cross-domain events posted
-  std::uint64_t eng_ring_peak = 0;        ///< handoff-ring high watermark
+  std::uint64_t eng_ring_peak = 0;        ///< most handoffs queued for one drain
   Ns eng_lookahead_ns = 0;                ///< min incoming-edge lookahead
   std::vector<ActorSample> actors;
 };

@@ -355,7 +355,6 @@ void ChaosController::execute(const FaultPlan& plan) {
       });
       continue;
     }
-    if (OutageState* o = outage(*v)) o->down[a.node];
     const sim::DomainId d = net_.node_domain(a.node);
     sim::Simulation& s =
         d == sim::kNoDomain ? net_.sim() : net_.engine().domain(d);
@@ -367,13 +366,13 @@ void ChaosController::fire_node(sim::Simulation& s, const NodeVerb& v,
                                 const FaultAction& a, std::uint64_t seq) {
   std::string line = strf("%s node=%u", v.name, a.node);
   if (OutageState* o = outage(v)) {
-    std::atomic<bool>& down = o->down[a.node];
-    if (down.load(std::memory_order_relaxed) || node_down(a.node)) {
+    bool& down = o->down[a.node];
+    if (down || node_down(a.node)) {
       log_line(s.now(), seq, line + " skipped(down)");
       return;
     }
-    down.store(true, std::memory_order_relaxed);
-    o->begun.fetch_add(1, std::memory_order_relaxed);
+    down = true;
+    ++o->begun;
   }
   const auto hooks = hooks_.find(a.node);
   if (hooks != hooks_.end()) v.hook(hooks->second, a, true);
@@ -392,8 +391,8 @@ void ChaosController::fire_node(sim::Simulation& s, const NodeVerb& v,
 
   s.schedule(a.duration, [this, &s, &v, a, seq] {
     if (OutageState* o = outage(v)) {
-      o->down[a.node].store(false, std::memory_order_relaxed);
-      o->ended.fetch_add(1, std::memory_order_relaxed);
+      o->down[a.node] = false;
+      ++o->ended;
     }
     const auto h = hooks_.find(a.node);
     if (h != hooks_.end()) v.hook(h->second, a, false);
@@ -408,7 +407,7 @@ void ChaosController::fire_partition(sim::Simulation& s, const FaultAction& a,
   for (const NodeId x : a.group_a) {
     for (const NodeId y : a.group_b) net_.block_pair(x, y);
   }
-  partitions_.fetch_add(1, std::memory_order_relaxed);
+  ++partitions_;
   log_line(s.now(), seq,
            "partition " + groups_text(a) +
                " heal_ns=" + std::to_string(a.duration));
@@ -417,7 +416,7 @@ void ChaosController::fire_partition(sim::Simulation& s, const FaultAction& a,
     for (const NodeId x : a.group_a) {
       for (const NodeId y : a.group_b) net_.unblock_pair(x, y);
     }
-    heals_.fetch_add(1, std::memory_order_relaxed);
+    ++heals_;
     log_line(s.now(), seq + 1, "heal");
   });
 }
@@ -440,14 +439,12 @@ void ChaosController::fire_link_fault(sim::Simulation& s, const FaultAction& a,
 void ChaosController::log_line(Ns t, std::uint64_t seq,
                                const std::string& body) {
   std::string line = "t=" + std::to_string(t) + ' ' + body;
-  const std::lock_guard<std::mutex> guard(log_mu_);
   recs_.push_back(LogRec{t, seq, std::move(line)});
 }
 
 const std::vector<std::string>& ChaosController::event_log() const {
   // (t, seq) is a total order — seqs are unique — so the merged view is
-  // independent of which domain's worker appended first.
-  const std::lock_guard<std::mutex> guard(log_mu_);
+  // independent of which domain appended first.
   std::sort(recs_.begin(), recs_.end(),
             [](const LogRec& x, const LogRec& y) {
               if (x.t != y.t) return x.t < y.t;

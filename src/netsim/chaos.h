@@ -22,11 +22,9 @@
 // byte-identical event log (the determinism check CI enforces).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -129,18 +127,17 @@ struct NodeHooks {
 /// Dispatch rule: the node verbs fire and heal on the target node's
 /// engine domain; partition and link-fault — and node verbs against a
 /// node the fabric does not know — on the switch domain that owns the
-/// partition set and the fault model.  Log lines
-/// from different domains merge under a mutex keyed by (virtual time,
-/// plan sequence), so `event_log()` stays byte-identical across thread
-/// counts; the down flags and counters are atomics.  Fault instants show
-/// up in traces through the nodes' own runtime tracers.
+/// partition set and the fault model.  A round runs domains one after
+/// another, not in time order, so `event_log()` sorts the lines by
+/// (virtual time, plan sequence).  Fault instants show up in traces
+/// through the nodes' own runtime tracers.
 class ChaosController {
  public:
   explicit ChaosController(Network& net) : net_(net) {}
 
   void register_node(NodeId node, NodeHooks hooks) {
     hooks_[node] = std::move(hooks);
-    node_out_.down[node].store(false, std::memory_order_relaxed);
+    node_out_.down[node] = false;
   }
 
   /// Schedule every action in `plan` on the simulation clock.  May be
@@ -149,15 +146,12 @@ class ChaosController {
 
   [[nodiscard]] bool node_down(NodeId node) const {
     const auto it = node_out_.down.find(node);
-    return it != node_out_.down.end() &&
-           it->second.load(std::memory_order_relaxed);
+    return it != node_out_.down.end() && it->second;
   }
 
   // ---- the replayable record -----------------------------------------------
   /// Every fault/heal event, in execution order, as "t=<ns> <what> ..."
-  /// lines.  Byte-identical across runs of the same plan + same binary
-  /// and across thread counts.  Call only while the simulation is not
-  /// running.
+  /// lines.  Byte-identical across runs of the same plan + same binary.
   [[nodiscard]] const std::vector<std::string>& event_log() const;
   /// The log joined with newlines (for the determinism byte-compare).
   [[nodiscard]] std::string event_log_text() const;
@@ -181,13 +175,11 @@ class ChaosController {
 
  private:
   /// One outage class (whole node, or NIC only): per-node down flags and
-  /// begin/end counts.  The flag map is filled at registration and plan
-  /// execution, so its shape is frozen while workers run; only the
-  /// atomics flip.
+  /// begin/end counts.
   struct OutageState {
-    std::map<NodeId, std::atomic<bool>> down;
-    std::atomic<std::uint64_t> begun{0};
-    std::atomic<std::uint64_t> ended{0};
+    std::map<NodeId, bool> down;
+    std::uint64_t begun = 0;
+    std::uint64_t ended = 0;
   };
 
   /// `s` is the domain queue the action executes on (the dispatch rule
@@ -213,12 +205,11 @@ class ChaosController {
     std::uint64_t seq;
     std::string line;
   };
-  mutable std::mutex log_mu_;
   mutable std::vector<LogRec> recs_;
   mutable std::vector<std::string> log_;  ///< sorted cache, rebuilt on read
   std::uint64_t next_seq_ = 0;            ///< 2 per action: fire, then heal
-  std::atomic<std::uint64_t> partitions_{0};
-  std::atomic<std::uint64_t> heals_{0};
+  std::uint64_t partitions_ = 0;
+  std::uint64_t heals_ = 0;
 };
 
 }  // namespace ipipe::netsim

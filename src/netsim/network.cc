@@ -18,18 +18,11 @@ void Network::attach(NodeId node, Endpoint& ep, double gbps,
   } else if (!existing) {
     port.domain = attach_domain_;
   }
-  add_counters(port.domain);
-}
-
-void Network::add_counters(sim::DomainId d) {
-  while (counters_.size() <= d) {
-    counters_.push_back(std::make_unique<Counters>());
-  }
 }
 
 void Network::detach(NodeId node) {
-  // The port map is frozen while engine workers run; mark the port down
-  // in place (the flag is owned by the node's own domain, which is where
+  // Frames in flight point at their destination port; mark it down in
+  // place (the flag is owned by the node's own domain, which is where
   // crash events execute).
   const auto it = ports_.find(node);
   if (it != ports_.end()) it->second.up = false;
@@ -76,13 +69,9 @@ void Network::send(PacketPtr pkt) {
   assert(pkt != nullptr);
   const auto src_it = ports_.find(pkt->src);
   const auto dst_it = ports_.find(pkt->dst);
-  // A frame from an unattached source has no sender's block; the
-  // switch's takes it (a config error, so sharing its line is harmless).
-  Counters& mine = counters(src_it != ports_.end() ? src_it->second.domain
-                                                   : switch_domain_);
-  bump(mine.sent);
+  ++counters_.sent;
   if (src_it == ports_.end() || dst_it == ports_.end()) {
-    bump(mine.unknown_endpoint);
+    ++counters_.unknown_endpoint;
     LOG_DEBUG("drop: unknown endpoint %u -> %u", pkt->src, pkt->dst);
     return;
   }
@@ -101,14 +90,14 @@ void Network::send(PacketPtr pkt) {
 // Hop 2, on the switch domain: partition and fault decisions.  All fault
 // randomness draws from the switch-owned RNG here; the canonical handoff
 // drain order makes the draw sequence — and so every fault outcome — a
-// pure function of the workload, independent of thread count.
+// pure function of the workload.
 void Network::switch_hop(PacketPtr pkt, PortState& dst) {
   if (pair_blocked(pkt->src, pkt->dst)) {
-    bump(counters(switch_domain_).partition);
+    ++counters_.partition;
     return;
   }
   if (faults_.drop_prob > 0.0 && rng_.bernoulli(faults_.drop_prob)) {
-    bump(counters(switch_domain_).fault);
+    ++counters_.fault;
     return;
   }
   const bool duplicate =
@@ -144,7 +133,7 @@ void Network::post_to_dst(PacketPtr pkt, PortState& dst, Ns jitter,
 // the FCS check eats a corrupted one) once its downlink time is paid.
 void Network::arrive(PacketPtr pkt, PortState& port, bool corrupt) {
   if (!port.up || port.ep == nullptr) {
-    bump(counters(port.domain).node_down);
+    ++counters_.node_down;
     return;
   }
   sim::Simulation& dsim = psim_.domain(port.domain);
@@ -153,16 +142,15 @@ void Network::arrive(PacketPtr pkt, PortState& port, bool corrupt) {
   const Ns rx_done = rx_start + wire_time(pkt->frame_size, port.gbps);
   port.rx_busy_until = rx_done;
   auto deliver = [this, &port, corrupt, p = std::move(pkt)]() mutable {
-    Counters& mine = counters(port.domain);
     if (!port.up || port.ep == nullptr) {
-      bump(mine.node_down);
+      ++counters_.node_down;
       return;
     }
     if (corrupt) {
-      bump(mine.corrupt);
+      ++counters_.corrupt;
       return;
     }
-    bump(mine.delivered);
+    ++counters_.delivered;
     p->nic_arrival = psim_.domain(port.domain).now();
     port.ep->receive(std::move(p));
   };

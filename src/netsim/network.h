@@ -33,12 +33,10 @@
 // destination's downlink therefore serves frames in switch-arrival
 // order.  The port map is frozen during a run: detach marks the port
 // down instead of erasing, attach on an existing node updates in place,
-// and each domain bumps its own block of frame counters (relaxed
-// atomics; the getters sum the blocks, and the sums are order-invariant,
-// so deterministic output may print them).
+// and every frame counter is bumped by the event that decides the
+// frame's fate.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -90,7 +88,6 @@ class Network {
       throw std::invalid_argument(
           "Network: switch latency below 2 ns leaves a zero lookahead");
     }
-    add_counters(switch_domain);
   }
 
   /// Attach `ep` as `node` with a full-duplex link of `gbps`.  `domain`
@@ -109,8 +106,8 @@ class Network {
   void set_attach_domain(sim::DomainId d) noexcept { attach_domain_ = d; }
 
   /// Detach (e.g. simulate node failure); in-flight frames to it are
-  /// lost.  The port is marked down, not erased (the port map is frozen
-  /// while workers run).
+  /// lost.  The port is marked down, not erased (frames in flight hold a
+  /// pointer to their destination port).
   void detach(NodeId node);
   [[nodiscard]] bool attached(NodeId node) const {
     const auto it = ports_.find(node);
@@ -131,7 +128,7 @@ class Network {
   [[nodiscard]] const FaultModel& fault_model() const noexcept { return faults_; }
 
   [[nodiscard]] std::uint64_t frames_sent() const noexcept {
-    return sum(&Counters::sent);
+    return counters_.sent;
   }
   /// Total frames lost for any reason.
   [[nodiscard]] std::uint64_t frames_dropped() const noexcept {
@@ -139,26 +136,26 @@ class Network {
   }
   /// Send-time drops: src or dst was never attached (config error).
   [[nodiscard]] std::uint64_t dropped_unknown_endpoint() const noexcept {
-    return sum(&Counters::unknown_endpoint);
+    return counters_.unknown_endpoint;
   }
   /// Injected-fault drops (loss + corruption + partition + node-down).
   [[nodiscard]] std::uint64_t dropped_fault() const noexcept {
-    return sum(&Counters::fault) + frames_corrupted() + dropped_partition() +
+    return counters_.fault + frames_corrupted() + dropped_partition() +
            dropped_node_down();
   }
   /// Frames whose payload was bit-flipped and FCS-discarded on arrival.
   [[nodiscard]] std::uint64_t frames_corrupted() const noexcept {
-    return sum(&Counters::corrupt);
+    return counters_.corrupt;
   }
   [[nodiscard]] std::uint64_t dropped_partition() const noexcept {
-    return sum(&Counters::partition);
+    return counters_.partition;
   }
   /// Frames in flight to a port that detached before delivery.
   [[nodiscard]] std::uint64_t dropped_node_down() const noexcept {
-    return sum(&Counters::node_down);
+    return counters_.node_down;
   }
   [[nodiscard]] std::uint64_t frames_delivered() const noexcept {
-    return sum(&Counters::delivered);
+    return counters_.delivered;
   }
   /// The switch domain's queue.
   [[nodiscard]] sim::Simulation& sim() noexcept { return sim_; }
@@ -203,35 +200,16 @@ class Network {
   void post_to_dst(PacketPtr pkt, PortState& dst, Ns jitter, bool corrupt);
   void arrive(PacketPtr pkt, PortState& port, bool corrupt);
 
-  /// Frame counters bumped by one domain's events: the sender's (sent,
-  /// unknown endpoint), the switch's (partition, fault) or the
-  /// receiver's (node down, corrupt, delivered).  A block per domain, on
-  /// its own cache line, so no counter line crosses workers per frame.
-  struct alignas(64) Counters {
-    std::atomic<std::uint64_t> sent{0};
-    std::atomic<std::uint64_t> delivered{0};
-    std::atomic<std::uint64_t> unknown_endpoint{0};
-    std::atomic<std::uint64_t> fault{0};
-    std::atomic<std::uint64_t> corrupt{0};
-    std::atomic<std::uint64_t> partition{0};
-    std::atomic<std::uint64_t> node_down{0};
+  /// Frame counters, one per fate.
+  struct Counters {
+    std::uint64_t sent = 0;
+    std::uint64_t delivered = 0;
+    std::uint64_t unknown_endpoint = 0;
+    std::uint64_t fault = 0;
+    std::uint64_t corrupt = 0;
+    std::uint64_t partition = 0;
+    std::uint64_t node_down = 0;
   };
-  using Counter = std::atomic<std::uint64_t> Counters::*;
-  static void bump(std::atomic<std::uint64_t>& c) noexcept {
-    c.fetch_add(1, std::memory_order_relaxed);
-  }
-  [[nodiscard]] Counters& counters(sim::DomainId d) noexcept {
-    return *counters_[d];
-  }
-  [[nodiscard]] std::uint64_t sum(Counter field) const noexcept {
-    std::uint64_t n = 0;
-    for (const auto& c : counters_) {
-      n += ((*c).*field).load(std::memory_order_relaxed);
-    }
-    return n;
-  }
-  /// Give domains up to `d` a block.  Setup only: blocks never move.
-  void add_counters(sim::DomainId d);
 
   sim::Simulation& sim_;  ///< the switch domain's queue
   sim::ParallelSimulation& psim_;
@@ -244,7 +222,7 @@ class Network {
   FaultModel faults_;
   std::unordered_map<NodeId, PortState> ports_;
   std::unordered_map<std::uint64_t, int> blocked_pairs_;  ///< switch-owned
-  std::vector<std::unique_ptr<Counters>> counters_;  ///< by domain
+  Counters counters_;
 };
 
 }  // namespace ipipe::netsim

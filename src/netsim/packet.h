@@ -14,7 +14,6 @@
 // the owning pool in its deleter; a null pool falls back to `delete`.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -86,16 +85,10 @@ struct PacketDeleter {
 
 using PacketPtr = std::unique_ptr<Packet, PacketDeleter>;
 
-/// Freelist of retired packets.  By default not thread-safe: one pool
-/// serves one simulation (the thread-local `local()` pool is the default
-/// arena, so sweep workers each recycle independently).  A parallel
-/// cluster shares one pool across its engine workers and flips it to
-/// `set_concurrent(true)`, which guards make()/recycle() with a spinlock.
-/// A frame is made on its sender's domain and retired on its receiver's,
-/// so the two ends of a frame usually take the lock from different
-/// workers.
-/// In concurrent mode `hit_rate()` depends on wall-clock interleaving,
-/// so deterministic output must not print it.  A pool must outlive every
+/// Freelist of retired packets.  Not thread-safe: one pool serves one
+/// simulation (the thread-local `local()` pool is the default arena, so
+/// sweep workers each recycle independently, and a parallel cluster's
+/// domains all run on the calling thread).  A pool must outlive every
 /// packet it produced; `local()` trivially satisfies this.
 class PacketPool {
  public:
@@ -128,26 +121,13 @@ class PacketPool {
   }
   [[nodiscard]] std::size_t free_size() const noexcept { return free_.size(); }
 
-  /// Serialize make()/recycle() with a spinlock so the pool may be shared
-  /// by the parallel engine's workers.  Flip before the workers start.
-  void set_concurrent(bool on) noexcept { concurrent_ = on; }
-  [[nodiscard]] bool concurrent() const noexcept { return concurrent_; }
-
  private:
-  void lock() noexcept {
-    while (lock_.test_and_set(std::memory_order_acquire)) {
-    }
-  }
-  void unlock() noexcept { lock_.clear(std::memory_order_release); }
-
   /// Freelist bound: frames recycled past it are deleted.
   static constexpr std::size_t kMaxFree = 8192;
 
   std::vector<Packet*> free_;
   std::uint64_t allocs_ = 0;
   std::uint64_t fresh_ = 0;
-  bool concurrent_ = false;
-  std::atomic_flag lock_ = ATOMIC_FLAG_INIT;
 };
 
 inline void PacketDeleter::operator()(Packet* p) const noexcept {

@@ -36,17 +36,14 @@ PacketPool& PacketPool::local() {
 }
 
 PacketPtr PacketPool::make() {
-  if (concurrent_) lock();
   ++allocs_;
   Packet* p;
   if (free_.empty()) {
     ++fresh_;
-    if (concurrent_) unlock();
     p = new Packet;
   } else {
     p = free_.back();
     free_.pop_back();
-    if (concurrent_) unlock();
     reset_packet(*p);
   }
   return PacketPtr(p, PacketDeleter{this});
@@ -75,14 +72,11 @@ PacketPtr PacketPool::make(const Packet& src) {
 
 void PacketPool::recycle(Packet* p) noexcept {
   if (p == nullptr) return;
-  if (concurrent_) lock();
   if (free_.size() >= kMaxFree) {
-    if (concurrent_) unlock();
     delete p;
     return;
   }
   free_.push_back(p);
-  if (concurrent_) unlock();
 }
 
 }  // namespace ipipe::netsim

@@ -1,43 +1,17 @@
 #include "sim/parallel.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cassert>
-#include <chrono>
+#include <numeric>
 #include <stdexcept>
-#include <thread>
+#include <tuple>
 #include <utility>
-
-#if defined(__x86_64__)
-#include <immintrin.h>
-#endif
 
 namespace ipipe::sim {
 
 namespace {
 constexpr Ns kNsMax = ~Ns{0};
-constexpr std::uint64_t kNoEpochEnd = ~std::uint64_t{0};
-
-/// Spin-wait hint: lets the sibling hyperthread run and avoids the
-/// memory-order flush on loop exit.
-inline void cpu_relax() noexcept {
-#if defined(__x86_64__)
-  _mm_pause();
-#endif
-}
-
-std::int64_t now_ns() noexcept {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-/// Host threads, read once per process.
-unsigned hardware_threads() noexcept {
-  static const unsigned n = std::max(1u, std::thread::hardware_concurrency());
-  return n;
-}
 
 /// a + b, or kNsMax when the sum would reach it.
 constexpr Ns sat_add(Ns a, Ns b) { return a >= kNsMax - b ? kNsMax : a + b; }
@@ -51,53 +25,14 @@ constexpr Ns last_pending(Ns until) {
   return until == kNsMax ? kNsMax - 1 : until;
 }
 
-/// Which engine/domain the calling thread is executing events for.  Keyed
-/// by engine pointer so a post() into a *different* engine (nested setups
-/// in tests) takes the plain schedule path instead of a bogus ring.
-struct TlsCurrent {
-  const void* engine = nullptr;
-  DomainId d = kNoDomain;
-};
-thread_local TlsCurrent tls_current;
+/// The first in-edge in [first, last) whose source is at or after `src`.
+template <typename It>
+It find_src(It first, It last, DomainId src) {
+  return std::lower_bound(first, last, src, [](const auto& in, DomainId s) {
+    return in.src < s;
+  });
+}
 }  // namespace
-
-/// Sense-reversing spin barrier.  Rounds are microseconds of simulated
-/// work, so spinning (with a yield once the wait drags) beats a futex
-/// sleep/wake cycle per phase.  The acquire/release pair on `phase_`
-/// (leader RMW releases, waiters acquire) also carries the happens-before
-/// edge that makes the lock-free handoff rings race-free: every ring
-/// write of phase k is visible to its reader in phase k+1.  The last
-/// worker to arrive runs `completion` alone, after every other worker's
-/// writes of the phase and before any of them is released.  `n_`
-/// changes only between epochs, when no worker is inside.
-struct ParallelSimulation::Barrier {
-  template <typename Completion>
-  void arrive_and_wait(Completion&& completion) noexcept {
-    if (n_ <= 1) {
-      completion();
-      return;
-    }
-    const std::uint64_t phase = phase_.load(std::memory_order_relaxed);
-    if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == n_) {
-      completion();
-      arrived_.store(0, std::memory_order_relaxed);
-      phase_.fetch_add(1, std::memory_order_acq_rel);
-    } else {
-      unsigned spins = 0;
-      while (phase_.load(std::memory_order_acquire) == phase) {
-        cpu_relax();
-        if (++spins > 4096) std::this_thread::yield();
-      }
-    }
-  }
-
-  unsigned n_ = 1;
-  std::atomic<std::uint32_t> arrived_{0};
-  std::atomic<std::uint64_t> phase_{0};
-};
-
-ParallelSimulation::ParallelSimulation() = default;
-ParallelSimulation::~ParallelSimulation() = default;
 
 DomainId ParallelSimulation::add_domain() {
   assert(!finalized_ && "all domains must be added before the first run()");
@@ -119,7 +54,7 @@ void ParallelSimulation::set_lookahead(DomainId src, DomainId dst,
 }
 
 Ns ParallelSimulation::lookahead(DomainId src, DomainId dst) const {
-  if (finalized_) return lookahead_[dst * domains_.size() + src];
+  if (finalized_) return in_lookahead(src, dst);
   Ns la = kNsMax;
   for (const Edge& e : edges_) {
     if (e.src == src && e.dst == dst && e.la < la) la = e.la;
@@ -127,35 +62,36 @@ Ns ParallelSimulation::lookahead(DomainId src, DomainId dst) const {
   return la;
 }
 
-DomainId ParallelSimulation::current_domain() noexcept {
-  return tls_current.d;
+Ns ParallelSimulation::in_lookahead(DomainId src, DomainId dst) const {
+  const InEdge* const first = in_edges_.data() + in_begin_[dst];
+  const InEdge* const last = in_edges_.data() + in_begin_[dst + 1];
+  const InEdge* const it = find_src(first, last, src);
+  return it != last && it->src == src ? it->la : kNsMax;
 }
 
 void ParallelSimulation::finalize() {
   if (finalized_) return;
   finalized_ = true;
   const std::size_t D = domains_.size();
-  lookahead_.assign(D * D, kNsMax);
-  for (const Edge& e : edges_) {
-    Ns& slot = lookahead_[e.dst * D + e.src];
-    if (e.la < slot) slot = e.la;
-  }
-  rings_.resize(D * D);
-  bit_words_ = (D + 63) / 64;
-  bit_lines_ = (bit_words_ + 7) / 8;
-  next_ts_.assign(D, kNsMax);
+  // Sorted by (dst, src, la), the first of each (dst, src) run is the
+  // edge's minimum, and each d's in-edges come out sorted by source.
+  std::sort(edges_.begin(), edges_.end(), [](const Edge& a, const Edge& b) {
+    return std::tie(a.dst, a.src, a.la) < std::tie(b.dst, b.src, b.la);
+  });
   in_begin_.assign(D + 1, 0);
-  for (DomainId d = 0; d < D; ++d) {
-    in_begin_[d] = static_cast<std::uint32_t>(in_edges_.size());
-    Ns& min_in_la = domains_[d]->stats.effective_lookahead;
-    for (DomainId s = 0; s < D; ++s) {
-      const Ns la = lookahead_[d * D + s];
-      if (s == d || la == kNsMax) continue;
-      in_edges_.push_back(InEdge{s, la});
-      min_in_la = std::min(min_in_la, la);
+  for (std::size_t i = 0; i < edges_.size(); ++i) {
+    const Edge& e = edges_[i];
+    if (i > 0 && edges_[i - 1].dst == e.dst && edges_[i - 1].src == e.src) {
+      continue;
     }
+    in_edges_.push_back(InEdge{e.src, e.la});
+    ++in_begin_[e.dst + 1];
+    Ns& min_in_la = domains_[e.dst]->stats.effective_lookahead;
+    min_in_la = std::min(min_in_la, e.la);
   }
-  in_begin_[D] = static_cast<std::uint32_t>(in_edges_.size());
+  std::partial_sum(in_begin_.begin(), in_begin_.end(), in_begin_.begin());
+  bit_words_ = (D + 63) / 64;
+  next_ts_.assign(D, kNsMax);
   reach_.assign(D, kNsMax);
   for (DomainId d = 0; d < D; ++d) {
     for (std::uint32_t e = in_begin_[d]; e < in_begin_[d + 1]; ++e) {
@@ -168,42 +104,38 @@ void ParallelSimulation::finalize() {
 
 HandoffId ParallelSimulation::post(DomainId dst, Ns when, EventFn fn) {
   assert(dst < domains_.size());
-  const DomainId src =
-      tls_current.engine == this ? tls_current.d : kNoDomain;
+  const DomainId src = current_;
   if (src == kNoDomain || src == dst) {
-    // Setup-time or same-domain: the zero-alloc fast path, no ring.
+    // Setup-time or same-domain: the zero-alloc fast path, no inbox.
     domains_[dst]->sim.schedule_at(when, std::move(fn));
     return HandoffId{};
   }
 #ifndef NDEBUG
-  const Ns la = lookahead_[dst * domains_.size() + src];
+  const Ns la = in_lookahead(src, dst);
   assert(la != kNsMax &&
          "cross-domain post on an edge with no declared lookahead");
   assert(when >= domains_[src]->sim.now() + la &&
          "handoff violates the conservative lookahead contract");
 #endif
-  Ring& r = ring(src, dst);
-  // The drain visits only the domains and rings flagged here.
-  if (r.items.empty()) {
-    const unsigned w = domains_[src]->worker;
-    row(inbox_, dst * workers_ + w)[src / 64] |= bit(src);
-    row(touched_, w)[dst / 64] |= bit(dst);
-  }
-  const std::uint64_t seq = r.next_seq++;
-  r.items.push_back(Handoff{std::move(fn), when, seq});
+  DomainState& to = *domains_[dst];
+  // The drain visits only the domains flagged here.
+  if (to.inbox.empty()) touched_[dst / 64] |= bit(dst);
+  const std::uint64_t seq = to.next_seq++;
+  to.inbox.push_back(Handoff{std::move(fn), when, src, seq});
   ++domains_[src]->stats.handoffs_out;
   return HandoffId{src, dst, seq};
 }
 
 bool ParallelSimulation::cancel_handoff(const HandoffId& id) {
   if (!id.valid() || !finalized_) return false;
-  assert(tls_current.engine != this || tls_current.d == id.src);
-  Ring& r = ring(id.src, id.dst);
+  assert(current_ == kNoDomain || current_ == id.src);
+  DomainState& to = *domains_[id.dst];
   // Once a drain moved the seq into the destination queue the event is
   // committed — like a packet already on the wire.
-  if (id.seq < r.drained_below) return false;
-  for (auto it = r.items.rbegin(); it != r.items.rend(); ++it) {
+  if (id.seq < to.drained_below) return false;
+  for (auto it = to.inbox.rbegin(); it != to.inbox.rend(); ++it) {
     if (it->seq != id.seq) continue;
+    assert(it->src == id.src);
     if (!it->fn) return false;  // already cancelled
     it->fn.reset();
     ++domains_[id.src]->stats.handoffs_cancelled;
@@ -230,21 +162,22 @@ Ns ParallelSimulation::window_end(DomainId d, Ns gmin) const {
   // so it cannot lower the bound the round runs to, min(W(d), until + 1).
   // The loop takes whichever is shorter: d's in-edges or the pending set.
   Ns w = sat_add(gmin, reach_[d]);
-  if (in_begin_[d + 1] - in_begin_[d] <= npending_) {
-    for (std::uint32_t e = in_begin_[d]; e < in_begin_[d + 1]; ++e) {
-      const InEdge& in = in_edges_[e];
-      w = std::min(w, sat_add(next_ts_[in.src], in.la));
+  const InEdge* edge = in_edges_.data() + in_begin_[d];
+  const InEdge* const end = in_edges_.data() + in_begin_[d + 1];
+  if (static_cast<std::size_t>(end - edge) <= npending_) {
+    for (; edge != end; ++edge) {
+      w = std::min(w, sat_add(next_ts_[edge->src], edge->la));
     }
     return w;
   }
-  // lookahead_ is ~0 for a non-edge (and for s == d), and sat_add with ~0
-  // is ~0, so no edge test is needed.
-  const Ns* const la = &lookahead_[std::size_t{d} * domains_.size()];
-  const std::uint64_t* const pending = pending_all_.front().words;
+  // Pending sources come in increasing order, as d's in-edges do, so
+  // each search starts where the last one stopped.
   for (std::size_t i = 0; i < bit_words_; ++i) {
-    for (std::uint64_t bits = pending[i]; bits != 0; bits &= bits - 1) {
+    for (std::uint64_t bits = pending_[i]; bits != 0; bits &= bits - 1) {
       const auto s = static_cast<DomainId>(i * 64 + std::countr_zero(bits));
-      w = std::min(w, sat_add(next_ts_[s], la[s]));
+      edge = find_src(edge, end, s);
+      if (edge == end) return w;
+      if (edge->src == s) w = std::min(w, sat_add(next_ts_[s], edge->la));
     }
   }
   return w;
@@ -254,13 +187,10 @@ void ParallelSimulation::begin_round() {
   // A domain with nothing pending has next_ts > last >= every pending
   // one, so gmin over the pending set is the global minimum whenever the
   // set is nonempty; an empty set ends the run.
-  std::uint64_t* const all = pending_all_.front().words;
   Ns gmin = kNsMax;
   std::size_t n = 0;
   for (std::size_t i = 0; i < bit_words_; ++i) {
-    std::uint64_t bits = 0;
-    for (unsigned w = 0; w < workers_; ++w) bits |= row(pending_, w)[i];
-    all[i] = bits;
+    std::uint64_t bits = pending_[i];
     n += static_cast<std::size_t>(std::popcount(bits));
     for (; bits != 0; bits &= bits - 1) {
       gmin = std::min(gmin, next_ts_[i * 64 + std::countr_zero(bits)]);
@@ -270,100 +200,20 @@ void ParallelSimulation::begin_round() {
   npending_ = n;
 }
 
-bool EpochPolicy::next(double ns_per_event) noexcept {
-  first_ = false;
-  if (pool_ == pool_wins_) {
-    winner_ns_ = ns_per_event;
-    if (++streak_ >= gap_) pool_ = !pool_wins_;
-    return pool_;
-  }
-  if (ns_per_event < winner_ns_) {
-    pool_wins_ = pool_;
-    gap_ = 1;
-  } else {
-    // A probe at r times the winner's cost wasted (r - 1) * kProbeRounds
-    // winner rounds; wait kProbeSpread times that long.
-    const double extra = ns_per_event / winner_ns_ - 1;
-    gap_ = std::max(2 * gap_, extra * kProbeSpread *
-                                  static_cast<double>(kProbeRounds) /
-                                  static_cast<double>(kEpochRounds));
-  }
-  streak_ = 0;
-  pool_ = pool_wins_;
-  return pool_;
-}
-
-bool ParallelSimulation::end_epoch() {
-  const std::int64_t now = now_ns();
-  const std::uint64_t events = executed();
-  const std::int64_t wall = epoch_.wall_ns + (now - epoch_.mark_ns);
-  const std::uint64_t n = epoch_.events + (events - epoch_.events_mark);
-  epoch_ = {.mark_ns = now, .events_mark = events};
-  const bool was_pool = policy_.pool();
-  const bool pool = policy_.next(
-      static_cast<double>(wall) /
-      static_cast<double>(std::max<std::uint64_t>(n, 1)));
-  epoch_end_ = rounds_ + policy_.rounds();
-  return pool != was_pool;
-}
-
-void ParallelSimulation::layout(unsigned workers, Ns last) {
-  workers_ = workers;
-  barrier_->n_ = workers;
-  // Every drain cleared the inbox rows it read, so they are all zero at
-  // a round barrier; the rest is rebuilt for the new owners.
-  std::fill(touched_.begin(), touched_.end(), BitLine{});
-  std::fill(owned_.begin(), owned_.end(), BitLine{});
-  std::fill(pending_.begin(), pending_.end(), BitLine{});
-  for (DomainId d = 0; d < domains_.size(); ++d) {
-    const unsigned w = d % workers;
-    domains_[d]->worker = w;
-    row(owned_, w)[d / 64] |= bit(d);
-    if (next_ts_[d] <= last) row(pending_, w)[d / 64] |= bit(d);
-  }
-}
-
-void ParallelSimulation::run_domain(DomainId d, Ns bound, unsigned w) {
-  tls_current = {this, d};
-  domains_[d]->sim.run_before(bound);
-  tls_current = {nullptr, kNoDomain};
-  row(touched_, w)[d / 64] |= bit(d);
-}
-
-void ParallelSimulation::drain_domain(DomainId d, unsigned w, Ns last) {
+void ParallelSimulation::drain_domain(DomainId d, Ns last) {
   DomainState& dom = *domains_[d];
-  auto& written = written_scratch_[w];
-  written.clear();
-  for (unsigned v = 0; v < workers_; ++v) {
-    std::uint64_t* in = row(inbox_, d * workers_ + v);
-    for (std::size_t i = 0; i < bit_words_; ++i) {
-      std::uint64_t bits = in[i];
-      if (bits == 0) continue;
-      in[i] = 0;
-      for (; bits != 0; bits &= bits - 1) {
-        written.push_back(
-            static_cast<DomainId>(i * 64 + std::countr_zero(bits)));
-      }
-    }
-  }
-  if (!written.empty()) {
-    auto& scratch = drain_scratch_[w];
+  if (!dom.inbox.empty()) {
+    std::vector<DrainRef>& scratch = drain_scratch_;
     scratch.clear();
-    std::size_t queued = 0;
-    for (const DomainId s : written) {
-      Ring& r = ring(s, d);
-      queued += r.items.size();
-      for (Handoff& h : r.items) {
-        if (!h.fn) continue;  // cancelled in flight
-        scratch.push_back(DrainRef{h.when, s, h.seq, &h});
-      }
+    dom.stats.ring_high_watermark =
+        std::max(dom.stats.ring_high_watermark, dom.inbox.size());
+    for (Handoff& h : dom.inbox) {
+      if (!h.fn) continue;  // cancelled in flight
+      scratch.push_back(DrainRef{h.when, h.src, h.seq, &h});
     }
-    if (queued > dom.stats.ring_high_watermark) {
-      dom.stats.ring_high_watermark = queued;
-    }
-    // Canonical insertion order — (timestamp, source domain, per-pair
-    // sequence) — is what makes the event order a pure function of the
-    // inputs, independent of which worker drained first.
+    // Canonical insertion order — (timestamp, source domain, sequence) —
+    // is what makes the event order a pure function of the inputs,
+    // independent of the order the sources executed in.
     std::sort(scratch.begin(), scratch.end(),
               [](const DrainRef& a, const DrainRef& b) {
                 if (a.when != b.when) return a.when < b.when;
@@ -374,48 +224,44 @@ void ParallelSimulation::drain_domain(DomainId d, unsigned w, Ns last) {
       dom.sim.schedule_at(ref.when, std::move(ref.h->fn));
     }
     dom.stats.handoffs_in += scratch.size();
-    for (const DomainId s : written) {
-      Ring& r = ring(s, d);
-      r.drained_below = r.next_seq;
-      r.items.clear();
-    }
+    dom.drained_below = dom.next_seq;
+    dom.inbox.clear();
   }
   next_ts_[d] = dom.sim.next_event_time();
-  std::uint64_t& word = row(pending_, w)[d / 64];
+  std::uint64_t& word = pending_[d / 64];
   word = next_ts_[d] <= last ? word | bit(d) : word & ~bit(d);
 }
 
-void ParallelSimulation::worker_loop(unsigned w, Ns until) {
+Ns ParallelSimulation::run(Ns until) {
+  finalize();
+  if (domains_.empty()) return 0;
+  const auto D = static_cast<DomainId>(domains_.size());
   const Ns last = last_pending(until);
   const Ns bound_cap = until == kNsMax ? kNsMax : until + 1;
-  std::uint64_t* const touched = row(touched_, w);
-  const std::uint64_t* const owned = row(owned_, w);
-  const std::uint64_t* const pending = row(pending_, w);
+  pending_.assign(bit_words_, 0);
+  touched_.assign(bit_words_, 0);
+  for (DomainId d = 0; d < D; ++d) {
+    next_ts_[d] = domains_[d]->sim.next_event_time();
+    if (next_ts_[d] <= last) pending_[d / 64] |= bit(d);
+  }
   for (;;) {
-    // --- barrier: every next_ts_ published, all rings empty ---
-    // The last worker in takes gmin, ends the epoch if it is due and
-    // counts the round; every worker then reads the same verdict, so
-    // neither the end of the run nor a change of mode needs a broadcast.
-    barrier_->arrive_and_wait([this, last] {
-      begin_round();
-      if (gmin_ > last) return;
-      if (rounds_ == epoch_end_ && end_epoch()) {
-        switch_ = true;
-        return;
-      }
-      ++rounds_;
-    });
-    std::fill_n(touched, bit_words_, 0);  // every drain has read it
+    // Every inbox is empty and every next_ts_ is current here.
+    begin_round();
     const Ns gmin = gmin_;
-    if (gmin > last || switch_) break;
+    if (gmin > last) break;
+    ++rounds_;
+    std::fill(touched_.begin(), touched_.end(), 0);
     for (std::size_t i = 0; i < bit_words_; ++i) {
-      for (std::uint64_t bits = pending[i]; bits != 0; bits &= bits - 1) {
+      for (std::uint64_t bits = pending_[i]; bits != 0; bits &= bits - 1) {
         const auto d = static_cast<DomainId>(i * 64 + std::countr_zero(bits));
         const Ns nt = next_ts_[d];
         if (nt < sat_add(gmin, reach_[d])) {
           const Ns bound = std::min(window_end(d, gmin), bound_cap);
           if (nt < bound) {
-            run_domain(d, bound, w);
+            current_ = d;
+            domains_[d]->sim.run_before(bound);
+            current_ = kNoDomain;
+            touched_[i] |= bit(d);
             continue;
           }
         } else {
@@ -427,18 +273,17 @@ void ParallelSimulation::worker_loop(unsigned w, Ns until) {
         ++stalled_[d];
       }
     }
-    // --- barrier: execute phase done, rings complete and frozen ---
-    barrier_->arrive_and_wait([] {});
+    // Every domain has executed: the inboxes are complete.
     for (std::size_t i = 0; i < bit_words_; ++i) {
-      std::uint64_t dirty = 0;
-      for (unsigned v = 0; v < workers_; ++v) dirty |= row(touched_, v)[i];
-      for (std::uint64_t bits = dirty & owned[i]; bits != 0; bits &= bits - 1) {
-        const auto d = static_cast<DomainId>(i * 64 + std::countr_zero(bits));
-        drain_domain(d, w, last);
+      for (std::uint64_t bits = touched_[i]; bits != 0; bits &= bits - 1) {
+        drain_domain(static_cast<DomainId>(i * 64 + std::countr_zero(bits)),
+                     last);
       }
 #ifndef NDEBUG
       // Nothing delivered and nothing executed: the queue head is unchanged.
-      for (std::uint64_t bits = owned[i] & ~dirty; bits != 0;
+      const std::size_t hi = std::min<std::size_t>(64, D - i * 64);
+      const std::uint64_t all = hi == 64 ? ~std::uint64_t{0} : bit(hi) - 1;
+      for (std::uint64_t bits = all & ~touched_[i]; bits != 0;
            bits &= bits - 1) {
         const auto d = static_cast<DomainId>(i * 64 + std::countr_zero(bits));
         assert(next_ts_[d] == domains_[d]->sim.next_event_time() &&
@@ -446,73 +291,6 @@ void ParallelSimulation::worker_loop(unsigned w, Ns until) {
       }
 #endif
     }
-  }
-}
-
-Ns ParallelSimulation::run(Ns until) {
-  finalize();
-  if (domains_.empty()) return 0;
-  const auto D = static_cast<DomainId>(domains_.size());
-  for (DomainId d = 0; d < D; ++d) {
-    next_ts_[d] = domains_[d]->sim.next_event_time();
-  }
-  const unsigned cap = std::min({threads_, hardware_threads(), D});
-  if (policy_cap_ != cap) {
-    // A new cap starts over: the pool runs first, having nothing yet to
-    // be compared with.
-    policy_ = EpochPolicy{};
-    policy_cap_ = cap;
-    epoch_ = {};
-    epoch_end_ = cap > 1 ? rounds_ + policy_.rounds() : kNoEpochEnd;
-  }
-  const Ns last = last_pending(until);
-  // Every drain clears the inbox rows it reads, so they are all zero
-  // between epochs and runs.  The rows are sized for the cap; an epoch
-  // on fewer workers strides them by its own count.
-  inbox_.assign(std::size_t{D} * cap * bit_lines_, BitLine{});
-  touched_.assign(std::size_t{cap} * bit_lines_, BitLine{});
-  owned_.assign(std::size_t{cap} * bit_lines_, BitLine{});
-  pending_.assign(std::size_t{cap} * bit_lines_, BitLine{});
-  pending_all_.assign(bit_lines_, BitLine{});
-  drain_scratch_.resize(cap);
-  written_scratch_.resize(cap);
-  if (!barrier_) barrier_ = std::make_unique<Barrier>();
-  // One epoch per pass; the calling thread is worker 0.  A pass ends at
-  // the end of the run or at a round barrier where the mode changes.
-  for (;;) {
-    layout(cap > 1 && policy_.pool() ? cap : 1, last);
-    const std::uint64_t first = rounds_;
-    std::vector<std::thread> pool;
-    pool.reserve(workers_ - 1);
-    std::atomic<unsigned> started{1};
-    for (unsigned w = 1; w < workers_; ++w) {
-      pool.emplace_back([this, w, until, &started] {
-        started.fetch_add(1, std::memory_order_relaxed);
-        worker_loop(w, until);
-      });
-    }
-    // The clock starts once every worker runs, so creating and
-    // scheduling the threads is not charged to the pool's rounds.
-    while (started.load(std::memory_order_relaxed) < workers_) {
-      std::this_thread::yield();
-    }
-    if (cap > 1) {
-      epoch_.mark_ns = now_ns();
-      epoch_.events_mark = executed();
-    }
-    worker_loop(0, until);
-    for (std::thread& th : pool) th.join();
-    if (workers_ > 1) {
-      pool_rounds_ += rounds_ - first;
-      pool_workers_ = workers_;
-    }
-    if (!switch_) break;
-    switch_ = false;
-  }
-  if (cap > 1) {
-    // The epoch in progress carries over into the next run.
-    epoch_.wall_ns += now_ns() - epoch_.mark_ns;
-    epoch_.events += executed() - epoch_.events_mark;
   }
   Ns reached = 0;
   for (DomainId d = 0; d < D; ++d) {
@@ -534,9 +312,6 @@ DomainStats ParallelSimulation::stats(DomainId d) const {
   s.events = domains_[d]->sim.executed();
   s.windows = rounds_;
   s.stalled_windows = stalled_[d];
-  s.pool_rounds = pool_rounds_;
-  s.inline_rounds = rounds_ - pool_rounds_;
-  s.pool_workers = pool_workers_;
   return s;
 }
 

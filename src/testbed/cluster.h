@@ -139,22 +139,17 @@ struct BareFabric {
 /// safe).  The fabric is the only cross-domain surface, so a closure must
 /// schedule on the domain whose state it touches: client-side work on
 /// `client_sim()`, per-server work on `server(i).sim()`.  `run_until(t)`
-/// executes the domains on `set_threads(n)` workers with byte-identical
-/// results for every n.
+/// runs the domains' rounds on the calling thread.
 ///
 /// The two switch half-latencies become the engine's lookahead windows:
 /// a wider latency (the 2 us default) means fewer synchronization
-/// barriers per simulated second.
+/// rounds per simulated second.
 class ParallelCluster {
  public:
   explicit ParallelCluster(Ns switch_latency = 2000)
       : switch_dom_(psim_.add_domain()),
         client_dom_(psim_.add_domain()),
-        net_(psim_, switch_dom_, switch_latency) {
-    // Every component arena-allocates from the constructing thread's
-    // pool; engine workers recycle frames concurrently.
-    net_.pool().set_concurrent(true);
-  }
+        net_(psim_, switch_dom_, switch_latency) {}
 
   /// Add a server in its own fresh engine domain; returns the node.
   ServerNode& add_server(ServerSpec spec);
@@ -165,7 +160,11 @@ class ParallelCluster {
   /// Add a multiplexed open-loop population endpoint (clients domain).
   workloads::OpenLoopGen& add_open_loop(workloads::OpenLoopParams params);
 
-  void set_threads(unsigned n) noexcept { psim_.set_threads(n); }
+  /// Does nothing: the engine runs every round on the calling thread.
+  /// Kept only for perfbench's `set_threads(kThreads)` calls
+  /// (perfbench/cpp/{shard_rkv,nf_chain,rkv_write}.cc), which change
+  /// only with the benchmark itself.
+  void set_threads(unsigned /*n*/) noexcept {}
   /// First call freezes the topology (installs the lookahead edges).
   void run_until(Ns t);
   /// Snapshot every server at virtual time `t`, each on its own domain.

@@ -1,8 +1,7 @@
 // End-to-end tests of the sharded cluster harness (ParallelCluster): the
 // full node stack (NIC + host + runtime + actors) runs per-domain, frames
-// cross domains through the fabric, chaos faults dispatch to the right
-// domain — and every observable result is byte-identical for any
-// --sim-threads count.
+// cross domains through the fabric, and chaos faults dispatch to the
+// right domain.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -27,7 +26,7 @@ class Echo final : public Actor {
   }
 };
 
-/// Everything a run can observe, for exact cross-thread-count comparison.
+/// Everything a run can observe.
 struct RunResult {
   std::uint64_t executed = 0;
   std::uint64_t frames_sent = 0;
@@ -39,14 +38,11 @@ struct RunResult {
   std::string chaos_log;
   std::uint64_t chaos_crashes = 0;
   std::uint64_t chaos_restores = 0;
-
-  bool operator==(const RunResult&) const = default;
 };
 
-RunResult run_echo_cluster(unsigned threads, bool with_chaos) {
+RunResult run_echo_cluster(bool with_chaos) {
   constexpr int kServers = 3;
   testbed::ParallelCluster cluster;
-  cluster.set_threads(threads);
   std::vector<ActorId> actors;
   for (int i = 0; i < kServers; ++i) {
     auto& server = cluster.add_server(testbed::ServerSpec{});
@@ -98,33 +94,25 @@ RunResult run_echo_cluster(unsigned threads, bool with_chaos) {
 }
 
 TEST(ParallelCluster, EchoTrafficFlowsAcrossDomains) {
-  const RunResult r = run_echo_cluster(1, /*with_chaos=*/false);
+  const RunResult r = run_echo_cluster(/*with_chaos=*/false);
   EXPECT_GT(r.executed, 1000u);
   EXPECT_GT(r.frames_delivered, 100u);
   for (const std::uint64_t done : r.completed) EXPECT_GT(done, 50u);
   for (const Ns p : r.p50) EXPECT_GT(p, 0u);
 }
 
-TEST(ParallelCluster, ResultsAreThreadCountInvariant) {
-  const RunResult base = run_echo_cluster(1, /*with_chaos=*/false);
-  for (const unsigned threads : {2u, 4u}) {
-    EXPECT_EQ(run_echo_cluster(threads, false), base)
-        << "threads=" << threads;
-  }
-}
-
-TEST(ParallelCluster, ChaosRunIsThreadCountInvariant) {
-  const RunResult base = run_echo_cluster(1, /*with_chaos=*/true);
-  EXPECT_EQ(base.chaos_crashes, 1u);
-  EXPECT_EQ(base.chaos_restores, 1u);
-  EXPECT_FALSE(base.chaos_log.empty());
+TEST(ParallelCluster, ChaosRunCrashesAndRestoresOneServer) {
+  const RunResult r = run_echo_cluster(/*with_chaos=*/true);
+  EXPECT_EQ(r.chaos_crashes, 1u);
+  EXPECT_EQ(r.chaos_restores, 1u);
+  EXPECT_FALSE(r.chaos_log.empty());
   // The crashed server's client made less progress than its peers but the
   // node came back (restore re-attaches the port in its original domain).
-  EXPECT_GT(base.completed[1], 0u);
-  EXPECT_LT(base.completed[1], base.completed[0]);
-  for (const unsigned threads : {2u, 4u}) {
-    EXPECT_EQ(run_echo_cluster(threads, true), base) << "threads=" << threads;
-  }
+  EXPECT_GT(r.completed[1], 0u);
+  EXPECT_LT(r.completed[1], r.completed[0]);
+  // The lossy window dropped frames; nothing else did.
+  EXPECT_GT(r.frames_dropped, 0u);
+  EXPECT_EQ(r.frames_sent, r.frames_delivered + r.frames_dropped);
 }
 
 TEST(ParallelCluster, EngineCountersReachMetricsSnapshots) {
@@ -168,7 +156,6 @@ TEST(ParallelCluster, SubTwoNanosecondSwitchIsRejected) {
   wl.frame_size = 512;
   auto& client = cluster.add_client(10.0, workloads::echo_workload(wl));
   client.start_closed_loop(2, msec(2));
-  cluster.set_threads(8);
   cluster.run_until(msec(3));
   EXPECT_EQ(cluster.engine().lookahead(0, 2), 1u);
   EXPECT_GT(client.completed(), 10u);

@@ -1,7 +1,7 @@
 // Unit tests for the conservative parallel event engine (sim/parallel.h):
 // window safety, cross-domain handoff ordering and cancellation, the
-// rejection of zero-lookahead edges, thread-count-invariant determinism,
-// and PeriodicTask ownership migrating across domains.
+// rejection of zero-lookahead edges, pinned engine counters, and
+// PeriodicTask ownership migrating across domains.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,7 +9,6 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -19,8 +18,7 @@
 namespace ipipe::sim {
 namespace {
 
-// FNV-1a over (domain, timestamp) execution records; an order digest that
-// must be identical for every thread count.
+// FNV-1a step, for digesting engine counters.
 std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
     h ^= (v >> (i * 8)) & 0xff;
@@ -37,7 +35,7 @@ TEST(ParallelSim, SetupPostUsesFastPathAndRuns) {
   ps.set_lookahead(b, a, 100);
 
   int ran = 0;
-  // Outside run(): post is a plain schedule_at, not ring-cancellable.
+  // Outside run(): post is a plain schedule_at, not cancellable.
   const HandoffId h = ps.post(b, 50, [&] { ++ran; });
   EXPECT_FALSE(h.valid());
   ps.domain(a).schedule_at(10, [&] { ++ran; });
@@ -58,13 +56,15 @@ TEST(ParallelSim, CrossDomainHandoffDeliversAtRequestedTime) {
 
   Ns delivered_at = 0;
   ps.domain(a).schedule_at(500, [&] {
-    EXPECT_EQ(ParallelSimulation::current_domain(), a);
+    EXPECT_EQ(ps.current_domain(), a);
     ps.post(b, 650, [&] {
-      EXPECT_EQ(ParallelSimulation::current_domain(), b);
+      EXPECT_EQ(ps.current_domain(), b);
       delivered_at = ps.domain(b).now();
     });
   });
+  EXPECT_EQ(ps.current_domain(), kNoDomain);
   ps.run(10'000);
+  EXPECT_EQ(ps.current_domain(), kNoDomain);
   EXPECT_EQ(delivered_at, 650u);
   EXPECT_EQ(ps.stats(a).handoffs_out, 1u);
   EXPECT_EQ(ps.stats(b).handoffs_in, 1u);
@@ -73,15 +73,25 @@ TEST(ParallelSim, CrossDomainHandoffDeliversAtRequestedTime) {
 
 TEST(ParallelSim, CancelInFlightHandoffBeforeDrain) {
   ParallelSimulation ps;
+  // c has the lowest id, so it executes first in a round: its handoff to
+  // b is already in b's inbox when a posts and cancels its own.
+  const DomainId c = ps.add_domain();
   const DomainId a = ps.add_domain();
   const DomainId b = ps.add_domain();
-  // Wide windows: both of a's events land in the same round, so the
-  // cancel reaches the ring before the barrier drains it.
-  ps.set_lookahead(a, b, 10'000);
-  ps.set_lookahead(b, a, 10'000);
+  // Wide windows: every event below lands in the same round, so the
+  // cancel reaches b's inbox before the drain empties it.
+  for (const DomainId s : {a, c}) {
+    ps.set_lookahead(s, b, 10'000);
+    ps.set_lookahead(b, s, 10'000);
+  }
 
   bool fired = false;
+  Ns other_at = 0;
   HandoffId h;
+  HandoffId other;
+  ps.domain(c).schedule_at(150, [&] {
+    other = ps.post(b, 10'150, [&] { other_at = ps.domain(b).now(); });
+  });
   ps.domain(a).schedule_at(100, [&] {
     h = ps.post(b, 10'100, [&] { fired = true; });
     EXPECT_TRUE(h.valid());
@@ -89,8 +99,14 @@ TEST(ParallelSim, CancelInFlightHandoffBeforeDrain) {
   ps.domain(a).schedule_at(200, [&] { EXPECT_TRUE(ps.cancel_handoff(h)); });
   ps.run(20'000);
   EXPECT_FALSE(fired);
+  EXPECT_EQ(other_at, 10'150u);
+  // Sequences count per destination: c's handoff took b's first.
+  EXPECT_EQ(other.seq, 0u);
+  EXPECT_EQ(h.seq, 1u);
   EXPECT_EQ(ps.stats(a).handoffs_cancelled, 1u);
-  EXPECT_EQ(ps.stats(b).handoffs_in, 0u);
+  EXPECT_EQ(ps.stats(c).handoffs_cancelled, 0u);
+  EXPECT_EQ(ps.stats(b).handoffs_in, 1u);
+  EXPECT_EQ(ps.stats(b).ring_high_watermark, 2u);
 }
 
 TEST(ParallelSim, CancelAfterDrainFailsLikeAPacketOnTheWire) {
@@ -130,40 +146,37 @@ TEST(ParallelSim, CancelAfterDrainFailsLikeAPacketOnTheWire) {
 TEST(ParallelSim, SameTimestampCrossDomainOrderIsSourceIdOrder) {
   // Two producers hand an event to the same consumer at the identical
   // timestamp; the drain sorts by (when, src, seq), so execution order is
-  // by source domain id regardless of thread schedule.
-  for (const unsigned threads : {1u, 2u, 4u}) {
-    ParallelSimulation ps;
-    const DomainId a = ps.add_domain();
-    const DomainId b = ps.add_domain();
-    const DomainId c = ps.add_domain();
-    for (DomainId s : {a, b}) {
-      ps.set_lookahead(s, c, 100);
-      ps.set_lookahead(c, s, 100);
-    }
-    ps.set_lookahead(a, b, 100);
-    ps.set_lookahead(b, a, 100);
-    ps.set_threads(threads);
-
-    std::vector<int> order;
-    ps.domain(b).schedule_at(500, [&] {
-      ps.post(c, 1000, [&] { order.push_back(1); });
-      ps.post(c, 1000, [&] { order.push_back(11); });
-    });
-    ps.domain(a).schedule_at(500, [&] {
-      ps.post(c, 1000, [&] { order.push_back(0); });
-    });
-    ps.run(5000);
-    ASSERT_EQ(order.size(), 3u) << "threads=" << threads;
-    // src a (id 0) before src b (id 1); b's two posts keep their seq order.
-    EXPECT_EQ(order[0], 0) << "threads=" << threads;
-    EXPECT_EQ(order[1], 1) << "threads=" << threads;
-    EXPECT_EQ(order[2], 11) << "threads=" << threads;
+  // by source domain id.
+  ParallelSimulation ps;
+  const DomainId a = ps.add_domain();
+  const DomainId b = ps.add_domain();
+  const DomainId c = ps.add_domain();
+  for (DomainId s : {a, b}) {
+    ps.set_lookahead(s, c, 100);
+    ps.set_lookahead(c, s, 100);
   }
+  ps.set_lookahead(a, b, 100);
+  ps.set_lookahead(b, a, 100);
+
+  std::vector<int> order;
+  ps.domain(b).schedule_at(500, [&] {
+    ps.post(c, 1000, [&] { order.push_back(1); });
+    ps.post(c, 1000, [&] { order.push_back(11); });
+  });
+  ps.domain(a).schedule_at(500, [&] {
+    ps.post(c, 1000, [&] { order.push_back(0); });
+  });
+  ps.run(5000);
+  ASSERT_EQ(order.size(), 3u);
+  // src a (id 0) before src b (id 1); b's two posts keep their seq order.
+  EXPECT_EQ(order[0], 0);
+  EXPECT_EQ(order[1], 1);
+  EXPECT_EQ(order[2], 11);
 }
 
-// Delivery order when sources on both sides of the 64-domain inbox word
+// Delivery order when sources on both sides of the 64-domain bitmap word
 // boundary (0, 63 | 64, 70) post into one destination in the same round.
-std::vector<std::pair<DomainId, int>> run_wide_fan_in(unsigned threads) {
+std::vector<std::pair<DomainId, int>> run_wide_fan_in() {
   constexpr DomainId kD = 72;
   constexpr DomainId kDst = 71;
   ParallelSimulation ps;
@@ -173,14 +186,13 @@ std::vector<std::pair<DomainId, int>> run_wide_fan_in(unsigned threads) {
     ps.set_lookahead(s, kDst, 1000);
     ps.set_lookahead(kDst, s, 1000);
   }
-  ps.set_threads(threads);
 
   std::vector<std::pair<DomainId, int>> order;
   auto post = [&](DomainId src, Ns when, int tag) {
     ps.post(kDst, when, [&order, src, tag] { order.push_back({src, tag}); });
   };
-  // Registered in descending source order so that neither scheduling nor
-  // worker order can produce the expected result by accident.
+  // Registered in descending source order so that scheduling order cannot
+  // produce the expected result by accident.
   ps.domain(70).schedule_at(500, [&] {
     post(70, 2000, 0);
     post(70, 2000, 1);
@@ -195,336 +207,91 @@ std::vector<std::pair<DomainId, int>> run_wide_fan_in(unsigned threads) {
     post(0, 2000, 1);
   });
   ps.run(5000);
-  EXPECT_EQ(ps.stats(kDst).handoffs_in, 7u) << "threads=" << threads;
-  EXPECT_EQ(ps.stats(kDst).ring_high_watermark, 7u) << "threads=" << threads;
+  EXPECT_EQ(ps.stats(kDst).handoffs_in, 7u);
+  EXPECT_EQ(ps.stats(kDst).ring_high_watermark, 7u);
   return order;
 }
 
 TEST(ParallelSim, FanInAcrossInboxWordBoundaryIsCanonical) {
-  // (timestamp, source domain, per-pair seq): 64's 1800 first, then the
-  // 2000 batch by source id with each source's posts in seq order.
+  // (timestamp, source domain, seq): 64's 1800 first, then the 2000
+  // batch by source id with each source's posts in seq order.
   const std::vector<std::pair<DomainId, int>> expected = {
       {64, 1}, {0, 1}, {63, 0}, {64, 0}, {70, 0}, {70, 1}, {0, 0}};
-  for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-    EXPECT_EQ(run_wide_fan_in(threads), expected) << "threads=" << threads;
-  }
+  EXPECT_EQ(run_wide_fan_in(), expected);
 }
 
 TEST(ParallelSim, RingWithOnlyCancelledItemsIsClearedAndReusable) {
-  for (const unsigned threads : {1u, 2u}) {
-    ParallelSimulation ps;
-    const DomainId a = ps.add_domain();
-    const DomainId b = ps.add_domain();
-    ps.set_lookahead(a, b, 10'000);
-    ps.set_lookahead(b, a, 10'000);
-    ps.set_threads(threads);
+  ParallelSimulation ps;
+  const DomainId a = ps.add_domain();
+  const DomainId b = ps.add_domain();
+  ps.set_lookahead(a, b, 10'000);
+  ps.set_lookahead(b, a, 10'000);
 
-    std::vector<Ns> fired;
-    HandoffId first;
-    bool late_cancel = true;
-    // Same round: post, then cancel the ring's only item before the drain.
-    ps.domain(a).schedule_at(100, [&] {
-      first = ps.post(b, 10'100, [&] { fired.push_back(ps.domain(b).now()); });
-    });
-    ps.domain(a).schedule_at(200, [&] { EXPECT_TRUE(ps.cancel_handoff(first)); });
-    // A later round: the emptied ring must carry the next post normally,
-    // and the drained cancel handle stays dead.
-    ps.domain(a).schedule_at(30'000, [&] {
-      late_cancel = ps.cancel_handoff(first);
-      ps.post(b, 40'500, [&] { fired.push_back(ps.domain(b).now()); });
-    });
-    ps.run(60'000);
-    EXPECT_EQ(fired, std::vector<Ns>{40'500}) << "threads=" << threads;
-    EXPECT_FALSE(late_cancel) << "threads=" << threads;
-    EXPECT_EQ(ps.stats(a).handoffs_out, 2u) << "threads=" << threads;
-    EXPECT_EQ(ps.stats(a).handoffs_cancelled, 1u) << "threads=" << threads;
-    EXPECT_EQ(ps.stats(b).handoffs_in, 1u) << "threads=" << threads;
-    // The cancelled item still occupied its ring at the first drain.
-    EXPECT_EQ(ps.stats(b).ring_high_watermark, 1u) << "threads=" << threads;
-  }
+  std::vector<Ns> fired;
+  HandoffId first;
+  bool late_cancel = true;
+  // Same round: post, then cancel the inbox's only item before the drain.
+  ps.domain(a).schedule_at(100, [&] {
+    first = ps.post(b, 10'100, [&] { fired.push_back(ps.domain(b).now()); });
+  });
+  ps.domain(a).schedule_at(200, [&] { EXPECT_TRUE(ps.cancel_handoff(first)); });
+  // A later round: the emptied inbox must carry the next post normally,
+  // and the drained cancel handle stays dead.
+  ps.domain(a).schedule_at(30'000, [&] {
+    late_cancel = ps.cancel_handoff(first);
+    ps.post(b, 40'500, [&] { fired.push_back(ps.domain(b).now()); });
+  });
+  ps.run(60'000);
+  EXPECT_EQ(fired, std::vector<Ns>{40'500});
+  EXPECT_FALSE(late_cancel);
+  EXPECT_EQ(ps.stats(a).handoffs_out, 2u);
+  EXPECT_EQ(ps.stats(a).handoffs_cancelled, 1u);
+  EXPECT_EQ(ps.stats(b).handoffs_in, 1u);
+  // The cancelled item still occupied the inbox at the first drain.
+  EXPECT_EQ(ps.stats(b).ring_high_watermark, 1u);
 }
 
 TEST(ParallelSim, IdleDomainWokenOnlyByHandoffRunsOnTime) {
   // b has no events of its own for hundreds of rounds; a handoff alone
   // must wake it, and b's follow-up and reply must run on time too.  The
-  // run is split so the second half starts from a fresh worker count.
-  for (const unsigned threads : {1u, 2u, 4u}) {
-    ParallelSimulation ps;
-    const DomainId a = ps.add_domain();
-    const DomainId b = ps.add_domain();
-    ps.add_domain();
-    ps.set_lookahead(a, b, 20);
-    ps.set_lookahead(b, a, 20);
-    ps.set_threads(threads);
+  // run is split across two run() calls.
+  ParallelSimulation ps;
+  const DomainId a = ps.add_domain();
+  const DomainId b = ps.add_domain();
+  ps.add_domain();
+  ps.set_lookahead(a, b, 20);
+  ps.set_lookahead(b, a, 20);
 
-    struct Ticker {
-      Simulation& s;
-      void tick() {
-        if (s.now() < 8000) s.schedule(10, [this] { tick(); });
-      }
-    } ticker{ps.domain(a)};
-    ps.domain(a).schedule_at(0, [&] { ticker.tick(); });
+  struct Ticker {
+    Simulation& s;
+    void tick() {
+      if (s.now() < 8000) s.schedule(10, [this] { tick(); });
+    }
+  } ticker{ps.domain(a)};
+  ps.domain(a).schedule_at(0, [&] { ticker.tick(); });
 
-    Ns woke = 0;
-    Ns follow_up = 0;
-    Ns reply = 0;
-    ps.domain(a).schedule_at(6000, [&] {
-      ps.post(b, 6100, [&] {
-        woke = ps.domain(b).now();
-        ps.domain(b).schedule(50, [&] {
-          follow_up = ps.domain(b).now();
-          ps.post(a, 6200, [&] { reply = ps.domain(a).now(); });
-        });
+  Ns woke = 0;
+  Ns follow_up = 0;
+  Ns reply = 0;
+  ps.domain(a).schedule_at(6000, [&] {
+    ps.post(b, 6100, [&] {
+      woke = ps.domain(b).now();
+      ps.domain(b).schedule(50, [&] {
+        follow_up = ps.domain(b).now();
+        ps.post(a, 6200, [&] { reply = ps.domain(a).now(); });
       });
     });
-    ps.run(3000);
-    const std::uint64_t rounds_idle = ps.rounds();
-    ps.set_threads(threads == 1 ? 2 : 1);
-    ps.run(10'000);
-    EXPECT_GT(rounds_idle, 50u) << "threads=" << threads;
-    EXPECT_EQ(woke, 6100u) << "threads=" << threads;
-    EXPECT_EQ(follow_up, 6150u) << "threads=" << threads;
-    EXPECT_EQ(reply, 6200u) << "threads=" << threads;
-    EXPECT_EQ(ps.stats(b).events, 2u) << "threads=" << threads;
-    EXPECT_EQ(ps.stats(b).handoffs_in, 1u) << "threads=" << threads;
-    EXPECT_EQ(ps.stats(a).handoffs_in, 1u) << "threads=" << threads;
-  }
-}
-
-// A ring of domains each running a local ticker that periodically hands
-// work to the next domain; records every execution into a per-domain
-// trace.  The merged digest must be identical for any thread count.
-std::uint64_t run_ring_digest(unsigned threads, std::uint64_t* executed,
-                              DomainStats* engine = nullptr) {
-  constexpr DomainId kD = 8;
-  constexpr Ns kHorizon = 300'000;
-  ParallelSimulation ps;
-  for (DomainId d = 0; d < kD; ++d) ps.add_domain();
-  for (DomainId s = 0; s < kD; ++s) {
-    for (DomainId d = 0; d < kD; ++d) {
-      if (s != d) ps.set_lookahead(s, d, 300);
-    }
-  }
-  ps.set_threads(threads);
-
-  std::vector<std::vector<std::pair<DomainId, Ns>>> traces(kD);
-  struct Node {
-    ParallelSimulation& ps;
-    std::vector<std::vector<std::pair<DomainId, Ns>>>& traces;
-    DomainId d;
-    void tick() {
-      Simulation& s = ps.domain(d);
-      traces[d].push_back({d, s.now()});
-      if (s.now() >= kHorizon) return;
-      // Hand one event to the next domain, staying >= the 300ns bound.
-      const DomainId nxt = (d + 1) % kD;
-      ps.post(nxt, s.now() + 301 + (s.now() % 7), [this, nxt] {
-        traces[nxt].push_back({nxt, ps.domain(nxt).now()});
-      });
-      s.schedule(37 + d, [this] { tick(); });
-    }
-  };
-  std::vector<std::unique_ptr<Node>> nodes;
-  for (DomainId d = 0; d < kD; ++d) {
-    nodes.push_back(std::make_unique<Node>(Node{ps, traces, d}));
-    Node* n = nodes.back().get();
-    ps.domain(d).schedule_at(d * 11, [n] { n->tick(); });
-  }
-  ps.run(kHorizon + 1000);
-  if (executed != nullptr) *executed = ps.executed();
-  if (engine != nullptr) *engine = ps.stats(0);
-
-  // Merge the per-domain traces in (ts, domain, per-domain index) order —
-  // the engine's canonical total order — and digest.
-  std::vector<std::pair<Ns, DomainId>> merged;
-  for (const auto& t : traces) {
-    for (const auto& rec : t) merged.push_back({rec.second, rec.first});
-  }
-  std::sort(merged.begin(), merged.end());
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const auto& [ts, d] : merged) h = fnv1a(fnv1a(h, ts), d);
-  return h;
-}
-
-// Whether this host can run a pool epoch at all.
-bool host_has_two_threads() {
-  return std::thread::hardware_concurrency() >= 2;
-}
-
-TEST(ParallelSim, RingWorkloadIsThreadCountInvariant) {
-  std::uint64_t e1 = 0;
-  DomainStats s1;
-  const std::uint64_t d1 = run_ring_digest(1, &e1, &s1);
-  EXPECT_GT(e1, 1000u);
-  EXPECT_EQ(s1.pool_rounds, 0u);
-  EXPECT_EQ(s1.inline_rounds, s1.windows);
-  // Long enough for the policy to cross several epoch boundaries.
-  EXPECT_GT(s1.windows, 3 * EpochPolicy::kEpochRounds);
-  for (const unsigned threads : {2u, 4u, 8u}) {
-    std::uint64_t en = 0;
-    DomainStats sn;
-    EXPECT_EQ(run_ring_digest(threads, &en, &sn), d1) << "threads=" << threads;
-    EXPECT_EQ(en, e1) << "threads=" << threads;
-    EXPECT_EQ(sn.windows, s1.windows) << "threads=" << threads;
-    EXPECT_EQ(sn.pool_rounds + sn.inline_rounds, sn.windows);
-    if (host_has_two_threads()) {
-      // The first epoch runs on the pool and the second inline, whatever
-      // the measurements say.
-      EXPECT_GT(sn.pool_rounds, 0u) << "threads=" << threads;
-      EXPECT_GT(sn.inline_rounds, 0u) << "threads=" << threads;
-    }
-  }
-}
-
-// A ring of `domains` ticking domains run to `horizon` on at most
-// `threads` workers; returns domain 0's stats.
-DomainStats run_ticking_ring(DomainId domains, unsigned threads, Ns horizon) {
-  ParallelSimulation ps;
-  for (DomainId d = 0; d < domains; ++d) ps.add_domain();
-  for (DomainId d = 0; d < domains; ++d) {
-    ps.set_lookahead(d, (d + 1) % domains, 100);
-  }
-  ps.set_threads(threads);
-  struct Node {
-    ParallelSimulation& ps;
-    DomainId d;
-    DomainId next;
-    Ns horizon;
-    void tick() {
-      Simulation& s = ps.domain(d);
-      if (s.now() >= horizon) return;
-      ps.post(next, s.now() + 100, [] {});
-      s.schedule(30, [this] { tick(); });
-    }
-  };
-  std::vector<std::unique_ptr<Node>> nodes;
-  for (DomainId d = 0; d < domains; ++d) {
-    nodes.push_back(std::make_unique<Node>(
-        Node{ps, d, static_cast<DomainId>((d + 1) % domains), horizon}));
-    Node* n = nodes.back().get();
-    ps.domain(d).schedule_at(d, [n] { n->tick(); });
-  }
-  ps.run(horizon + 1000);
-  return ps.stats(0);
-}
-
-TEST(ParallelSim, WorkerCapIsBoundedByHardwareThreadsAndDomains) {
-  // A cap one above the host's hardware threads, over more domains than
-  // that: no epoch may run more workers than the host has.  The first
-  // epoch always runs on the pool, so pool_workers shows the count.
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  const DomainStats wide = run_ticking_ring(hw + 2, hw + 1, 60'000);
-  EXPECT_GT(wide.windows, EpochPolicy::kEpochRounds);
-  EXPECT_LE(wide.pool_workers, hw);
-  if (hw >= 2) {
-    EXPECT_EQ(wide.pool_workers, hw);
-    EXPECT_GT(wide.pool_rounds, 0u);
-  } else {
-    EXPECT_EQ(wide.pool_rounds, 0u);
-  }
-  // Three domains bound a cap of eight to three workers.
-  const DomainStats narrow = run_ticking_ring(3, 8, 60'000);
-  EXPECT_LE(narrow.pool_workers, std::min(hw, 3u));
-  // A cap of one never starts the pool.
-  const DomainStats one = run_ticking_ring(4, 1, 60'000);
-  EXPECT_EQ(one.pool_rounds, 0u);
-  EXPECT_EQ(one.pool_workers, 0u);
-  EXPECT_EQ(one.inline_rounds, one.windows);
-}
-
-// Drives `policy` for `epochs` epochs, charging each epoch with
-// `cost(epoch, pool)` ns per event; returns the epochs that ran on the
-// pool.
-template <typename Cost>
-std::vector<int> pool_epochs(EpochPolicy& policy, int epochs, Cost cost) {
-  std::vector<int> on_pool;
-  for (int e = 0; e < epochs; ++e) {
-    const bool pool = policy.pool();
-    if (pool) on_pool.push_back(e);
-    policy.next(cost(e, pool));
-  }
-  return on_pool;
-}
-
-TEST(EpochPolicy, NearTieIsProbedAtDoublingGaps) {
-  // The pool costs 5% more than an inline epoch throughout: after the
-  // opening pool epoch and inline probe, each lost probe doubles the
-  // number of inline epochs before the next.
-  EpochPolicy policy;
-  const std::vector<int> pool = pool_epochs(
-      policy, 40, [](int, bool on_pool) { return on_pool ? 10.5 : 10.0; });
-  EXPECT_EQ(pool, (std::vector<int>{0, 3, 6, 11, 20, 37}));
-  EXPECT_EQ(policy.gap(), 32.0);
-}
-
-TEST(EpochPolicy, CostlyLoserIsProbedRarely) {
-  // The pool costs ten times an inline epoch: each lost probe stretches
-  // the gap to at least (10 - 1) * kProbeSpread * 16 / 256 = 36 epochs,
-  // and the probes' extra cost stays within 1/kProbeSpread of the run.
-  EpochPolicy policy;
-  double run = 0, extra = 0;
-  const std::vector<int> pool =
-      pool_epochs(policy, 2000, [&](int, bool on_pool) {
-        const auto rounds = static_cast<double>(policy.rounds());
-        run += rounds * (on_pool ? 100.0 : 10.0);
-        if (on_pool) extra += rounds * 90.0;
-        return on_pool ? 100.0 : 10.0;
-      });
-  EXPECT_EQ(pool, (std::vector<int>{0, 3, 40, 113, 258, 547, 1124}));
-  EXPECT_LE(extra, run / EpochPolicy::kProbeSpread);
-}
-
-TEST(EpochPolicy, ProbesAndTheFirstEpochAreShort) {
-  EpochPolicy policy;
-  // The opening pool epoch, then the inline probe against it.
-  EXPECT_TRUE(policy.pool());
-  EXPECT_EQ(policy.rounds(), EpochPolicy::kProbeRounds);
-  EXPECT_FALSE(policy.next(100));
-  EXPECT_EQ(policy.rounds(), EpochPolicy::kProbeRounds);
-  // Inline won: it runs a whole epoch, then the pool is probed briefly.
-  EXPECT_FALSE(policy.next(10));
-  EXPECT_EQ(policy.rounds(), EpochPolicy::kEpochRounds);
-  EXPECT_TRUE(policy.next(10));
-  EXPECT_EQ(policy.rounds(), EpochPolicy::kProbeRounds);
-  EXPECT_FALSE(policy.next(100));
-  EXPECT_EQ(policy.rounds(), EpochPolicy::kEpochRounds);
-}
-
-TEST(EpochPolicy, CostlyFirstPoolEpochDoesNotLockThePoolOut) {
-  // The first pool epoch reads a thousand times the inline cost (a
-  // one-time set-up cost, say) while the pool's steady cost is half the
-  // inline one: a won probe resets the gap, so the pool is probed again
-  // two epochs later, wins, and runs from then on, bar inline probes.
-  EpochPolicy policy;
-  const std::vector<int> pool =
-      pool_epochs(policy, 16, [](int e, bool on_pool) {
-        if (!on_pool) return 10.0;
-        return e == 0 ? 10'000.0 : 5.0;
-      });
-  EXPECT_EQ(pool,
-            (std::vector<int>{0, 3, 4, 6, 7, 8, 9, 11, 12, 13, 14, 15}));
-  EXPECT_TRUE(policy.pool());
-}
-
-TEST(EpochPolicy, PhaseChangeFlipsTheChoice) {
-  // Inline wins for 100 epochs, then the pool becomes the cheaper mode:
-  // the next probe of the pool flips the choice, and from then on the
-  // pool runs all but the inline probes.
-  EpochPolicy policy;
-  const std::vector<int> pool =
-      pool_epochs(policy, 160, [](int e, bool on_pool) {
-        if (e < 100) return on_pool ? 30.0 : 10.0;
-        return on_pool ? 5.0 : 10.0;
-      });
-  // Probes before the change at 0, 3, 12, 29, 62; the next falls at
-  // 62 + 64 + 1 = 127, which the pool wins.
-  const std::vector<int> before = {0, 3, 12, 29, 62};
-  ASSERT_GT(pool.size(), before.size() + 1);
-  EXPECT_TRUE(std::equal(before.begin(), before.end(), pool.begin()));
-  EXPECT_EQ(pool[before.size()], 127);
-  EXPECT_EQ(pool[before.size() + 1], 128);
-  // Epochs 127..159, less inline probes at 129, 134 and 143.
-  EXPECT_EQ(pool.size() - before.size(), 30u);
+  });
+  ps.run(3000);
+  const std::uint64_t rounds_idle = ps.rounds();
+  ps.run(10'000);
+  EXPECT_GT(rounds_idle, 50u);
+  EXPECT_EQ(woke, 6100u);
+  EXPECT_EQ(follow_up, 6150u);
+  EXPECT_EQ(reply, 6200u);
+  EXPECT_EQ(ps.stats(b).events, 2u);
+  EXPECT_EQ(ps.stats(b).handoffs_in, 1u);
+  EXPECT_EQ(ps.stats(a).handoffs_in, 1u);
 }
 
 TEST(ParallelSim, ZeroLookaheadEdgeIsRejected) {
@@ -552,13 +319,12 @@ TEST(ParallelSim, ZeroLookaheadEdgeIsRejected) {
 TEST(ParallelSim, OneNanosecondLookaheadRunsWindowed) {
   // The smallest legal edge: a handoff posted at t lands at t + 1 behind
   // the destination's own event at t, and a cancel in the posting
-  // event wins because the ring is only drained at the barrier.
+  // event wins because the inbox is only drained at the end of the round.
   ParallelSimulation ps;
   const DomainId a = ps.add_domain();
   const DomainId b = ps.add_domain();
   ps.set_lookahead(a, b, 1);
   ps.set_lookahead(b, a, 1);
-  ps.set_threads(2);
 
   std::vector<std::pair<Ns, int>> at_b;  // touched only by b's events
   bool cancelled_fired = false;
@@ -606,43 +372,40 @@ TEST(ParallelSim, StallCounterSeesWaitingDomain) {
 TEST(ParallelSim, PeriodicTaskMigratesAcrossDomains) {
   // An actor owning a PeriodicTask migrates from domain a to domain b:
   // the task is stopped on a, ownership crosses via a handoff, and a new
-  // task resumes on b.  Tick counts must be exact and thread-invariant.
-  for (const unsigned threads : {1u, 4u}) {
-    ParallelSimulation ps;
-    const DomainId a = ps.add_domain();
-    const DomainId b = ps.add_domain();
-    ps.set_lookahead(a, b, 100);
-    ps.set_lookahead(b, a, 100);
-    ps.set_threads(threads);
+  // task resumes on b.  Tick counts must be exact.
+  ParallelSimulation ps;
+  const DomainId a = ps.add_domain();
+  const DomainId b = ps.add_domain();
+  ps.set_lookahead(a, b, 100);
+  ps.set_lookahead(b, a, 100);
 
-    int ticks_a = 0;
-    int ticks_b = 0;
-    auto task = std::make_unique<PeriodicTask>(ps.domain(a), 50,
-                                               [&] { ++ticks_a; });
-    task->start();
-    // Keep b's clock moving so a's windows stay bounded (and vice versa).
-    struct Ticker {
-      Simulation& s;
-      void tick() {
-        if (s.now() < 2000) s.schedule(50, [this] { tick(); });
-      }
-    } ticker_b{ps.domain(b)};
-    ps.domain(b).schedule_at(0, [&] { ticker_b.tick(); });
+  int ticks_a = 0;
+  int ticks_b = 0;
+  auto task = std::make_unique<PeriodicTask>(ps.domain(a), 50,
+                                             [&] { ++ticks_a; });
+  task->start();
+  // Keep b's clock moving so a's windows stay bounded (and vice versa).
+  struct Ticker {
+    Simulation& s;
+    void tick() {
+      if (s.now() < 2000) s.schedule(50, [this] { tick(); });
+    }
+  } ticker_b{ps.domain(b)};
+  ps.domain(b).schedule_at(0, [&] { ticker_b.tick(); });
 
-    ps.domain(a).schedule_at(501, [&] {
-      task->stop();  // destructor semantics: no callback left behind
-      task.reset();
-      ps.post(b, 601, [&] {
-        task = std::make_unique<PeriodicTask>(ps.domain(b), 50,
-                                              [&] { ++ticks_b; });
-        task->start();
-      });
+  ps.domain(a).schedule_at(501, [&] {
+    task->stop();  // destructor semantics: no callback left behind
+    task.reset();
+    ps.post(b, 601, [&] {
+      task = std::make_unique<PeriodicTask>(ps.domain(b), 50,
+                                            [&] { ++ticks_b; });
+      task->start();
     });
-    ps.domain(b).schedule_at(1101, [&] { task->stop(); });
-    ps.run(3000);
-    EXPECT_EQ(ticks_a, 10) << "threads=" << threads;  // 50..500
-    EXPECT_EQ(ticks_b, 9) << "threads=" << threads;   // 651..1051
-  }
+  });
+  ps.domain(b).schedule_at(1101, [&] { task->stop(); });
+  ps.run(3000);
+  EXPECT_EQ(ticks_a, 10);  // 50..500
+  EXPECT_EQ(ticks_b, 9);   // 651..1051
 }
 
 // Engine counters of one run of a seeded random topology.  `per_domain`
@@ -655,8 +418,6 @@ struct EngineCounters {
   std::uint64_t handoffs = 0;   ///< summed handoffs_in
   std::uint64_t cancelled = 0;  ///< summed handoffs_cancelled
   std::uint64_t per_domain = 0;
-  std::uint64_t pool_rounds = 0;    ///< not pinned: depends on the host
-  std::uint64_t inline_rounds = 0;  ///< likewise
 };
 
 std::uint64_t splitmix64(std::uint64_t& s) {
@@ -674,10 +435,9 @@ std::uint64_t splitmix64(std::uint64_t& s) {
 // to three hops.  One send in eight is cancelled in the posting event,
 // one in eight from a later local event, which may lose the race with
 // the drain.  Each domain draws from its own generator, so the run is a
-// pure function of (seed, topology) at any thread count.  The run is
-// split in two to carry the counters across run() calls.
-EngineCounters run_random_topology(std::uint64_t seed, bool mesh,
-                                   unsigned threads) {
+// pure function of (seed, topology).  The run is split in two to carry
+// the counters across run() calls.
+EngineCounters run_random_topology(std::uint64_t seed, bool mesh) {
   const DomainId kD = mesh ? 40 : 97;
   constexpr Ns kHorizon = 200'000;
   ParallelSimulation ps;
@@ -705,7 +465,6 @@ EngineCounters run_random_topology(std::uint64_t seed, bool mesh,
       if (leaf + 1 < kD) edge(0, leaf);
     }
   }
-  ps.set_threads(threads);
 
   struct Node {
     ParallelSimulation& ps;
@@ -764,8 +523,6 @@ EngineCounters run_random_topology(std::uint64_t seed, bool mesh,
   c.rounds = ps.rounds();
   c.executed = ps.executed();
   c.per_domain = 1469598103934665603ULL;
-  c.pool_rounds = ps.stats(0).pool_rounds;
-  c.inline_rounds = ps.stats(0).inline_rounds;
   for (DomainId d = 0; d < kD; ++d) {
     const DomainStats s = ps.stats(d);
     c.stalled += s.stalled_windows;
@@ -782,9 +539,7 @@ EngineCounters run_random_topology(std::uint64_t seed, bool mesh,
 TEST(ParallelSim, RandomTopologyCountersArePinned) {
   // Rounds, events and every per-domain counter, pinned to values
   // measured with a round loop that visits every domain in every round;
-  // skipping idle domains must not move them, at any thread count.  Both
-  // runs cross at least three epoch boundaries, so at 2 and 4 threads
-  // the worker count changes between rounds without moving them either.
+  // skipping idle domains must not move them.
   struct Case {
     bool mesh;
     EngineCounters want;
@@ -794,25 +549,14 @@ TEST(ParallelSim, RandomTopologyCountersArePinned) {
       {true, {819, 11443, 17192, 6904, 1213, 0x6c7ff5f3a59641c4ULL}},
   };
   for (const Case& k : cases) {
-    for (const unsigned threads : {1u, 2u, 4u}) {
-      const EngineCounters got = run_random_topology(23, k.mesh, threads);
-      const std::string where = std::string(k.mesh ? "mesh" : "star") +
-                                " threads=" + std::to_string(threads);
-      EXPECT_EQ(got.rounds, k.want.rounds) << where;
-      EXPECT_EQ(got.executed, k.want.executed) << where;
-      EXPECT_EQ(got.stalled, k.want.stalled) << where;
-      EXPECT_EQ(got.handoffs, k.want.handoffs) << where;
-      EXPECT_EQ(got.cancelled, k.want.cancelled) << where;
-      EXPECT_EQ(got.per_domain, k.want.per_domain) << where;
-      EXPECT_GT(got.rounds, 3 * EpochPolicy::kEpochRounds) << where;
-      EXPECT_EQ(got.pool_rounds + got.inline_rounds, got.rounds) << where;
-      if (threads == 1) {
-        EXPECT_EQ(got.pool_rounds, 0u) << where;
-      } else if (host_has_two_threads()) {
-        EXPECT_GT(got.pool_rounds, 0u) << where;
-        EXPECT_GT(got.inline_rounds, 0u) << where;
-      }
-    }
+    const EngineCounters got = run_random_topology(23, k.mesh);
+    const std::string where = k.mesh ? "mesh" : "star";
+    EXPECT_EQ(got.rounds, k.want.rounds) << where;
+    EXPECT_EQ(got.executed, k.want.executed) << where;
+    EXPECT_EQ(got.stalled, k.want.stalled) << where;
+    EXPECT_EQ(got.handoffs, k.want.handoffs) << where;
+    EXPECT_EQ(got.cancelled, k.want.cancelled) << where;
+    EXPECT_EQ(got.per_domain, k.want.per_domain) << where;
   }
 }
 
